@@ -23,6 +23,7 @@ import pytest
 from repro.core.strategy import Strategy
 from repro.core.tabu_search import TabuSearch, TabuSearchConfig
 from repro.instances import gk_suite
+from repro.parallel import FaultPlan, SerialBackend
 from repro.variants import solve_cts2, solve_its, solve_seq
 
 GOLDEN_SEQ = {
@@ -54,6 +55,60 @@ GOLDEN_CTS2 = {
     "value_history": [
         17889.0, 19648.0, 19825.0, 20335.0, 20966.0, 20966.0, 21197.0,
         21197.0, 21197.0, 21247.0, 21344.0,
+    ],
+}
+
+#: ``GOLDEN_CTS2``'s instance and seed under ``pipeline="async"`` on
+#: :class:`SerialBackend` replay (inline execution makes arrival order equal
+#: dispatch order, so the bounded-staleness schedule is deterministic).
+GOLDEN_CTS2_ASYNC = {
+    "best": 21907.0,
+    "evaluations": 28105,
+    "value_history": [
+        17889.0, 19648.0, 19648.0, 20115.0, 20359.0, 20558.0, 20558.0,
+        21091.0, 21091.0, 21907.0, 21907.0,
+    ],
+    "fault_summary": {},
+    "isp_rules": [
+        {"keep": 2, "pool": 1}, {"keep": 3}, {"keep": 3}, {"keep": 3},
+        {"keep": 3}, {"keep": 3}, {"keep": 3}, {"keep": 2, "restart": 1},
+        {"keep": 3}, {"keep": 1, "pool": 1, "restart": 1},
+    ],
+    "sgp_actions": [{"keep": 3}] * 10,
+    "pipeline_stats": {
+        "bursts_completed": 30.0,
+        "burst_failures": 0.0,
+        "max_staleness": 1.0,
+    },
+}
+
+#: The degraded-mode sync master: ``GOLDEN_CTS2``'s run on
+#: :class:`SerialBackend` under the seeded chaos plan of
+#: :func:`_chaos_plan` (crashes, dropped, duplicated and delayed reports).
+GOLDEN_CTS2_CHAOS = {
+    "best": 21175.0,
+    "evaluations": 17039,
+    "value_history": [
+        17889.0, 19648.0, 19648.0, 19913.0, 20537.0, 20580.0, 20580.0,
+        20580.0, 20580.0, 21175.0, 21175.0,
+    ],
+    "fault_summary": {"failed": 11, "duplicates": 4, "stale": 4, "degraded_rounds": 9},
+    "isp_rules": [
+        {"keep": 1, "pool": 2}, {"keep": 3}, {"keep": 3}, {"keep": 1, "pool": 2},
+        {"keep": 1, "pool": 2}, {"keep": 2, "restart": 1}, {"keep": 2, "pool": 1},
+        {"keep": 1, "pool": 1, "restart": 1}, {"keep": 1, "pool": 1, "restart": 1},
+        {"keep": 2, "pool": 1},
+    ],
+    "sgp_actions": [
+        {"keep": 3}, {"absent": 1, "keep": 2}, {"absent": 2, "keep": 1},
+        {"absent": 1, "keep": 2}, {"absent": 2, "keep": 1}, {"absent": 1, "keep": 2},
+        {"absent": 1, "keep": 2}, {"absent": 2, "keep": 1}, {"absent": 1, "keep": 2},
+        {"absent": 1, "keep": 2},
+    ],
+    #: per round: (failed, backoff, duplicate, stale)
+    "faults": [
+        (0, 0, 2, 0), (1, 0, 1, 0), (2, 0, 0, 1), (1, 0, 0, 0), (2, 0, 0, 0),
+        (0, 1, 0, 2), (1, 0, 0, 0), (2, 0, 0, 0), (1, 0, 1, 1), (1, 0, 0, 0),
     ],
 }
 
@@ -93,6 +148,62 @@ class TestVariantTrajectories:
         assert result.best.value == GOLDEN_CTS2["best"]
         assert result.total_evaluations == GOLDEN_CTS2["evaluations"]
         assert [float(v) for v in result.value_history] == GOLDEN_CTS2["value_history"]
+
+
+def _chaos_plan():
+    return FaultPlan.from_seed(
+        11,
+        n_slaves=3,
+        n_rounds=10,
+        crash_rate=0.1,
+        report_drop_rate=0.1,
+        duplicate_rate=0.15,
+        delay_rate=0.15,
+        straggle_rate=0.1,
+    )
+
+
+def _assert_master_golden(result, golden):
+    assert result.best.value == golden["best"]
+    assert result.total_evaluations == golden["evaluations"]
+    assert [float(v) for v in result.value_history] == golden["value_history"]
+    assert result.fault_summary == golden["fault_summary"]
+    assert [r.isp_rules for r in result.rounds] == golden["isp_rules"]
+    assert [r.sgp_actions for r in result.rounds] == golden["sgp_actions"]
+
+
+class TestMasterPipelineGoldens:
+    """The async master and the degraded-mode sync master, pinned on
+    :class:`SerialBackend` replay: value history, evaluation ledger, fault
+    books and the per-round ISP/SGP counters."""
+
+    def test_cts2_async_reproduces_golden_run(self):
+        result = solve_cts2(
+            _instance(),
+            n_slaves=3,
+            rng_seed=7,
+            max_evaluations=8_000,
+            pipeline="async",
+            backend=SerialBackend(3),
+        )
+        _assert_master_golden(result, GOLDEN_CTS2_ASYNC)
+        assert result.pipeline == "async"
+        for key, value in GOLDEN_CTS2_ASYNC["pipeline_stats"].items():
+            assert result.pipeline_stats[key] == value, key
+
+    def test_cts2_sync_under_seeded_faults_reproduces_golden_run(self):
+        result = solve_cts2(
+            _instance(),
+            n_slaves=3,
+            rng_seed=7,
+            max_evaluations=8_000,
+            backend=SerialBackend(3, fault_plan=_chaos_plan()),
+        )
+        _assert_master_golden(result, GOLDEN_CTS2_CHAOS)
+        assert [
+            (r.failed_slaves, r.backoff_slaves, r.duplicate_reports, r.stale_reports)
+            for r in result.rounds
+        ] == GOLDEN_CTS2_CHAOS["faults"]
 
 
 class TestThreadTrace:
