@@ -2,8 +2,8 @@
 
 The synchronous master pays every round's gather wall to its *slowest*
 slave: one straggler stalls the whole fleet at the barrier.  The
-bounded-staleness pipeline (DESIGN.md §5.9) keeps up to ``queue_depth``
-bursts in flight per slave and re-dispatches the moment each report lands,
+bounded-staleness pipeline (DESIGN.md §5.9) keeps up to two bursts in
+flight per slave and re-dispatches the moment each report lands,
 so a straggler stalls only itself while its peers keep searching.
 
 This bench A/Bs ``pipeline="sync"`` vs ``pipeline="async"`` (at

@@ -23,6 +23,22 @@ CTS2         yes            yes
 (SEQ is the degenerate ``P = 1`` single-round case, provided by
 ``repro.variants.seq`` without a master.)
 
+**One ledger, two pipelines.**  Search iteration ``i`` keeps its books in
+one :class:`_Window`: report, failure and backoff counts, the SGP/ISP
+counters, byte ledgers, latencies and master wait.  Both master pipelines
+(DESIGN.md §5.9) fill windows through the same :class:`MasterProcess`
+methods: ``_task`` builds a slave's task, ``_fold`` absorbs one accepted
+report, ``_fail`` starts a backoff, ``_adapt`` runs SGP then ISP, and
+``_close`` emits the window's event group and appends its
+:class:`RoundStats`.  The pipelines differ in two decisions only:
+
+* **arrival** — ``"sync"`` gets a window's reports from one
+  ``backend.run_round`` call (the Fig. 2 barrier); ``"async"`` pumps
+  ``dispatch``/``next_report`` and bursts of different windows overlap;
+* **adapt timing** — sync runs ``_adapt`` once per closed round over every
+  entry in slave order; async runs it per resolved burst on that burst's
+  one entry, so the next dispatch already sees the report.
+
 When a :class:`~repro.farm.FarmModel` is attached, the master charges every
 scatter, compute burst, gather and barrier wait to a
 :class:`~repro.farm.VirtualClock` and logs a :class:`~repro.farm.FarmTrace`;
@@ -37,7 +53,6 @@ from dataclasses import dataclass, field
 
 from ..core.construction import random_solution
 from ..core.instance import MKPInstance
-from ..core.solution import Solution
 from ..core.strategy import StrategyBounds
 from ..core.tabu_search import TabuSearchConfig
 from ..core.termination import Budget, CancelToken
@@ -55,6 +70,10 @@ from .result import ParallelRunResult, RoundStats
 from .sgp import SGPConfig, update_strategies
 
 __all__ = ["MasterConfig", "MasterProcess"]
+
+#: async per-slave in-flight task cap: double buffering, one burst
+#: computing while the next waits in the slave's queue
+QUEUE_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -84,16 +103,13 @@ class MasterConfig:
     #: rounds before the master retasks it
     max_backoff_rounds: int = 8
     #: master execution mode (DESIGN.md §5.9): ``"sync"`` is the Fig. 2
-    #: barrier loop, bit-identical to every earlier release; ``"async"``
-    #: pipelines per-slave bursts with bounded staleness over backends that
-    #: expose ``dispatch()``/``next_report()``
+    #: barrier loop; ``"async"`` pipelines per-slave bursts with bounded
+    #: staleness over backends that expose ``dispatch()``/``next_report()``
     pipeline: str = "sync"
     #: async only: max allowed lead (in bursts) of any slave's dispatch
     #: frontier over the least-advanced slave's completion count; ``2``
     #: is classic double buffering
     max_staleness: int = 2
-    #: async only: per-slave in-flight task cap (``2`` = double buffering)
-    queue_depth: int = 2
     #: async only: seconds to wait for *any* report before the globally
     #: oldest outstanding burst is declared lost (``None`` = wait forever)
     burst_timeout_s: float | None = 30.0
@@ -113,8 +129,6 @@ class MasterConfig:
             )
         if self.max_staleness < 1:
             raise ValueError("max_staleness must be >= 1")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         if self.burst_timeout_s is not None and self.burst_timeout_s <= 0:
             raise ValueError("burst_timeout_s must be positive (or None)")
         if self.initial_strategies and len(self.initial_strategies) != self.n_slaves:
@@ -122,6 +136,29 @@ class MasterConfig:
                 "initial_strategies must have one entry per slave "
                 f"({self.n_slaves}); got {len(self.initial_strategies)}"
             )
+
+
+@dataclass
+class _Window:
+    """The books of search iteration ``index``: a sync round or burst window."""
+
+    index: int
+    #: slaves whose burst for this window is settled (async closing rule)
+    resolved: int = 0
+    n_reports: int = 0
+    evaluations: int = 0
+    improved: int = 0
+    failed: int = 0
+    backoff: int = 0
+    duplicates: int = 0
+    stale: int = 0
+    sgp: Counter = field(default_factory=Counter)
+    isp: Counter = field(default_factory=Counter)
+    #: async only — sync rounds take these from the backend's telemetry
+    task_nbytes: dict = field(default_factory=dict)
+    report_nbytes: dict = field(default_factory=dict)
+    latency: dict = field(default_factory=dict)
+    wait_s: float = 0.0
 
 
 class MasterProcess:
@@ -156,9 +193,7 @@ class MasterProcess:
             if config.communicate
             else "ITS"
         )
-        self.alpha_controller = AlphaController(
-            alpha=config.isp.alpha,
-        )
+        self.alpha_controller = AlphaController(alpha=config.isp.alpha)
         #: structured observability sink; the disabled default is a no-op,
         #: so recording is strictly opt-in and costs nothing otherwise
         self.recorder = recorder if recorder is not None else RunRecorder.disabled()
@@ -200,17 +235,31 @@ class MasterProcess:
         rounds; each round receives an equal share.  ``None`` runs purely
         structural budgets (``Nb_div``/``Nb_it`` loops only).
 
-        With ``config.pipeline == "async"`` the barrier loop is replaced by
-        bounded-staleness pipelining (:meth:`_run_async`); the default
-        ``"sync"`` path below is untouched and stays bit-identical.
+        This is the one copy of the run frame: backend start, the
+        ``run_start`` event, the initial entries, the result and
+        ``run_end``.  In between, :meth:`_run_sync` (the Fig. 2 barrier)
+        or :meth:`_run_async` (bounded-staleness pipelining) fills one
+        :class:`_Window` ledger per search iteration; both close every
+        window through :meth:`_close`, so the result and the event stream
+        have one shape whatever the pipeline.
         """
-        if self.config.pipeline == "async":
-            return self._run_async(budget_per_slave)
         t_wall0 = time.perf_counter()
         cfg = self.config
         rec = self.recorder
-        clock = VirtualClock(cfg.n_slaves + 1) if self.farm else None
-        trace = FarmTrace() if self.farm else None
+        pipelined = cfg.pipeline == "async"
+        if pipelined and self.farm is not None:
+            raise ValueError(
+                "pipeline='async' has no virtual-farm accounting; "
+                "run the farm model with pipeline='sync'"
+            )
+        if pipelined and not (
+            hasattr(self.backend, "dispatch") and hasattr(self.backend, "next_report")
+        ):
+            raise TypeError(
+                f"backend {type(self.backend).__name__} does not implement the "
+                "pipelined dispatch()/next_report() API required by "
+                "pipeline='async'"
+            )
 
         # --- Fig. 2 line 1: distribute problem data ---------------------
         self._note("distribute_problem")
@@ -227,261 +276,57 @@ class MasterProcess:
         )
 
         # --- initial entries: random solutions + random strategies ------
-        entries: list[SlaveEntry] = []
-        for k in range(cfg.n_slaves):
-            strategy = (
-                cfg.initial_strategies[k]
-                if cfg.initial_strategies
-                else cfg.bounds.random(self.rng)
+        strategies = cfg.initial_strategies or [
+            cfg.bounds.random(self.rng) for _ in range(cfg.n_slaves)
+        ]
+        self._entries = [
+            SlaveEntry(
+                slave_id=k,
+                strategy=strategies[k],
+                init_solution=random_solution(self.instance, derive_rng(self.rng_seed, 0, k)),
             )
-            entries.append(
-                SlaveEntry(
-                    slave_id=k,
-                    strategy=strategy,
-                    init_solution=random_solution(
-                        self.instance, derive_rng(self.rng_seed, 0, k)
-                    ),
-                )
-            )
-        global_best: Solution = max(
-            (e.init_solution for e in entries), key=lambda s: s.value
-        )
-
-        rounds: list[RoundStats] = []
-        value_history: list[float] = [global_best.value]
-        total_evaluations = 0
-        bytes_sent = 0
-
+            for k in range(cfg.n_slaves)
+        ]
+        self._best = max((e.init_solution for e in self._entries), key=lambda s: s.value)
+        # --- run-level books, fed only by _fold and _close --------------
+        self._rounds: list[RoundStats] = []
+        self._history = [self._best.value]
+        self._evaluations = 0
+        self._bytes_sent = 0
+        self._faults: Counter[str] = Counter()
         # --- slave health: consecutive failures + exponential backoff ---
-        consecutive_failures = [0] * cfg.n_slaves
-        resume_round = [0] * cfg.n_slaves
-        fault_summary: Counter[str] = Counter()
-
+        self._failures = [0] * cfg.n_slaves
+        self._resume = [0] * cfg.n_slaves
         self.was_cancelled = False
-        for round_idx in range(cfg.n_rounds):
-            # --- cooperative cancel: only ever between rounds -----------
-            if self.cancel is not None and self.cancel.cancelled:
-                self.was_cancelled = True
-                break
-            # --- Fig. 2: Call SGP and ISP, send, receive ----------------
-            round_budget = (
-                None
-                if budget_per_slave is None
-                else budget_per_slave.scaled(1.0 / cfg.n_rounds)
-            )
-            tasks: list[SlaveTask | None] = []
-            backoff_slaves = 0
-            for entry in entries:
-                k = entry.slave_id
-                if round_idx < resume_round[k]:
-                    # Still backing off after a failure: no task this round.
-                    tasks.append(None)
-                    backoff_slaves += 1
-                    continue
-                seed = random_seed_from(derive_rng(self.rng_seed, 1 + round_idx, k))
-                tasks.append(
-                    SlaveTask(
-                        x_init=entry.init_solution,
-                        strategy=entry.strategy,
-                        budget=round_budget if round_budget is not None else Budget.unlimited(),
-                        seed=seed,
-                        round_index=round_idx,
-                        seq_id=round_idx * cfg.n_slaves + k,
-                        pattern=self._fixation_pattern(entry.strategy, k),
-                    )
-                )
-            rec.round_start(
-                round_idx,
-                tasked_slaves=sum(1 for t in tasks if t is not None),
-                backoff_slaves=backoff_slaves,
-            )
-            self._note("send_tasks")
-            raw_reports = self.backend.run_round(tasks)
-            self._note("receive_reports")
 
-            # --- idempotent report handling -----------------------------
-            # Accept at most one report per slave per round, keyed by the
-            # (round, seq) ids the task carried; duplicated deliveries and
-            # stale (delayed) reports from earlier rounds are discarded, so
-            # no round ever double-counts a report.
-            accepted: dict[int, SlaveReport] = {}
-            duplicate_reports = 0
-            stale_reports = 0
-            for report in raw_reports:
-                k = report.slave_id
-                expected_seq = round_idx * cfg.n_slaves + k
-                if (
-                    not 0 <= k < cfg.n_slaves
-                    or report.round_index != round_idx
-                    or report.seq_id != expected_seq
-                ):
-                    stale_reports += 1
-                    continue
-                if k in accepted:
-                    duplicate_reports += 1
-                    continue
-                accepted[k] = report
-            reports = [accepted[k] for k in sorted(accepted)]
-
-            # --- measured wall telemetry + farm time accounting ---------
-            # One typed record per round, emitted by the backend itself —
-            # the recorder stream gets it unconditionally, so wall-clock
-            # runs without a farm model keep their phase splits too (the
-            # old path only kept them when a FarmTrace existed).
-            telemetry = collect_round_telemetry(self.backend, round_idx)
-            rec.round_telemetry(telemetry)
-            round_seconds, comm_seconds, slave_seconds = self._charge_round(
-                clock, trace, reports, telemetry
-            )
-            bytes_sent += telemetry.total_bytes
-            phase_wall = dict(telemetry.phase_seconds)
-            gather_idle = dict(telemetry.gather_idle_s)
-            if trace is not None and phase_wall:
-                trace.record_wall_phases(
-                    round_idx, phase_wall, gather_idle, telemetry.master_wait_s
-                )
-
-            # --- fold results into the data structure -------------------
-            improved_slaves = 0
-            failed_slaves = 0
-            for entry in entries:
-                k = entry.slave_id
-                report = accepted.get(k)
-                if report is None:
-                    if tasks[k] is not None:
-                        # Tasked but never (validly) reported: crashed slave
-                        # or lost message.  Enter/extend exponential backoff.
-                        consecutive_failures[k] += 1
-                        backoff = min(
-                            2 ** (consecutive_failures[k] - 1), cfg.max_backoff_rounds
-                        )
-                        resume_round[k] = round_idx + backoff
-                        failed_slaves += 1
-                    entry.stagnant_rounds += 1
-                    continue
-                consecutive_failures[k] = 0
-                changed = entry.absorb_elite(
-                    [report.best, *report.elite], cfg.elite_capacity
-                )
-                if changed:
-                    entry.stagnant_rounds = 0
-                    improved_slaves += 1
-                else:
-                    entry.stagnant_rounds += 1
-            # Degraded-mode monotonicity: the incumbent only ever ratchets
-            # up, even when a round yields zero surviving reports.
-            global_improved = False
-            if reports:
-                round_best = max(reports, key=lambda r: r.best.value).best
-                global_improved = round_best.value > global_best.value
-                if global_improved:
-                    global_best = round_best
-            total_evaluations += sum(r.evaluations for r in reports)
-            value_history.append(global_best.value)
-            fault_summary["failed"] += failed_slaves
-            fault_summary["duplicates"] += duplicate_reports
-            fault_summary["stale"] += stale_reports
-            if failed_slaves or backoff_slaves:
-                fault_summary["degraded_rounds"] += 1
-            if failed_slaves or backoff_slaves or duplicate_reports or stale_reports:
-                rec.faults(
-                    round_idx,
-                    failed_slaves=failed_slaves,
-                    backoff_slaves=backoff_slaves,
-                    duplicate_reports=duplicate_reports,
-                    stale_reports=stale_reports,
-                )
-
-            # --- SGP -----------------------------------------------------
-            sgp_actions: Counter[str] = Counter()
-            if cfg.adapt_strategies:
-                self._note("sgp")
-                decisions = update_strategies(
-                    entries,
-                    reports,
-                    cfg.bounds,
-                    cfg.sgp,
-                    self.instance.n_items,
-                    self.rng,
-                    allow_missing=True,
-                )
-                sgp_actions = Counter(d.action for d in decisions)
-
-            # --- ISP -----------------------------------------------------
-            isp_rules: Counter[str] = Counter()
-            if cfg.communicate:
-                self._note("isp")
-                if cfg.dynamic_alpha:
-                    alpha = self.alpha_controller.update(global_improved)
-                else:
-                    alpha = cfg.isp.alpha
-                isp_config = ISPConfig(
-                    alpha=alpha, stagnation_limit=cfg.isp.stagnation_limit
-                )
-                decisions = generate_initial_solutions(
-                    entries, global_best, self.instance, isp_config, self.rng
-                )
-                isp_rules = Counter(d.rule for d in decisions)
-            else:
-                # Independent threads: each continues from its own best.
-                for entry in entries:
-                    own = entry.best
-                    if own is not None:
-                        entry.init_solution = own
-                isp_rules = Counter({"keep": cfg.n_slaves})
-
-            if cfg.adapt_strategies:
-                rec.sgp(round_idx, dict(sgp_actions))
-            rec.isp(round_idx, dict(isp_rules))
-            rounds.append(
-                RoundStats(
-                    round_index=round_idx,
-                    best_value=global_best.value,
-                    round_virtual_seconds=round_seconds,
-                    slave_virtual_seconds=slave_seconds,
-                    communication_seconds=comm_seconds,
-                    evaluations=sum(r.evaluations for r in reports),
-                    improved_slaves=improved_slaves,
-                    isp_rules=dict(isp_rules),
-                    sgp_actions=dict(sgp_actions),
-                    failed_slaves=failed_slaves,
-                    backoff_slaves=backoff_slaves,
-                    duplicate_reports=duplicate_reports,
-                    stale_reports=stale_reports,
-                    phase_wall_seconds=phase_wall,
-                    gather_idle_s=gather_idle,
-                )
-            )
-            rec.round_end(
-                round_idx,
-                best_value=global_best.value,
-                evaluations=rounds[-1].evaluations,
-                improved_slaves=improved_slaves,
-                n_reports=len(reports),
-            )
-
-            # Early exit once the target objective is reached (time-to-
-            # target experiments) — launching further rounds would only
-            # inflate the reported makespan.
-            if (
-                budget_per_slave is not None
-                and budget_per_slave.target_value is not None
-                and global_best.value >= budget_per_slave.target_value
-            ):
-                break
+        budget = (
+            Budget.unlimited()
+            if budget_per_slave is None
+            else budget_per_slave.scaled(1.0 / cfg.n_rounds)
+        )
+        target = None if budget_per_slave is None else budget_per_slave.target_value
+        clock = VirtualClock(cfg.n_slaves + 1) if self.farm else None
+        trace = FarmTrace() if self.farm else None
+        if pipelined:
+            pipeline_stats = self._run_async(budget, target)
+        else:
+            self._run_sync(budget, target, clock, trace)
+            pipeline_stats = {}
 
         result = ParallelRunResult(
             variant=self.variant_name,
-            best=global_best,
-            rounds=rounds,
-            total_evaluations=total_evaluations,
+            best=self._best,
+            rounds=self._rounds,
+            total_evaluations=self._evaluations,
             virtual_seconds=clock.now if clock else 0.0,
             wall_seconds=time.perf_counter() - t_wall0,
             n_slaves=cfg.n_slaves,
             trace=trace,
-            bytes_sent=bytes_sent,
-            value_history=value_history,
-            fault_summary={k: v for k, v in fault_summary.items() if v},
+            bytes_sent=self._bytes_sent,
+            value_history=self._history,
+            fault_summary={k: v for k, v in self._faults.items() if v},
+            pipeline=cfg.pipeline,
+            pipeline_stats=pipeline_stats,
         )
         rec.run_end(
             best_value=result.best.value,
@@ -495,231 +340,132 @@ class MasterProcess:
         return result
 
     # ------------------------------------------------------------------ #
-    def _run_async(self, budget_per_slave: Budget | None) -> ParallelRunResult:
-        """Bounded-staleness pipelined master loop (DESIGN.md §5.9).
+    # Arrival: one barrier round per window ...
+    # ------------------------------------------------------------------ #
+    def _run_sync(
+        self,
+        budget: Budget,
+        target: float | None,
+        clock: VirtualClock | None,
+        trace: FarmTrace | None,
+    ) -> None:
+        """The Fig. 2 barrier loop: SGP/ISP, send, receive — per round."""
+        cfg = self.config
+        entries = self._entries
+        for b in range(cfg.n_rounds):
+            # --- cooperative cancel: only ever between rounds -----------
+            if self.cancel is not None and self.cancel.cancelled:
+                self.was_cancelled = True
+                break
+            w = _Window(b)
+            tasks = [self._task(w, entry, budget) for entry in entries]
+            self.recorder.round_start(
+                b, tasked_slaves=cfg.n_slaves - w.backoff, backoff_slaves=w.backoff
+            )
+            self._note("send_tasks")
+            raw_reports = self.backend.run_round(tasks)
+            self._note("receive_reports")
 
-        Instead of the Fig. 2 barrier, every slave holds up to
-        ``queue_depth`` tasks in flight; the master consumes reports in
-        arrival order and immediately re-dispatches with the freshest
-        ISP/SGP state (both run incrementally, one entry per report — they
-        are strictly per-entry, so single-entry calls are semantically
-        identical to the batched round calls).  ``max_staleness`` bounds how
-        far any slave's dispatch frontier may run ahead of the
-        least-advanced slave's completion count, so the search never
-        degenerates into one fast slave soloing the instance.
+            # --- idempotent report handling -----------------------------
+            # Accept at most one report per slave per round, keyed by the
+            # (round, seq) ids the task carried; duplicated deliveries and
+            # stale (delayed) reports from earlier rounds are discarded, so
+            # no round ever double-counts a report.
+            accepted: dict[int, SlaveReport] = {}
+            for report in raw_reports:
+                if report.round_index != b or not self._valid(report):
+                    w.stale += 1
+                elif report.slave_id in accepted:
+                    w.duplicates += 1
+                else:
+                    accepted[report.slave_id] = report
+            reports = [accepted[k] for k in sorted(accepted)]
 
-        **Windows.** Burst index ``b`` plays the role of round ``b``: every
-        slave resolves each burst exactly once (report, failure, or backoff
-        skip), and since per-slave resolution is monotone in ``b`` the
-        windows close in order.  A closed window emits the same
-        ``round_start → round_telemetry → … → round_end`` event group as a
-        sync round (phase split synthesized from burst latencies), so every
-        downstream consumer — trace rendering, metrics, summaries,
-        serialization — reads an async run with no schema change.
+            # --- measured wall telemetry + farm time accounting ---------
+            telemetry = collect_round_telemetry(self.backend, b)
+            charges = self._charge_round(clock, trace, reports, telemetry)
+            if trace is not None and telemetry.phase_seconds:
+                trace.record_wall_phases(
+                    b,
+                    dict(telemetry.phase_seconds),
+                    dict(telemetry.gather_idle_s),
+                    telemetry.master_wait_s,
+                )
 
-        **Loss detection.** A report from slave ``k`` for burst ``b``
-        proves every older in-flight burst of ``k`` lost (per-slave arrival
-        order is burst-monotone, even for chaos-delayed reports, which
-        flush ahead of the next computed one); otherwise the globally
-        oldest outstanding burst is failed when ``burst_timeout_s`` passes
-        with no arrival at all.  Under :class:`SerialBackend` replay the
-        whole schedule is deterministic (inline execution makes arrival
-        order equal dispatch order), which is the seeded-determinism
-        contract ``tests/test_pipeline.py`` pins.
+            # --- fold results, then one SGP/ISP pass in slave order -----
+            improved = False
+            for entry, task in zip(entries, tasks):
+                report = accepted.get(entry.slave_id)
+                if report is not None:
+                    improved |= self._fold(w, entry, report)
+                elif task is not None:
+                    # Tasked but never (validly) reported: crashed slave
+                    # or lost message.
+                    self._fail(w, entry, b)
+            self._adapt(w, entries, reports, improved)
+            self._close(w, telemetry, *charges)
+
+            # Early exit once the target objective is reached (time-to-
+            # target experiments) — launching further rounds would only
+            # inflate the reported makespan.
+            if target is not None and self._best.value >= target:
+                break
+
+    # ------------------------------------------------------------------ #
+    # ... or pipelined bursts that close windows in order
+    # ------------------------------------------------------------------ #
+    def _run_async(self, budget: Budget, target: float | None) -> dict[str, float]:
+        """Bounded-staleness pipelined loop (DESIGN.md §5.9); returns its stats.
+
+        Every slave holds up to :data:`QUEUE_DEPTH` tasks in flight; reports
+        are consumed in arrival order and each one is adapted on its own
+        entry at once, so the next dispatch sees it.  No slave's dispatch
+        frontier runs ``max_staleness`` bursts ahead of the least-advanced
+        slave's completion count.  Burst ``b`` belongs to window ``b``;
+        every slave settles each burst once (report, failure or backoff
+        skip), so windows close in order.  A duplicate or stale report is
+        charged to its own window while that is open, else to the oldest
+        open one, as a sync round charges a late report to the round it
+        arrives in.  A report for burst ``b`` proves the slave's older
+        in-flight bursts lost (per-slave arrival is burst-monotone); with no
+        arrival for ``burst_timeout_s`` the oldest outstanding burst is
+        failed.  :class:`SerialBackend` replay is deterministic: inline
+        execution makes arrival order equal dispatch order.
         """
-        t_wall0 = time.perf_counter()
         cfg = self.config
         rec = self.recorder
         P = cfg.n_slaves
         backend = self.backend
-        if self.farm is not None:
-            raise ValueError(
-                "pipeline='async' has no virtual-farm accounting; "
-                "run the farm model with pipeline='sync'"
-            )
-        if not hasattr(backend, "dispatch") or not hasattr(backend, "next_report"):
-            raise TypeError(
-                f"backend {type(backend).__name__} does not implement the "
-                "pipelined dispatch()/next_report() API required by "
-                "pipeline='async'"
-            )
+        entries = self._entries
         drain_dead = getattr(backend, "drain_dead_slaves", lambda: ())
-
-        self._note("distribute_problem")
-        backend.start(self.instance, cfg.ts_config)
         drain_dead()  # losses from an earlier lease of this backend are not ours
-        rec.run_start(
-            variant=self.variant_name,
-            n_slaves=P,
-            n_rounds=cfg.n_rounds,
-            seed=self.rng_seed,
-            instance=str(getattr(self.instance, "name", "") or ""),
-            instance_size=self.instance.size_label,
-            communicate=cfg.communicate,
-            adapt_strategies=cfg.adapt_strategies,
-        )
 
-        entries: list[SlaveEntry] = []
-        for k in range(P):
-            strategy = (
-                cfg.initial_strategies[k]
-                if cfg.initial_strategies
-                else cfg.bounds.random(self.rng)
-            )
-            entries.append(
-                SlaveEntry(
-                    slave_id=k,
-                    strategy=strategy,
-                    init_solution=random_solution(
-                        self.instance, derive_rng(self.rng_seed, 0, k)
-                    ),
-                )
-            )
-        global_best: Solution = max(
-            (e.init_solution for e in entries), key=lambda s: s.value
-        )
-
-        burst_budget = (
-            Budget.unlimited()
-            if budget_per_slave is None
-            else budget_per_slave.scaled(1.0 / cfg.n_rounds)
-        )
-        target_value = (
-            budget_per_slave.target_value if budget_per_slave is not None else None
-        )
-
-        # --- per-slave pipeline state ----------------------------------
         next_burst = [0] * P  # dispatch frontier (next undispatched burst)
         completed = [0] * P  # bursts resolved (report, failure, or skip)
         inflight: list[list[tuple[int, int, float]]] = [[] for _ in range(P)]
-        resume_burst = [0] * P  # exponential backoff, in burst units
-        consecutive_failures = [0] * P
         seen_seqs: set[int] = set()
-
-        # --- per-burst windows (round-compatible aggregation) ----------
-        windows: dict[int, dict] = {}
-        next_close = 0
-        rounds: list[RoundStats] = []
-        value_history: list[float] = [global_best.value]
-        total_evaluations = 0
-        bytes_sent = 0
-        fault_summary: Counter[str] = Counter()
+        windows: dict[int, _Window] = {}
+        next_close = 0  # oldest open window
         stop_dispatch = False
-        # run-level pipeline aggregates
-        bursts_completed = 0
-        burst_failures = 0
-        max_staleness_seen = 0
-        queue_depth_sum = 0
-        n_resolutions = 0
-        reclaimed_idle_s = 0.0
-        master_wait_s = 0.0
+        resolutions = burst_failures = max_staleness = depth_sum = 0
+        reclaimed_idle_s = master_wait_s = 0.0
 
-        def window(b: int) -> dict:
+        def books(b: int) -> _Window:
             w = windows.get(b)
             if w is None:
-                w = windows[b] = {
-                    "resolved": 0,
-                    "evaluations": 0,
-                    "improved": 0,
-                    "failed": 0,
-                    "backoff": 0,
-                    "duplicates": 0,
-                    "stale": 0,
-                    "n_reports": 0,
-                    "sgp": Counter(),
-                    "isp": Counter(),
-                    "task_nbytes": {},
-                    "report_nbytes": {},
-                    "latency": {},
-                    "wait_s": 0.0,
-                }
+                w = windows[b] = _Window(b)
             return w
 
-        def close_ready_windows() -> None:
-            nonlocal next_close, bytes_sent, reclaimed_idle_s
-            while next_close in windows and windows[next_close]["resolved"] >= P:
-                b = next_close
-                w = windows.pop(b)
-                next_close += 1
-                lat = w["latency"]
-                lat_values = list(lat.values())
-                phase = {
-                    "scatter": 0.0,
-                    "compute": min(lat_values) if lat_values else 0.0,
-                    "gather": max(lat_values) if lat_values else 0.0,
-                }
-                rec.round_start(
-                    b, tasked_slaves=P - w["backoff"], backoff_slaves=w["backoff"]
-                )
-                telemetry = RoundTelemetry(
-                    round_index=b,
-                    phase_seconds=phase,
-                    gather_idle_s=dict(lat),
-                    master_wait_s=w["wait_s"],
-                    task_nbytes=dict(w["task_nbytes"]),
-                    report_nbytes=dict(w["report_nbytes"]),
-                    slowdowns={},
-                )
-                rec.round_telemetry(telemetry)
-                bytes_sent += telemetry.total_bytes
-                if w["failed"] or w["backoff"]:
-                    fault_summary["degraded_rounds"] += 1
-                if w["failed"] or w["backoff"] or w["duplicates"] or w["stale"]:
-                    rec.faults(
-                        b,
-                        failed_slaves=w["failed"],
-                        backoff_slaves=w["backoff"],
-                        duplicate_reports=w["duplicates"],
-                        stale_reports=w["stale"],
-                    )
-                if cfg.adapt_strategies:
-                    rec.sgp(b, dict(w["sgp"]))
-                rec.isp(b, dict(w["isp"]))
-                value_history.append(global_best.value)
-                # A straggler holds only its own burst back: everyone
-                # else's latency lead over the slowest report is barrier
-                # idle the pipelining reclaimed.
-                if len(lat_values) >= 2:
-                    slowest = max(lat_values)
-                    reclaimed_idle_s += sum(slowest - v for v in lat_values)
-                rounds.append(
-                    RoundStats(
-                        round_index=b,
-                        best_value=global_best.value,
-                        round_virtual_seconds=0.0,
-                        slave_virtual_seconds={k: 0.0 for k in lat},
-                        communication_seconds=0.0,
-                        evaluations=w["evaluations"],
-                        improved_slaves=w["improved"],
-                        isp_rules=dict(w["isp"]),
-                        sgp_actions=dict(w["sgp"]),
-                        failed_slaves=w["failed"],
-                        backoff_slaves=w["backoff"],
-                        duplicate_reports=w["duplicates"],
-                        stale_reports=w["stale"],
-                        phase_wall_seconds=phase,
-                        gather_idle_s=dict(lat),
-                    )
-                )
-                rec.round_end(
-                    b,
-                    best_value=global_best.value,
-                    evaluations=w["evaluations"],
-                    improved_slaves=w["improved"],
-                    n_reports=w["n_reports"],
-                )
-
         def resolve(k: int, b: int, outcome: str, latency: float) -> None:
-            nonlocal bursts_completed, max_staleness_seen
-            nonlocal queue_depth_sum, n_resolutions
+            nonlocal next_close, resolutions, max_staleness, depth_sum
+            nonlocal reclaimed_idle_s
             completed[k] += 1
-            w = window(b)
-            w["resolved"] += 1
-            bursts_completed += 1
+            w = books(b)
+            w.resolved += 1
+            resolutions += 1
             staleness = completed[k] - min(completed)
-            max_staleness_seen = max(max_staleness_seen, staleness)
-            queue_depth_sum += len(inflight[k])
-            n_resolutions += 1
+            max_staleness = max(max_staleness, staleness)
+            depth_sum += len(inflight[k])
             rec.burst_telemetry(
                 BurstTelemetry(
                     slave_id=k,
@@ -727,63 +473,46 @@ class MasterProcess:
                     queue_depth=len(inflight[k]),
                     staleness=staleness,
                     latency_s=latency,
-                    task_nbytes=int(w["task_nbytes"].get(k, 0)),
-                    report_nbytes=int(w["report_nbytes"].get(k, 0)),
+                    task_nbytes=int(w.task_nbytes.get(k, 0)),
+                    report_nbytes=int(w.report_nbytes.get(k, 0)),
                     outcome=outcome,
                 )
             )
-            close_ready_windows()
-
-        def adapt_absent(k: int, w: dict) -> None:
-            """SGP/ISP bookkeeping for a burst that yielded no report."""
-            entry = entries[k]
-            if cfg.adapt_strategies:
-                decisions = update_strategies(
-                    [entry],
-                    [],
-                    cfg.bounds,
-                    cfg.sgp,
-                    self.instance.n_items,
-                    self.rng,
-                    allow_missing=True,
+            while next_close in windows and windows[next_close].resolved >= P:
+                w = windows.pop(next_close)
+                next_close += 1
+                lat = list(w.latency.values())
+                # A straggler holds only its own burst back: everyone
+                # else's latency lead over the slowest report is barrier
+                # idle the pipelining reclaimed.
+                if len(lat) >= 2:
+                    reclaimed_idle_s += sum(max(lat) - v for v in lat)
+                rec.round_start(
+                    w.index, tasked_slaves=P - w.backoff, backoff_slaves=w.backoff
                 )
-                w["sgp"].update(d.action for d in decisions)
-            if cfg.communicate:
-                alpha = (
-                    self.alpha_controller.alpha
-                    if cfg.dynamic_alpha
-                    else cfg.isp.alpha
+                telemetry = RoundTelemetry(
+                    round_index=w.index,
+                    phase_seconds={
+                        "scatter": 0.0,
+                        "compute": min(lat) if lat else 0.0,
+                        "gather": max(lat) if lat else 0.0,
+                    },
+                    gather_idle_s=dict(w.latency),
+                    master_wait_s=w.wait_s,
+                    task_nbytes=dict(w.task_nbytes),
+                    report_nbytes=dict(w.report_nbytes),
                 )
-                isp_config = ISPConfig(
-                    alpha=alpha, stagnation_limit=cfg.isp.stagnation_limit
-                )
-                decisions = generate_initial_solutions(
-                    [entry], global_best, self.instance, isp_config, self.rng
-                )
-                w["isp"].update(d.rule for d in decisions)
-            else:
-                own = entry.best
-                if own is not None:
-                    entry.init_solution = own
-                w["isp"]["keep"] += 1
-
-        def fail_burst(k: int, b: int, t_dispatched: float) -> None:
-            nonlocal burst_failures
-            consecutive_failures[k] += 1
-            backoff = min(2 ** (consecutive_failures[k] - 1), cfg.max_backoff_rounds)
-            resume_burst[k] = next_burst[k] + backoff
-            entries[k].stagnant_rounds += 1
-            w = window(b)
-            w["failed"] += 1
-            fault_summary["failed"] += 1
-            burst_failures += 1
-            adapt_absent(k, w)
-            w["latency"][k] = time.perf_counter() - t_dispatched
-            resolve(k, b, "failed", w["latency"][k])
+                self._close(w, telemetry, 0.0, 0.0, dict.fromkeys(w.latency, 0.0))
 
         def fail_head(k: int) -> None:
-            b, _seq, t0 = inflight[k].pop(0)
-            fail_burst(k, b, t0)
+            nonlocal burst_failures
+            b, _seq, t_dispatched = inflight[k].pop(0)
+            w = books(b)
+            burst_failures += 1
+            self._fail(w, entries[k], next_burst[k])
+            self._adapt(w, [entries[k]], [], None)
+            w.latency[k] = time.perf_counter() - t_dispatched
+            resolve(k, b, "failed", w.latency[k])
 
         def pump() -> bool:
             """Dispatch/skip every eligible burst; True if anything moved."""
@@ -792,55 +521,40 @@ class MasterProcess:
             while progress and not stop_dispatch:
                 progress = False
                 floor = min(completed)
-                for k in range(P):
+                for entry in entries:
+                    k = entry.slave_id
                     b = next_burst[k]
-                    if b >= cfg.n_rounds or b - floor >= cfg.max_staleness:
+                    if (
+                        b >= cfg.n_rounds
+                        or b - floor >= cfg.max_staleness
+                        or len(inflight[k]) >= QUEUE_DEPTH
+                    ):
                         continue
-                    if b < resume_burst[k]:
+                    w = books(b)
+                    task = self._task(w, entry, budget)
+                    next_burst[k] += 1
+                    moved = progress = True
+                    if task is None:
                         # Backoff: the burst resolves instantly as a skip
                         # (the sync loop's None task), still staleness-paced
                         # so a failing slave cannot skip ahead of the fleet.
-                        next_burst[k] += 1
-                        w = window(b)
-                        w["backoff"] += 1
-                        entries[k].stagnant_rounds += 1
-                        adapt_absent(k, w)
+                        self._adapt(w, [entry], [], None)
                         resolve(k, b, "skipped", 0.0)
-                        moved = progress = True
                         continue
-                    if len(inflight[k]) >= cfg.queue_depth:
-                        continue
-                    entry = entries[k]
-                    seed = random_seed_from(derive_rng(self.rng_seed, 1 + b, k))
-                    task = SlaveTask(
-                        x_init=entry.init_solution,
-                        strategy=entry.strategy,
-                        budget=burst_budget,
-                        seed=seed,
-                        round_index=b,
-                        seq_id=b * P + k,
-                        pattern=self._fixation_pattern(entry.strategy, k),
-                    )
                     self._note("dispatch")
-                    nbytes = backend.dispatch(k, task)
-                    window(b)["task_nbytes"][k] = nbytes
+                    w.task_nbytes[k] = backend.dispatch(k, task)
                     inflight[k].append((b, task.seq_id, time.perf_counter()))
-                    next_burst[k] += 1
-                    moved = progress = True
             return moved
 
-        self.was_cancelled = False
         while True:
             if self.cancel is not None and self.cancel.cancelled:
                 self.was_cancelled = True
                 stop_dispatch = True
-            if target_value is not None and global_best.value >= target_value:
+            if target is not None and self._best.value >= target:
                 stop_dispatch = True
             moved = pump()
             if not any(inflight):
-                if stop_dispatch or all(b >= cfg.n_rounds for b in next_burst):
-                    break
-                if not moved:  # pragma: no cover - defensive
+                if stop_dispatch or not moved or all(b >= cfg.n_rounds for b in next_burst):
                     break
                 continue
 
@@ -849,7 +563,7 @@ class MasterProcess:
             wait = time.perf_counter() - t_wait0
             master_wait_s += wait
             if next_close in windows:
-                windows[next_close]["wait_s"] += wait
+                windows[next_close].wait_s += wait
 
             for k in drain_dead():
                 # Worker death invalidates everything it had in flight.
@@ -859,130 +573,207 @@ class MasterProcess:
                 if any(inflight):
                     # Nothing arrived in a full timeout window: declare the
                     # globally oldest outstanding burst lost.
-                    k_oldest = min(
-                        (k for k in range(P) if inflight[k]),
-                        key=lambda k: (inflight[k][0][0], inflight[k][0][2]),
+                    fail_head(
+                        min(
+                            (k for k in range(P) if inflight[k]),
+                            key=lambda k: (inflight[k][0][0], inflight[k][0][2]),
+                        )
                     )
-                    fail_head(k_oldest)
                 continue
 
             report, report_nbytes = item
             self._note("receive_report")
             k = report.slave_id
             seq = report.seq_id
-            valid = 0 <= k < P and seq == report.round_index * P + k
-            match = None
-            if valid:
-                for i, (_b, s, _t0) in enumerate(inflight[k]):
-                    if s == seq:
-                        match = i
-                        break
-            if match is None:
+            valid = self._valid(report)
+            seqs = [s for _b, s, _t0 in inflight[k]] if valid else []
+            if seq not in seqs:
                 # Duplicate of an accepted report, or a report for a burst
                 # already written off (timeout raced a live slave).
-                key = "duplicates" if valid and seq in seen_seqs else "stale"
-                fault_summary[key] += 1
-                target_w = report.round_index if valid else next_close
-                if target_w in windows or (valid and target_w >= next_close):
-                    window(target_w)[key] += 1
+                own = report.round_index
+                w = books(own if valid and next_close <= own < cfg.n_rounds else next_close)
+                if valid and seq in seen_seqs:
+                    w.duplicates += 1
+                else:
+                    w.stale += 1
                 continue
             # Per-slave arrival order is burst-monotone, so this report
             # proves every older in-flight burst of slave k lost.
-            for _ in range(match):
+            for _ in range(seqs.index(seq)):
                 fail_head(k)
             b, _seq, t_dispatched = inflight[k].pop(0)
             seen_seqs.add(seq)
-            consecutive_failures[k] = 0
-            now = time.perf_counter()
+            w = books(b)
+            w.latency[k] = time.perf_counter() - t_dispatched
+            w.report_nbytes[k] = report_nbytes
             entry = entries[k]
-            w = window(b)
-            w["n_reports"] += 1
-            w["latency"][k] = now - t_dispatched
-            w["report_nbytes"][k] = report_nbytes
-            w["evaluations"] += report.evaluations
-            total_evaluations += report.evaluations
-            changed = entry.absorb_elite(
-                [report.best, *report.elite], cfg.elite_capacity
-            )
-            if changed:
-                entry.stagnant_rounds = 0
-                w["improved"] += 1
-            else:
-                entry.stagnant_rounds += 1
-            global_improved = report.best.value > global_best.value
-            if global_improved:
-                global_best = report.best
             # Incremental SGP/ISP: the very next dispatch to any slave
             # already sees this report folded in — the freshness the
             # barrier loop only achieves once per round.
-            if cfg.adapt_strategies:
-                self._note("sgp")
-                decisions = update_strategies(
-                    [entry],
-                    [report],
-                    cfg.bounds,
-                    cfg.sgp,
-                    self.instance.n_items,
-                    self.rng,
-                    allow_missing=True,
-                )
-                w["sgp"].update(d.action for d in decisions)
-            if cfg.communicate:
-                self._note("isp")
-                alpha = (
-                    self.alpha_controller.update(global_improved)
-                    if cfg.dynamic_alpha
-                    else cfg.isp.alpha
-                )
-                isp_config = ISPConfig(
-                    alpha=alpha, stagnation_limit=cfg.isp.stagnation_limit
-                )
-                decisions = generate_initial_solutions(
-                    [entry], global_best, self.instance, isp_config, self.rng
-                )
-                w["isp"].update(d.rule for d in decisions)
-            else:
-                own = entry.best
-                if own is not None:
-                    entry.init_solution = own
-                w["isp"]["keep"] += 1
-            resolve(k, b, "report", w["latency"][k])
+            improved = self._fold(w, entry, report)
+            self._adapt(w, [entry], [report], improved)
+            resolve(k, b, "report", w.latency[k])
 
-        pipeline_stats = {
-            "bursts_completed": float(bursts_completed),
+        return {
+            "bursts_completed": float(resolutions),
             "burst_failures": float(burst_failures),
-            "max_staleness": float(max_staleness_seen),
-            "mean_queue_depth": (
-                queue_depth_sum / n_resolutions if n_resolutions else 0.0
-            ),
+            "max_staleness": float(max_staleness),
+            "mean_queue_depth": depth_sum / resolutions if resolutions else 0.0,
             "reclaimed_idle_s": reclaimed_idle_s,
             "master_wait_s": master_wait_s,
         }
-        result = ParallelRunResult(
-            variant=self.variant_name,
-            best=global_best,
-            rounds=rounds,
-            total_evaluations=total_evaluations,
-            virtual_seconds=0.0,
-            wall_seconds=time.perf_counter() - t_wall0,
-            n_slaves=P,
-            trace=None,
-            bytes_sent=bytes_sent,
-            value_history=value_history,
-            fault_summary={k: v for k, v in fault_summary.items() if v},
-            pipeline="async",
-            pipeline_stats=pipeline_stats,
+
+    # ------------------------------------------------------------------ #
+    # The shared ledger: each job has exactly one copy
+    # ------------------------------------------------------------------ #
+    def _valid(self, report: SlaveReport) -> bool:
+        """Whether ``report`` carries the (round, seq) ids of a real task."""
+        k, P = report.slave_id, self.config.n_slaves
+        return 0 <= k < P and report.seq_id == report.round_index * P + k
+
+    def _task(self, w: _Window, entry: SlaveEntry, budget: Budget) -> SlaveTask | None:
+        """The slave's task for window ``w``, or None while it backs off."""
+        k = entry.slave_id
+        b = w.index
+        if b < self._resume[k]:
+            # Still backing off after a failure: no task this window.
+            w.backoff += 1
+            entry.stagnant_rounds += 1
+            return None
+        return SlaveTask(
+            x_init=entry.init_solution,
+            strategy=entry.strategy,
+            budget=budget,
+            seed=random_seed_from(derive_rng(self.rng_seed, 1 + b, k)),
+            round_index=b,
+            seq_id=b * self.config.n_slaves + k,
+            pattern=self._fixation_pattern(entry.strategy, k),
         )
-        rec.run_end(
-            best_value=result.best.value,
-            total_evaluations=result.total_evaluations,
-            n_rounds=result.n_rounds,
-            wall_seconds=result.wall_seconds,
-            virtual_seconds=result.virtual_seconds,
-            bytes_sent=result.bytes_sent,
-            fault_summary=result.fault_summary,
+
+    def _fold(self, w: _Window, entry: SlaveEntry, report: SlaveReport) -> bool:
+        """Absorb one accepted report; True if it raised the incumbent."""
+        self._failures[entry.slave_id] = 0
+        w.n_reports += 1
+        w.evaluations += report.evaluations
+        self._evaluations += report.evaluations
+        if entry.absorb_elite([report.best, *report.elite], self.config.elite_capacity):
+            entry.stagnant_rounds = 0
+            w.improved += 1
+        else:
+            entry.stagnant_rounds += 1
+        # Degraded-mode monotonicity: the incumbent only ever ratchets up.
+        if report.best.value > self._best.value:
+            self._best = report.best
+            return True
+        return False
+
+    def _fail(self, w: _Window, entry: SlaveEntry, resume_from: int) -> None:
+        """Charge a lost task; the slave sits out an exponential backoff."""
+        k = entry.slave_id
+        self._failures[k] += 1
+        backoff = min(2 ** (self._failures[k] - 1), self.config.max_backoff_rounds)
+        self._resume[k] = resume_from + backoff
+        entry.stagnant_rounds += 1
+        w.failed += 1
+
+    def _adapt(
+        self,
+        w: _Window,
+        entries: list[SlaveEntry],
+        reports: list[SlaveReport],
+        improved: bool | None,
+    ) -> None:
+        """SGP then ISP over ``entries``; ``improved=None`` holds alpha."""
+        cfg = self.config
+        if cfg.adapt_strategies:
+            self._note("sgp")
+            decisions = update_strategies(
+                entries,
+                reports,
+                cfg.bounds,
+                cfg.sgp,
+                self.instance.n_items,
+                self.rng,
+                allow_missing=True,
+            )
+            w.sgp.update(d.action for d in decisions)
+        if not cfg.communicate:
+            # Independent threads: each continues from its own best.
+            for entry in entries:
+                if entry.best is not None:
+                    entry.init_solution = entry.best
+            w.isp["keep"] += len(entries)
+            return
+        self._note("isp")
+        alpha = cfg.isp.alpha
+        if cfg.dynamic_alpha:
+            controller = self.alpha_controller
+            alpha = controller.alpha if improved is None else controller.update(improved)
+        decisions = generate_initial_solutions(
+            entries,
+            self._best,
+            self.instance,
+            ISPConfig(alpha=alpha, stagnation_limit=cfg.isp.stagnation_limit),
+            self.rng,
         )
-        return result
+        w.isp.update(d.rule for d in decisions)
+
+    def _close(
+        self,
+        w: _Window,
+        telemetry: RoundTelemetry,
+        round_seconds: float,
+        comm_seconds: float,
+        slave_seconds: dict[int, float],
+    ) -> None:
+        """Emit the window's event group and enter it in the run's books."""
+        cfg = self.config
+        rec = self.recorder
+        rec.round_telemetry(telemetry)
+        self._bytes_sent += telemetry.total_bytes
+        self._history.append(self._best.value)
+        self._faults["failed"] += w.failed
+        self._faults["duplicates"] += w.duplicates
+        self._faults["stale"] += w.stale
+        if w.failed or w.backoff:
+            self._faults["degraded_rounds"] += 1
+        if w.failed or w.backoff or w.duplicates or w.stale:
+            rec.faults(
+                w.index,
+                failed_slaves=w.failed,
+                backoff_slaves=w.backoff,
+                duplicate_reports=w.duplicates,
+                stale_reports=w.stale,
+            )
+        if cfg.adapt_strategies:
+            rec.sgp(w.index, dict(w.sgp))
+        rec.isp(w.index, dict(w.isp))
+        self._rounds.append(
+            RoundStats(
+                round_index=w.index,
+                best_value=self._best.value,
+                round_virtual_seconds=round_seconds,
+                slave_virtual_seconds=slave_seconds,
+                communication_seconds=comm_seconds,
+                evaluations=w.evaluations,
+                improved_slaves=w.improved,
+                isp_rules=dict(w.isp),
+                sgp_actions=dict(w.sgp),
+                failed_slaves=w.failed,
+                backoff_slaves=w.backoff,
+                duplicate_reports=w.duplicates,
+                stale_reports=w.stale,
+                phase_wall_seconds=dict(telemetry.phase_seconds),
+                gather_idle_s=dict(telemetry.gather_idle_s),
+            )
+        )
+        rec.round_end(
+            w.index,
+            best_value=self._best.value,
+            evaluations=w.evaluations,
+            improved_slaves=w.improved,
+            n_reports=w.n_reports,
+        )
 
     # ------------------------------------------------------------------ #
     def _charge_round(

@@ -3,7 +3,8 @@
 These tie the variants, master, farm and trace layers together: whatever
 the configuration, the books must balance — trace events fit inside the
 makespan, compute time matches the evaluation counters, and the per-round
-statistics sum to the totals.
+statistics (evaluations and fault tallies) sum to the totals, under the
+sync barrier and the pipelined async master alike.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.farm import ALPHA_FARM, EventKind
+from repro.parallel import FaultPlan, SerialBackend
 from repro.variants import (
     solve_cts1,
     solve_cts2,
@@ -33,6 +35,22 @@ def all_variant_results(instance, seed=0):
     )
 
 
+def farm_free_results(instance, seed=0):
+    """Every variant above plus the pipelined async master (no farm model)."""
+    yield from all_variant_results(instance, seed)
+    for solver in (solve_its, solve_cts1, solve_cts2):
+        yield solver(
+            instance,
+            n_slaves=3,
+            n_rounds=3,
+            rng_seed=seed,
+            max_evaluations=EVALS,
+            farm=None,
+            backend=SerialBackend(3),
+            pipeline="async",
+        )
+
+
 class TestBooksBalance:
     def test_trace_events_fit_inside_makespan(self, small_instance):
         for result in all_variant_results(small_instance):
@@ -48,27 +66,58 @@ class TestBooksBalance:
             assert compute == pytest.approx(expected, rel=1e-9), result.variant
 
     def test_round_evaluations_sum_to_total(self, small_instance):
-        for result in all_variant_results(small_instance):
+        for result in farm_free_results(small_instance):
             assert sum(r.evaluations for r in result.rounds) == result.total_evaluations, (
                 result.variant
             )
 
     def test_round_best_values_monotone(self, small_instance):
-        for result in all_variant_results(small_instance):
+        for result in farm_free_results(small_instance):
             values = [r.best_value for r in result.rounds]
             assert values == sorted(values), result.variant
 
     def test_final_best_matches_last_round(self, small_instance):
-        for result in all_variant_results(small_instance):
+        for result in farm_free_results(small_instance):
             assert result.best.value == pytest.approx(
                 max(r.best_value for r in result.rounds)
             ), result.variant
 
     def test_value_history_ends_at_best(self, small_instance):
-        for result in all_variant_results(small_instance):
+        for result in farm_free_results(small_instance):
             assert result.value_history[-1] == pytest.approx(result.best.value), (
                 result.variant
             )
+
+    @pytest.mark.parametrize("pipeline", ["sync", "async"])
+    def test_round_fault_fields_sum_to_fault_summary(self, small_instance, pipeline):
+        plan = FaultPlan.from_seed(
+            5,
+            n_slaves=3,
+            n_rounds=4,
+            crash_rate=0.15,
+            report_drop_rate=0.15,
+            duplicate_rate=0.25,
+            delay_rate=0.25,
+        )
+        result = solve_cts2(
+            small_instance,
+            n_slaves=3,
+            n_rounds=4,
+            rng_seed=0,
+            max_evaluations=EVALS,
+            farm=None,
+            backend=SerialBackend(3, fault_plan=plan),
+            pipeline=pipeline,
+        )
+        assert result.fault_summary, "chaos plan injected no fault"
+        for key, field in (
+            ("failed", "failed_slaves"),
+            ("duplicates", "duplicate_reports"),
+            ("stale", "stale_reports"),
+        ):
+            assert sum(getattr(r, field) for r in result.rounds) == (
+                result.fault_summary.get(key, 0)
+            ), (pipeline, key)
 
 
 class TestVariantSpecificBooks:

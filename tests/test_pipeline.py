@@ -2,7 +2,7 @@
 
 Pins the async-mode contracts the ISSUE-9 tentpole promises:
 
-* config validation for ``pipeline`` / ``max_staleness`` / ``queue_depth`` /
+* config validation for ``pipeline`` / ``max_staleness`` /
   ``burst_timeout_s`` and the runner's keyword wiring,
 * seeded determinism under :class:`SerialBackend` replay (inline execution
   makes arrival order equal dispatch order),
@@ -17,7 +17,9 @@ Pins the async-mode contracts the ISSUE-9 tentpole promises:
   duplicated report is counted and folded once, a dropped report is timed
   out without deadlocking,
 * the recorder stream stays schema-valid and carries one
-  ``burst_telemetry`` event per (slave, burst) resolution.
+  ``burst_telemetry`` event per (slave, burst) resolution,
+* the fault books balance: each duplicate or stale report is charged to
+  exactly one round, so the rounds sum to ``fault_summary``.
 
 The CI transport job replays this module under ``REPRO_TRANSPORT=shm`` on
 both fork and spawn start methods.
@@ -73,10 +75,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_staleness"):
             MasterConfig(n_slaves=2, n_rounds=2, max_staleness=0)
 
-    def test_queue_depth_floor(self):
-        with pytest.raises(ValueError, match="queue_depth"):
-            MasterConfig(n_slaves=2, n_rounds=2, queue_depth=0)
-
     def test_burst_timeout_positive_or_none(self):
         with pytest.raises(ValueError, match="burst_timeout_s"):
             MasterConfig(n_slaves=2, n_rounds=2, burst_timeout_s=0.0)
@@ -87,7 +85,6 @@ class TestConfigValidation:
         cfg = MasterConfig(n_slaves=2, n_rounds=2)
         assert cfg.pipeline == "sync"
         assert cfg.max_staleness == 2
-        assert cfg.queue_depth == 2
 
 
 class TestRunnerWiring:
@@ -208,6 +205,51 @@ class TestSerialAsync:
         assert recorder.metrics.counter_value(
             "repro_bursts_total", outcome="report"
         ) == N_SLAVES * N_ROUNDS
+
+
+class TestAsyncFaultBooks:
+    """Every duplicate or stale report lands in exactly one round.
+
+    A duplicate that arrives after its own window has closed is charged to
+    the oldest open window, so the per-round fields and the ``faults``
+    events always sum to ``fault_summary``.
+    """
+
+    @staticmethod
+    def _solve_recorded(instance, plan):
+        recorder = RunRecorder()
+        result = solve_cts2(
+            instance,
+            n_slaves=N_SLAVES,
+            n_rounds=N_ROUNDS,
+            rng_seed=7,
+            max_evaluations=8_000,
+            pipeline="async",
+            backend=SerialBackend(N_SLAVES, fault_plan=plan),
+            recorder=recorder,
+        )
+        faults = [e for e in recorder.events if e["event"] == "faults"]
+        for key, field in (
+            ("duplicates", "duplicate_reports"),
+            ("stale", "stale_reports"),
+            ("failed", "failed_slaves"),
+        ):
+            expected = result.fault_summary.get(key, 0)
+            assert sum(getattr(r, field) for r in result.rounds) == expected, key
+            assert sum(e[field] for e in faults) == expected, key
+        return result
+
+    def test_duplicate_after_its_window_closed_is_booked(self, small_instance):
+        plan = FaultPlan(events=(FaultEvent(1, 2, FaultKind.DUPLICATE_REPORT),))
+        result = self._solve_recorded(small_instance, plan)
+        assert result.fault_summary["duplicates"] == 1
+
+    def test_seeded_duplicates_and_delays_are_booked(self, small_instance):
+        plan = FaultPlan.from_seed(
+            0, n_slaves=N_SLAVES, n_rounds=N_ROUNDS, duplicate_rate=0.3, delay_rate=0.3
+        )
+        result = self._solve_recorded(small_instance, plan)
+        assert result.fault_summary["duplicates"] >= 1
 
 
 class TestAsyncGuards:
