@@ -7,7 +7,7 @@ kernels everything else's throughput depends on:
 * incremental add/drop (must stay O(m)),
 * the vectorized fitting-items scan (one broadcast over free columns),
 * one full compound move,
-* message serialization (the farm's byte-cost model input).
+* message encoding (its frame length is the farm's byte-cost model input).
 
 Regressions here silently inflate every experiment's wall time, so they
 get first-class benchmarks rather than ad-hoc %timeit runs.
@@ -26,7 +26,7 @@ import pytest
 
 from repro.core import MoveEngine, SearchState, TabuList, greedy_solution
 from repro.instances import gk_suite, mk_suite
-from repro.parallel import payload_nbytes
+from repro.parallel import SlaveReport, WireCodec
 
 #: The tracked-throughput instance: GK24, 25 constraints x 500 items — the
 #: largest Table-1 problem, so per-move cost is dominated by the candidate
@@ -92,10 +92,11 @@ def test_kernel_objective_recompute_reference(benchmark, big_instance, big_state
 
 
 @pytest.mark.benchmark(group="kernels")
-def test_kernel_payload_serialization(benchmark, big_state):
-    solution = big_state.snapshot()
-    nbytes = benchmark(payload_nbytes, solution)
-    assert nbytes > 0
+def test_kernel_payload_serialization(benchmark, big_instance, big_state):
+    report = SlaveReport(0, big_state.snapshot())
+    codec = WireCodec(big_instance.n_items)
+    frame = benchmark(codec.encode_report, report)
+    assert len(frame) > codec.solution_nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ from .solution import (
     Solution,
     hamming_distance,
     mean_pairwise_distance,
-    set_wire_codec,
-    wire_codec_enabled,
 )
 from .strategy import Strategy, StrategyBounds
 from .tabu_list import TabuList
@@ -49,8 +47,6 @@ __all__ = [
     "SearchState",
     "hamming_distance",
     "mean_pairwise_distance",
-    "set_wire_codec",
-    "wire_codec_enabled",
     "greedy_solution",
     "random_solution",
     "repair",

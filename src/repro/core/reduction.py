@@ -15,8 +15,8 @@ Two objects implement it:
 :class:`FixationPattern`
     The wire-friendly description of one slave's fixation: a boolean core
     mask plus the 0/1 values pinned outside the core.  Patterns ride inside
-    :class:`~repro.parallel.message.SlaveTask` (pickle and
-    :class:`~repro.parallel.shm.WireCodec` frames both ship two packed
+    :class:`~repro.parallel.message.SlaveTask` (the
+    :class:`~repro.parallel.shm.WireCodec` frame ships two packed
     ``ceil(n/8)``-byte blocks), so a warm worker can re-core without a
     respawn and a respawned worker re-cores from the task alone.
 
@@ -143,14 +143,6 @@ class FixationPattern:
             sig = self.packed_mask_bytes() + self.packed_values_bytes()
             object.__setattr__(self, "_signature", sig)
         return sig
-
-    def __reduce__(self):
-        # Compact wire form: two packed bit blocks instead of two dense
-        # ndarrays — patterns ride in every reduced-round SlaveTask.
-        return (
-            _pattern_from_wire,
-            (self.packed_mask_bytes(), self.packed_values_bytes(), self.n_items),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FixationPattern):

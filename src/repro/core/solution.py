@@ -37,32 +37,10 @@ __all__ = [
     "SearchState",
     "hamming_distance",
     "mean_pairwise_distance",
-    "set_wire_codec",
-    "wire_codec_enabled",
 ]
 
-#: When True (the default), pickling a :class:`Solution` ships the packed
-#: 1-bit-per-item frame instead of the dense ``int8`` vector — ~63 payload
-#: bytes for a 500-item instance versus ~500 (plus ndarray pickle framing).
-#: The master–slave round trip serializes every elite solution each round,
-#: so the wire codec is what makes the router's bytes/round scale with
-#: ``n/8`` rather than ``n``.  Toggleable for A/B measurement in benchmarks.
-_WIRE_CODEC = True
-
-
-def set_wire_codec(enabled: bool) -> None:
-    """Enable/disable the packed pickle representation of :class:`Solution`."""
-    global _WIRE_CODEC
-    _WIRE_CODEC = bool(enabled)
-
-
-def wire_codec_enabled() -> bool:
-    """Whether :class:`Solution` currently pickles as packed-bitset frames."""
-    return _WIRE_CODEC
-
-
 def _solution_from_wire(payload: bytes, n_items: int, value: float) -> "Solution":
-    """Rebuild a :class:`Solution` from its packed wire frame (unpickle hook)."""
+    """Rebuild a :class:`Solution` from its packed wire frame (codec hook)."""
     words = bytes_to_words(payload, n_items)
     x = unpack_bits(words, n_items)
     sol = Solution.trusted(x, value)
@@ -71,17 +49,6 @@ def _solution_from_wire(payload: bytes, n_items: int, value: float) -> "Solution
     words.setflags(write=False)
     object.__setattr__(sol, "_packed_words", words)
     return sol
-
-
-def _solution_from_dense(x: np.ndarray, value: float) -> "Solution":
-    """Rebuild a :class:`Solution` from its dense vector (codec-off path).
-
-    The codec-off wire format pickles ``x`` as an ordinary ndarray — the
-    same bytes the default dataclass pickling shipped before the packed
-    codec existed — so A/B benchmarks of the two formats compare against
-    the true historical baseline.
-    """
-    return Solution.trusted(np.ascontiguousarray(x, dtype=np.int8), value)
 
 
 @dataclass(frozen=True)
@@ -154,11 +121,6 @@ class Solution:
     def packed_bytes(self) -> bytes:
         """Minimal ``ceil(n/8)``-byte frame of ``x`` (wire/dedup format)."""
         return words_to_bytes(self.packed_words(), self.n_items)
-
-    def __reduce__(self):
-        if _WIRE_CODEC:
-            return (_solution_from_wire, (self.packed_bytes(), self.n_items, self.value))
-        return (_solution_from_dense, (self.x, self.value))
 
     def distance(self, other: "Solution") -> int:
         """Hamming distance to another solution (SGP dispersion metric).

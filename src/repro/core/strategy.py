@@ -120,18 +120,6 @@ class Strategy:
         if not 0.0 < self.core_ratio <= 1.0:
             raise ValueError(f"core_ratio must be in (0, 1]; got {self.core_ratio}")
 
-    def __reduce__(self):
-        # Compact wire form: constructor args only, no per-field-name state
-        # dict — strategies ride in every SlaveTask, so framing bytes count.
-        # Full-space strategies keep the historical 3-tuple, so their pickle
-        # bytes (and the byte ledgers built on them) are unchanged.
-        if self.core_ratio == 1.0:
-            return (Strategy, (self.lt_length, self.nb_drop, self.nb_local))
-        return (
-            Strategy,
-            (self.lt_length, self.nb_drop, self.nb_local, self.core_ratio),
-        )
-
     # ------------------------------------------------------------------ #
     # Directed mutations used by the SGP
     # ------------------------------------------------------------------ #

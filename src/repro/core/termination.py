@@ -82,15 +82,6 @@ class Budget:
         if self.wall_seconds is not None and self.wall_seconds < 0:
             raise ValueError("wall_seconds must be >= 0")
 
-    def __reduce__(self):
-        # Compact wire form: constructor args only.  The wall-clock arming
-        # state is deliberately not shipped — ``perf_counter`` origins are
-        # process-local, so a receiver must re-arm with its own clock.
-        return (
-            Budget,
-            (self.max_evaluations, self.max_moves, self.wall_seconds, self.target_value),
-        )
-
     def start(self) -> "Budget":
         """Arm the wall clock; returns ``self`` for chaining."""
         self._t0 = time.perf_counter()

@@ -11,13 +11,7 @@ from .comm import (
     PipeComm,
 )
 from .faults import ChaosComm, FaultEvent, FaultKind, FaultPlan
-from .message import (
-    PROBLEM_TAG,
-    RESULT_TAG,
-    SlaveReport,
-    SlaveTask,
-    payload_nbytes,
-)
+from .message import RESULT_TAG, SlaveReport, SlaveTask
 from .runtime import SlaveRuntime
 from .shm import (
     RingEmpty,
@@ -26,6 +20,7 @@ from .shm import (
     ShmRing,
     TornFrameError,
     WireCodec,
+    WireError,
     resolve_transport,
     shm_available,
 )
@@ -34,6 +29,7 @@ __all__ = [
     "ShmRing",
     "ShmComm",
     "WireCodec",
+    "WireError",
     "RingEmpty",
     "RingFull",
     "TornFrameError",
@@ -57,7 +53,5 @@ __all__ = [
     "FaultPlan",
     "SlaveTask",
     "SlaveReport",
-    "payload_nbytes",
-    "PROBLEM_TAG",
     "RESULT_TAG",
 ]

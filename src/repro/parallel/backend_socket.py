@@ -20,12 +20,14 @@ reaches, and makes the fleet *elastic*:
   exponential backoff, monotone incumbent).
 
 Wire protocol (DESIGN.md §5.10): length-prefixed frames ``<tag:u8, len:u32>``
-followed by ``len`` payload bytes.  Task and report payloads are the PR 7
+followed by ``len`` payload bytes.  Task and report payloads are the
 :class:`~repro.parallel.shm.WireCodec` *batch* envelopes — byte-identical
 to the shm/pipe carriers, so the byte ledgers agree across transports.
-Control frames (HELLO, problem REBIND) are pickled, exactly like the
-control plane of :class:`~repro.parallel.shm.ShmComm`; the transport is
-therefore only safe on trusted networks, same as multiprocessing pipes.
+The control frames, HELLO (magic, wire version, pid, name) and REBIND
+(instance and config), are struct frames too.  Nothing a peer sends is
+unpickled: every frame meets a total decoder raising
+:class:`~repro.parallel.shm.WireError`, and a peer's first frame may be no
+larger than the largest HELLO.
 
 The master's socket I/O runs on one asyncio loop in a daemon thread; the
 blocking backend methods exchange events with it through a queue, so the
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
 import queue
 import socket
 import struct
@@ -55,11 +56,19 @@ from .comm import CommTimeout
 from .faults import FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
 from .runtime import SlaveRuntime
-from .shm import WireCodec
+from .shm import (
+    HELLO_MAX_NBYTES,
+    WireCodec,
+    WireError,
+    decode_bind,
+    decode_hello,
+    encode_bind,
+    encode_hello,
+)
 
 __all__ = ["SocketBackend", "run_worker", "HELLO_TAG", "HEARTBEAT_TAG"]
 
-#: Worker registration frame (worker -> master, pickled info dict).
+#: Worker registration frame (worker -> master, an ``encode_hello`` frame).
 HELLO_TAG = 10
 #: Liveness beacon (worker -> master, empty payload).  A worker's heartbeat
 #: thread keeps these flowing even while the main thread is deep in a
@@ -69,8 +78,8 @@ HEARTBEAT_TAG = 11
 #: Length-prefixed frame header: tag (u8) + payload length (u32).
 _WIRE_HEADER = struct.Struct("<BI")
 
-#: Hard ceiling on a single frame (a REBIND carries a pickled instance;
-#: anything past this is a corrupt or hostile stream, not a message).
+#: Hard ceiling on a single frame from a registered peer (a REBIND carries
+#: a whole instance; anything past this is a corrupt or hostile stream).
 _MAX_FRAME_NBYTES = 1 << 28
 
 
@@ -88,7 +97,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 def _recv_frame(sock: socket.socket) -> tuple[int, bytes]:
     tag, length = _WIRE_HEADER.unpack(_recv_exact(sock, _WIRE_HEADER.size))
     if length > _MAX_FRAME_NBYTES:
-        raise RuntimeError(f"frame of {length} bytes exceeds the wire limit")
+        raise WireError(f"frame of {length} bytes exceeds the wire limit")
     payload = _recv_exact(sock, length) if length else b""
     return tag, payload
 
@@ -98,10 +107,10 @@ class _Member:
 
     __slots__ = ("wid", "name", "pid", "slave_ids")
 
-    def __init__(self, wid: int, info: dict) -> None:
+    def __init__(self, wid: int, pid: int, name: str) -> None:
         self.wid = wid
-        self.name = str(info.get("name", f"worker-{wid}"))
-        self.pid = info.get("pid")
+        self.name = name
+        self.pid = pid
         self.slave_ids: tuple[int, ...] = ()
 
 
@@ -250,7 +259,10 @@ class SocketBackend:
     async def _handle_worker(self, reader: Any, writer: Any) -> None:
         """One connection's lifetime: HELLO, then frames until death.
 
-        Any read error — EOF, reset, or a heartbeat window expiring (the
+        The first frame must be a HELLO no larger than
+        :data:`~repro.parallel.shm.HELLO_MAX_NBYTES`; anything else closes
+        the connection before the peer joins.  After that, any read error —
+        EOF, reset, a malformed frame, or a heartbeat window expiring (the
         ``asyncio`` timeout is normalised through
         :class:`~repro.parallel.comm.CommTimeout`, the same type the pipe
         transport raises on a silent peer) — ends in exactly one ``leave``
@@ -261,17 +273,17 @@ class SocketBackend:
         wid = -1
         reason = "closed"
         try:
-            hello = await asyncio.wait_for(
-                self._read_frame(reader), timeout=self.start_timeout_s
+            tag, payload = await asyncio.wait_for(
+                self._read_frame(reader, HELLO_MAX_NBYTES),
+                timeout=self.start_timeout_s,
             )
-            tag, payload = hello
             if tag != HELLO_TAG:
                 return
-            info = pickle.loads(payload)
+            pid, name = decode_hello(payload)
             wid = self._next_wid
             self._next_wid += 1
             self._writers[wid] = writer
-            self._inbox.put(("join", wid, info))
+            self._inbox.put(("join", wid, (pid, name)))
             while True:
                 try:
                     if self.heartbeat_timeout_s is None:
@@ -300,10 +312,10 @@ class SocketBackend:
             # shutdown quiet (3.11's stream done-callback re-raises a
             # cancelled task's exception into the loop's error handler).
             reason = "master-shutdown"
-        except (asyncio.IncompleteReadError, ConnectionError, OSError, EOFError):
-            reason = "closed"
-        except Exception as exc:  # pragma: no cover - defensive
-            reason = f"error: {exc}"
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError, OSError, EOFError):
+            reason = "closed"  # including a peer that never sent its HELLO
+        except WireError as exc:
+            reason = f"bad frame: {exc}"
         finally:
             self._writers.pop(wid, None)
             writer.close()
@@ -313,11 +325,13 @@ class SocketBackend:
     _next_wid = 0
 
     @staticmethod
-    async def _read_frame(reader: Any) -> tuple[int, bytes]:
+    async def _read_frame(
+        reader: Any, limit: int = _MAX_FRAME_NBYTES
+    ) -> tuple[int, bytes]:
         head = await reader.readexactly(_WIRE_HEADER.size)
         tag, length = _WIRE_HEADER.unpack(head)
-        if length > _MAX_FRAME_NBYTES:
-            raise RuntimeError(f"frame of {length} bytes exceeds the wire limit")
+        if length > limit:
+            raise WireError(f"frame of {length} bytes exceeds the {limit}-byte limit")
         payload = await reader.readexactly(length) if length else b""
         return tag, payload
 
@@ -384,18 +398,14 @@ class SocketBackend:
             block = False  # only the first get may block
             kind = event[0]
             if kind == "join":
-                _, wid, info = event
-                member = _Member(wid, info)
+                _, wid, (pid, name) = event
+                member = _Member(wid, pid, name)
                 self._members[wid] = member
                 self._needs_reshard = True
                 self.joins += 1
                 self.fault_counters["worker_join"] += 1
                 if self._instance is not None:
-                    self._send(
-                        wid,
-                        REBIND_TAG,
-                        pickle.dumps((self._instance, self._config)),
-                    )
+                    self._send(wid, REBIND_TAG, encode_bind(self._instance, self._config))
             elif kind == "leave":
                 _, wid, reason = event
                 if self._bury(wid) and reason == "heartbeat-timeout":
@@ -406,9 +416,9 @@ class SocketBackend:
                     continue  # raced a shutdown/rebind, or a buried member
                 try:
                     reports, sizes = self._codec.decode_report_batch(payload)
-                except Exception:
-                    # Whatever the decoder raised, the peer is broken or
-                    # hostile: bury it exactly like a dead connection.
+                except WireError:
+                    # The peer is broken or hostile: bury it exactly like a
+                    # dead connection.
                     self.fault_counters["bad_frame"] += 1
                     self._bury(wid)
                     self._hang_up(wid)
@@ -505,7 +515,7 @@ class SocketBackend:
         self._codec = WireCodec(instance.n_items)
         if rebinding:
             self.rebinds += 1
-        payload = pickle.dumps((instance, config))
+        payload = encode_bind(instance, config)
         for wid in sorted(self._members):
             self._send(wid, REBIND_TAG, payload)
         if self._needs_reshard:
@@ -561,7 +571,7 @@ class SocketBackend:
     def next_report(
         self, timeout_s: float | None = None
     ) -> tuple[SlaveReport, int] | None:
-        """Pop the next ``(report, payload_nbytes)`` pair in arrival order.
+        """Pop the next ``(report, nbytes)`` pair in arrival order.
 
         Returns ``None`` on timeout, at once when no frame is in flight, or
         when a member died during the wait — surfacing the loss immediately
@@ -724,10 +734,7 @@ def run_worker(
             except OSError:
                 return
 
-    send_frame(
-        HELLO_TAG,
-        pickle.dumps({"name": name or f"worker-{os.getpid()}", "pid": os.getpid()}),
-    )
+    send_frame(HELLO_TAG, encode_hello(os.getpid(), name or f"worker-{os.getpid()}"))
     threading.Thread(target=beat, name="repro-heartbeat", daemon=True).start()
     codec: WireCodec | None = None
     runtime: SlaveRuntime | None = None
@@ -738,7 +745,7 @@ def run_worker(
             if tag == STOP_TAG:
                 return 0
             if tag == REBIND_TAG:
-                instance, config = pickle.loads(payload)
+                instance, config = decode_bind(payload)
                 codec = WireCodec(instance.n_items)
                 runtime = SlaveRuntime(instance, config, slave_id=0)
                 held = []

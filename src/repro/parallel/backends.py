@@ -12,7 +12,7 @@ per-transport surface is five methods:
     (multiprocessing) or member (socket); the return value is the task
     payload bytes charged.
 ``next_report(timeout_s)``
-    The next ``(report, payload_nbytes)`` pair in arrival order, or
+    The next ``(report, nbytes)`` pair in arrival order, or
     ``None`` on timeout, on a worker death (so the caller can consult
     ``drain_dead_slaves``), or at once when nothing is left in flight.
 ``drain_dead_slaves()``
@@ -29,8 +29,9 @@ Three implementations:
 
 :class:`SerialBackend`
     Runs slaves inline, one after the other, but still routes every task
-    and report through the :class:`~repro.parallel.comm.MessageRouter`, so
-    the communication pattern (and its byte volume) is identical to a real
+    and report through the :class:`~repro.parallel.comm.MessageRouter`,
+    charged at its :class:`~repro.parallel.shm.WireCodec` frame length, so
+    the communication pattern and its byte volume are identical to a real
     run.  This is also the engine of the *simulated farm*: the master
     driver converts the reports' evaluation counts and the router's byte
     counts into virtual time.
@@ -54,8 +55,8 @@ Service leasing (DESIGN.md §5.6): backends may outlive a single run.
 ``start()`` on an already-started backend never respawns — the same problem
 (by :meth:`~repro.core.instance.MKPInstance.content_hash`) is a no-op that
 keeps the warm arenas, a different problem rebinds live workers in place
-(serial: rebuilt runtimes; multiprocessing: one ``REBIND_TAG`` message per
-worker) — and ``shutdown()`` is idempotent, so a
+(serial: rebuilt runtimes; multiprocessing: one ``REBIND_TAG`` bind frame
+per worker) — and ``shutdown()`` is idempotent, so a
 :class:`~repro.service.SolverPool` can lease one backend to many
 consecutive jobs with trajectories bit-identical to cold backends.
 
@@ -101,6 +102,9 @@ from .shm import (
     ShmRing,
     TornFrameError,
     WireCodec,
+    WireError,
+    decode_bind,
+    encode_bind,
     resolve_transport,
 )
 
@@ -135,7 +139,7 @@ class Backend(Protocol):
     def next_report(
         self, timeout_s: float | None = None
     ) -> tuple[SlaveReport, int] | None:
-        """The next ``(report, payload_nbytes)`` in arrival order, or ``None``."""
+        """The next ``(report, nbytes)`` in arrival order, or ``None``."""
         ...  # pragma: no cover
 
     def drain_dead_slaves(self) -> list[int]:
@@ -334,7 +338,7 @@ class SerialBackend:
         #: dispatched tasks awaiting inline execution, in dispatch order
         #: (``None`` marks a task a drop fault lost on the wire)
         self._queued: deque[tuple[int, SlaveTask | None]] = deque()
-        #: executed ``(report, payload_nbytes)`` pairs in arrival order
+        #: executed ``(report, nbytes)`` pairs in arrival order
         self._pending: deque[tuple[SlaveReport, int]] = deque()
         #: frames in flight per worker: inline slaves never leave any
         self._in_flight: dict[int, deque[tuple[int, ...]]] = {}
@@ -360,6 +364,7 @@ class SerialBackend:
             self.rebinds += 1
         self._instance = instance
         self._config = config
+        self.router.codec = WireCodec(instance.n_items)
         # One warm arena per slave *group*: with batch_k == 1 that is the
         # historical one-arena-per-slave layout; with batch_k > 1 a group
         # of K slaves shares a single runtime (the trajectory depends only
@@ -399,8 +404,8 @@ class SerialBackend:
                 self._queued.append((k, None))
                 continue
             self.master_comm.send(t, dest=k, tag=TASK_TAG)
-            self.last_task_nbytes[k] = self.master_comm.last_payload_nbytes
-            total += self.master_comm.last_payload_nbytes
+            self.last_task_nbytes[k] = self.master_comm.last_nbytes
+            total += self.master_comm.last_nbytes
             self._queued.append((k, t))
         return total
 
@@ -432,12 +437,12 @@ class SerialBackend:
             report_comm.send(report, dest=self.n_slaves, tag=RESULT_TAG)
         while self.master_comm.probe(RESULT_TAG):
             report = self.master_comm.recv(source=-1, tag=RESULT_TAG)
-            self._pending.append((report, self.master_comm.last_payload_nbytes))
+            self._pending.append((report, self.master_comm.last_nbytes))
 
     def next_report(
         self, timeout_s: float | None = None
     ) -> tuple[SlaveReport, int] | None:
-        """Pop the next ``(report, payload_nbytes)`` pair, or ``None``.
+        """Pop the next ``(report, nbytes)`` pair, or ``None``.
 
         Slaves run inline, so nothing can arrive *later*: an empty queue is
         final and the timeout is irrelevant — ``None`` returns immediately,
@@ -565,7 +570,7 @@ def _worker_main(
                 # warm arena here, once, in place of a process respawn.
                 # Pipe ordering guarantees every later task sees the new
                 # instance, so this needs no acknowledgement round-trip.
-                instance, config = obj
+                instance, config = decode_bind(obj)
                 codec.n_items = instance.n_items
                 runtime = SlaveRuntime(instance, config, slave_id=slave_ids[0])
                 held = []
@@ -782,8 +787,8 @@ class MultiprocessingBackend:
         the process boundary once, at spawn).  On an already-started backend
         it *never* respawns: the same problem (by content hash) and config is
         a no-op — the workers' warm arenas stay valid — and a different
-        problem ships one :data:`~repro.parallel.message.REBIND_TAG` message
-        per live worker, which rebuilds its ``SlaveRuntime`` in place.  Dead
+        problem ships one :data:`~repro.parallel.message.REBIND_TAG` bind
+        frame per live worker, which rebuilds its ``SlaveRuntime`` in place.  Dead
         workers are left to the lazy respawn in :meth:`dispatch`, which
         picks up the new problem from the updated backend fields.
         """
@@ -794,13 +799,14 @@ class MultiprocessingBackend:
             self.rebinds += 1
             self._instance = instance
             self._config = config
+            bind = encode_bind(instance, config)
             for w in range(self.n_workers):
                 comm = self._comms[w]
                 proc = self._procs[w]
                 if comm is None or comm.closed or proc is None or not proc.is_alive():
                     continue  # lazily respawned (with the new problem) on use
                 try:
-                    comm.send((instance, config), tag=REBIND_TAG)
+                    comm.send(bind, tag=REBIND_TAG)
                     comm.codec.n_items = instance.n_items
                 except (BrokenPipeError, OSError, CommClosedError):
                     self._bury(w)
@@ -855,7 +861,7 @@ class MultiprocessingBackend:
     def next_report(
         self, timeout_s: float | None = None
     ) -> tuple[SlaveReport, int] | None:
-        """Wait for the next ``(report, payload_nbytes)`` pair in arrival order.
+        """Wait for the next ``(report, nbytes)`` pair in arrival order.
 
         One multiplexed ``connection.wait`` over every worker with a frame
         in flight; coalesced doorbells are drained eagerly (``poll(0.0)``
@@ -896,8 +902,9 @@ class MultiprocessingBackend:
                         batch = comm.recv(tag=RESULT_TAG)
                         self._in_flight[w].popleft()
                         self._report_buffer.extend(zip(batch, comm.last_entry_nbytes))
-                except (EOFError, OSError, TornFrameError, CommClosedError):
-                    # The worker died mid-round (or tore its ring).
+                except (EOFError, OSError, TornFrameError, CommClosedError, WireError):
+                    # The worker died mid-round, tore its ring or sent a
+                    # frame that does not decode.
                     self.fault_counters["gather_lost"] += 1
                     self._lose(w)
                     died = True
@@ -936,7 +943,7 @@ class MultiprocessingBackend:
             if comm is None or comm.closed:
                 continue
             try:
-                comm.send(None, tag=STOP_TAG)
+                comm.send(b"", tag=STOP_TAG)
             except (BrokenPipeError, OSError, CommClosedError):  # pragma: no cover - dead worker
                 pass
         deadline = time.monotonic() + self.shutdown_timeout_s

@@ -1,17 +1,18 @@
 """Point-to-point communication in the mpi4py idiom.
 
 The guides' mpi4py tutorial fixes the API shape we mirror: lowercase
-``send(obj, dest, tag)`` / ``recv(source, tag)`` moving pickled Python
-objects.  Two realisations:
+``send(obj, dest, tag)`` / ``recv(source, tag)``.  Nothing here pickles:
+every byte charge is a frame length.  Two realisations:
 
 :class:`InProcComm`
     Per-(endpoint, tag) FIFO queues inside one process.  Used by the serial
-    and simulated backends; :attr:`InProcComm.bytes_sent` feeds the farm's
-    crossbar cost model.
+    and simulated backends: objects travel by reference, charged at their
+    :class:`~repro.parallel.shm.WireCodec` frame length, so
+    :attr:`InProcComm.bytes_sent` feeds the farm's crossbar cost model.
 
 :class:`PipeComm`
-    A thin wrapper over a ``multiprocessing`` duplex pipe, giving worker
-    processes the same two-method surface.
+    A thin wrapper over a ``multiprocessing`` duplex pipe that moves tagged
+    byte frames, giving worker processes the same two-method surface.
 
 Both enforce *message conservation*: every ``recv`` returns an object that
 was ``send``-ed exactly once (property-tested).
@@ -21,8 +22,6 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from typing import Any, Protocol
-
-from .message import payload_nbytes
 
 __all__ = [
     "Comm",
@@ -58,13 +57,15 @@ class MessageRouter:
     Endpoint ``r``'s inbox for tag ``t`` is keyed ``(r, t)``.  The router
     also keeps byte counters per (src, dest) pair and per tag so the
     simulated farm can charge the exact traffic to the crossbar and the
-    benchmarks can attribute it to task/report streams.  Charged sizes are
-    actual pickle sizes, so they reflect the packed-bitset wire codec of
-    :class:`~repro.core.solution.Solution` (``ceil(n/8)``-byte frames
-    instead of dense ``int8`` vectors) whenever it is enabled.
+    benchmarks can attribute it to task/report streams.  A message is
+    charged its wire size: a ``bytes`` frame its length, a task or report
+    the length of its ``codec`` frame (the serial backend installs the
+    run's codec at ``start()``).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, codec: Any = None) -> None:
+        #: :class:`~repro.parallel.shm.WireCodec` sizing tasks and reports
+        self.codec = codec
         self._queues: dict[tuple[int, int], deque[tuple[Any, int]]] = defaultdict(deque)
         self.bytes_by_pair: dict[tuple[int, int], int] = defaultdict(int)
         self.messages_by_pair: dict[tuple[int, int], int] = defaultdict(int)
@@ -73,7 +74,12 @@ class MessageRouter:
 
     def push(self, src: int, dest: int, tag: int, obj: Any) -> int:
         """Enqueue and return the charged payload size in bytes."""
-        nbytes = payload_nbytes(obj)
+        if isinstance(obj, bytes):
+            nbytes = len(obj)
+        elif self.codec is None:
+            raise TypeError(f"router has no codec to size a {type(obj).__name__}")
+        else:
+            nbytes = len(self.codec.encode(obj))
         self._queues[(dest, tag)].append((obj, nbytes))
         self.bytes_by_pair[(src, dest)] += nbytes
         self.messages_by_pair[(src, dest)] += 1
@@ -85,8 +91,8 @@ class MessageRouter:
         """Dequeue one ``(obj, nbytes)`` pair.
 
         The payload size measured at :meth:`push` rides along, so the
-        receive side never re-pickles the object just to re-derive a number
-        already known — a measurable cost in the round loop's hot path.
+        receive side never re-encodes the object just to re-derive a number
+        already known.
         """
         queue = self._queues[(dest, tag)]
         if not queue:
@@ -116,19 +122,19 @@ class InProcComm:
         self.rank = int(rank)
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.last_payload_nbytes = 0
+        self.last_nbytes = 0
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         nbytes = self.router.push(self.rank, dest, tag, obj)
         self.bytes_sent += nbytes
-        self.last_payload_nbytes = nbytes
+        self.last_nbytes = nbytes
 
     def recv(self, source: int, tag: int = 0) -> Any:
         # ``source`` is advisory for in-process FIFOs (single mailbox per
         # (dest, tag)); kept for API parity with MPI.
         obj, nbytes = self.router.pop(self.rank, tag)
         self.bytes_received += nbytes
-        self.last_payload_nbytes = nbytes
+        self.last_nbytes = nbytes
         return obj
 
     def probe(self, tag: int = 0) -> bool:
@@ -141,10 +147,10 @@ class PipeComm:
 
     Each master↔worker pair owns a private duplex pipe, so ``dest`` /
     ``source`` are fixed by construction and the arguments are accepted
-    only for API parity.  Messages are framed as ``(tag, nbytes, obj)``,
-    where ``nbytes`` is the sender-measured payload size (so both ends book
-    the same byte charge with a single pickle); a recv with a mismatched
-    tag is a protocol error, loudly reported.
+    only for API parity.  It moves byte frames only: each pipe message is
+    one tag byte followed by the frame, charged ``len(frame)`` on both
+    ends, and nothing is ever unpickled.  A recv with a mismatched tag is a
+    protocol error, loudly reported.
 
     Hardened surface (chaos-test requirements): ``recv`` takes an optional
     ``timeout`` in seconds and raises :class:`CommTimeout` instead of
@@ -177,61 +183,54 @@ class PipeComm:
         if self._closed:
             raise CommClosedError("operation on closed PipeComm endpoint")
 
-    def send(self, obj: Any, dest: int = 0, tag: int = 0) -> None:
+    def send(self, frame: bytes, dest: int = 0, tag: int = 0) -> None:
         self._check_open()
-        nbytes = payload_nbytes(obj)
-        self.bytes_sent += nbytes
-        # The charged size rides in the frame so the receive side books the
-        # identical number without re-pickling the payload (hot-path cost).
+        message = bytes((tag,)) + frame
+        self.bytes_sent += len(frame)
         try:
-            self._conn.send((tag, nbytes, obj))
+            self._conn.send_bytes(message)
         except (BrokenPipeError, OSError) as exc:
             raise CommClosedError(
                 f"peer gone while sending tag {tag}: {exc}"
             ) from exc
 
-    def recv(self, source: int = 0, tag: int = 0, timeout: float | None = None) -> Any:
-        """Receive one tagged message; bounded wait when ``timeout`` is set.
+    def recv(self, source: int = 0, tag: int = 0, timeout: float | None = None) -> bytes:
+        """Receive one frame under ``tag``; see :meth:`recv_message`."""
+        got_tag, frame = self.recv_message(timeout)
+        if got_tag != tag:
+            raise RuntimeError(
+                f"protocol error: expected message tag {tag}, received {got_tag}"
+            )
+        return frame
 
-        ``timeout=None`` preserves the original blocking semantics (the
-        synchronous barrier); any finite value converts a hung or crashed
-        peer into a :class:`CommTimeout` the caller can act on.
+    def recv_message(self, timeout: float | None = None) -> tuple[int, bytes]:
+        """Receive the next ``(tag, frame)``; bounded wait when ``timeout`` is set.
 
-        Crash-window hardening: ``poll(timeout)`` can report a readable
-        handle and the peer then die before (or while) the frame is read —
-        ``Connection.recv`` raises a bare ``EOFError``/``OSError`` in that
-        window.  Both are normalised into :class:`CommClosedError` so the
-        gather loops take the existing dead-rank path instead of crashing
-        the master on a raw OS exception.  ``CommTimeout`` is raised
-        *outside* the normalising handler: since Python 3.3 ``TimeoutError``
-        *is* an ``OSError`` subclass, and a naive ``except OSError`` around
-        the poll would silently re-label the timeout as a closed peer.
+        A finite ``timeout`` turns a hung or crashed peer into
+        :class:`CommTimeout`.  A peer dying mid-frame (bare ``EOFError`` /
+        ``OSError``) becomes :class:`CommClosedError`, so the gather loops
+        take the dead-rank path.  ``CommTimeout`` is raised *outside* that
+        handler: ``TimeoutError`` is an ``OSError`` subclass, and a naive
+        ``except OSError`` would re-label the timeout as a closed peer.
         """
         self._check_open()
         if timeout is not None:
             try:
                 has_message = self._conn.poll(timeout)
             except OSError as exc:
-                raise CommClosedError(
-                    f"peer gone while polling tag {tag}: {exc}"
-                ) from exc
+                raise CommClosedError(f"peer gone while polling: {exc}") from exc
             if not has_message:
                 raise CommTimeout(
-                    f"no message within {timeout:.3f}s (tag {tag}); "
-                    "peer crashed or hung?"
+                    f"no message within {timeout:.3f}s; peer crashed or hung?"
                 )
         try:
-            got_tag, nbytes, obj = self._conn.recv()
+            message = self._conn.recv_bytes()
         except (EOFError, OSError) as exc:
-            raise CommClosedError(
-                f"peer closed mid-frame while receiving tag {tag}: {exc}"
-            ) from exc
-        if got_tag != tag:
-            raise RuntimeError(
-                f"protocol error: expected message tag {tag}, received {got_tag}"
-            )
-        self.bytes_received += nbytes
-        return obj
+            raise CommClosedError(f"peer closed mid-frame: {exc}") from exc
+        if not message:
+            raise RuntimeError("protocol error: pipe message without a tag byte")
+        self.bytes_received += len(message) - 1
+        return message[0], message[1:]
 
     def poll(self, timeout: float = 0.0) -> bool:
         """Non-blocking (or bounded) check for a waiting message."""

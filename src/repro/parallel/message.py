@@ -3,22 +3,18 @@
 One search round of the synchronous scheme (Fig. 2) is two messages per
 slave: a :class:`SlaveTask` down (initial solution + strategy + budget +
 seed) and a :class:`SlaveReport` back up (the ``B`` best solutions plus the
-scoring/accounting signals).  Both are plain picklable dataclasses so the
-same objects travel over an in-process deque, a ``multiprocessing`` pipe, or
-— in the simulated farm — feed the byte-size cost model via
-:func:`payload_nbytes`.
+scoring/accounting signals).  Both are plain dataclasses with one wire form,
+the struct frames of :class:`~repro.parallel.shm.WireCodec`: process and
+socket carriers send those frames, and the in-process router and the
+simulated farm charge their lengths.
 
 The dominant payload on both legs is 0/1 solution vectors.  Those ship as
 packed-bitset frames (``ceil(n/8)`` payload bytes, ~64 for a 500-item
-instance) via :class:`~repro.core.solution.Solution`'s pickle hook rather
-than as pickled dense ``int8`` ndarrays — see ``set_wire_codec`` /
-``wire_codec_enabled`` in :mod:`repro.core.solution` for the toggle, and
-``benchmarks/bench_bitset.py`` for the measured bytes-per-round shrink.
+instance); ``benchmarks/bench_bitset.py`` measures the bytes per round.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 
 from ..core.reduction import FixationPattern
@@ -26,15 +22,14 @@ from ..core.solution import Solution
 from ..core.strategy import Strategy
 from ..core.termination import Budget
 
-__all__ = ["SlaveTask", "SlaveReport", "payload_nbytes", "PROBLEM_TAG", "RESULT_TAG"]
+__all__ = ["SlaveTask", "SlaveReport", "RESULT_TAG"]
 
 #: Message tags, mirroring the mpi4py ``tag`` convention.
-PROBLEM_TAG = 0
 TASK_TAG = 1
 RESULT_TAG = 2
-#: Carries a fresh ``(instance, config)`` pair to a live worker so a
-#: long-lived backend can be re-``start()``-ed on a new problem without
-#: respawning its processes (DESIGN.md §5.6 service leasing).
+#: Carries a bind frame (:func:`repro.parallel.shm.encode_bind`) to a live
+#: worker so a long-lived backend can be re-``start()``-ed on a new problem
+#: without respawning its processes (DESIGN.md §5.6 service leasing).
 REBIND_TAG = 3
 STOP_TAG = 99
 
@@ -63,33 +58,6 @@ class SlaveTask:
     #: reduced coordinates.
     pattern: FixationPattern | None = None
 
-    def __reduce__(self):
-        # Compact wire form: positional args with the strategy and budget
-        # flattened to plain tuples — the dataclass state dicts and nested
-        # class references would otherwise cost more than the packed
-        # solution frame they accompany.  Full-space tasks keep the
-        # historical 6-tuple (no pattern, core_ratio elided when 1.0), so
-        # their pickle bytes — and the byte ledgers — are unchanged.
-        budget = self.budget
-        args = (
-            self.x_init,
-            self.strategy.as_tuple()
-            if self.strategy.core_ratio == 1.0
-            else (*self.strategy.as_tuple(), self.strategy.core_ratio),
-            (
-                budget.max_evaluations,
-                budget.max_moves,
-                budget.wall_seconds,
-                budget.target_value,
-            ),
-            self.seed,
-            self.round_index,
-            self.seq_id,
-        )
-        if self.pattern is not None:
-            args = (*args, self.pattern)
-        return (_task_from_wire, args)
-
 
 @dataclass(frozen=True)
 class SlaveReport:
@@ -111,45 +79,7 @@ class SlaveReport:
     round_index: int = 0
     seq_id: int = 0
 
-    def __reduce__(self):
-        # Compact wire form (see SlaveTask.__reduce__).
-        return (
-            SlaveReport,
-            (self.slave_id, self.best, self.elite, self.initial_value,
-             self.evaluations, self.moves, self.round_index, self.seq_id),
-        )
-
     @property
     def improved(self) -> bool:
         """§4.2 scoring signal: final cost strictly above initial cost."""
         return self.best.value > self.initial_value
-
-
-def _task_from_wire(
-    x_init: Solution,
-    strategy: tuple,
-    budget: tuple[int | None, int | None, float | None, float | None],
-    seed: int,
-    round_index: int,
-    seq_id: int,
-    pattern: FixationPattern | None = None,
-) -> SlaveTask:
-    """Rebuild a :class:`SlaveTask` from its compact wire tuple."""
-    return SlaveTask(
-        x_init=x_init,
-        strategy=Strategy(*strategy),
-        budget=Budget(*budget),
-        seed=seed,
-        round_index=round_index,
-        seq_id=seq_id,
-        pattern=pattern,
-    )
-
-
-def payload_nbytes(obj: object) -> int:
-    """Serialized size of a message, as charged to the crossbar model.
-
-    We charge the *actual* pickle size rather than an analytic estimate so
-    the communication cost tracks what PVM would really pack.
-    """
-    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))

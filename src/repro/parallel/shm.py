@@ -1,13 +1,11 @@
 """Zero-copy shared-memory transport: seqlock rings + compact wire frames.
 
-The PR-4 gather rewrite left exactly one per-round cost the pipes cannot
-shed: every task and report still crosses the kernel as a pickled pipe
-message.  This module demotes the pipe to a *doorbell* — a constant-size
-``(tag, nbytes, b"")`` frame that only says "a message is waiting" — while
-the actual payload moves through a ``multiprocessing.shared_memory`` ring
+A pipe copies every frame through the kernel.  This module demotes it to a
+*doorbell* — an empty message under the task or report tag that only says
+"a frame is waiting" — while the actual payload moves through a ``multiprocessing.shared_memory`` ring
 buffer that both sides map once, at spawn.
 
-Three layers, bottom up:
+Three layers, bottom up, and the control frames:
 
 :class:`ShmRing`
     A single-producer/single-consumer byte ring over one shared-memory
@@ -24,11 +22,13 @@ Three layers, bottom up:
 :class:`WireCodec`
     Fixed binary frames (``struct``, no pickle) for
     :class:`~repro.parallel.message.SlaveTask` /
-    :class:`~repro.parallel.message.SlaveReport` and their batched forms.
-    Solutions travel as the PR-3 packed-word frames (``8 + ceil(n/8)``
-    bytes) and are rebuilt through the same
-    :func:`~repro.core.solution._solution_from_wire` hook as the pickle
-    path, so the decoded object seeds the identical ``packed_words`` memo.
+    :class:`~repro.parallel.message.SlaveReport` and their batched forms:
+    the one encoding and byte charge on every carrier, serial included.
+    Solutions travel as packed-bit frames (``8 + ceil(n/8)`` bytes) that
+    seed the decoded object's ``packed_words`` memo.  The control frames
+    (:func:`encode_bind`, :func:`encode_hello`) sit beside it, and every
+    decoder is total: it consumes its frame exactly or raises
+    :class:`WireError`.
 
 :class:`ShmComm`
     A :class:`~repro.parallel.comm.PipeComm`-compatible endpoint: same
@@ -38,7 +38,7 @@ Three layers, bottom up:
     pushes only the doorbell through the pipe.  When a ring is absent
     (non-POSIX host, exhausted shm, attach failure) or momentarily full,
     the *same frame bytes* ride in-band through the pipe instead — the
-    receive side keys off the doorbell's empty payload, so no negotiation
+    receive side keys off the doorbell's empty body, so no negotiation
     is needed and the byte ledgers are identical either way.  That
     equality is what keeps serialized run records byte-identical across
     ``transport ∈ {pipe, shm}`` (the differential suite's contract).
@@ -51,16 +51,22 @@ created — pipes remain the automatic fallback everywhere else.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import time
-from typing import Any
+from typing import Any, Callable
 
+import numpy as np
+
+from ..core.diversification import DiversificationConfig
+from ..core.instance import MKPInstance
 from ..core.reduction import _pattern_from_wire
 from ..core.solution import Solution, _solution_from_wire
-from ..core.strategy import Strategy
+from ..core.strategy import Strategy, StrategyBounds
+from ..core.tabu_search import IntensificationKind, TabuSearchConfig
 from ..core.termination import Budget
-from .comm import CommTimeout, PipeComm
+from .comm import PipeComm
 from .message import RESULT_TAG, TASK_TAG, SlaveReport, SlaveTask
 
 __all__ = [
@@ -72,6 +78,11 @@ __all__ = [
     "ShmRing",
     "TornFrameError",
     "WireCodec",
+    "WireError",
+    "decode_bind",
+    "decode_hello",
+    "encode_bind",
+    "encode_hello",
     "resolve_transport",
     "shm_available",
 ]
@@ -411,6 +422,7 @@ KIND_TASK = 1
 KIND_REPORT = 2
 KIND_TASK_BATCH = 3
 KIND_REPORT_BATCH = 4
+KIND_BIND = 5
 
 # kind, slave hint (task batches), seed, seq, round, strategy(3i), flags
 _TASK_HEAD = struct.Struct("<Bqqii iii B".replace(" ", ""))
@@ -431,6 +443,49 @@ _HAS_CORE_RATIO = 16
 #: core mask then fixed values — see repro.core.reduction)
 _HAS_PATTERN = 32
 
+# kind, m, n, name length, flags, optimum, best_known; then the config,
+# the UTF-8 name and the little-endian float64 weights, capacities, profits
+_BIND_HEAD = struct.Struct("<BIIHBdd")
+# every TabuSearchConfig field, nested ones flattened (see encode_bind)
+_CONFIG = struct.Struct("<qqBqqddqqqqqqqddq?")
+_HAS_OPTIMUM = 1
+_HAS_BEST_KNOWN = 2
+_INTENSIFICATION = tuple(IntensificationKind)
+_F8 = np.dtype("<f8")
+
+# magic, wire version, worker pid, name length; then the UTF-8 name
+_HELLO_HEAD = struct.Struct("<4sBIB")
+HELLO_MAGIC = b"MKPW"
+WIRE_VERSION = 1
+_HELLO_NAME_NBYTES = 255
+#: the largest HELLO frame, and so the cap on a socket peer's first frame
+HELLO_MAX_NBYTES = _HELLO_HEAD.size + _HELLO_NAME_NBYTES
+
+
+class WireError(ValueError):
+    """A frame is not one well-formed message: the only error decoders raise."""
+
+
+def _total(decode: Callable) -> Callable:
+    """Make a decoder total: any malformed frame raises :class:`WireError`."""
+
+    @functools.wraps(decode)
+    def checked(*args: Any) -> Any:
+        try:
+            return decode(*args)
+        except WireError:
+            raise
+        except (struct.error, ValueError, IndexError) as exc:
+            raise WireError(f"{decode.__name__}: {exc}") from exc
+
+    return checked
+
+
+def _expect_end(frame: bytes, off: int) -> None:
+    """A decoder consumes its frame exactly: no bytes missing, none left."""
+    if off != len(frame):
+        raise WireError(f"frame has {len(frame)} bytes; its message ends at byte {off}")
+
 
 class WireCodec:
     """Pickle-free binary frames for the task/report message family.
@@ -438,8 +493,8 @@ class WireCodec:
     One codec per (endpoint, instance): ``n_items`` fixes the packed
     solution width, so frames need no per-solution length field.  Frame
     sizes are deterministic functions of the message content — identical
-    on both sides and across transports, which is what lets the doorbell
-    path charge exactly the bytes the in-band path would.
+    on both sides and across transports, which is what lets every carrier,
+    the serial router and the farm model charge the same bytes.
     """
 
     def __init__(self, n_items: int) -> None:
@@ -454,12 +509,20 @@ class WireCodec:
         out += _VALUE.pack(sol.value)
         out += sol.packed_bytes()
 
+    def _take_bits(self, buf: bytes, off: int) -> tuple[bytes, int]:
+        """One packed ``n_items``-bit block; its padding bits must be zero."""
+        nb = (self.n_items + 7) // 8
+        block = bytes(buf[off : off + nb])
+        if len(block) != nb:
+            raise WireError(f"truncated bit block at byte {off}")
+        if self.n_items % 8 and block[-1] >> (self.n_items % 8):
+            raise WireError(f"bit block at byte {off} sets padding bits")
+        return block, off + nb
+
     def _take_solution(self, buf: bytes, off: int) -> tuple[Solution, int]:
         (value,) = _VALUE.unpack_from(buf, off)
-        off += _VALUE.size
-        nb = (self.n_items + 7) // 8
-        sol = _solution_from_wire(bytes(buf[off : off + nb]), self.n_items, value)
-        return sol, off + nb
+        block, off = self._take_bits(buf, off + _VALUE.size)
+        return _solution_from_wire(block, self.n_items, value), off
 
     # -- tasks ----------------------------------------------------------- #
     def encode_task(self, task: SlaveTask) -> bytes:
@@ -500,12 +563,13 @@ class WireCodec:
         self._put_solution(out, task.x_init)
         return bytes(out)
 
+    @_total
     def decode_task(self, frame: bytes) -> SlaveTask:
         kind, seed, seq_id, round_index, _, lt, drop, local, flags = (
             _TASK_HEAD.unpack_from(frame, 0)
         )
         if kind != KIND_TASK:
-            raise ValueError(f"not a task frame (kind={kind})")
+            raise WireError(f"not a task frame (kind={kind})")
         off = _TASK_HEAD.size
         max_evaluations = max_moves = None
         wall_seconds = target_value = None
@@ -527,14 +591,11 @@ class WireCodec:
             off += _VALUE.size
         pattern = None
         if flags & _HAS_PATTERN:
-            nb = (self.n_items + 7) // 8
-            pattern = _pattern_from_wire(
-                bytes(frame[off : off + nb]),
-                bytes(frame[off + nb : off + 2 * nb]),
-                self.n_items,
-            )
-            off += 2 * nb
+            mask, off = self._take_bits(frame, off)
+            values, off = self._take_bits(frame, off)
+            pattern = _pattern_from_wire(mask, values, self.n_items)
         x_init, off = self._take_solution(frame, off)
+        _expect_end(frame, off)
         return SlaveTask(
             x_init=x_init,
             strategy=Strategy(lt, drop, local, core_ratio),
@@ -559,18 +620,20 @@ class WireCodec:
             self._put_solution(out, sol)
         return bytes(out)
 
+    @_total
     def decode_report(self, frame: bytes) -> SlaveReport:
         kind, slave_id, seq_id, round_index, initial_value, evaluations, moves, n_elite = (
             _REPORT_HEAD.unpack_from(frame, 0)
         )
         if kind != KIND_REPORT:
-            raise ValueError(f"not a report frame (kind={kind})")
+            raise WireError(f"not a report frame (kind={kind})")
         off = _REPORT_HEAD.size
         best, off = self._take_solution(frame, off)
         elite = []
         for _ in range(n_elite):
             sol, off = self._take_solution(frame, off)
             elite.append(sol)
+        _expect_end(frame, off)
         return SlaveReport(
             slave_id=slave_id,
             best=best,
@@ -601,23 +664,33 @@ class WireCodec:
             sizes[slave_id] = len(frame)
         return bytes(out), sizes
 
+    def _entries(self, frame: bytes, batch_kind: int) -> list[tuple[int, bytes]]:
+        """Split a batch envelope into ``(slave_id, entry frame)`` pairs."""
+        kind, count = _BATCH_HEAD.unpack_from(frame, 0)
+        if kind != batch_kind:
+            raise WireError(f"not a batch frame of kind {batch_kind} (kind={kind})")
+        off = _BATCH_HEAD.size
+        out = []
+        for _ in range(count):
+            slave_id, length = _ENTRY_HEAD.unpack_from(frame, off)
+            off += _ENTRY_HEAD.size
+            if off + length > len(frame):
+                raise WireError(f"entry of {length} bytes overruns the batch at {off}")
+            out.append((slave_id, frame[off : off + length]))
+            off += length
+        _expect_end(frame, off)
+        return out
+
+    @_total
     def decode_task_batch(
         self, frame: bytes
     ) -> tuple[list[tuple[int, SlaveTask]], list[int]]:
         """Unpack a task batch; returns the entries and per-entry sizes."""
-        kind, count = _BATCH_HEAD.unpack_from(frame, 0)
-        if kind != KIND_TASK_BATCH:
-            raise ValueError(f"not a task batch frame (kind={kind})")
-        off = _BATCH_HEAD.size
-        entries = []
-        sizes: list[int] = []
-        for _ in range(count):
-            slave_id, length = _ENTRY_HEAD.unpack_from(frame, off)
-            off += _ENTRY_HEAD.size
-            entries.append((slave_id, self.decode_task(frame[off : off + length])))
-            sizes.append(length)
-            off += length
-        return entries, sizes
+        entries = self._entries(frame, KIND_TASK_BATCH)
+        return (
+            [(k, self.decode_task(entry)) for k, entry in entries],
+            [len(entry) for _, entry in entries],
+        )
 
     def encode_report_batch(
         self, reports: list[SlaveReport]
@@ -632,23 +705,16 @@ class WireCodec:
             sizes.append(len(frame))
         return bytes(out), sizes
 
+    @_total
     def decode_report_batch(
         self, frame: bytes
     ) -> tuple[list[SlaveReport], list[int]]:
         """Unpack a report batch; returns the reports and per-entry sizes."""
-        kind, count = _BATCH_HEAD.unpack_from(frame, 0)
-        if kind != KIND_REPORT_BATCH:
-            raise ValueError(f"not a report batch frame (kind={kind})")
-        off = _BATCH_HEAD.size
-        reports: list[SlaveReport] = []
-        sizes: list[int] = []
-        for _ in range(count):
-            _slave_id, length = _ENTRY_HEAD.unpack_from(frame, off)
-            off += _ENTRY_HEAD.size
-            reports.append(self.decode_report(frame[off : off + length]))
-            sizes.append(length)
-            off += length
-        return reports, sizes
+        entries = self._entries(frame, KIND_REPORT_BATCH)
+        return (
+            [self.decode_report(entry) for _, entry in entries],
+            [len(entry) for _, entry in entries],
+        )
 
     # -- dispatch ---------------------------------------------------------- #
     def encode(self, obj: Any) -> bytes:
@@ -658,18 +724,112 @@ class WireCodec:
             return self.encode_report(obj)
         raise TypeError(f"codec cannot encode {type(obj).__name__}")
 
+    def decode_sized(self, frame: bytes) -> tuple[Any, list[int]]:
+        """Decode any codec frame by its kind byte, with its entry sizes."""
+        kind = frame[0] if frame else None
+        if kind == KIND_TASK_BATCH:
+            return self.decode_task_batch(frame)
+        if kind == KIND_REPORT_BATCH:
+            return self.decode_report_batch(frame)
+        if kind == KIND_TASK:
+            return self.decode_task(frame), [len(frame)]
+        if kind == KIND_REPORT:
+            return self.decode_report(frame), [len(frame)]
+        raise WireError(f"unknown frame kind {kind}")
+
     def decode(self, frame: bytes) -> Any:
         """Decode any codec frame by its kind byte (batches drop sizes)."""
-        kind = frame[0]
-        if kind == KIND_TASK:
-            return self.decode_task(frame)
-        if kind == KIND_REPORT:
-            return self.decode_report(frame)
-        if kind == KIND_TASK_BATCH:
-            return self.decode_task_batch(frame)[0]
-        if kind == KIND_REPORT_BATCH:
-            return self.decode_report_batch(frame)[0]
-        raise ValueError(f"unknown frame kind {kind}")
+        return self.decode_sized(frame)[0]
+
+
+# -- control frames ------------------------------------------------------ #
+def encode_bind(instance: MKPInstance, config: TabuSearchConfig) -> bytes:
+    """The bind frame: the problem and structural config a worker serves."""
+    m, n = instance.shape
+    name = instance.name.encode("utf-8")
+    flags = (_HAS_OPTIMUM if instance.optimum is not None else 0) | (
+        _HAS_BEST_KNOWN if instance.best_known is not None else 0
+    )
+    div, bounds = config.diversification, config.bounds
+    return b"".join((
+        _BIND_HEAD.pack(
+            KIND_BIND, m, n, len(name), flags,
+            0.0 if instance.optimum is None else instance.optimum,
+            0.0 if instance.best_known is None else instance.best_known,
+        ),
+        _CONFIG.pack(
+            config.nb_div, config.elite_size,
+            _INTENSIFICATION.index(config.intensification),
+            config.oscillation_depth, config.add_candidates,
+            div.high_threshold, div.low_threshold, div.lock_iterations,
+            *bounds.lt_length, *bounds.nb_drop, *bounds.nb_local,
+            *bounds.core_ratio, bounds.base_iterations, bounds.load_balanced,
+        ),
+        name,
+        *(np.asarray(a, dtype=_F8).tobytes()
+          for a in (instance.weights, instance.capacities, instance.profits)),
+    ))
+
+
+@_total
+def decode_bind(frame: bytes) -> tuple[MKPInstance, TabuSearchConfig]:
+    """Inverse of :func:`encode_bind`.
+
+    The frame length is checked against ``m``, ``n`` and the name length
+    before any array is read, so a lying header costs nothing.
+    """
+    kind, m, n, name_len, flags, optimum, best_known = _BIND_HEAD.unpack_from(frame, 0)
+    if kind != KIND_BIND:
+        raise WireError(f"not a bind frame (kind={kind})")
+    at = _BIND_HEAD.size + _CONFIG.size + name_len
+    _expect_end(frame, at + _F8.itemsize * (m * n + m + n))
+    (nb_div, elite_size, intensification, oscillation_depth, add_candidates,
+     high, low, lock, *pairs, base_iterations, load_balanced) = (
+        _CONFIG.unpack_from(frame, _BIND_HEAD.size)
+    )
+    config = TabuSearchConfig(
+        nb_div=nb_div,
+        elite_size=elite_size,
+        intensification=_INTENSIFICATION[intensification],
+        oscillation_depth=oscillation_depth,
+        diversification=DiversificationConfig(high, low, lock),
+        bounds=StrategyBounds(
+            lt_length=tuple(pairs[0:2]),
+            nb_drop=tuple(pairs[2:4]),
+            nb_local=tuple(pairs[4:6]),
+            core_ratio=tuple(pairs[6:8]),
+            base_iterations=base_iterations,
+            load_balanced=load_balanced,
+        ),
+        add_candidates=add_candidates,
+    )
+    instance = MKPInstance(
+        weights=np.frombuffer(frame, _F8, m * n, at).reshape(m, n),
+        capacities=np.frombuffer(frame, _F8, m, at + _F8.itemsize * m * n),
+        profits=np.frombuffer(frame, _F8, n, at + _F8.itemsize * (m * n + m)),
+        name=bytes(frame[at - name_len : at]).decode("utf-8"),
+        optimum=optimum if flags & _HAS_OPTIMUM else None,
+        best_known=best_known if flags & _HAS_BEST_KNOWN else None,
+    )
+    return instance, config
+
+
+def encode_hello(pid: int, name: str) -> bytes:
+    """A worker's HELLO frame; names are cut to 255 UTF-8 bytes."""
+    raw = name.encode("utf-8")[:_HELLO_NAME_NBYTES].decode("utf-8", "ignore").encode("utf-8")
+    return _HELLO_HEAD.pack(HELLO_MAGIC, WIRE_VERSION, pid, len(raw)) + raw
+
+
+@_total
+def decode_hello(frame: bytes) -> tuple[int, str]:
+    """Inverse of :func:`encode_hello`: ``(pid, name)``."""
+    magic, version, pid, name_len = _HELLO_HEAD.unpack_from(frame, 0)
+    if magic != HELLO_MAGIC:
+        raise WireError("not a HELLO frame (bad magic)")
+    if version != WIRE_VERSION:
+        raise WireError(f"peer speaks wire version {version}, not {WIRE_VERSION}")
+    _expect_end(frame, _HELLO_HEAD.size + name_len)
+    return pid, bytes(frame[_HELLO_HEAD.size :]).decode("utf-8")
 
 
 # ---------------------------------------------------------------------- #
@@ -682,16 +842,16 @@ class ShmComm:
 
     Wraps one :class:`~repro.parallel.comm.PipeComm` (the doorbell) plus an
     optional send ring and receive ring.  Message family traffic (tasks,
-    reports, batches) is codec-encoded; control messages (STOP, REBIND)
-    keep the pickled pipe path — they are rare, unsized-by-the-farm, and
-    may carry arbitrary objects.
+    reports, batches) is codec-encoded; control messages (STOP, REBIND) are
+    already frames — an empty one, or a :func:`encode_bind` frame — and
+    ride the pipe as they are.
 
     Per-message carrier selection, visible in the doorbell itself:
 
-    * ring write succeeded → pipe frame ``(tag, nbytes, b"")``;
-    * no ring / ring full  → pipe frame ``(tag, nbytes, frame_bytes)``.
+    * ring write succeeded → an empty pipe message under the tag;
+    * no ring / ring full  → the frame bytes ride the pipe in-band.
 
-    ``nbytes`` is always the codec frame length, so ``bytes_sent`` /
+    The charge is always the codec frame length, so ``bytes_sent`` /
     ``bytes_received`` are carrier-independent.  ``pipe_payload_bytes``
     counts only the in-band bytes — the benchmark's "bytes through pipes"
     gate asserts it stays ≈ 0 on the shm path.
@@ -711,11 +871,8 @@ class ShmComm:
         self.recv_ring = recv_ring
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.last_payload_nbytes = 0
         #: per-entry codec sizes of the last received message family frame
         self.last_entry_nbytes: list[int] = []
-        #: payload bytes that actually crossed the pipe (overflow/fallback)
-        self.pipe_payload_bytes = 0
         #: messages whose payload fell back to the in-band pipe carrier
         self.ring_overflows = 0
 
@@ -731,6 +888,11 @@ class ShmComm:
     @property
     def closed(self) -> bool:
         return self._pipe.closed
+
+    @property
+    def pipe_payload_bytes(self) -> int:
+        """Frame bytes that crossed the pipe in either direction (in-band)."""
+        return self._pipe.bytes_sent + self._pipe.bytes_received
 
     def poll(self, timeout: float = 0.0) -> bool:
         return self._pipe.poll(timeout)
@@ -758,31 +920,24 @@ class ShmComm:
     # -- send ------------------------------------------------------------- #
     def _dispatch(self, frame: bytes, tag: int) -> None:
         self.bytes_sent += len(frame)
-        self.last_payload_nbytes = len(frame)
         inband: bytes = frame
         if self.send_ring is not None:
             try:
-                if self.send_ring.write(frame) is not None:
-                    inband = b""
+                self.send_ring.write(frame)
+                inband = b""
             except (RingFull, FrameTooLarge):
                 # Momentarily full or permanently too small: either way the
                 # same frame bytes ride the pipe in-band instead.
                 self.ring_overflows += 1
-        if inband:
-            self.pipe_payload_bytes += len(inband)
-        # Raw doorbell push: PipeComm.send would re-pickle and re-charge.
-        self._pipe._check_open()
-        self._pipe.connection.send((tag, len(frame), inband))
+        self._pipe.send(inband, tag=tag)
 
     def send(self, obj: Any, dest: int = 0, tag: int = 0) -> None:
         if tag in (TASK_TAG, RESULT_TAG):
             self._dispatch(self.codec.encode(obj), tag)
             return
-        # Control plane (STOP/REBIND/PROBLEM): plain pickled pipe message.
-        before = self._pipe.bytes_sent
+        # Control plane (STOP/REBIND): the object is its own frame.
         self._pipe.send(obj, dest, tag)
-        self.bytes_sent += self._pipe.bytes_sent - before
-        self.last_payload_nbytes = self._pipe.bytes_sent - before
+        self.bytes_sent += len(obj)
 
     def send_tasks(self, entries: list[tuple[int, SlaveTask]]) -> dict[int, int]:
         """Send one batched task message; returns per-slave charged sizes."""
@@ -791,7 +946,6 @@ class ShmComm:
         # Charge per-entry frame bytes, not the envelope: identical ledger
         # to K individual sends (the cross-K differential contract).
         self.bytes_sent += sum(sizes.values()) - len(frame)
-        self.last_payload_nbytes = sum(sizes.values())
         return sizes
 
     def send_reports(self, reports: list[SlaveReport]) -> None:
@@ -799,54 +953,28 @@ class ShmComm:
         frame, sizes = self.codec.encode_report_batch(reports)
         self._dispatch(frame, RESULT_TAG)
         self.bytes_sent += sum(sizes) - len(frame)
-        self.last_payload_nbytes = sum(sizes)
 
     # -- receive ----------------------------------------------------------- #
-    def _resolve_payload(self, nbytes: int, inband: bytes) -> bytes:
-        if inband:
-            # Count arrivals too: one endpoint's ledger then bounds the
-            # pipe-payload traffic in *both* directions (the bench gate).
-            self.pipe_payload_bytes += len(inband)
-            return inband
-        if self.recv_ring is None:
-            raise RuntimeError("doorbell without ring: no payload carrier")
-        return self.recv_ring.read()
-
-    def recv(self, source: int = 0, tag: int = 0, timeout: float | None = None) -> Any:
-        """Receive one message with ``tag``; mirrors ``PipeComm.recv``."""
-        got_tag, obj = self.recv_message(timeout=timeout)
-        if got_tag != tag:
-            raise RuntimeError(
-                f"protocol error: expected message tag {tag}, received {got_tag}"
-            )
-        return obj
+    #: one message under ``tag``, over :meth:`recv_message` (as for pipes)
+    recv = PipeComm.recv
 
     def recv_message(self, timeout: float | None = None) -> tuple[int, Any]:
-        """Receive the next message of any tag as ``(tag, obj)``."""
-        self._pipe._check_open()
-        conn = self._pipe.connection
-        if timeout is not None and not conn.poll(timeout):
-            raise CommTimeout(
-                f"no message within {timeout:.3f}s; peer crashed or hung?"
-            )
-        tag, nbytes, body = conn.recv()
-        if tag not in (TASK_TAG, RESULT_TAG):
-            # Control plane: body is the pickled object itself.
-            self.bytes_received += nbytes
-            self.last_payload_nbytes = nbytes
-            self.last_entry_nbytes = [nbytes]
-            return tag, body
-        frame = self._resolve_payload(nbytes, body)
-        kind = frame[0]
-        if kind == KIND_TASK_BATCH:
-            obj, sizes = self.codec.decode_task_batch(frame)
-        elif kind == KIND_REPORT_BATCH:
-            obj, sizes = self.codec.decode_report_batch(frame)
-        else:
-            obj = self.codec.decode(frame)
-            sizes = [len(frame)]
-        self.last_entry_nbytes = sizes
-        self.bytes_received += sum(sizes)
-        self.last_payload_nbytes = sum(sizes)
-        return tag, obj
+        """Receive the next message of any tag as ``(tag, obj)``.
 
+        Control messages come back as their raw frame; message family
+        frames decode through the codec (:class:`WireError` if malformed).
+        """
+        tag, body = self._pipe.recv_message(timeout)
+        if tag not in (TASK_TAG, RESULT_TAG):
+            self.bytes_received += len(body)
+            self.last_entry_nbytes = [len(body)]
+            return tag, body
+        if body:
+            frame = body
+        elif self.recv_ring is None:
+            raise RuntimeError("doorbell without ring: no payload carrier")
+        else:
+            frame = self.recv_ring.read()
+        obj, self.last_entry_nbytes = self.codec.decode_sized(frame)
+        self.bytes_received += sum(self.last_entry_nbytes)
+        return tag, obj

@@ -43,7 +43,7 @@ from ..farm.trace import EventKind, FarmTrace
 from ..master.result import ParallelRunResult, RoundStats
 from ..master.sgp import SGPConfig, classify_dispersion
 from ..parallel.faults import FaultPlan
-from ..parallel.message import payload_nbytes
+from ..parallel.shm import WireCodec
 from ..rng import derive_rng, random_seed_from
 
 __all__ = ["AsyncConfig", "solve_cts_async"]
@@ -159,6 +159,8 @@ def solve_cts_async(
     value_history: list[float] = [global_best.value]
     total_evaluations = 0
     bytes_sent = 0
+    #: one publication is one solution frame on the wire
+    publication_nbytes = WireCodec(instance.n_items).solution_nbytes
     segment_counter = 0
     rounds: list[RoundStats] = []
 
@@ -229,12 +231,11 @@ def solve_cts_async(
         # The peer's own incumbent and the returned global best still count
         # it — local knowledge survives message loss.
         published = not plan.drops_report(peer.segments - 1, pid)
-        nbytes = payload_nbytes(seg_best)
-        send_dt = farm.transfer_seconds(nbytes)
+        send_dt = farm.transfer_seconds(publication_nbytes)
         trace.record(pid, EventKind.SEND, peer.clock, peer.clock + send_dt, "publish")
         peer.clock += send_dt
         if published:
-            bytes_sent += nbytes
+            bytes_sent += publication_nbytes
             blackboard.append(_Posting(peer.clock, pid, seg_best))
         else:
             dropped_publications += 1

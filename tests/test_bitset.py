@@ -2,7 +2,7 @@
 exactness contract of everything built on it: codec round-trips (Hypothesis),
 the prefix-bitmask fitting scan vs. the generic float path, the word-level
 swap intensification, the packed Hamming/dispersion statistics, the
-:class:`Solution` wire codec, and the ``set_exclusions`` no-op short-circuit.
+:class:`Solution` wire frames, and the ``set_exclusions`` no-op short-circuit.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from repro.core import (
     TabuList,
     greedy_solution,
     mean_pairwise_distance,
-    set_wire_codec,
-    wire_codec_enabled,
 )
 from repro.core.bitset import (
     bytes_to_words,
@@ -41,6 +39,7 @@ from repro.core.intensification import IntensificationStats, swap_intensificatio
 from repro.core.strategy import Strategy
 from repro.core.termination import Budget
 from repro.parallel.message import SlaveReport, SlaveTask
+from repro.parallel.shm import WireCodec
 
 #: Word-boundary sizes the ISSUE pins: single word, 63/64/65 edges, GK-scale.
 BOUNDARY_SIZES = (1, 63, 64, 65, 500)
@@ -274,33 +273,28 @@ class TestExclusionShortCircuit:
 class TestWireCodec:
     @pytest.mark.parametrize("n", BOUNDARY_SIZES)
     def test_solution_pickle_roundtrip(self, n):
+        # Solutions are plain dataclasses: ordinary pickling still works,
+        # it is just not a wire format any more.
         rng = np.random.default_rng(n)
         x = (rng.random(n) < 0.4).astype(np.int8)
         sol = Solution(x, float(x.sum()))
         clone = pickle.loads(pickle.dumps(sol))
         assert clone == sol
         assert clone.x.dtype == np.int8
-        # The unpickled copy arrives with its packing memo pre-seeded.
-        assert "_packed_words" in clone.__dict__
 
-    def test_codec_off_roundtrip_and_size(self):
-        rng = np.random.default_rng(500)
-        x = (rng.random(500) < 0.4).astype(np.int8)
-        sol = Solution(x, 7.0)
-        assert wire_codec_enabled()
-        packed_size = len(pickle.dumps(sol))
-        try:
-            set_wire_codec(False)
-            assert not wire_codec_enabled()
-            dense_blob = pickle.dumps(sol)
-            assert pickle.loads(dense_blob) == sol
-        finally:
-            set_wire_codec(True)
-        # The ISSUE's headline: ~64 payload bytes on the wire for 500 items
-        # instead of a pickled dense ndarray.
-        assert packed_size < 160
-        assert len(dense_blob) > 5 * packed_size - 100  # dense carries n bytes
-        assert len(dense_blob) / packed_size > 4.0
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_solution_codec_roundtrip(self, n):
+        rng = np.random.default_rng(n)
+        x = (rng.random(n) < 0.4).astype(np.int8)
+        sol = Solution(x, float(x.sum()))
+        codec = WireCodec(n)
+        clone = codec.decode_report(codec.encode_report(SlaveReport(0, sol))).best
+        assert clone == sol
+        assert clone.x.dtype == np.int8
+        # The decoded copy arrives with its packing memo pre-seeded.
+        assert "_packed_words" in clone.__dict__
+        # One packed bit per item plus the value: 71 bytes for 500 items.
+        assert codec.solution_nbytes == 8 + (n + 7) // 8
 
     def test_message_roundtrip(self):
         rng = np.random.default_rng(9)
@@ -314,7 +308,8 @@ class TestWireCodec:
             round_index=3,
             seq_id=12,
         )
-        got = pickle.loads(pickle.dumps(task))
+        codec = WireCodec(120)
+        got = codec.decode_task(codec.encode_task(task))
         assert got == task
         report = SlaveReport(
             slave_id=2,
@@ -326,12 +321,20 @@ class TestWireCodec:
             round_index=3,
             seq_id=12,
         )
-        got = pickle.loads(pickle.dumps(report))
+        got = codec.decode_report(codec.encode_report(report))
         assert got == report
 
     def test_budget_wire_form_drops_clock_state(self):
+        # Clock origins are process-local: a receiver re-arms its own.
         budget = Budget(max_evaluations=10, wall_seconds=30.0).start()
-        clone = pickle.loads(pickle.dumps(budget))
+        task = SlaveTask(
+            x_init=Solution(np.zeros(4, dtype=np.int8), 0.0),
+            strategy=Strategy(lt_length=9, nb_drop=2, nb_local=40),
+            budget=budget,
+            seed=1,
+        )
+        codec = WireCodec(4)
+        clone = codec.decode_task(codec.encode_task(task)).budget
         assert clone.max_evaluations == 10
         assert clone.wall_seconds == 30.0
         assert not clone._started

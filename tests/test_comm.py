@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from repro.parallel import (
     PipeComm,
     SlaveReport,
     SlaveTask,
-    payload_nbytes,
+    WireCodec,
 )
 
 
@@ -28,25 +27,25 @@ class TestRouter:
         router = MessageRouter()
         a = InProcComm(router, rank=0)
         b = InProcComm(router, rank=1)
-        a.send({"hello": 1}, dest=1, tag=5)
-        assert b.recv(source=0, tag=5) == {"hello": 1}
+        a.send(b"hello", dest=1, tag=5)
+        assert b.recv(source=0, tag=5) == b"hello"
 
     def test_fifo_order(self):
         router = MessageRouter()
         a = InProcComm(router, rank=0)
         b = InProcComm(router, rank=1)
         for k in range(5):
-            a.send(k, dest=1, tag=0)
-        assert [b.recv(source=0) for _ in range(5)] == list(range(5))
+            a.send(bytes([k]), dest=1, tag=0)
+        assert [b.recv(source=0) for _ in range(5)] == [bytes([k]) for k in range(5)]
 
     def test_tags_isolate_streams(self):
         router = MessageRouter()
         a = InProcComm(router, rank=0)
         b = InProcComm(router, rank=1)
-        a.send("x", dest=1, tag=1)
-        a.send("y", dest=1, tag=2)
-        assert b.recv(source=0, tag=2) == "y"
-        assert b.recv(source=0, tag=1) == "x"
+        a.send(b"x", dest=1, tag=1)
+        a.send(b"y", dest=1, tag=2)
+        assert b.recv(source=0, tag=2) == b"y"
+        assert b.recv(source=0, tag=1) == b"x"
 
     def test_empty_recv_raises(self):
         router = MessageRouter()
@@ -55,23 +54,38 @@ class TestRouter:
             b.recv(source=0)
 
     def test_byte_accounting(self):
-        router = MessageRouter()
+        # A task is charged its codec frame length and still travels by
+        # reference; a raw frame is charged its own length.
+        codec = WireCodec(3)
+        router = MessageRouter(codec)
         a = InProcComm(router, rank=0)
         b = InProcComm(router, rank=1)
-        payload = list(range(100))
-        a.send(payload, dest=1)
-        expected = payload_nbytes(payload)
+        task = SlaveTask(
+            x_init=Solution(np.array([1, 0, 1]), 5.0),
+            strategy=Strategy(10, 2, 20),
+            budget=Budget(max_evaluations=100),
+            seed=42,
+        )
+        a.send(task, dest=1)
+        expected = len(codec.encode_task(task))
         assert a.bytes_sent == expected
         assert router.total_bytes == expected
-        b.recv(source=0)
+        assert b.recv(source=0) is task
         assert b.bytes_received == expected
+        a.send(b"frame", dest=1)
+        assert router.total_bytes == expected + 5
+
+    def test_objects_need_a_codec_to_be_sized(self):
+        a = InProcComm(MessageRouter(), rank=0)
+        with pytest.raises(TypeError, match="no codec"):
+            a.send({"hello": 1}, dest=1)
 
     def test_probe(self):
         router = MessageRouter()
         a = InProcComm(router, rank=0)
         b = InProcComm(router, rank=1)
         assert not b.probe()
-        a.send(1, dest=1)
+        a.send(b"\x01", dest=1)
         assert b.probe()
         b.recv(source=0)
         assert not b.probe()
@@ -88,10 +102,10 @@ class TestRouter:
         (dest, tag) mailbox."""
         router = MessageRouter()
         comms = [InProcComm(router, rank=r) for r in range(4)]
-        expected: dict[tuple[int, int], list[int]] = {}
+        expected: dict[tuple[int, int], list[bytes]] = {}
         for idx, (src, dest, tag) in enumerate(sends):
-            comms[src].send(idx, dest=dest, tag=tag)
-            expected.setdefault((dest, tag), []).append(idx)
+            comms[src].send(bytes([idx]), dest=dest, tag=tag)
+            expected.setdefault((dest, tag), []).append(bytes([idx]))
         for (dest, tag), payloads in expected.items():
             got = [comms[dest].recv(source=-1, tag=tag) for _ in payloads]
             assert got == payloads
@@ -119,11 +133,6 @@ class TestMessages:
         assert SlaveReport(0, best, initial_value=9.0).improved
         assert not SlaveReport(0, best, initial_value=10.0).improved
 
-    def test_payload_nbytes_positive_and_monotone(self):
-        small = payload_nbytes(np.zeros(10, dtype=np.int8))
-        large = payload_nbytes(np.zeros(10_000, dtype=np.int8))
-        assert 0 < small < large
-
 
 class TestRouterEdgeCases:
     """Mailbox-fabric corner cases the chaos suite leans on."""
@@ -134,11 +143,11 @@ class TestRouterEdgeCases:
         # what a respawned slave does).
         router = MessageRouter()
         a = InProcComm(router, rank=0)
-        a.send("orphan", dest=7, tag=3)
+        a.send(b"orphan", dest=7, tag=3)
         assert router.pending(7, 3) == 1
         assert router.total_messages == 1
         late = InProcComm(router, rank=7)
-        assert late.recv(source=0, tag=3) == "orphan"
+        assert late.recv(source=0, tag=3) == b"orphan"
         assert router.pending(7, 3) == 0
 
     def test_recv_from_never_used_mailbox_raises(self):
@@ -151,21 +160,21 @@ class TestRouterEdgeCases:
         router = MessageRouter()
         a = InProcComm(router, rank=0)
         b = InProcComm(router, rank=1)
-        a.send("t1-first", dest=1, tag=1)
-        a.send("t2-first", dest=1, tag=2)
-        assert b.recv(source=0, tag=1) == "t1-first"
-        a.send("t1-second", dest=1, tag=1)
-        assert b.recv(source=0, tag=2) == "t2-first"
-        a.send("t2-second", dest=1, tag=2)
-        assert b.recv(source=0, tag=1) == "t1-second"
-        assert b.recv(source=0, tag=2) == "t2-second"
+        a.send(b"t1-first", dest=1, tag=1)
+        a.send(b"t2-first", dest=1, tag=2)
+        assert b.recv(source=0, tag=1) == b"t1-first"
+        a.send(b"t1-second", dest=1, tag=1)
+        assert b.recv(source=0, tag=2) == b"t2-first"
+        a.send(b"t2-second", dest=1, tag=2)
+        assert b.recv(source=0, tag=1) == b"t1-second"
+        assert b.recv(source=0, tag=2) == b"t2-second"
         assert not b.probe(tag=1) and not b.probe(tag=2)
 
     def test_probe_is_tag_specific(self):
         router = MessageRouter()
         a = InProcComm(router, rank=0)
         b = InProcComm(router, rank=1)
-        a.send(1, dest=1, tag=1)
+        a.send(b"\x01", dest=1, tag=1)
         assert b.probe(tag=1)
         assert not b.probe(tag=2)
 
@@ -237,7 +246,7 @@ class TestPipeCommCrashWindow:
         there.close()
         with pytest.raises(CommClosedError):
             for _ in range(64):  # first sends may land in the OS buffer
-                comm.send("x")
+                comm.send(b"x")
         comm.close()
 
     def test_timeout_is_not_mislabelled_as_closed(self):
@@ -254,8 +263,10 @@ class TestPipeCommCrashWindow:
 
 
 @st.composite
-def solutions(draw):
-    bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=12))
+def solutions(draw, n_items=None):
+    if n_items is None:
+        n_items = draw(st.integers(1, 12))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n_items, max_size=n_items))
     value = draw(
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
     )
@@ -291,19 +302,21 @@ class TestMessageIdRoundTrip:
             round_index=round_index,
             seq_id=seq_id,
         )
-        clone = pickle.loads(pickle.dumps(task))
+        codec = WireCodec(sol.n_items)
+        clone = codec.decode_task(codec.encode_task(task))
         assert clone == task
         assert (clone.round_index, clone.seq_id) == (round_index, seq_id)
         # Same object shape survives the in-process transport.
-        router = MessageRouter()
+        router = MessageRouter(codec)
         a = InProcComm(router, rank=0)
         b = InProcComm(router, rank=1)
         a.send(task, dest=1, tag=1)
         assert b.recv(source=0, tag=1) == task
 
     @given(
-        best=solutions(),
-        elite=st.lists(solutions(), max_size=4),
+        solutions=st.integers(1, 12).flatmap(
+            lambda n: st.tuples(solutions(n), st.lists(solutions(n), max_size=4))
+        ),
         slave_id=st.integers(0, 63),
         initial_value=st.floats(
             min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -314,8 +327,9 @@ class TestMessageIdRoundTrip:
     )
     @settings(max_examples=50, deadline=None)
     def test_slave_report_round_trips(
-        self, best, elite, slave_id, initial_value, evaluations, round_index, seq_id
+        self, solutions, slave_id, initial_value, evaluations, round_index, seq_id
     ):
+        best, elite = solutions
         report = SlaveReport(
             slave_id=slave_id,
             best=best,
@@ -325,7 +339,8 @@ class TestMessageIdRoundTrip:
             round_index=round_index,
             seq_id=seq_id,
         )
-        clone = pickle.loads(pickle.dumps(report))
+        codec = WireCodec(best.n_items)
+        clone = codec.decode_report(codec.encode_report(report))
         assert clone == report
         assert (clone.round_index, clone.seq_id) == (round_index, seq_id)
         assert clone.improved == (best.value > initial_value)

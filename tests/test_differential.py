@@ -92,22 +92,15 @@ class TestMultiprocessingDifferential:
         )
 
     def test_mp_matches_serial_trajectory(self):
-        # Serial and MP charge different byte ledgers (pickle vs wire codec),
-        # so cross-family identity holds at the trajectory level, not the
-        # canonical-bytes level: same incumbents, same search effort.
-        import json
-
-        serial = json.loads(run_canonical(gk_instance(5), max_evaluations=1_200))
-        mp = json.loads(
-            run_canonical(
-                gk_instance(5),
-                backend_factory=_mp("fork", "shm", 4),
-                max_evaluations=1_200,
-            )
+        assert_differential(
+            gk_instance(5),
+            {
+                "serial": lambda: SerialBackend(4),
+                "shm-k4": _mp("fork", "shm", 4),
+                "pipe-k1": _mp("fork", "pipe", 1),
+            },
+            max_evaluations=1_200,
         )
-        assert mp["best"] == serial["best"]
-        assert mp["value_history"] == serial["value_history"]
-        assert mp["total_evaluations"] == serial["total_evaluations"]
 
     @pytest.mark.skipif(not shm_available(), reason="POSIX shared memory unavailable")
     def test_shm_transport_actually_engaged(self):

@@ -133,7 +133,7 @@ class TestPipeCommProtocol:
 
         a, b = mp.get_context("fork").Pipe(duplex=True)
         left, right = PipeComm(a), PipeComm(b)
-        left.send("hello", tag=5)
+        left.send(b"hello", tag=5)
         with pytest.raises(RuntimeError, match="protocol error"):
             right.recv(tag=6)
         left.close()
@@ -146,10 +146,10 @@ class TestPipeCommProtocol:
 
         a, b = mp.get_context("fork").Pipe(duplex=True)
         left, right = PipeComm(a), PipeComm(b)
-        left.send([1, 2, 3], tag=1)
+        left.send(b"\x01\x02\x03", tag=1)
         got = right.recv(tag=1)
-        assert got == [1, 2, 3]
-        assert left.bytes_sent == right.bytes_received > 0
+        assert got == b"\x01\x02\x03"
+        assert left.bytes_sent == right.bytes_received == 3
         left.close()
         right.close()
 

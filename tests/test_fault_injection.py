@@ -35,6 +35,7 @@ from repro.parallel import (
     SerialBackend,
     SlaveReport,
     SlaveTask,
+    WireCodec,
 )
 from repro.variants import solve_cts_async
 
@@ -146,37 +147,37 @@ class TestChaosCommInProc:
 
     def test_drop_loses_message(self):
         sender, receiver = self._pair(["drop", "ok"])
-        sender.send("lost", dest=1)
-        sender.send("kept", dest=1)
-        assert receiver.recv(source=0) == "kept"
+        sender.send(b"lost", dest=1)
+        sender.send(b"kept", dest=1)
+        assert receiver.recv(source=0) == b"kept"
         assert not receiver.probe()
         assert sender.dropped == 1 and sender.sent == 1
 
     def test_dup_delivers_twice(self):
         sender, receiver = self._pair(["dup"])
-        sender.send("x", dest=1)
-        assert receiver.recv(source=0) == "x"
-        assert receiver.recv(source=0) == "x"
+        sender.send(b"x", dest=1)
+        assert receiver.recv(source=0) == b"x"
+        assert receiver.recv(source=0) == b"x"
         assert sender.duplicated == 1
 
     def test_delay_holds_until_flush(self):
         sender, receiver = self._pair(["delay"])
-        sender.send("late", dest=1)
+        sender.send(b"late", dest=1)
         assert not receiver.probe()
         assert sender.pending_delayed == 1
         assert sender.flush_delayed() == 1
-        assert receiver.recv(source=0) == "late"
+        assert receiver.recv(source=0) == b"late"
 
     def test_exhausted_script_passes_through(self):
         sender, receiver = self._pair(["drop"])
-        sender.send("a", dest=1)
-        sender.send("b", dest=1)
-        assert receiver.recv(source=0) == "b"
+        sender.send(b"a", dest=1)
+        sender.send(b"b", dest=1)
+        assert receiver.recv(source=0) == b"b"
 
     def test_plan_addressing_on_slave_report(self, small_instance):
         """Report-direction faults resolve by the report's own ids."""
         plan = FaultPlan(events=(FaultEvent(0, 1, FaultKind.DROP_REPORT),))
-        router = MessageRouter()
+        router = MessageRouter(WireCodec(small_instance.n_items))
         chaos0 = ChaosComm(InProcComm(router, rank=0), plan, direction="report")
         chaos1 = ChaosComm(InProcComm(router, rank=1), plan, direction="report")
         master = InProcComm(router, rank=2)
@@ -195,7 +196,7 @@ class TestChaosCommInProc:
 
     def test_counters_pass_through_to_inner(self):
         sender, _ = self._pair(["ok"])
-        sender.send("x", dest=1)
+        sender.send(b"x", dest=1)
         assert sender.bytes_sent > 0  # resolved on the wrapped endpoint
 
 
@@ -204,10 +205,10 @@ class TestChaosCommPipe:
         here, there = mp.Pipe(duplex=True)
         sender = ChaosComm(PipeComm(here), actions=["drop", "dup"])
         receiver = PipeComm(there)
-        sender.send("lost", tag=5)
-        sender.send("twice", tag=5)
-        assert receiver.recv(tag=5) == "twice"
-        assert receiver.recv(tag=5) == "twice"
+        sender.send(b"lost", tag=5)
+        sender.send(b"twice", tag=5)
+        assert receiver.recv(tag=5) == b"twice"
+        assert receiver.recv(tag=5) == b"twice"
         assert not receiver.poll(0)
         receiver.close()
         sender.inner.close()

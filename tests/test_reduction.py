@@ -3,9 +3,9 @@
 Four layers under test:
 
 * :class:`~repro.core.reduction.FixationPattern` — wire forms (packed
-  blocks, pickle, :class:`~repro.parallel.shm.WireCodec` frames) round-trip
-  at word-boundary sizes, and the historical byte forms are preserved when
-  no pattern rides along (the bit-identity anchor).
+  blocks, :class:`~repro.parallel.shm.WireCodec` frames) round-trip at
+  word-boundary sizes, and a task frame carries no pattern bytes when no
+  pattern rides along.
 * :func:`~repro.exact.preprocess.reduce_to_core` /
   :class:`~repro.exact.preprocess.Reduction` — Hypothesis round-trips for
   ``lift``/``lift_value`` plus the none-fixed / all-fixed-but-one /
@@ -79,13 +79,20 @@ class TestFixationPattern:
     @given(patterned_instances())
     @settings(max_examples=60, deadline=None)
     def test_wire_and_pickle_round_trip(self, case):
-        _, pattern = case
-        rebuilt = pickle.loads(pickle.dumps(pattern))
+        inst, pattern = case
+        codec = WireCodec(inst.n_items)
+
+        def wire(p):
+            task = _task(inst, p, core_ratio=0.5)
+            return codec.decode_task(codec.encode_task(task)).pattern
+
+        rebuilt = wire(pattern)
         assert rebuilt == pattern
         assert np.array_equal(rebuilt.core_mask, pattern.core_mask)
-        # Pinned values under the core mask are ignored by construction but
-        # normalized to 0 by the packed wire form — re-encoding is stable.
-        assert rebuilt.signature() == pickle.loads(pickle.dumps(rebuilt)).signature()
+        # Re-encoding a decoded pattern is stable.
+        assert rebuilt.signature() == wire(rebuilt).signature()
+        # Still a plain picklable value, though pickle is no wire format.
+        assert pickle.loads(pickle.dumps(pattern)) == pattern
         nb = (pattern.n_items + 7) // 8
         assert len(pattern.packed_mask_bytes()) == nb
         assert len(pattern.packed_values_bytes()) == nb
@@ -286,13 +293,6 @@ class TestStrategyCoreKnob:
         assert narrow.core_ratio <= s.core_ratio
         assert 0.4 <= narrow.core_ratio <= wide.core_ratio <= 1.0
 
-    def test_pickle_preserves_historical_form(self):
-        plain = Strategy(8, 2, 10)
-        assert len(plain.__reduce__()[1]) == 3  # the pre-ISSUE-8 wire form
-        cored = Strategy(8, 2, 10, core_ratio=0.5)
-        assert len(cored.__reduce__()[1]) == 4
-        assert pickle.loads(pickle.dumps(cored)).core_ratio == 0.5
-
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             StrategyBounds(core_ratio=(0.0, 1.0))
@@ -315,17 +315,6 @@ def _task(instance, pattern=None, *, seed=42, evals=1_500, core_ratio=1.0):
 
 
 class TestTaskWireForms:
-    def test_pickle_without_pattern_is_byte_identical_to_historical(self):
-        """The bit-identity anchor: no pattern => the pre-ISSUE-8 pickle."""
-        inst = _instance()
-        task = _task(inst)
-        blob = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-        assert b"FixationPattern" not in blob
-        assert b"core_ratio" not in blob
-        rebuilt = pickle.loads(blob)
-        assert rebuilt.pattern is None
-        assert rebuilt.strategy == task.strategy
-
     def test_pickle_round_trips_pattern(self):
         inst = _instance()
         pattern = CoreSelector(inst).pattern(0.5, variant=2)

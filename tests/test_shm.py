@@ -35,7 +35,15 @@ from repro.core.termination import Budget
 from repro.parallel import shm as shm_mod
 from repro.parallel.comm import PipeComm
 from repro.parallel.faults import FaultPlan
-from repro.parallel.message import RESULT_TAG, TASK_TAG, SlaveReport, SlaveTask
+from repro.core.tabu_search import TabuSearchConfig
+from repro.parallel.message import (
+    REBIND_TAG,
+    RESULT_TAG,
+    STOP_TAG,
+    TASK_TAG,
+    SlaveReport,
+    SlaveTask,
+)
 from repro.parallel.shm import (
     FrameTooLarge,
     RingEmpty,
@@ -44,6 +52,8 @@ from repro.parallel.shm import (
     ShmRing,
     TornFrameError,
     WireCodec,
+    decode_bind,
+    encode_bind,
     resolve_transport,
     shm_available,
 )
@@ -427,13 +437,21 @@ class TestShmComm:
             a.close()
             b.close()
 
-    def test_control_messages_keep_the_pickled_path(self):
-        with comm_pair(10) as (master, worker):
-            master.send(("instance", "config"), tag=5)
+    def test_control_frames_ride_the_pipe_as_bytes(self, small_instance):
+        with comm_pair(small_instance.n_items) as (master, worker):
+            bind = encode_bind(small_instance, TabuSearchConfig(nb_div=7))
+            master.send(bind, tag=REBIND_TAG)
+            master.send(b"", tag=STOP_TAG)
             tag, body = worker.recv_message(timeout=5.0)
-            assert tag == 5
-            assert body == ("instance", "config")
-            assert master.bytes_sent > 0
+            assert (tag, body) == (REBIND_TAG, bind)
+            instance, config = decode_bind(body)
+            assert instance.content_hash() == small_instance.content_hash()
+            assert config.nb_div == 7
+            assert worker.recv_message(timeout=5.0) == (STOP_TAG, b"")
+            # Charged at the frame length on both ends; never unpickled.
+            assert master.bytes_sent == worker.bytes_received == len(bind)
+            with pytest.raises(TypeError):
+                master.send(("instance", "config"), tag=REBIND_TAG)
 
 
 # ---------------------------------------------------------------------- #

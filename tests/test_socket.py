@@ -12,7 +12,6 @@ Chaos legs (SIGKILL mid-round under both pipelines) live in
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import socket
 import struct
@@ -25,12 +24,15 @@ from repro.core.construction import random_solution
 from repro.core.strategy import Strategy
 from repro.core.tabu_search import TabuSearchConfig
 from repro.core.termination import Budget
+from repro.instances import gk_instance
 from repro.obs import RunRecorder, validate_stream
 from repro.parallel import SerialBackend, SocketBackend
 from repro.parallel.backend_socket import HELLO_TAG, _recv_frame, _WIRE_HEADER
 from repro.parallel.message import RESULT_TAG, TASK_TAG, SlaveTask
-from repro.parallel.shm import KIND_REPORT_BATCH
+from repro.parallel.shm import KIND_REPORT_BATCH, encode_hello
 from repro.variants import solve_cts2
+
+from tests.differential import assert_differential
 
 CONFIG = TabuSearchConfig(nb_div=100)
 
@@ -235,9 +237,15 @@ class TestMembership:
             victim = backend._local_procs[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5)
-            # The leave may land before or during the next round; either
-            # way the round completes on the survivor and the buried
+
+            def victim_lost() -> bool:
+                backend._pump(0.0)
+                return backend.fault_counters["worker_lost"] == 1
+
+            # The vanishing is between rounds: wait for the leave, so the
+            # next round is dealt to the survivor alone and the buried
             # shard surfaces through the dead-slave sweep.
+            assert wait_for(victim_lost, timeout_s=10.0)
             reports = backend.run_round(make_tasks(small_instance, 4, round_index=1))
             assert reports_values(reports) == reports_values(
                 backend.run_round(make_tasks(small_instance, 4, round_index=1))
@@ -333,7 +341,7 @@ class TestHostilePeer:
 
         def serve():
             try:
-                send(HELLO_TAG, pickle.dumps({"name": "hostile", "pid": 0}))
+                send(HELLO_TAG, encode_hello(0, "hostile"))
                 while True:
                     tag, _payload = _recv_frame(sock)
                     if tag == TASK_TAG:
@@ -368,6 +376,40 @@ class TestHostilePeer:
             backend.shutdown()
         peer.join(timeout=10)
         assert not peer.is_alive()
+
+    def test_oversized_first_frame_is_cut_off(self):
+        """A stranger's first frame may be no larger than a HELLO: one
+        claiming 200 MiB is refused at once, not held for start_timeout_s."""
+        backend = SocketBackend(2, start_timeout_s=30.0)
+        try:
+            sock = socket.create_connection(backend.listen(), timeout=5.0)
+            try:
+                t0 = time.perf_counter()
+                sock.sendall(_WIRE_HEADER.pack(HELLO_TAG, 200 << 20))
+                assert sock.recv(1) == b""  # the master hung up
+                assert time.perf_counter() - t0 < 1.0
+            finally:
+                sock.close()
+            backend._pump(0.2)
+            assert backend.joins == 0
+            assert not backend._members
+        finally:
+            backend.shutdown()
+
+
+class TestSocketDifferential:
+    """A socket run serializes byte-identically to the serial reference."""
+
+    def test_socket_matches_serial_canonical_bytes(self, mp_context):
+        def socket_factory():
+            return socket_backend(4, 2, mp_context)
+
+        assert_differential(
+            gk_instance(5),
+            {"serial": lambda: SerialBackend(4), "socket": socket_factory},
+            variant="cts2",
+            max_evaluations=1_200,
+        )
 
 
 class TestSolverPool:
