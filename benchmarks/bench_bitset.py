@@ -5,10 +5,10 @@ Three numbers, all folded into ``benchmarks/results/BENCH_bitset.json``:
 * **hot-path moves/sec** on the pinned GK24 instance (same compound-move
   workload as ``bench_kernels.measure_hot_path``), compared against the
   PR-1 flat-array kernel baseline re-measured on this host — target >= 1.5x;
-* **wire bytes per master round**, measured from
-  ``MessageRouter.total_bytes`` over synchronous serial rounds: the router
-  charges every task and report its :class:`~repro.parallel.shm.WireCodec`
-  frame length, so each solution costs ``8 + ceil(n/8)`` bytes;
+* **wire bytes per master round**, measured from the run's ``bytes_sent``
+  over synchronous serial rounds: the serial backend charges every task and
+  report its :class:`~repro.parallel.shm.WireCodec` frame length, so each
+  solution costs ``8 + ceil(n/8)`` bytes;
 * **master-round latency** for the same run (wall seconds per round).
 
 ``--smoke`` shrinks every budget to a seconds-scale run and *asserts* the
@@ -95,7 +95,6 @@ def measure_master_round(
     t0 = time.perf_counter()
     result = master.run(budget_per_slave=Budget(max_evaluations=evals_per_slave))
     elapsed = time.perf_counter() - t0
-    router = backend.router
     codec = WireCodec(instance.n_items)
     echoed = codec.decode_report(codec.encode_report(SlaveReport(0, result.best))).best
     if echoed != result.best or echoed.value != result.best.value:
@@ -108,11 +107,9 @@ def measure_master_round(
         "best_value": result.best.value,
         "best_x_sha": hashlib.sha256(result.best.x.tobytes()).hexdigest()[:16],
         "solution_frame_nbytes": codec.solution_nbytes,
-        "total_bytes": router.total_bytes,
-        "bytes_per_round": round(router.total_bytes / n_rounds, 1),
+        "total_bytes": result.bytes_sent,
+        "bytes_per_round": round(result.bytes_sent / n_rounds, 1),
         "round_byte_bound": round_byte_bound(instance.n_items, n_slaves),
-        "bytes_by_tag": {str(k): v for k, v in sorted(router.bytes_by_tag.items())},
-        "total_messages": router.total_messages,
         "wall_seconds": round(elapsed, 3),
         "seconds_per_round": round(elapsed / n_rounds, 4),
     }

@@ -2,13 +2,13 @@
 
 The fault-injection layer (DESIGN.md §5.2) must be free when unused: with
 an empty :class:`FaultPlan` the master's idempotency bookkeeping, the
-``None``-task protocol, and the optional :class:`ChaosComm` interposition
-may not cost a measurable fraction of a run.  This bench A/B-times the
-same CTS2 search
+``None``-task protocol, and the faulted path of ``serve_batch`` may not
+cost a measurable fraction of a run.  This bench A/B-times the same CTS2
+search
 
 * ``bare``  — ``fault_plan=None`` (the default production path), and
-* ``armed`` — a non-empty plan whose events never fire (every message
-  routed through ``ChaosComm``, every plan lookup taken),
+* ``armed`` — a non-empty plan whose events never fire (every task served
+  by ``serve_batch``'s per-entry faulted path, every plan lookup taken),
 
 interleaving the windows so host-load drift hits both arms equally, and
 records the overhead into ``benchmarks/results/BENCH_fault_overhead.json``.
@@ -46,7 +46,7 @@ N_ROUNDS = 6
 EVALS_PER_SLAVE = 120_000
 
 #: Armed-but-inert plan: events address rounds the run never reaches, so
-#: every ChaosComm decision and FaultPlan lookup executes with no effect.
+#: every serve_batch decision and FaultPlan lookup executes with no effect.
 NEVER_FIRING = FaultPlan(
     events=tuple(
         FaultEvent(1_000_000 + r, k, kind)

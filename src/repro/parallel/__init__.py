@@ -1,16 +1,9 @@
-"""Message-passing substrate: PVM/MPI-style comm + execution backends."""
+"""Message-passing substrate: wire frames, carriers and execution backends."""
 
 from .backend_socket import SocketBackend, run_worker
 from .backends import Backend, MultiprocessingBackend, SerialBackend
-from .comm import (
-    Comm,
-    CommClosedError,
-    CommTimeout,
-    InProcComm,
-    MessageRouter,
-    PipeComm,
-)
-from .faults import ChaosComm, FaultEvent, FaultKind, FaultPlan
+from .comm import CommClosedError, CommTimeout, PipeComm
+from .faults import FaultEvent, FaultKind, FaultPlan
 from .message import RESULT_TAG, SlaveReport, SlaveTask
 from .runtime import SlaveRuntime
 from .shm import (
@@ -41,13 +34,9 @@ __all__ = [
     "MultiprocessingBackend",
     "SocketBackend",
     "run_worker",
-    "Comm",
-    "InProcComm",
     "PipeComm",
-    "MessageRouter",
     "CommTimeout",
     "CommClosedError",
-    "ChaosComm",
     "FaultEvent",
     "FaultKind",
     "FaultPlan",

@@ -51,7 +51,7 @@ from typing import Any, Callable, Sequence
 from ..core.instance import MKPInstance
 from ..core.tabu_search import TabuSearchConfig
 from ..obs.telemetry import RoundTelemetry
-from .backends import Entries, _as_entries, _run_round, _same_problem, serve_batch
+from .backends import Entries, _as_entries, _run_round, _same_problem, _serve_or_die
 from .comm import CommTimeout
 from .faults import FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
@@ -707,14 +707,17 @@ def run_worker(
     HELLO, receives the problem in a REBIND frame, then answers each task
     batch with one report batch computed on a single warm
     :class:`~repro.parallel.runtime.SlaveRuntime` (identity override per
-    slave id, so any worker can serve any shard bit-identically) by the
-    same :func:`~repro.parallel.backends.serve_batch` as a multiprocessing
-    worker.  A daemon thread keeps HEARTBEAT frames flowing while the main
-    thread is compute-bound.  Returns 0 on STOP or a closed master.
+    slave id, so any worker can serve any shard bit-identically) through
+    the same :func:`~repro.parallel.backends.serve_batch` wrapper as a
+    multiprocessing worker.  A daemon thread keeps HEARTBEAT frames flowing
+    while the main thread is compute-bound.  Returns 0 on STOP or a closed
+    master.
 
     ``fault_plan`` injects worker-side chaos for the seeded test matrix:
     a scheduled crash is a hard ``os._exit`` mid-batch (the master only
-    observes the symptom — a dead socket), a straggle is a real sleep.
+    observes the symptom — a dead socket), a straggle is a real sleep, and
+    reports may be dropped, duplicated or delayed.  Task drops are a
+    master-side fault, which a socket master does not inject.
     """
     plan = fault_plan or FaultPlan.none()
     sock = socket.create_connection((host, port), timeout=connect_timeout_s)
@@ -756,7 +759,7 @@ def run_worker(
                 raise RuntimeError("worker: task frame before problem bind")
             entries, _sizes = codec.decode_task_batch(payload)
             frame, _sizes = codec.encode_report_batch(
-                serve_batch(runtime, plan, entries, held)
+                _serve_or_die(runtime, plan, entries, held)
             )
             send_frame(RESULT_TAG, frame)
     except (ConnectionError, EOFError, OSError):

@@ -28,13 +28,12 @@ still silent, and publish the round's telemetry.
 Three implementations:
 
 :class:`SerialBackend`
-    Runs slaves inline, one after the other, but still routes every task
-    and report through the :class:`~repro.parallel.comm.MessageRouter`,
-    charged at its :class:`~repro.parallel.shm.WireCodec` frame length, so
-    the communication pattern and its byte volume are identical to a real
-    run.  This is also the engine of the *simulated farm*: the master
-    driver converts the reports' evaluation counts and the router's byte
-    counts into virtual time.
+    Runs slaves inline, one after the other.  Objects travel by reference,
+    but every task and report is charged its
+    :class:`~repro.parallel.shm.WireCodec` frame length, so the byte volume
+    is identical to a real run.  This is also the engine of the *simulated
+    farm*: the master driver converts the reports' evaluation counts and
+    the charged bytes into virtual time.
 
 :class:`MultiprocessingBackend`
     Persistent worker processes connected by private duplex pipes, speaking
@@ -65,9 +64,13 @@ Fault tolerance (DESIGN.md §"Fault model"): every backend accepts a
 slave crashes, dropped/duplicated/delayed messages and stragglers; a round's
 return value then simply omits the reports the faults destroyed.  Task
 entries may be ``None`` — the master uses that to keep a crashed slave in
-exponential backoff.  Workers apply the plan through :func:`serve_batch`
-and answer every task frame with exactly one report frame, empty when
-faults destroyed its reports, so a round never waits on a lost report.
+exponential backoff.  One function decides every slave-side fault on every
+backend, :func:`serve_batch`; the caller enacts its verdict.  A worker
+process exits hard on a crash and sleeps for a straggle; the serial backend
+counts both and turns a straggle into virtual time.  ``dispatch`` applies
+task drops master-side through :func:`_drop_tasks`.  Workers answer every
+task frame with exactly one report frame, empty when faults destroyed its
+reports, so a round never waits on a lost report.
 
 Observability (DESIGN.md §5.5): after each round the backend publishes one
 typed :class:`~repro.obs.telemetry.RoundTelemetry` record
@@ -92,8 +95,8 @@ from typing import Protocol, Sequence
 from ..core.instance import MKPInstance
 from ..core.tabu_search import TabuSearchConfig
 from ..obs.telemetry import RoundTelemetry
-from .comm import CommClosedError, InProcComm, MessageRouter, PipeComm
-from .faults import ChaosComm, FaultPlan
+from .comm import CommClosedError, PipeComm
+from .faults import FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
 from .runtime import SlaveRuntime
 from .shm import (
@@ -162,6 +165,27 @@ class Backend(Protocol):
 def _as_entries(slave_id: int | Entries, task: SlaveTask | None) -> Entries:
     """``dispatch``'s two call forms as one list of ``(slave_id, task)``."""
     return list(slave_id) if task is None else [(slave_id, task)]
+
+
+def _drop_tasks(
+    backend, entries: Entries
+) -> Sequence[tuple[int, SlaveTask | None]]:
+    """``entries`` with each task the plan loses on the wire set to ``None``.
+
+    The one master-side fault, shared by every ``dispatch`` that takes a
+    plan: a dropped task is counted in ``fault_counters["drop_task"]``,
+    charged nothing and leaves no frame in flight.
+    """
+    plan = backend.fault_plan
+    if plan.is_empty:
+        return entries
+    out: list[tuple[int, SlaveTask | None]] = []
+    for k, t in entries:
+        if plan.drops_task(t.round_index, k):
+            backend.fault_counters["drop_task"] += 1
+            t = None
+        out.append((k, t))
+    return out
 
 
 def _run_round(backend, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
@@ -268,16 +292,13 @@ def _same_problem(
 class SerialBackend:
     """In-process backend; the substrate of the simulated farm.
 
-    Rank convention: slaves are ranks ``0..P-1``, the master is rank ``P``.
-    With a non-empty ``fault_plan`` the report path of every slave is
-    wrapped in a :class:`~repro.parallel.faults.ChaosComm`; the no-fault
-    construction is byte-for-byte the original pipeline.
-
-    ``dispatch`` only routes tasks; they execute inline, in dispatch order,
-    the next time the master asks for a report.  Arrival order therefore
-    equals dispatch order (what makes async serial replay
+    ``dispatch`` only charges and queues tasks; they execute inline, in
+    dispatch order, the next time the master asks for a report.  Arrival
+    order therefore equals dispatch order (what makes async serial replay
     seeded-deterministic, DESIGN.md §5.9), and a round's phase split
-    charges the execution to ``compute``.
+    charges the execution to ``compute``.  Each task is served by the same
+    :func:`serve_batch` as a worker process, with that slave's held-report
+    list: a crash is counted, a straggle becomes ``last_slowdowns``.
     """
 
     #: inline slaves never hang, so the shared round needs no deadline
@@ -300,16 +321,7 @@ class SerialBackend:
         #: serial mirror of the multiprocessing backend's batched workers
         self.batch_k = int(batch_k)
         self.fault_plan = fault_plan or FaultPlan.none()
-        self.router = MessageRouter()
-        self.master_comm = InProcComm(self.router, rank=n_slaves)
-        self._slave_comms = [InProcComm(self.router, rank=k) for k in range(n_slaves)]
-        if self.fault_plan.is_empty:
-            self._report_comms: list[InProcComm | ChaosComm] = list(self._slave_comms)
-        else:
-            self._report_comms = [
-                ChaosComm(comm, self.fault_plan, direction="report")
-                for comm in self._slave_comms
-            ]
+        self._codec: WireCodec | None = None
         self._instance: MKPInstance | None = None
         self._config: TabuSearchConfig | None = None
         self._runtimes: list[SlaveRuntime] = []
@@ -335,9 +347,12 @@ class SerialBackend:
         self.phase_totals: Counter[str] = Counter()
         #: typed telemetry record of the last round (DESIGN.md §5.5)
         self.last_telemetry: RoundTelemetry | None = None
-        #: dispatched tasks awaiting inline execution, in dispatch order
-        #: (``None`` marks a task a drop fault lost on the wire)
+        #: dispatched tasks awaiting inline execution, in dispatch order;
+        #: ``None`` (a dropped task, or a sync round's opening) only
+        #: releases that slave's held reports
         self._queued: deque[tuple[int, SlaveTask | None]] = deque()
+        #: per slave, the reports a delay fault holds back
+        self._held: list[list[SlaveReport]] = [[] for _ in range(self.n_slaves)]
         #: executed ``(report, nbytes)`` pairs in arrival order
         self._pending: deque[tuple[SlaveReport, int]] = deque()
         #: frames in flight per worker: inline slaves never leave any
@@ -364,7 +379,9 @@ class SerialBackend:
             self.rebinds += 1
         self._instance = instance
         self._config = config
-        self.router.codec = WireCodec(instance.n_items)
+        self._codec = WireCodec(instance.n_items)
+        # Held reports belong to the old problem, as a rebound worker's do.
+        self._held = [[] for _ in range(self.n_slaves)]
         # One warm arena per slave *group*: with batch_k == 1 that is the
         # historical one-arena-per-slave layout; with batch_k > 1 a group
         # of K slaves shares a single runtime (the trajectory depends only
@@ -381,63 +398,54 @@ class SerialBackend:
     def _open_round(self, deadline: float | None) -> None:
         """Release every report a delay fault held in an earlier round.
 
-        Every slave flushes, including those sitting this round out; the
-        stale reports arrive now and the master discards them by seq id.
+        Every slave releases, including those sitting this round out; the
+        stale reports arrive after this round's inline execution, ahead of
+        its fresh reports, and the master discards them by seq id.
         """
-        for comm in self._report_comms:
-            if isinstance(comm, ChaosComm):
-                comm.flush_delayed()
+        self._queued.extend((k, None) for k, held in enumerate(self._held) if held)
 
     run_round = _run_round
 
     def dispatch(self, slave_id: int | Entries, task: SlaveTask | None = None) -> int:
-        """Route tasks to their slaves; returns the task payload bytes.
+        """Charge and queue tasks for their slaves; returns the task bytes.
 
-        The slaves run when the master next calls :meth:`next_report`.  A
-        task a drop fault loses on the wire is charged nothing.
+        The slaves run when the master next calls :meth:`next_report`.  Each
+        task is charged its codec frame length; a task a drop fault loses on
+        the wire is charged nothing.
         """
         self._require_started()
         total = 0
-        for k, t in _as_entries(slave_id, task):
-            if self.fault_plan.drops_task(t.round_index, k):
-                self.fault_counters["drop_task"] += 1
-                self._queued.append((k, None))
-                continue
-            self.master_comm.send(t, dest=k, tag=TASK_TAG)
-            self.last_task_nbytes[k] = self.master_comm.last_nbytes
-            total += self.master_comm.last_nbytes
+        for k, t in _drop_tasks(self, _as_entries(slave_id, task)):
+            if t is not None:
+                nbytes = len(self._codec.encode(t))
+                self.last_task_nbytes[k] = nbytes
+                total += nbytes
             self._queued.append((k, t))
         return total
 
     def _serve_queued(self) -> None:
         """Execute every dispatched task inline, in dispatch order.
 
-        Each slave first flushes the reports a delay fault held from its
-        earlier tasks, so per-slave arrival order stays monotone in burst
-        index — the invariant the async master's loss detection rests on.
+        Each task goes through :func:`serve_batch` with its slave's held
+        reports, which ride out first, so per-slave arrival order stays
+        monotone in burst index — the invariant the async master's loss
+        detection rests on.  Every report is charged its codec frame length.
         """
-        plan = self.fault_plan
         while self._queued:
             k, task = self._queued.popleft()
-            report_comm = self._report_comms[k]
-            if isinstance(report_comm, ChaosComm):
-                report_comm.flush_delayed()
-            if task is None:
-                continue  # lost on the wire: the slave idles
-            self._slave_comms[k].recv(source=self.n_slaves, tag=TASK_TAG)
-            if plan.crashes(task.round_index, k):
+            entries = [] if task is None else [(k, task)]
+            reports, crashed, factors = serve_batch(
+                self._runtimes[k // self.batch_k], self.fault_plan, entries, self._held[k]
+            )
+            if crashed:
                 # Inline "process death": the task is consumed, no report.
                 self.fault_counters["crash"] += 1
-                continue
-            report = self._runtimes[k // self.batch_k].execute(task, slave_id=k)
-            factor = plan.straggle_factor(task.round_index, k)
-            if factor != 1.0:
+            for slave, factor in factors.items():
                 self.fault_counters["straggle"] += 1
-                self.last_slowdowns[k] = factor
-            report_comm.send(report, dest=self.n_slaves, tag=RESULT_TAG)
-        while self.master_comm.probe(RESULT_TAG):
-            report = self.master_comm.recv(source=-1, tag=RESULT_TAG)
-            self._pending.append((report, self.master_comm.last_nbytes))
+                self.last_slowdowns[slave] = factor
+            self._pending.extend(
+                (report, len(self._codec.encode(report))) for report in reports
+            )
 
     def next_report(
         self, timeout_s: float | None = None
@@ -478,6 +486,50 @@ class SerialBackend:
         self.shutdown()
 
 
+def serve_batch(
+    runtime: SlaveRuntime,
+    fault_plan: FaultPlan,
+    entries: Entries,
+    held: list[SlaveReport],
+) -> tuple[list[SlaveReport], bool, dict[int, float]]:
+    """Serve one task batch; returns ``(reports, crashed, straggle factors)``.
+
+    The one code that decides slave-side faults, on every backend.
+    Fault-free, the whole batch runs through
+    :meth:`SlaveRuntime.execute_batch`.  Otherwise the plan applies per
+    entry: a crash stops the batch (``crashed`` is true and no later entry
+    runs), a straggle records its factor by slave id, and a report may be
+    dropped, duplicated or delayed.  ``held`` is the slave's (or worker's)
+    list of delayed reports: they ride out first, ahead of this batch's
+    reports, and this batch's delayed reports take their place — so a delay
+    fault costs the master no wait and is charged on the round the stale
+    bytes arrive (``tests/test_wall_clock.py``).  The caller enacts the
+    verdict: a worker process through :func:`_serve_or_die`, the serial
+    backend by counting it.
+    """
+    out = list(held)
+    held.clear()
+    factors: dict[int, float] = {}
+    if fault_plan.is_empty:
+        out.extend(
+            runtime.execute_batch([t for _, t in entries], [k for k, _ in entries])
+        )
+        return out, False, factors
+    for k, task in entries:
+        r = task.round_index
+        if fault_plan.crashes(r, k):
+            return out, True, factors
+        report = runtime.execute(task, slave_id=k)
+        factor = fault_plan.straggle_factor(r, k)
+        if factor > 1.0:
+            factors[k] = factor
+        if fault_plan.drops_report(r, k):
+            continue  # the report is lost in flight
+        copies = [report] * (2 if fault_plan.duplicates_report(r, k) else 1)
+        (held if fault_plan.delays_report(r, k) else out).extend(copies)
+    return out, False, factors
+
+
 #: Worker straggler injection sleeps ``_STRAGGLE_SLEEP_S * (factor - 1)``
 #: wall seconds, capped — long enough to trip a short gather timeout in the
 #: chaos tests, short enough to keep the suite fast.
@@ -485,45 +537,23 @@ _STRAGGLE_SLEEP_S = 0.05
 _MAX_STRAGGLE_SLEEP_S = 1.0
 
 
-def serve_batch(
+def _serve_or_die(
     runtime: SlaveRuntime,
     fault_plan: FaultPlan,
     entries: Entries,
     held: list[SlaveReport],
 ) -> list[SlaveReport]:
-    """Serve one decoded task batch on a worker; returns the reply batch.
+    """:func:`serve_batch` in a worker process, which enacts its verdict.
 
-    The one worker-side executor of every process backend.  Fault-free,
-    the whole batch runs through :meth:`SlaveRuntime.execute_batch`.
-    Otherwise the plan applies per entry, on the worker side of the wire,
-    so the master only ever observes symptoms: a crash is a hard exit with
-    no reply, a straggle a real sleep, and a report may be dropped,
-    duplicated or delayed.  ``held`` is the worker's list of delayed
-    reports: they ride out first, ahead of this batch's reports, and this
-    batch's delayed reports take their place — so a delay fault costs the
-    master no wait and is charged on the round the stale bytes arrive
-    (``tests/test_wall_clock.py``).
+    A crash is a hard exit with no cleanup and no reply; each straggle is
+    a real, capped sleep.  The master only ever observes the symptoms.
     """
-    out = list(held)
-    held.clear()
-    if fault_plan.is_empty:
-        out.extend(
-            runtime.execute_batch([t for _, t in entries], [k for k, _ in entries])
-        )
-        return out
-    for k, task in entries:
-        r = task.round_index
-        if fault_plan.crashes(r, k):
-            os._exit(17)  # hard crash: no cleanup, no reply
-        report = runtime.execute(task, slave_id=k)
-        factor = fault_plan.straggle_factor(r, k)
-        if factor > 1.0:
-            time.sleep(min(_STRAGGLE_SLEEP_S * (factor - 1.0), _MAX_STRAGGLE_SLEEP_S))
-        if fault_plan.drops_report(r, k):
-            continue  # the report is lost in flight
-        copies = [report] * (2 if fault_plan.duplicates_report(r, k) else 1)
-        (held if fault_plan.delays_report(r, k) else out).extend(copies)
-    return out
+    reports, crashed, factors = serve_batch(runtime, fault_plan, entries, held)
+    if crashed:
+        os._exit(17)
+    for factor in factors.values():
+        time.sleep(min(_STRAGGLE_SLEEP_S * (factor - 1.0), _MAX_STRAGGLE_SLEEP_S))
+    return reports
 
 
 def _worker_main(
@@ -539,7 +569,7 @@ def _worker_main(
     One worker owns a whole slave *group* (``slave_ids``; a single id in
     the classic one-process-per-slave layout) on one warm runtime built at
     spawn.  The fault plan travels to the worker so faults happen on the
-    worker side of the wire (:func:`serve_batch`).
+    worker side of the wire (:func:`_serve_or_die`).
 
     ``shm_spec`` names the two rings the master created for this worker
     (task direction, report direction); attach failure silently degrades
@@ -577,7 +607,7 @@ def _worker_main(
                 continue
             if tag != TASK_TAG:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"worker {slave_ids[0]}: unexpected tag {tag}")
-            comm.send_reports(serve_batch(runtime, fault_plan, obj, held))
+            comm.send_reports(_serve_or_die(runtime, fault_plan, obj, held))
     except (EOFError, BrokenPipeError, CommClosedError):  # pragma: no cover - master died
         pass
     finally:
@@ -836,13 +866,16 @@ class MultiprocessingBackend:
         ``batch_k == 1`` — and each envelope is answered by exactly one
         report batch, possibly empty when a drop fault destroyed its
         reports, which keeps the doorbell pipe's message-per-frame cadence
-        intact.  A dead worker is respawned lazily here; if the send itself
-        fails the group's slaves are queued for :meth:`drain_dead_slaves`.
+        intact.  A task a drop fault loses on the wire is charged nothing,
+        and a worker whose every task is dropped gets no frame.  A dead
+        worker is respawned lazily here; if the send itself fails the
+        group's slaves are queued for :meth:`drain_dead_slaves`.
         """
         self._require_started()
         per_worker: dict[int, list[tuple[int, SlaveTask]]] = {}
-        for k, t in _as_entries(slave_id, task):
-            per_worker.setdefault(k // self.batch_k, []).append((k, t))
+        for k, t in _drop_tasks(self, _as_entries(slave_id, task)):
+            if t is not None:
+                per_worker.setdefault(k // self.batch_k, []).append((k, t))
         total = 0
         for w, entries in per_worker.items():
             try:

@@ -1,36 +1,18 @@
-"""Point-to-point communication in the mpi4py idiom.
+"""Point-to-point pipe communication in the mpi4py idiom.
 
 The guides' mpi4py tutorial fixes the API shape we mirror: lowercase
-``send(obj, dest, tag)`` / ``recv(source, tag)``.  Nothing here pickles:
-every byte charge is a frame length.  Two realisations:
-
-:class:`InProcComm`
-    Per-(endpoint, tag) FIFO queues inside one process.  Used by the serial
-    and simulated backends: objects travel by reference, charged at their
-    :class:`~repro.parallel.shm.WireCodec` frame length, so
-    :attr:`InProcComm.bytes_sent` feeds the farm's crossbar cost model.
-
-:class:`PipeComm`
-    A thin wrapper over a ``multiprocessing`` duplex pipe that moves tagged
-    byte frames, giving worker processes the same two-method surface.
-
-Both enforce *message conservation*: every ``recv`` returns an object that
-was ``send``-ed exactly once (property-tested).
+``send(frame, dest, tag)`` / ``recv(source, tag)``.  :class:`PipeComm` is a
+thin wrapper over a ``multiprocessing`` duplex pipe that moves tagged byte
+frames, giving worker processes that two-method surface.  Nothing here
+pickles: every byte charge is a frame length.  Every ``recv`` returns a
+frame that was ``send``-ed exactly once.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Any, Protocol
+from typing import Any
 
-__all__ = [
-    "Comm",
-    "InProcComm",
-    "PipeComm",
-    "MessageRouter",
-    "CommTimeout",
-    "CommClosedError",
-]
+__all__ = ["PipeComm", "CommTimeout", "CommClosedError"]
 
 
 class CommTimeout(TimeoutError):
@@ -39,107 +21,6 @@ class CommTimeout(TimeoutError):
 
 class CommClosedError(RuntimeError):
     """Send/recv attempted on an endpoint that was already closed."""
-
-
-class Comm(Protocol):
-    """Minimal point-to-point protocol (mpi4py lowercase subset)."""
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:  # pragma: no cover
-        ...
-
-    def recv(self, source: int, tag: int = 0) -> Any:  # pragma: no cover
-        ...
-
-
-class MessageRouter:
-    """Shared mailbox fabric for a set of in-process endpoints.
-
-    Endpoint ``r``'s inbox for tag ``t`` is keyed ``(r, t)``.  The router
-    also keeps byte counters per (src, dest) pair and per tag so the
-    simulated farm can charge the exact traffic to the crossbar and the
-    benchmarks can attribute it to task/report streams.  A message is
-    charged its wire size: a ``bytes`` frame its length, a task or report
-    the length of its ``codec`` frame (the serial backend installs the
-    run's codec at ``start()``).
-    """
-
-    def __init__(self, codec: Any = None) -> None:
-        #: :class:`~repro.parallel.shm.WireCodec` sizing tasks and reports
-        self.codec = codec
-        self._queues: dict[tuple[int, int], deque[tuple[Any, int]]] = defaultdict(deque)
-        self.bytes_by_pair: dict[tuple[int, int], int] = defaultdict(int)
-        self.messages_by_pair: dict[tuple[int, int], int] = defaultdict(int)
-        self.bytes_by_tag: dict[int, int] = defaultdict(int)
-        self.messages_by_tag: dict[int, int] = defaultdict(int)
-
-    def push(self, src: int, dest: int, tag: int, obj: Any) -> int:
-        """Enqueue and return the charged payload size in bytes."""
-        if isinstance(obj, bytes):
-            nbytes = len(obj)
-        elif self.codec is None:
-            raise TypeError(f"router has no codec to size a {type(obj).__name__}")
-        else:
-            nbytes = len(self.codec.encode(obj))
-        self._queues[(dest, tag)].append((obj, nbytes))
-        self.bytes_by_pair[(src, dest)] += nbytes
-        self.messages_by_pair[(src, dest)] += 1
-        self.bytes_by_tag[tag] += nbytes
-        self.messages_by_tag[tag] += 1
-        return nbytes
-
-    def pop(self, dest: int, tag: int) -> tuple[Any, int]:
-        """Dequeue one ``(obj, nbytes)`` pair.
-
-        The payload size measured at :meth:`push` rides along, so the
-        receive side never re-encodes the object just to re-derive a number
-        already known.
-        """
-        queue = self._queues[(dest, tag)]
-        if not queue:
-            raise RuntimeError(
-                f"recv on empty mailbox: endpoint {dest}, tag {tag} "
-                "(in-process comm is synchronous; send before recv)"
-            )
-        return queue.popleft()
-
-    def pending(self, dest: int, tag: int) -> int:
-        return len(self._queues[(dest, tag)])
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes_by_pair.values())
-
-    @property
-    def total_messages(self) -> int:
-        return sum(self.messages_by_pair.values())
-
-
-class InProcComm:
-    """One endpoint (rank) attached to a :class:`MessageRouter`."""
-
-    def __init__(self, router: MessageRouter, rank: int) -> None:
-        self.router = router
-        self.rank = int(rank)
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.last_nbytes = 0
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        nbytes = self.router.push(self.rank, dest, tag, obj)
-        self.bytes_sent += nbytes
-        self.last_nbytes = nbytes
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        # ``source`` is advisory for in-process FIFOs (single mailbox per
-        # (dest, tag)); kept for API parity with MPI.
-        obj, nbytes = self.router.pop(self.rank, tag)
-        self.bytes_received += nbytes
-        self.last_nbytes = nbytes
-        return obj
-
-    def probe(self, tag: int = 0) -> bool:
-        """Non-blocking check whether a message is waiting (iprobe)."""
-        return self.router.pending(self.rank, tag) > 0
 
 
 class PipeComm:

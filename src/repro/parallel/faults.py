@@ -4,21 +4,18 @@ The paper's synchronous scheme (§4) assumes all ``P`` slaves return their
 ``B`` best solutions every round.  Real farms do not cooperate: workers
 crash, reports get lost or duplicated in flight, and stragglers hold the
 barrier hostage.  This module provides the *fault model* the chaos-test
-suite drives against the hardened master:
+suite drives against the hardened master: :class:`FaultPlan`, a
+precomputed, seed-deterministic schedule of fault events addressed by
+``(round_index, slave_id)``.  The same seed always yields the same
+schedule, so every chaos scenario replays bit-for-bit — fault-injection
+tests are ordinary deterministic tests, never flaky.
 
-:class:`FaultPlan`
-    A precomputed, seed-deterministic schedule of fault events addressed by
-    ``(round_index, slave_id)``.  The same seed always yields the same
-    schedule, so every chaos scenario replays bit-for-bit — fault-injection
-    tests are ordinary deterministic tests, never flaky.
-
-:class:`ChaosComm`
-    A :class:`~repro.parallel.comm.Comm` wrapper that applies the plan's
-    message faults (drop / duplicate / delay) on ``send``, either by
-    introspecting :class:`~repro.parallel.message.SlaveTask` /
-    :class:`~repro.parallel.message.SlaveReport` payloads or by following an
-    explicit per-send action script.  Works over both ``InProcComm`` and
-    ``PipeComm`` endpoints.
+The plan only answers queries.  Every backend applies it in two places:
+``dispatch`` drops tasks master-side
+(:func:`~repro.parallel.backends._drop_tasks`), and
+:func:`~repro.parallel.backends.serve_batch` decides every slave-side
+fault, which the caller then enacts (a worker process exits or sleeps, the
+serial backend counts the fault and charges virtual time).
 
 Failure taxonomy (see DESIGN.md §"Fault model"):
 
@@ -36,11 +33,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Sequence
 
 from ..rng import derive_rng
 
-__all__ = ["FaultKind", "FaultEvent", "FaultPlan", "ChaosComm"]
+__all__ = ["FaultKind", "FaultEvent", "FaultPlan"]
 
 
 class FaultKind(str, Enum):
@@ -268,130 +264,3 @@ class FaultPlan:
             for e in self.events
         )
         return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _message_key(obj: Any, dest: int, direction: str) -> tuple[int, int] | None:
-    """Map a message to its (round, slave) fault-plan address, if possible."""
-    round_index = getattr(obj, "round_index", None)
-    if round_index is None:
-        return None
-    if direction == "task":
-        return int(round_index), int(dest)
-    slave_id = getattr(obj, "slave_id", None)
-    if slave_id is None:
-        return None
-    return int(round_index), int(slave_id)
-
-
-class ChaosComm:
-    """A fault-injecting wrapper around any :class:`~repro.parallel.comm.Comm`.
-
-    Two addressing modes, checked in order on every ``send``:
-
-    1. an explicit ``actions`` script — a finite sequence of
-       ``"ok" | "drop" | "dup" | "delay"`` consumed one entry per send
-       (exhausted script ⇒ ``"ok"``), for driving arbitrary payloads;
-    2. plan lookup — ``SlaveTask`` / ``SlaveReport`` payloads are addressed
-       by their ``round_index`` and slave id and matched against the
-       :class:`FaultPlan`'s message faults for ``direction``.
-
-    Delayed messages are buffered and released by :meth:`flush_delayed`
-    (the serial backend calls it at the top of the next round, so a delayed
-    report arrives exactly one round stale).  ``recv``/``probe`` pass
-    through untouched: faults are injected on the sending side, mirroring a
-    lossy fabric.
-    """
-
-    _SCRIPT_ACTIONS = ("ok", "drop", "dup", "delay")
-
-    def __init__(
-        self,
-        inner: Any,
-        plan: FaultPlan | None = None,
-        *,
-        direction: str = "report",
-        actions: Iterable[str] | None = None,
-    ) -> None:
-        if direction not in ("task", "report"):
-            raise ValueError(f"direction must be 'task' or 'report'; got {direction!r}")
-        self.inner = inner
-        self.plan = plan or FaultPlan.none()
-        self.direction = direction
-        self._script: list[str] | None = None
-        if actions is not None:
-            script = list(actions)
-            bad = [a for a in script if a not in self._SCRIPT_ACTIONS]
-            if bad:
-                raise ValueError(f"unknown chaos actions: {bad}")
-            self._script = script
-        self._delayed: list[tuple[Any, int, int]] = []
-        self.sent = 0
-        self.dropped = 0
-        self.duplicated = 0
-        self.delayed = 0
-
-    # ------------------------------------------------------------------ #
-    def _decide(self, obj: Any, dest: int) -> str:
-        if self._script is not None:
-            return self._script.pop(0) if self._script else "ok"
-        key = _message_key(obj, dest, self.direction)
-        if key is None:
-            return "ok"
-        if self.direction == "task":
-            return "drop" if self.plan.drops_task(*key) else "ok"
-        if self.plan.drops_report(*key):
-            return "drop"
-        if self.plan.duplicates_report(*key):
-            return "dup"
-        if self.plan.delays_report(*key):
-            return "delay"
-        return "ok"
-
-    def send(self, obj: Any, dest: int = 0, tag: int = 0) -> None:
-        action = self._decide(obj, dest)
-        if action == "drop":
-            self.dropped += 1
-            return
-        if action == "delay":
-            self.delayed += 1
-            self._delayed.append((obj, dest, tag))
-            return
-        self.inner.send(obj, dest, tag)
-        self.sent += 1
-        if action == "dup":
-            self.inner.send(obj, dest, tag)
-            self.duplicated += 1
-            self.sent += 1
-
-    def flush_delayed(self) -> int:
-        """Deliver every held-back message; returns how many were released."""
-        released = 0
-        while self._delayed:
-            obj, dest, tag = self._delayed.pop(0)
-            self.inner.send(obj, dest, tag)
-            self.sent += 1
-            released += 1
-        return released
-
-    @property
-    def pending_delayed(self) -> int:
-        return len(self._delayed)
-
-    # Pass-throughs ----------------------------------------------------- #
-    def recv(self, source: int = 0, tag: int = 0, **kwargs: Any) -> Any:
-        return self.inner.recv(source, tag, **kwargs)
-
-    def probe(self, tag: int = 0) -> bool:
-        return self.inner.probe(tag)
-
-    def __getattr__(self, name: str) -> Any:
-        # Byte counters etc. resolve on the wrapped endpoint.
-        return getattr(self.inner, name)
-
-
-def chaos_script(actions: Sequence[str]) -> list[str]:
-    """Convenience validator for explicit action scripts (test helper)."""
-    bad = [a for a in actions if a not in ChaosComm._SCRIPT_ACTIONS]
-    if bad:
-        raise ValueError(f"unknown chaos actions: {bad}")
-    return list(actions)

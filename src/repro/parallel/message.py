@@ -5,7 +5,7 @@ slave: a :class:`SlaveTask` down (initial solution + strategy + budget +
 seed) and a :class:`SlaveReport` back up (the ``B`` best solutions plus the
 scoring/accounting signals).  Both are plain dataclasses with one wire form,
 the struct frames of :class:`~repro.parallel.shm.WireCodec`: process and
-socket carriers send those frames, and the in-process router and the
+socket carriers send those frames, and the serial backend and the
 simulated farm charge their lengths.
 
 The dominant payload on both legs is 0/1 solution vectors.  Those ship as

@@ -494,7 +494,7 @@ class WireCodec:
     solution width, so frames need no per-solution length field.  Frame
     sizes are deterministic functions of the message content — identical
     on both sides and across transports, which is what lets every carrier,
-    the serial router and the farm model charge the same bytes.
+    the serial backend and the farm model charge the same bytes.
     """
 
     def __init__(self, n_items: int) -> None:

@@ -13,103 +13,11 @@ from repro.core import Budget, Solution, Strategy
 from repro.parallel import (
     CommClosedError,
     CommTimeout,
-    InProcComm,
-    MessageRouter,
     PipeComm,
     SlaveReport,
     SlaveTask,
     WireCodec,
 )
-
-
-class TestRouter:
-    def test_send_recv_roundtrip(self):
-        router = MessageRouter()
-        a = InProcComm(router, rank=0)
-        b = InProcComm(router, rank=1)
-        a.send(b"hello", dest=1, tag=5)
-        assert b.recv(source=0, tag=5) == b"hello"
-
-    def test_fifo_order(self):
-        router = MessageRouter()
-        a = InProcComm(router, rank=0)
-        b = InProcComm(router, rank=1)
-        for k in range(5):
-            a.send(bytes([k]), dest=1, tag=0)
-        assert [b.recv(source=0) for _ in range(5)] == [bytes([k]) for k in range(5)]
-
-    def test_tags_isolate_streams(self):
-        router = MessageRouter()
-        a = InProcComm(router, rank=0)
-        b = InProcComm(router, rank=1)
-        a.send(b"x", dest=1, tag=1)
-        a.send(b"y", dest=1, tag=2)
-        assert b.recv(source=0, tag=2) == b"y"
-        assert b.recv(source=0, tag=1) == b"x"
-
-    def test_empty_recv_raises(self):
-        router = MessageRouter()
-        b = InProcComm(router, rank=1)
-        with pytest.raises(RuntimeError, match="empty mailbox"):
-            b.recv(source=0)
-
-    def test_byte_accounting(self):
-        # A task is charged its codec frame length and still travels by
-        # reference; a raw frame is charged its own length.
-        codec = WireCodec(3)
-        router = MessageRouter(codec)
-        a = InProcComm(router, rank=0)
-        b = InProcComm(router, rank=1)
-        task = SlaveTask(
-            x_init=Solution(np.array([1, 0, 1]), 5.0),
-            strategy=Strategy(10, 2, 20),
-            budget=Budget(max_evaluations=100),
-            seed=42,
-        )
-        a.send(task, dest=1)
-        expected = len(codec.encode_task(task))
-        assert a.bytes_sent == expected
-        assert router.total_bytes == expected
-        assert b.recv(source=0) is task
-        assert b.bytes_received == expected
-        a.send(b"frame", dest=1)
-        assert router.total_bytes == expected + 5
-
-    def test_objects_need_a_codec_to_be_sized(self):
-        a = InProcComm(MessageRouter(), rank=0)
-        with pytest.raises(TypeError, match="no codec"):
-            a.send({"hello": 1}, dest=1)
-
-    def test_probe(self):
-        router = MessageRouter()
-        a = InProcComm(router, rank=0)
-        b = InProcComm(router, rank=1)
-        assert not b.probe()
-        a.send(b"\x01", dest=1)
-        assert b.probe()
-        b.recv(source=0)
-        assert not b.probe()
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
-            max_size=40,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_message_conservation(self, sends):
-        """Every message sent is received exactly once, in FIFO order per
-        (dest, tag) mailbox."""
-        router = MessageRouter()
-        comms = [InProcComm(router, rank=r) for r in range(4)]
-        expected: dict[tuple[int, int], list[bytes]] = {}
-        for idx, (src, dest, tag) in enumerate(sends):
-            comms[src].send(bytes([idx]), dest=dest, tag=tag)
-            expected.setdefault((dest, tag), []).append(bytes([idx]))
-        for (dest, tag), payloads in expected.items():
-            got = [comms[dest].recv(source=-1, tag=tag) for _ in payloads]
-            assert got == payloads
-        assert router.total_messages == len(sends)
 
 
 class TestMessages:
@@ -132,51 +40,6 @@ class TestMessages:
         best = Solution(np.array([1, 0]), 10.0)
         assert SlaveReport(0, best, initial_value=9.0).improved
         assert not SlaveReport(0, best, initial_value=10.0).improved
-
-
-class TestRouterEdgeCases:
-    """Mailbox-fabric corner cases the chaos suite leans on."""
-
-    def test_unknown_destination_parks_message(self):
-        # The router is rendezvous-free: a send to a rank nobody has claimed
-        # yet is parked, conserved, and drainable by a late joiner (exactly
-        # what a respawned slave does).
-        router = MessageRouter()
-        a = InProcComm(router, rank=0)
-        a.send(b"orphan", dest=7, tag=3)
-        assert router.pending(7, 3) == 1
-        assert router.total_messages == 1
-        late = InProcComm(router, rank=7)
-        assert late.recv(source=0, tag=3) == b"orphan"
-        assert router.pending(7, 3) == 0
-
-    def test_recv_from_never_used_mailbox_raises(self):
-        router = MessageRouter()
-        b = InProcComm(router, rank=1)
-        with pytest.raises(RuntimeError, match="empty mailbox"):
-            b.recv(source=3, tag=9)
-
-    def test_interleaved_send_recv_keeps_per_tag_fifo(self):
-        router = MessageRouter()
-        a = InProcComm(router, rank=0)
-        b = InProcComm(router, rank=1)
-        a.send(b"t1-first", dest=1, tag=1)
-        a.send(b"t2-first", dest=1, tag=2)
-        assert b.recv(source=0, tag=1) == b"t1-first"
-        a.send(b"t1-second", dest=1, tag=1)
-        assert b.recv(source=0, tag=2) == b"t2-first"
-        a.send(b"t2-second", dest=1, tag=2)
-        assert b.recv(source=0, tag=1) == b"t1-second"
-        assert b.recv(source=0, tag=2) == b"t2-second"
-        assert not b.probe(tag=1) and not b.probe(tag=2)
-
-    def test_probe_is_tag_specific(self):
-        router = MessageRouter()
-        a = InProcComm(router, rank=0)
-        b = InProcComm(router, rank=1)
-        a.send(b"\x01", dest=1, tag=1)
-        assert b.probe(tag=1)
-        assert not b.probe(tag=2)
 
 
 class TestPipeCommLifecycle:
@@ -306,12 +169,6 @@ class TestMessageIdRoundTrip:
         clone = codec.decode_task(codec.encode_task(task))
         assert clone == task
         assert (clone.round_index, clone.seq_id) == (round_index, seq_id)
-        # Same object shape survives the in-process transport.
-        router = MessageRouter(codec)
-        a = InProcComm(router, rank=0)
-        b = InProcComm(router, rank=1)
-        a.send(task, dest=1, tag=1)
-        assert b.recv(source=0, tag=1) == task
 
     @given(
         solutions=st.integers(1, 12).flatmap(

@@ -100,7 +100,7 @@ class TestNoFaultBitIdentity:
 
     def test_never_firing_plan_matches_plain_run(self, small_instance):
         # A non-empty plan whose events all address rounds that never happen
-        # exercises the full ChaosComm interposition path — and must still
+        # exercises serve_batch's per-entry faulted path — and must still
         # change nothing.
         plan = FaultPlan(events=(crash(999, 0), FaultEvent(998, 1, FaultKind.DROP_REPORT)))
         plain = run_master(small_instance, plan=None)

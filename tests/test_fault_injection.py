@@ -1,10 +1,11 @@
 """Chaos tests for the fault-injection layer itself.
 
 Covers the :class:`~repro.parallel.faults.FaultPlan` schedule (determinism,
-rate handling, crash caps), the :class:`~repro.parallel.faults.ChaosComm`
-wrapper over both ``InProcComm`` and ``PipeComm``, fault injection through
+rate handling, crash caps), fault injection through
 :class:`~repro.parallel.SerialBackend`, the hardened multiprocessing
-backend (timeout + respawn), and the asynchronous variant's degraded mode.
+backend (timeout + respawn), serial/multiprocessing fault parity (both
+decide slave-side faults in the one ``serve_batch``), and the asynchronous
+variant's degraded mode.
 
 Everything here is seed-deterministic: the same fault seed must reproduce
 the same fault schedule, so these are ordinary tests, never flaky.  The CI
@@ -22,20 +23,15 @@ import pytest
 from repro.core import Budget, Strategy, TabuSearchConfig, random_solution
 from repro.parallel import (
     RESULT_TAG,
-    ChaosComm,
     CommClosedError,
     CommTimeout,
     FaultEvent,
     FaultKind,
     FaultPlan,
-    InProcComm,
-    MessageRouter,
     MultiprocessingBackend,
     PipeComm,
     SerialBackend,
-    SlaveReport,
     SlaveTask,
-    WireCodec,
 )
 from repro.variants import solve_cts_async
 
@@ -138,82 +134,6 @@ class TestFaultPlan:
             FaultEvent(0, 0, FaultKind.STRAGGLE, factor=1.0)
 
 
-class TestChaosCommInProc:
-    def _pair(self, actions):
-        router = MessageRouter()
-        sender = ChaosComm(InProcComm(router, rank=0), actions=actions)
-        receiver = InProcComm(router, rank=1)
-        return sender, receiver
-
-    def test_drop_loses_message(self):
-        sender, receiver = self._pair(["drop", "ok"])
-        sender.send(b"lost", dest=1)
-        sender.send(b"kept", dest=1)
-        assert receiver.recv(source=0) == b"kept"
-        assert not receiver.probe()
-        assert sender.dropped == 1 and sender.sent == 1
-
-    def test_dup_delivers_twice(self):
-        sender, receiver = self._pair(["dup"])
-        sender.send(b"x", dest=1)
-        assert receiver.recv(source=0) == b"x"
-        assert receiver.recv(source=0) == b"x"
-        assert sender.duplicated == 1
-
-    def test_delay_holds_until_flush(self):
-        sender, receiver = self._pair(["delay"])
-        sender.send(b"late", dest=1)
-        assert not receiver.probe()
-        assert sender.pending_delayed == 1
-        assert sender.flush_delayed() == 1
-        assert receiver.recv(source=0) == b"late"
-
-    def test_exhausted_script_passes_through(self):
-        sender, receiver = self._pair(["drop"])
-        sender.send(b"a", dest=1)
-        sender.send(b"b", dest=1)
-        assert receiver.recv(source=0) == b"b"
-
-    def test_plan_addressing_on_slave_report(self, small_instance):
-        """Report-direction faults resolve by the report's own ids."""
-        plan = FaultPlan(events=(FaultEvent(0, 1, FaultKind.DROP_REPORT),))
-        router = MessageRouter(WireCodec(small_instance.n_items))
-        chaos0 = ChaosComm(InProcComm(router, rank=0), plan, direction="report")
-        chaos1 = ChaosComm(InProcComm(router, rank=1), plan, direction="report")
-        master = InProcComm(router, rank=2)
-        sol = random_solution(small_instance, rng=0)
-        chaos0.send(SlaveReport(slave_id=0, best=sol, round_index=0), dest=2)
-        chaos1.send(SlaveReport(slave_id=1, best=sol, round_index=0), dest=2)
-        got = master.recv(source=-1)
-        assert got.slave_id == 0
-        assert not master.probe()
-        assert chaos1.dropped == 1
-
-    def test_bad_action_rejected(self):
-        router = MessageRouter()
-        with pytest.raises(ValueError, match="unknown chaos actions"):
-            ChaosComm(InProcComm(router, rank=0), actions=["explode"])
-
-    def test_counters_pass_through_to_inner(self):
-        sender, _ = self._pair(["ok"])
-        sender.send(b"x", dest=1)
-        assert sender.bytes_sent > 0  # resolved on the wrapped endpoint
-
-
-class TestChaosCommPipe:
-    def test_drop_and_dup_over_pipe(self):
-        here, there = mp.Pipe(duplex=True)
-        sender = ChaosComm(PipeComm(here), actions=["drop", "dup"])
-        receiver = PipeComm(there)
-        sender.send(b"lost", tag=5)
-        sender.send(b"twice", tag=5)
-        assert receiver.recv(tag=5) == b"twice"
-        assert receiver.recv(tag=5) == b"twice"
-        assert not receiver.poll(0)
-        receiver.close()
-        sender.inner.close()
-
-
 class TestSerialBackendChaos:
     def _run(self, instance, plan, n=3, round_index=0):
         backend = SerialBackend(n, fault_plan=plan)
@@ -252,6 +172,17 @@ class TestSerialBackendChaos:
         # the fresh round-1 one.
         assert by_slave.count((1, 0)) == 1
         assert by_slave.count((1, 1)) == 1
+
+    def test_rebind_discards_held_reports(self, small_instance, medium_instance):
+        """A report held for the old problem never surfaces after a rebind,
+        as a multiprocessing worker drops its held list on REBIND."""
+        plan = FaultPlan(events=(FaultEvent(0, 1, FaultKind.DELAY_REPORT),))
+        backend = SerialBackend(3, fault_plan=plan)
+        backend.start(small_instance, TabuSearchConfig(nb_div=100))
+        backend.run_round(make_tasks(small_instance, 3, round_index=0))
+        backend.start(medium_instance, TabuSearchConfig(nb_div=100))
+        second = backend.run_round(make_tasks(medium_instance, 3, round_index=1))
+        assert [(r.slave_id, r.round_index) for r in second] == [(0, 1), (1, 1), (2, 1)]
 
     def test_straggle_recorded_for_clock(self, small_instance):
         plan = FaultPlan(events=(FaultEvent(0, 0, FaultKind.STRAGGLE, factor=5.0),))
@@ -376,6 +307,20 @@ class TestMultiprocessingChaos:
             ids = [r.slave_id for r in reports]
             assert ids.count(0) == 2 and ids.count(1) == 1
 
+    def test_dropped_task_is_never_sent(self, small_instance):
+        """Regression: a ``DROP_TASK`` event used to be ignored here, so
+        slave 0 still ran and reported while serial lost its task."""
+        plan = FaultPlan(events=(FaultEvent(0, 0, FaultKind.DROP_TASK),))
+        with MultiprocessingBackend(2, fault_plan=plan, round_timeout_s=30.0) as backend:
+            backend.start(small_instance, TabuSearchConfig(nb_div=100))
+            reports = backend.run_round(make_tasks(small_instance, 2, evals=500))
+            assert [r.slave_id for r in reports] == [1]
+            assert 0 not in backend.last_task_nbytes
+            assert backend.fault_counters["drop_task"] == 1
+            # The dropped task's worker got no frame, so nothing was lost.
+            assert backend.fault_counters["gather_lost"] == 0
+            assert not backend.respawns
+
     def test_duplicate_report_adds_no_grace_sleep(self, small_instance):
         """Regression: the old gather granted a duplicated report a fixed
         1.0 s poll window; the multiplexed gather folds the drain into the
@@ -420,6 +365,77 @@ class TestMultiprocessingChaos:
             # The whole gather is bounded by the slowest slave, not by a
             # sum over ranks.
             assert backend.last_phase_seconds["gather"] < 0.7 + 2.0
+
+
+def _two_rounds(backend, instance):
+    """Two rounds' ``(slave_id, seq_id, best.value)`` lists and byte ledgers."""
+    backend.start(instance, TabuSearchConfig(nb_div=100))
+    out = []
+    for round_index in range(2):
+        reports = backend.run_round(
+            make_tasks(instance, 3, evals=400, round_index=round_index)
+        )
+        out.append(
+            (
+                [(r.slave_id, r.seq_id, r.best.value) for r in reports],
+                dict(backend.last_task_nbytes),
+                dict(backend.last_report_nbytes),
+            )
+        )
+    return out
+
+
+@pytest.mark.slow
+class TestFaultParity:
+    """Serial and multiprocessing backends inject the same faults.
+
+    Both decide slave-side faults in the one ``serve_batch`` and drop tasks
+    in the one ``dispatch`` helper, so a plan gives the same reports and the
+    same per-slave byte ledgers on either.  A crash is checked at
+    ``batch_k`` 1 only: a worker's death legitimately takes its whole slave
+    group, while an inline serial crash loses one task.
+    """
+
+    CASES = [
+        (kind, batch_k)
+        for kind in (
+            FaultKind.DROP_TASK,
+            FaultKind.DROP_REPORT,
+            FaultKind.DUPLICATE_REPORT,
+            FaultKind.DELAY_REPORT,
+        )
+        for batch_k in (1, 2)
+    ] + [(FaultKind.CRASH, 1)]
+
+    @staticmethod
+    def _assert_parity(instance, plan, batch_k, mp_context):
+        serial = _two_rounds(SerialBackend(3, fault_plan=plan, batch_k=batch_k), instance)
+        with MultiprocessingBackend(
+            3,
+            mp_context=mp_context,
+            fault_plan=plan,
+            batch_k=batch_k,
+            round_timeout_s=30.0,
+        ) as backend:
+            process = _two_rounds(backend, instance)
+        assert process == serial
+
+    @pytest.mark.parametrize("kind,batch_k", CASES)
+    def test_one_event_plan(self, small_instance, mp_context, kind, batch_k):
+        plan = FaultPlan(events=(FaultEvent(0, 1, kind),))
+        self._assert_parity(small_instance, plan, batch_k, mp_context)
+
+    def test_seeded_crash_free_plan(self, small_instance, mp_context):
+        plan = FaultPlan.from_seed(
+            ENV_SEED,
+            n_slaves=3,
+            n_rounds=2,
+            task_drop_rate=0.2,
+            report_drop_rate=0.2,
+            duplicate_rate=0.2,
+            delay_rate=0.2,
+        )
+        self._assert_parity(small_instance, plan, 2, mp_context)
 
 
 class TestAsyncDegraded:
@@ -481,7 +497,7 @@ class TestAsyncDegraded:
 
 class TestBackendRESULTTagUnchanged:
     def test_result_tag_constant(self):
-        # The wire protocol stays frozen: chaos wraps it, never rewrites it.
+        # The wire protocol stays frozen: fault injection never rewrites it.
         assert RESULT_TAG == 2
 
 
