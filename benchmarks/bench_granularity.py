@@ -26,14 +26,14 @@ import pytest
 from repro.analysis import render_generic
 from repro.core import SearchState, greedy_solution
 from repro.instances import mk_suite
-from repro.parallel.neighborhood_eval import (
+
+from common import publish, scaled
+from neighborhood_eval import (
     ProcessPoolNeighborhoodEvaluator,
     drop_candidates_of,
     score_candidates,
     score_candidates_chunked,
 )
-
-from common import publish, scaled
 
 REPEATS = 200
 

@@ -11,25 +11,18 @@ experiment index).  Conventions:
   results directory together record every reproduced artifact;
 * ``REPRO_BENCH_SCALE`` (float, default 1.0) scales every search budget —
   set it below 1 for smoke runs, above 1 for higher-fidelity tables.
-* machine-readable results go through :func:`write_bench_json` (shared
-  schema: ``schema_version``/``bench``/``metrics``/``gates``/``meta``) and
-  are aggregated by :func:`rebuild_index` into ``BENCH_index.json`` — one
-  perf trajectory over every ``BENCH_*.json``, legacy free-form files
-  included.
+
+Performance gates are not benches: they live in ``test_perf_gates.py``
+(timing ratios) and the tier-1 suite (deterministic bounds), and the
+layered perf harness is ``layerbench/``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Version of the shared benchmark result schema written by
-#: :func:`write_bench_json`.  Legacy free-form ``BENCH_*.json`` files
-#: predate it and are indexed with ``schema_version: 0``.
-BENCH_SCHEMA_VERSION = 1
 
 
 def bench_scale() -> float:
@@ -58,78 +51,3 @@ def publish(name: str, title: str, body: str, capsys=None) -> None:
         print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text.lstrip("\n"), encoding="utf-8")
-
-
-def write_bench_json(
-    name: str,
-    *,
-    metrics: dict,
-    gates: dict | None = None,
-    meta: dict | None = None,
-    out_dir: Path | None = None,
-) -> Path:
-    """Persist one bench's machine-readable result in the shared schema.
-
-    ``metrics`` holds the measured figures, ``gates`` the pass/fail
-    assertions the bench enforces (name → ``{"value", "threshold",
-    "passed"}``-style entries), ``meta`` run context (instance, scale,
-    python version...).  Writes ``BENCH_<name>.json`` and refreshes
-    ``BENCH_index.json`` so the aggregate trajectory never goes stale.
-    """
-    out_dir = RESULTS_DIR if out_dir is None else out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": name,
-        "metrics": metrics,
-        "gates": gates or {},
-        "meta": meta or {},
-    }
-    path = out_dir / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    rebuild_index(out_dir)
-    return path
-
-
-def rebuild_index(out_dir: Path | None = None) -> Path:
-    """Aggregate every ``BENCH_*.json`` into one ``BENCH_index.json``.
-
-    Shared-schema files contribute their ``metrics``/``gates``/``meta``
-    directly; legacy free-form files are carried whole under ``data`` with
-    ``schema_version: 0`` — so the index is the single machine-readable
-    perf trajectory across all PRs, old and new.
-    """
-    out_dir = RESULTS_DIR if out_dir is None else out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    benches: dict[str, dict] = {}
-    for path in sorted(out_dir.glob("BENCH_*.json")):
-        if path.name == "BENCH_index.json":
-            continue
-        name = path.stem[len("BENCH_") :]
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            benches[name] = {"file": path.name, "error": str(exc)}
-            continue
-        if isinstance(data, dict) and data.get("schema_version"):
-            benches[name] = {
-                "file": path.name,
-                "schema_version": data["schema_version"],
-                "metrics": data.get("metrics", {}),
-                "gates": data.get("gates", {}),
-                "meta": data.get("meta", {}),
-            }
-        else:
-            benches[name] = {
-                "file": path.name,
-                "schema_version": 0,
-                "data": data,
-            }
-    index = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "n_benches": len(benches),
-        "benches": benches,
-    }
-    path = out_dir / "BENCH_index.json"
-    path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-    return path

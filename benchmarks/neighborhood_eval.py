@@ -1,4 +1,4 @@
-"""Low-level parallelism: distributed neighborhood evaluation (§2, source 2).
+"""Benchmark A10's evaluators: distributed neighborhood evaluation (§2, source 2).
 
 The paper lists four sources of parallelism in tabu search and dismisses
 the first two — cost-function and neighborhood evaluation — as "low level
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.instance import MKPInstance
-from ..core.kernels import drop_ratios
-from ..core.solution import SearchState
+from repro.core.instance import MKPInstance
+from repro.core.kernels import drop_ratios
+from repro.core.solution import SearchState
 
 __all__ = [
     "score_candidates",
@@ -118,15 +118,3 @@ def drop_candidates_of(state: SearchState) -> tuple[int, np.ndarray]:
     """Convenience: the (i*, packed items) pair the Drop rule scores."""
     return state.most_saturated_constraint(), state.packed_items()
 
-
-def score_with_kernel(state: SearchState, candidates: np.ndarray) -> np.ndarray:
-    """Score ``candidates`` through the state's own preallocated kernel.
-
-    This is literally the in-thread hot path (scratch-buffer reuse and the
-    cached ``i*``); the serial baseline in benchmark A10 calls this so the
-    comparison's zero-transport case is the true production code path.
-    Returns a copy (the kernel's scratch is reused by the next call).
-    """
-    candidates = np.asarray(candidates, dtype=np.intp)
-    kernel = state.kernel
-    return kernel.scores(kernel.most_saturated_constraint(), candidates).copy()

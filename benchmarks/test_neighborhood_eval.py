@@ -1,4 +1,4 @@
-"""Tests for the low-level (source-2) neighborhood evaluation module."""
+"""Tests for benchmark A10's low-level (source-2) neighborhood evaluators."""
 
 from __future__ import annotations
 
@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from repro.core import SearchState, greedy_solution
-from repro.parallel.neighborhood_eval import (
+from repro.instances import correlated_instance
+
+from neighborhood_eval import (
     ProcessPoolNeighborhoodEvaluator,
     drop_candidates_of,
     score_candidates,
     score_candidates_chunked,
 )
+
+
+@pytest.fixture
+def small_instance():
+    return correlated_instance(5, 30, rng=42, name="small-5x30")
 
 
 class TestKernels:
@@ -40,7 +47,6 @@ class TestKernels:
             score_candidates_chunked(small_instance, 0, np.array([0]), 0)
 
 
-@pytest.mark.slow
 class TestProcessPool:
     def test_pool_equals_reference(self, small_instance):
         state = SearchState.from_solution(small_instance, greedy_solution(small_instance))

@@ -55,6 +55,7 @@ REPORT_ORDER: tuple[ReportSection, ...] = (
     ReportSection("decomposition", "A11 — decomposition vs cooperation"),
     ReportSection("heterogeneous", "A12 — heterogeneous farm"),
     ReportSection("cb_extension", "E2 — Chu–Beasley extension workload"),
+    ReportSection("cb_core_fixing", "E3 — LP-core fixing on the Chu–Beasley grid"),
     ReportSection("bounds", "B1 — bound panel"),
 )
 

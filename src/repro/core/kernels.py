@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitset import WORD_BITS, n_words
+from .bitset import WORD_BITS
 from .instance import MKPInstance
 
 __all__ = ["EvalKernel", "KernelCounters", "drop_ratios", "FIT_EPS"]
@@ -119,8 +119,8 @@ def drop_ratios(
     """The drop-rule score ``a_{i*,j} / c_j`` over ``candidates``.
 
     This is the one scoring formula shared by the Drop rule, the Add rule
-    (argmin instead of argmax), and the low-level parallel evaluators in
-    :mod:`repro.parallel.neighborhood_eval`.
+    (argmin instead of argmax), and the low-level parallel evaluators of
+    benchmark A10 (``benchmarks/neighborhood_eval.py``).
     """
     return np.divide(weights_row[candidates], profits[candidates], out=out)
 

@@ -60,7 +60,7 @@ from ..farm.clock import VirtualClock
 from ..farm.machine import FarmModel
 from ..farm.trace import EventKind, FarmTrace
 from ..obs.recorder import RunRecorder
-from ..obs.telemetry import BurstTelemetry, RoundTelemetry, collect_round_telemetry
+from ..obs.telemetry import BurstTelemetry, RoundTelemetry
 from ..parallel.backends import Backend
 from ..parallel.message import SlaveReport, SlaveTask
 from ..rng import derive_rng, make_rng, random_seed_from
@@ -382,7 +382,7 @@ class MasterProcess:
             reports = [accepted[k] for k in sorted(accepted)]
 
             # --- measured wall telemetry + farm time accounting ---------
-            telemetry = collect_round_telemetry(self.backend, b)
+            telemetry = self.backend.last_telemetry
             charges = self._charge_round(clock, trace, reports, telemetry)
             if trace is not None and telemetry.phase_seconds:
                 trace.record_wall_phases(

@@ -4,9 +4,8 @@ Three layers (DESIGN.md §5.5):
 
 :mod:`~repro.obs.telemetry`
     :class:`RoundTelemetry` — the typed per-round measurement record every
-    backend emits (wall-phase splits, per-slave gather idle, byte ledgers),
-    replacing the old duck-typed ``getattr(backend, "last_*", ...)``
-    convention in the master.
+    backend emits (wall-phase splits, per-slave gather idle, byte ledgers)
+    as ``backend.last_telemetry``.
 
 :mod:`~repro.obs.recorder`
     :class:`RunRecorder` — streams run lifecycle events as JSONL (manifest,
@@ -31,19 +30,12 @@ from .recorder import (
     summarize_stream,
 )
 from .schema import EVENT_SCHEMAS, validate_event, validate_stream
-from .telemetry import (
-    BurstTelemetry,
-    RoundTelemetry,
-    collect_round_telemetry,
-    merge_round_telemetry,
-)
+from .telemetry import BurstTelemetry, RoundTelemetry
 
 __all__ = [
     "monotonic_s",
     "BurstTelemetry",
     "RoundTelemetry",
-    "collect_round_telemetry",
-    "merge_round_telemetry",
     "RunRecorder",
     "follow_stream",
     "read_stream",

@@ -9,7 +9,7 @@ happen — a crashed run still leaves every completed round on disk.
 The disabled recorder (:meth:`RunRecorder.disabled`, the master's default)
 short-circuits at the top of :meth:`emit`; the round loop pays one
 attribute load and a falsy check per event, which
-``benchmarks/bench_round_overhead.py`` bounds at well under 1% of a round.
+``benchmarks/test_perf_gates.py`` bounds at well under 1% of a round.
 
 Live consumers (DESIGN.md §5.6): :meth:`RunRecorder.subscribe` registers a
 callback invoked synchronously with every emitted record — the service

@@ -1,38 +1,16 @@
 """The typed per-round measurement record every backend emits.
 
-Before this module the master scraped loosely-conventioned attributes off
-the backend after each round (``getattr(backend, "last_phase_seconds", ...)``
-and friends) — easy to drop a field, impossible to type-check, and exactly
-how the run-record serializer came to silently lose the phase splits the
-paper's A5/A8 experiments are built on.  :class:`RoundTelemetry` is the
-single structured carrier now: both bundled backends publish one per round
-(``backend.last_telemetry``), and :func:`collect_round_telemetry` adapts
-third-party backends that still only speak the legacy attribute convention.
+:class:`RoundTelemetry` is the one carrier of a round's wall-clock
+measurements: every backend's ``run_round`` publishes one as
+``backend.last_telemetry``, and the master reads nothing else, so no
+field the paper's A5/A8 experiments rest on can go missing unnoticed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = [
-    "BurstTelemetry",
-    "RoundTelemetry",
-    "collect_round_telemetry",
-    "merge_round_telemetry",
-]
-
-
-def _nbytes_by_slave(nbytes: object) -> dict[int, int]:
-    """Normalize a byte ledger to ``{slave_id: bytes}``.
-
-    The bundled backends report dicts; third-party backends implementing the
-    older list convention (index = slave id) keep working.
-    """
-    if isinstance(nbytes, dict):
-        return {int(k): int(v) for k, v in nbytes.items()}
-    if nbytes:
-        return {k: int(v) for k, v in enumerate(nbytes)}  # type: ignore[arg-type]
-    return {}
+__all__ = ["BurstTelemetry", "RoundTelemetry"]
 
 
 @dataclass(frozen=True)
@@ -127,77 +105,3 @@ class BurstTelemetry:
             "report_nbytes": int(self.report_nbytes),
             "outcome": str(self.outcome),
         }
-
-
-def merge_round_telemetry(records: "list[RoundTelemetry]") -> RoundTelemetry:
-    """Fold several telemetry records of one round into a single record.
-
-    Scalars and byte ledgers add, per-slave gather idle adds, slowdown
-    factors keep the worst observed value per slave.  The round index is
-    taken from the first record (they all describe the same round).
-    """
-    if not records:
-        raise ValueError("merge_round_telemetry needs at least one record")
-    phase_seconds: dict[str, float] = {}
-    gather_idle: dict[int, float] = {}
-    task_nbytes: dict[int, int] = {}
-    report_nbytes: dict[int, int] = {}
-    slowdowns: dict[int, float] = {}
-    master_wait = 0.0
-    for rec in records:
-        for phase, seconds in rec.phase_seconds.items():
-            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + float(seconds)
-        for k, seconds in rec.gather_idle_s.items():
-            gather_idle[int(k)] = gather_idle.get(int(k), 0.0) + float(seconds)
-        for k, nbytes in rec.task_nbytes.items():
-            task_nbytes[int(k)] = task_nbytes.get(int(k), 0) + int(nbytes)
-        for k, nbytes in rec.report_nbytes.items():
-            report_nbytes[int(k)] = report_nbytes.get(int(k), 0) + int(nbytes)
-        for k, factor in rec.slowdowns.items():
-            slowdowns[int(k)] = max(slowdowns.get(int(k), 1.0), float(factor))
-        master_wait += float(rec.master_wait_s)
-    return RoundTelemetry(
-        round_index=records[0].round_index,
-        phase_seconds=phase_seconds,
-        gather_idle_s=gather_idle,
-        master_wait_s=master_wait,
-        task_nbytes=task_nbytes,
-        report_nbytes=report_nbytes,
-        slowdowns=slowdowns,
-    )
-
-
-def collect_round_telemetry(backend: object, round_index: int) -> RoundTelemetry:
-    """Return the backend's telemetry for the round that just ran.
-
-    Backends that publish a typed record (``backend.last_telemetry``, set by
-    ``run_round``) are taken at their word; a backend that ran a round in
-    several bursts may publish a *list* of records, which are merged — not
-    last-write-wins, which silently dropped every burst but the final one.
-    Anything else is adapted from the legacy ``last_*`` attribute convention
-    so third-party backends keep working unchanged.
-    """
-    told = getattr(backend, "last_telemetry", None)
-    if isinstance(told, RoundTelemetry):
-        return told
-    if (
-        isinstance(told, (list, tuple))
-        and told
-        and all(isinstance(rec, RoundTelemetry) for rec in told)
-    ):
-        return merge_round_telemetry(list(told))
-    return RoundTelemetry(
-        round_index=round_index,
-        phase_seconds=dict(getattr(backend, "last_phase_seconds", {}) or {}),
-        gather_idle_s={
-            int(k): float(v)
-            for k, v in (getattr(backend, "last_gather_idle_s", {}) or {}).items()
-        },
-        master_wait_s=float(getattr(backend, "last_master_wait_s", 0.0) or 0.0),
-        task_nbytes=_nbytes_by_slave(getattr(backend, "last_task_nbytes", {})),
-        report_nbytes=_nbytes_by_slave(getattr(backend, "last_report_nbytes", {})),
-        slowdowns={
-            int(k): float(v)
-            for k, v in (getattr(backend, "last_slowdowns", {}) or {}).items()
-        },
-    )

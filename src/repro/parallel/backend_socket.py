@@ -190,10 +190,8 @@ class SocketBackend:
         self.last_task_nbytes: dict[int, int] = {}
         self.last_report_nbytes: dict[int, int] = {}
         self.last_slowdowns: dict[int, float] = {}
-        self.last_phase_seconds: dict[str, float] = {}
         self.last_gather_idle_s: dict[int, float] = {}
         self.last_master_wait_s: float = 0.0
-        self.phase_totals: Counter[str] = Counter()
         self.last_telemetry: RoundTelemetry | None = None
         self.fault_counters: Counter[str] = Counter()
         self.warm_reuses = 0

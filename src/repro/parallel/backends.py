@@ -75,12 +75,8 @@ reports, so a round never waits on a lost report.
 Observability (DESIGN.md §5.5): after each round the backend publishes one
 typed :class:`~repro.obs.telemetry.RoundTelemetry` record
 (``last_telemetry``) carrying the wall-clock phase split, per-slave gather
-idle, master blocked time and the byte ledgers — the master consumes that
-record (via :func:`~repro.obs.telemetry.collect_round_telemetry`) instead
-of scraping attributes.  The legacy per-field attributes
-(``last_phase_seconds``, ``last_gather_idle_s``, ``last_master_wait_s``,
-``phase_totals``) remain as the raw measurement store and for third-party
-consumers; ``benchmarks/bench_round_overhead.py`` builds on them.
+idle, master blocked time and the byte ledgers; the master reads that
+record and nothing else.
 """
 
 from __future__ import annotations
@@ -113,9 +109,6 @@ from .shm import (
 
 __all__ = ["Backend", "SerialBackend", "MultiprocessingBackend", "serve_batch"]
 
-#: Phase keys every backend reports in ``last_phase_seconds``.
-PHASE_KEYS = ("scatter", "compute", "gather")
-
 #: ``dispatch``'s list form: ``(slave_id, task)`` pairs.
 Entries = Sequence[tuple[int, SlaveTask]]
 
@@ -128,6 +121,8 @@ class Backend(Protocol):
     """Slave executor: a transport surface plus the shared sync round."""
 
     n_slaves: int
+    #: the last ``run_round``'s measurements (DESIGN.md §5.5)
+    last_telemetry: RoundTelemetry | None
 
     def start(self, instance: MKPInstance, config: TabuSearchConfig) -> None:
         """Distribute the problem data (Fig. 2: 'Read and send to slaves')."""
@@ -249,16 +244,13 @@ def _run_round(backend, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
                 backend.last_gather_idle_s.setdefault(k, t_end - t_gather)
         backend._expire_silent(unit)
     backend.last_master_wait_s = wait_s
-    backend.last_phase_seconds = {
-        "scatter": t_gather - t_scatter,
-        "compute": first_report_s if first_report_s is not None else 0.0,
-        "gather": t_end - t_gather,
-    }
-    backend.phase_totals.update(backend.last_phase_seconds)
-    backend.phase_totals["master_wait"] += wait_s
     backend.last_telemetry = RoundTelemetry(
         round_index=next((t.round_index for t in tasks if t is not None), -1),
-        phase_seconds=dict(backend.last_phase_seconds),
+        phase_seconds={
+            "scatter": t_gather - t_scatter,
+            "compute": first_report_s if first_report_s is not None else 0.0,
+            "gather": t_end - t_gather,
+        },
         gather_idle_s=dict(backend.last_gather_idle_s),
         master_wait_s=wait_s,
         task_nbytes=dict(backend.last_task_nbytes),
@@ -337,14 +329,10 @@ class SerialBackend:
         self.last_slowdowns: dict[int, float] = {}
         #: cumulative injected-fault tally (diagnostics for the chaos suite)
         self.fault_counters: Counter[str] = Counter()
-        #: wall-clock split of the last round over ``PHASE_KEYS``
-        self.last_phase_seconds: dict[str, float] = {}
         #: seconds from gather start to each slave's first accepted report
         self.last_gather_idle_s: dict[int, float] = {}
         #: master wall time blocked waiting on slaves (0 for inline slaves)
         self.last_master_wait_s: float = 0.0
-        #: cumulative phase wall time across rounds (plus ``master_wait``)
-        self.phase_totals: Counter[str] = Counter()
         #: typed telemetry record of the last round (DESIGN.md §5.5)
         self.last_telemetry: RoundTelemetry | None = None
         #: dispatched tasks awaiting inline execution, in dispatch order;
@@ -694,16 +682,12 @@ class MultiprocessingBackend:
         self.warm_reuses = 0
         #: ``start()`` calls that rebound live workers to a new problem
         self.rebinds = 0
-        #: wall-clock split of the last round (see :func:`_run_round`)
-        self.last_phase_seconds: dict[str, float] = {}
         #: seconds from gather start to each slave's first accepted report
         #: (silent slaves get the full gather wall — their cost to the round)
         self.last_gather_idle_s: dict[int, float] = {}
         #: master wall time blocked inside ``connection.wait`` (per round,
         #: or per :meth:`next_report` call outside one)
         self.last_master_wait_s: float = 0.0
-        #: cumulative phase wall time across rounds (plus ``master_wait``)
-        self.phase_totals: Counter[str] = Counter()
         #: typed telemetry record of the last round (DESIGN.md §5.5)
         self.last_telemetry: RoundTelemetry | None = None
         #: arrival buffer: ``(report, nbytes)`` pairs drained from worker

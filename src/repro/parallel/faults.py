@@ -213,8 +213,8 @@ class FaultPlan:
         quarter of the (round, slave) cells run ``factor`` times slower.
         Under the synchronous barrier every such cell stalls the whole
         round; the async pipeline overlaps the stall with its peers'
-        compute, which is exactly the gap ``benchmarks/bench_pipeline.py``
-        measures.
+        compute, which is exactly the gap the async-pipeline gate in
+        ``benchmarks/test_perf_gates.py`` measures.
         """
         return cls.from_seed(
             seed,

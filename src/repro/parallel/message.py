@@ -10,7 +10,8 @@ simulated farm charge their lengths.
 
 The dominant payload on both legs is 0/1 solution vectors.  Those ship as
 packed-bitset frames (``ceil(n/8)`` payload bytes, ~64 for a 500-item
-instance); ``benchmarks/bench_bitset.py`` measures the bytes per round.
+instance); layerbench's ``codec.bytes_per_round`` tracks the bytes per
+round and ``tests/test_bitset.py`` bounds them.
 """
 
 from __future__ import annotations

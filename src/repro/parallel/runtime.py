@@ -6,8 +6,8 @@ scratch — ``SearchState.empty`` → a fresh :class:`~repro.core.kernels.EvalKe
 :class:`~repro.core.tabu_list.TabuList`, history and elite arrays — only to
 throw it all away a few thousand evaluations later.  With the short
 per-round budgets the Fig. 2 master hands out, that setup cost rivals the
-search itself (the "setup-dominated regime" tracked by
-``benchmarks/bench_round_overhead.py``).
+search itself (the "setup-dominated regime" that layerbench's
+gk10-shm-short workload tracks).
 
 :class:`SlaveRuntime` owns one :class:`~repro.core.tabu_search.TabuSearch`
 thread per slave for the life of the process.  Each task *rebinds* the

@@ -853,8 +853,8 @@ class ShmComm:
 
     The charge is always the codec frame length, so ``bytes_sent`` /
     ``bytes_received`` are carrier-independent.  ``pipe_payload_bytes``
-    counts only the in-band bytes — the benchmark's "bytes through pipes"
-    gate asserts it stays ≈ 0 on the shm path.
+    counts only the in-band bytes — the "bytes through pipes" gate in
+    ``tests/test_shm.py`` asserts it stays ≈ 0 on the shm path.
     """
 
     def __init__(

@@ -37,7 +37,11 @@ from repro.core.bitset import (
 )
 from repro.core.intensification import IntensificationStats, swap_intensification
 from repro.core.strategy import Strategy
+from repro.core.tabu_search import TabuSearchConfig
 from repro.core.termination import Budget
+from repro.instances import gk_suite
+from repro.master import MasterConfig, MasterProcess
+from repro.parallel import SerialBackend
 from repro.parallel.message import SlaveReport, SlaveTask
 from repro.parallel.shm import WireCodec
 
@@ -338,6 +342,35 @@ class TestWireCodec:
         assert clone.max_evaluations == 10
         assert clone.wall_seconds == 30.0
         assert not clone._started
+
+    def test_master_run_incumbent_and_round_bytes(self):
+        """GK24 over 4 serial slaves: the final incumbent survives the codec,
+        and no round charges more than one full task and report frame per
+        slave (solutions are packed, so the bound grows with ``n/8``)."""
+        instance = gk_suite()[23]
+        n_slaves, n_rounds = 4, 2
+        backend = SerialBackend(n_slaves)
+        master = MasterProcess(
+            instance, MasterConfig(n_slaves=n_slaves, n_rounds=n_rounds), backend,
+            rng_seed=42,
+        )
+        result = master.run(budget_per_slave=Budget(max_evaluations=50_000))
+        codec = WireCodec(instance.n_items)
+        echoed = codec.decode_report(codec.encode_report(SlaveReport(0, result.best))).best
+        assert echoed == result.best and echoed.value == result.best.value
+
+        empty = Solution(np.zeros(instance.n_items, dtype=np.int8), 0.0)
+        task = SlaveTask(
+            x_init=empty,
+            strategy=Strategy(1, 1, 1, core_ratio=0.5),
+            budget=Budget(1, 1, 1.0, 1.0),
+            seed=0,
+        )
+        report = SlaveReport(0, empty, elite=[empty] * TabuSearchConfig().elite_size)
+        bound = n_slaves * (
+            len(codec.encode_task(task)) + len(codec.encode_report(report))
+        )
+        assert 0 < result.bytes_sent / n_rounds <= bound
 
     def test_solution_memoized_packing_is_shared(self):
         x = np.ones(100, dtype=np.int8)

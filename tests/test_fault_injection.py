@@ -364,7 +364,7 @@ class TestMultiprocessingChaos:
             assert idle[1] < 0.5 and idle[2] < 0.5
             # The whole gather is bounded by the slowest slave, not by a
             # sum over ranks.
-            assert backend.last_phase_seconds["gather"] < 0.7 + 2.0
+            assert backend.last_telemetry.phase_seconds["gather"] < 0.7 + 2.0
 
 
 def _two_rounds(backend, instance):

@@ -2,9 +2,7 @@
 
 Covers the ISSUE tentpole contracts:
 
-* both bundled backends publish one typed :class:`RoundTelemetry` per round,
-* the legacy ``last_*`` attribute convention still adapts (third-party
-  backends),
+* every backend publishes one typed :class:`RoundTelemetry` per round,
 * the recorder's JSONL stream conforms to the pinned event schema
   (golden-schema test) and replays bit-identically modulo timestamps,
 * a disabled recorder emits nothing,
@@ -28,8 +26,6 @@ from repro.obs import (
     MetricsRegistry,
     RoundTelemetry,
     RunRecorder,
-    collect_round_telemetry,
-    merge_round_telemetry,
     read_stream,
     replay_metrics,
     summarize_stream,
@@ -106,28 +102,6 @@ class TestRoundTelemetry:
         # JSON-ready: per-slave maps carry string keys.
         assert all(isinstance(k, str) for k in fields["gather_idle_s"])
         json.dumps(fields)  # must not raise
-
-    def test_legacy_attribute_adapter(self):
-        class OldBackend:
-            last_phase_seconds = {"scatter": 0.1, "compute": 0.7, "gather": 0.2}
-            last_gather_idle_s = {0: 0.05, 1: 0.0}
-            last_master_wait_s = 0.12
-            last_task_nbytes = [100, 200]  # old list convention
-            last_report_nbytes = {0: 300, 1: 400}
-            last_slowdowns = {1: 4.0}
-
-        told = collect_round_telemetry(OldBackend(), 7)
-        assert told.round_index == 7
-        assert told.task_nbytes == {0: 100, 1: 200}
-        assert told.report_nbytes == {0: 300, 1: 400}
-        assert told.slowdowns == {1: 4.0}
-        assert told.master_wait_s == pytest.approx(0.12)
-
-    def test_bare_backend_adapts_to_empty_record(self):
-        told = collect_round_telemetry(object(), 3)
-        assert told == RoundTelemetry(round_index=3)
-        assert told.total_bytes == 0
-        assert told.idle_ratio() == 0.0
 
     def test_idle_ratio_bounds(self):
         told = RoundTelemetry(
@@ -510,68 +484,6 @@ class TestTraceFollowCLI:
         out = capsys.readouterr().out
         assert "run_start" in out
         assert "stream still open" in out
-
-class TestMergeRoundTelemetry:
-    """Satellite fix: multi-record rounds aggregate instead of keeping only
-    the last record (the old last-write-wins silently dropped every burst
-    but the final one)."""
-
-    def _records(self):
-        a = RoundTelemetry(
-            round_index=2,
-            phase_seconds={"compute": 1.0},
-            gather_idle_s={0: 0.1},
-            master_wait_s=0.1,
-            task_nbytes={0: 10},
-            report_nbytes={0: 5},
-            slowdowns={0: 2.0},
-        )
-        b = RoundTelemetry(
-            round_index=2,
-            phase_seconds={"compute": 0.5, "gather": 0.2},
-            gather_idle_s={0: 0.2, 1: 0.3},
-            master_wait_s=0.05,
-            task_nbytes={0: 10, 1: 7},
-            report_nbytes={0: 5},
-            slowdowns={0: 4.0},
-        )
-        return a, b
-
-    def test_merge_aggregates_not_last_write_wins(self):
-        a, b = self._records()
-        merged = merge_round_telemetry([a, b])
-        assert merged.round_index == 2
-        assert merged.phase_seconds["compute"] == pytest.approx(1.5)
-        assert merged.phase_seconds["gather"] == pytest.approx(0.2)
-        assert merged.gather_idle_s[0] == pytest.approx(0.3)
-        assert merged.gather_idle_s[1] == pytest.approx(0.3)
-        assert merged.master_wait_s == pytest.approx(0.15)
-        assert merged.task_nbytes == {0: 20, 1: 7}
-        assert merged.report_nbytes == {0: 10}
-        # Slowdown factors keep the worst observed value per slave.
-        assert merged.slowdowns == {0: 4.0}
-
-    def test_merge_needs_at_least_one_record(self):
-        with pytest.raises(ValueError, match="at least one"):
-            merge_round_telemetry([])
-
-    def test_collect_merges_list_publishing_backends(self):
-        a, b = self._records()
-
-        class BurstyBackend:
-            last_telemetry = [a, b]
-
-        told = collect_round_telemetry(BurstyBackend(), 2)
-        assert told.master_wait_s == pytest.approx(0.15)
-        assert told.task_nbytes == {0: 20, 1: 7}
-
-    def test_collect_single_record_unchanged(self):
-        a, _ = self._records()
-
-        class OneShotBackend:
-            last_telemetry = a
-
-        assert collect_round_telemetry(OneShotBackend(), 2) is a
 
 
 class TestBurstTelemetryObs:

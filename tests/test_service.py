@@ -465,6 +465,49 @@ class TestJobManagerMultiprocessing:
             )
             assert_same_run(results[seed], direct)
 
+    def test_warm_pool_serves_every_job_warm(self, small_instance, mp_context):
+        """After one warm-up job per slot, every lease is an affinity hit on
+        a backend that keeps its warm state and a cached instance."""
+        n_jobs = 8
+
+        async def scenario():
+            pool = SolverPool.multiprocessing(2, 2, mp_context=mp_context)
+            manager = JobManager(pool)
+            # One throwaway job per slot: never-bound slots are picked
+            # first, so this binds every backend once.
+            for warm_id in [
+                manager.submit(
+                    JobRequest(small_instance, n_rounds=1, max_evaluations=500)
+                )
+                for _ in range(2)
+            ]:
+                await manager.wait(warm_id)
+
+            def counters():
+                return (
+                    pool.affinity_hits,
+                    sum(s.backend.warm_reuses for s in pool.slots()),
+                    manager.cache.stats()["hits"],
+                )
+
+            before = counters()
+            ids = [
+                manager.submit(
+                    JobRequest(
+                        small_instance, n_rounds=2, rng_seed=seed, max_evaluations=2000
+                    )
+                )
+                for seed in range(n_jobs)
+            ]
+            statuses = [await manager.wait(i) for i in ids]
+            after = counters()
+            await manager.close()
+            return statuses, [b - a for a, b in zip(before, after)]
+
+        statuses, (affinity_hits, warm_reuses, cache_hits) = run(scenario())
+        assert all(s.state is JobState.DONE for s in statuses)
+        assert affinity_hits == warm_reuses == cache_hits == n_jobs
+
     def test_cancel_on_mp_backend(self, small_instance, mp_context):
         async def scenario():
             pool = SolverPool.multiprocessing(1, 2, mp_context=mp_context)

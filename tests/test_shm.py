@@ -29,9 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.construction import random_solution
 from repro.core.solution import Solution
 from repro.core.strategy import Strategy
 from repro.core.termination import Budget
+from repro.instances import gk_instance
+from repro.parallel import MultiprocessingBackend
 from repro.parallel import shm as shm_mod
 from repro.parallel.comm import PipeComm
 from repro.parallel.faults import FaultPlan
@@ -520,6 +523,63 @@ class TestCrossProcessStress:
             assert proc.exitcode == 0
             ring.close()
             ring.unlink()
+
+
+# ---------------------------------------------------------------------- #
+# Doorbell gates on real rounds
+# ---------------------------------------------------------------------- #
+
+
+def _gk24_round(instance, round_index: int, n_slaves: int) -> list[SlaveTask]:
+    return [
+        SlaveTask(
+            x_init=random_solution(instance, rng=k),
+            strategy=Strategy(8, 2, 10),
+            budget=Budget(max_evaluations=150),
+            seed=100 * round_index + k,
+            round_index=round_index,
+            seq_id=round_index * n_slaves + k,
+        )
+        for k in range(n_slaves)
+    ]
+
+
+@pytest.mark.slow
+class TestRoundDoorbellGates:
+    def test_batched_shm_rounds_move_payload_through_rings_only(self):
+        """P = 8 on GK24: one ``batch_k=8`` shm worker vs eight pipe workers.
+
+        A fault-free round carries one task and one report doorbell per
+        worker, so batching cuts pipe messages 8x (gate: >= 3x); every
+        payload byte rides the rings (gate: <= 64 B/round through pipes)
+        and no frame overflows back in-band.  Reports are identical.
+        """
+        instance = gk_instance(24)
+        n_slaves, n_rounds = 8, 28
+        rounds = [_gk24_round(instance, r, n_slaves) for r in range(n_rounds)]
+        config = TabuSearchConfig(nb_div=10_000)
+        with MultiprocessingBackend(
+            n_slaves, transport="pipe", batch_k=1
+        ) as pipe, MultiprocessingBackend(
+            n_slaves, transport="shm", batch_k=8
+        ) as batched:
+            pipe.start(instance, config)
+            batched.start(instance, config)
+            assert batched.worker_transports == ["shm"]
+            for tasks in rounds:
+                assert [
+                    (r.slave_id, r.best, r.evaluations) for r in batched.run_round(tasks)
+                ] == [(r.slave_id, r.best, r.evaluations) for r in pipe.run_round(tasks)]
+            messages_per_round = {
+                label: 2 * len([c for c in backend._comms if c is not None])
+                for label, backend in (("pipe", pipe), ("shm", batched))
+            }
+            comms = [c for c in batched._comms if c is not None]
+            payload = sum(c.pipe_payload_bytes for c in comms)
+            overflows = sum(c.ring_overflows for c in comms)
+        assert messages_per_round["pipe"] / messages_per_round["shm"] >= 3.0
+        assert payload / n_rounds <= 64.0
+        assert overflows == 0
 
 
 # ---------------------------------------------------------------------- #
