@@ -29,6 +29,7 @@ from repro.core import (
     TabuList,
     TabuSearchConfig,
     greedy_solution,
+    native,
     random_solution,
 )
 from repro.core.reduction import shared_selector
@@ -73,10 +74,19 @@ def _tasks(instance, n_slaves: int, round_index: int, budget: Budget) -> list[Sl
 FLAT_KERNEL_MOVES_PER_S = 7486.0
 
 
-def test_hot_path_keeps_flat_kernel_throughput():
-    """GK24 drop/add/tabu loop: >= 0.8x the flat-array kernel's moves/s."""
+#: The kernel paths of the hot loop: the numpy reference (also the fallback
+#: on hosts without cffi or a compiler) and the native C kernel.
+KERNEL_PATHS = ("numpy", "native")
+
+
+def _gk24_move_loop(path: str):
+    """The GK24 drop/add/tabu loop on one kernel path: ``(one_move, state)``."""
+    if path == "native" and not native.available:
+        pytest.skip("native kernel unavailable on this host")
     instance = gk_suite()[23]
-    state = SearchState.from_solution(instance, greedy_solution(instance))
+    with pytest.MonkeyPatch.context() as patch:  # kernels bind C at construction
+        patch.setattr(native, "available", path == "native")
+        state = SearchState.from_solution(instance, greedy_solution(instance))
     tabu = TabuList(instance.n_items, 10)
     engine = MoveEngine(state, tabu, np.random.default_rng(0))
     best = state.value
@@ -91,15 +101,42 @@ def test_hot_path_keeps_flat_kernel_throughput():
 
     for _ in range(200):  # warm caches and allocator before timing
         one_move()
+    return one_move, state
+
+
+def _moves_per_s(one_move, seconds: float) -> float:
     moves = 0
     t0 = time.perf_counter()
-    while time.perf_counter() < t0 + 1.0:
+    while time.perf_counter() < t0 + seconds:
         for _ in range(50):
             one_move()
         moves += 50
-    ratio = moves / (time.perf_counter() - t0) / FLAT_KERNEL_MOVES_PER_S
+    return moves / (time.perf_counter() - t0)
+
+
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+def test_hot_path_keeps_flat_kernel_throughput(path):
+    """GK24 drop/add/tabu loop: >= 0.8x the flat-array kernel's moves/s."""
+    one_move, state = _gk24_move_loop(path)
+    ratio = _moves_per_s(one_move, 1.0) / FLAT_KERNEL_MOVES_PER_S
     assert state.is_feasible
-    assert ratio >= 0.8, f"hot path at {ratio:.2f}x the flat-array kernel"
+    assert ratio >= 0.8, f"{path} hot path at {ratio:.2f}x the flat-array kernel"
+
+
+def test_native_kernel_triples_numpy_moves_per_s():
+    """The same GK24 loop: native moves/s >= 3x numpy moves/s.
+
+    The two paths are timed in alternating 0.5 s windows in one process,
+    best of three each, so host-speed drift hits both arms alike.
+    """
+    loops = {path: _gk24_move_loop(path)[0] for path in KERNEL_PATHS}
+    best = dict.fromkeys(KERNEL_PATHS, 0.0)
+    for _ in range(3):
+        for path, one_move in loops.items():
+            best[path] = max(best[path], _moves_per_s(one_move, 0.5))
+    ratio = best["native"] / best["numpy"]
+    print(f"native {best['native']:.0f} vs numpy {best['numpy']:.0f} moves/s: x{ratio:.2f}")
+    assert ratio >= 3.0, f"native kernel only x{ratio:.2f} the numpy moves/s"
 
 
 # --------------------------------------------------------------------- #
@@ -304,11 +341,17 @@ def _evals_per_s(instance, pipeline: str, plan: FaultPlan | None, evals: int) ->
     return result.total_evaluations / result.wall_seconds
 
 
+#: Run lengths size a no-fault sync solve at 65-90 ms on a 2-core host, so
+#: slave compute is a real share of each burst; much shorter solves measure
+#: only process-scheduling jitter (per-run evals/s varies 15-22 %, as a
+#: coefficient of variation).  With
+#: the repeats below, 20 k bootstrap draws of the measured per-run spread
+#: put the no-fault ratio under its floor in <= 0.2 % of gates.
 @pytest.mark.parametrize(
     "evals, repeats, straggle_floor, no_fault_floor",
     [
-        pytest.param(12_000, 2, 1.3, 0.85, id="smoke"),
-        pytest.param(24_000, 3, 1.5, 0.95, id="full", marks=pytest.mark.slow),
+        pytest.param(96_000, 2, 1.3, 0.85, id="smoke"),
+        pytest.param(192_000, 3, 1.5, 0.95, id="full", marks=pytest.mark.slow),
     ],
 )
 def test_async_pipeline_throughput(evals, repeats, straggle_floor, no_fault_floor):

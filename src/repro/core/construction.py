@@ -19,6 +19,7 @@ import numpy as np
 
 from ..rng import make_rng
 from .instance import MKPInstance
+from .kernels import FIT_EPS
 from .solution import SearchState, Solution
 
 __all__ = ["greedy_solution", "random_solution", "repair", "fill_greedily"]
@@ -35,12 +36,15 @@ def fill_greedily(state: SearchState, order: np.ndarray | None = None) -> None:
     inst = state.instance
     if order is None:
         order = np.argsort(inst.density, kind="stable")
+    native = state.kernel.native()
+    if native is not None and native.fill(state.kernel, order):
+        return
     slack = state.slack
     for j in order:
         if state.x[j]:
             continue
         col = inst.weights[:, j]
-        if np.all(col <= slack + 1e-9):
+        if np.all(col <= slack + FIT_EPS):
             state.add(j)
             slack = state.slack
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .construction import fill_greedily, repair
-from .kernels import KernelCounters
+from .kernels import FIT_EPS, KernelCounters
 from .solution import SearchState, Solution
 
 __all__ = ["swap_intensification", "strategic_oscillation", "IntensificationStats"]
@@ -71,6 +71,12 @@ def swap_intensification(
     inst = state.instance
     stats = stats or IntensificationStats()
     kernel = state.kernel
+    native = kernel.native()
+    if native is not None:
+        swaps, evaluations = native.swap(kernel)
+        stats.swaps_applied += swaps
+        stats.evaluations += evaluations
+        return state.snapshot()
     use_words = kernel.use_bitset
     profit_order = inst.hot.profit_order if use_words else None
     improved = True
@@ -108,7 +114,7 @@ def swap_intensification(
                     continue
                 stats.evaluations += int(richer.size)
                 fits = np.all(
-                    inst.weights[:, richer] <= slack_without_i[:, None] + 1e-9,
+                    inst.weights[:, richer] <= slack_without_i[:, None] + FIT_EPS,
                     axis=0,
                 )
                 candidates = richer[fits]

@@ -38,6 +38,11 @@ the bitset scan (integer-valued instances)
     integer gate documented in :mod:`repro.core.bitset`; :attr:`use_bitset`
     switches the path at runtime so tests can pin the equivalence.
 
+the native kernel (bitset mode)
+    When :mod:`repro.core.native` loaded, the compound move, the swap
+    intensification and the greedy fill run as C over these same buffers
+    (:meth:`native`).
+
 Exactness contract: every result the kernel returns is bit-identical to the
 naive recomputation it replaces (same elementwise comparisons, same
 ascending candidate order, same division) — the Figure-1/Figure-2
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .bitset import WORD_BITS
 from .instance import MKPInstance
 
@@ -143,6 +149,7 @@ class EvalKernel:
         "value",
         "n_packed",
         "use_bitset",
+        "_native",
         "_i_star",
         "_ratio",
         "_excluded",
@@ -242,6 +249,12 @@ class EvalKernel:
             self._fit_words_u8 = None
             self._q_buf = None
             self._q_base = None
+        #: the C kernel bound to these buffers (bitset mode only)
+        self._native = (
+            native.NativeKernel(self, FIT_EPS)
+            if native.available and self._int is not None
+            else None
+        )
 
     # ------------------------------------------------------------------ #
     # State loading
@@ -487,6 +500,15 @@ class EvalKernel:
         """Ascending set-bit indices of a packed vector viewed as ``uint8``."""
         bits = np.unpackbits(words_u8, count=self.x.shape[0], bitorder="little")
         return bits.nonzero()[0]
+
+    def native(self) -> "native.NativeKernel | None":
+        """The bound C kernel when the native path runs, else ``None``.
+
+        The native path needs the bitset tables and :attr:`use_bitset` on;
+        it is bit-identical to the numpy path it replaces (pinned by
+        ``tests/test_bitset.py`` and the differential suite).
+        """
+        return self._native if self.use_bitset else None
 
     @property
     def free_words(self) -> np.ndarray:

@@ -271,26 +271,28 @@ class MoveEngine:
         The caller is responsible for marking ``record.touched`` tabu and
         ticking the tabu clock (Fig. 1, steps 8–9), because intensification
         phases reuse the engine without touching the short-term memory.
+
+        On a kernel with the native path (:meth:`EvalKernel.native`) and an
+        Add breadth of at most 2, the whole move runs in C with the same
+        candidate sets, evaluation counts and draws from :attr:`rng`.
         """
+        kernel = self.state.kernel
+        native = kernel.native()
+        if native is not None and self.add_candidates <= 2:
+            if kernel._n_excluded:
+                kernel.clear_exclusions()
+            dropped, added, evaluations = native.move(
+                kernel, self.tabu, self.rng, max(0, int(nb_drop)),
+                float(best_value), self.add_candidates,
+            )
+            self.counters.move_evaluations += evaluations
+            self.counters.moves += 1
+            return MoveRecord(dropped, added)
         record = MoveRecord()
         record.dropped = self.drop_step(nb_drop)
         record.added = self.add_step(best_value, exclude=record.dropped)
         self.counters.moves += 1
         return record
-
-
-def _argmax_random_tie(values: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the maximum, breaking exact ties uniformly at random.
-
-    ``ties[rng.integers(0, ties.size)]`` draws the same variate from the
-    same stream as ``rng.choice(ties)`` (choice reduces to exactly that
-    integer draw for a 1-D array) while skipping choice's per-call argument
-    normalization — measurably cheaper in the move loop.
-    """
-    ties = (values == values.max()).nonzero()[0]
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[rng.integers(0, ties.size)])
 
 
 def _argmin_random_tie(values: np.ndarray, rng: np.random.Generator) -> int:

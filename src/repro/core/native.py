@@ -1,0 +1,303 @@
+"""The native tabu-search hot loop: build, cache and bind ``_native.c``.
+
+``_native.c`` holds the bitset-mode compound move, the §3.2 swap
+intensification and the greedy fill (see its header comment for the
+exactness contract).  This module compiles it once with cffi's API mode and
+the system C compiler, and binds it to each :class:`~repro.core.kernels.EvalKernel`
+through :class:`NativeKernel`.
+
+Build cache
+    The extension is keyed by the SHA-256 of the C source, the cffi
+    declarations and the compiler flags, and stored per interpreter
+    (``sys.implementation.cache_tag``) under the user cache directory
+    (``$XDG_CACHE_HOME`` or ``~/.cache``, then ``repro-native/``), never in
+    the source tree.  A build runs in a private temporary directory and is
+    published with one ``os.replace``, so concurrent first imports race
+    harmlessly.  Loading is eager — importing :mod:`repro.core` builds or
+    loads it — so a compile never lands inside a timed solve, and worker
+    processes only ``dlopen`` the cached file.
+
+Fallback
+    Without cffi, without a compiler, or with an unwritable cache,
+    :data:`available` is ``False``, one :class:`RuntimeWarning` names the
+    reason, and every caller keeps the numpy reference path.  A failed
+    build leaves a ``.failed`` marker (same key) holding the reason, so
+    later imports and worker processes do not compile again; deleting the
+    marker retries the build.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import os
+import shutil
+import sys
+import sysconfig
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+__all__ = ["available", "NativeKernel"]
+
+_SOURCE = Path(__file__).with_name("_native.c")
+
+#: ``-ffp-contract=off`` keeps every load/slack update a separate IEEE-754
+#: add or subtract, as numpy performs it.
+_FLAGS = ["-O2", "-ffp-contract=off"]
+
+_CDEF = """
+typedef struct {
+    int64_t n, m, nw;
+    double fit_eps;
+    const double *capacities;
+    const double *profits;
+    const double *weightsT;
+    const int64_t *weightsT_int;
+    const double *ratio;
+    const int64_t *flat_sorted;
+    const uint64_t *cumbits;
+    const double *sorted_profits;
+    const uint64_t *suffix;
+    int8_t *x;
+    uint8_t *free_mask;
+    uint64_t *free_words;
+    int64_t *q_base;
+    double *load;
+    double *slack;
+    double value;
+    int64_t n_packed;
+    uint64_t *fit;
+    uint64_t *rich;
+    int64_t *allowed;
+    double *ratios;
+    int64_t *dropped;
+    int64_t *added;
+    int64_t n_dropped, n_added, n_allowed;
+    int64_t evaluations;
+} ts_kernel;
+
+uint64_t ts_bounded(void *bitgen, uint64_t k);
+int ts_move(ts_kernel *k, const int64_t *expiry, int64_t clock, void *bitgen,
+            int64_t nb_drop, double best_value, int64_t add_candidates);
+int ts_add_continue(ts_kernel *k, const int64_t *expiry, int64_t clock,
+                    void *bitgen, double best_value, int64_t add_candidates,
+                    int64_t j);
+int64_t ts_swap(ts_kernel *k);
+int ts_fill(ts_kernel *k, const int64_t *order, int64_t len);
+"""
+
+
+def _cache_dir() -> Path:
+    base = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    return base / "repro-native" / sys.implementation.cache_tag
+
+
+def _build(name: str, source: str, target: Path) -> None:
+    import cffi
+
+    ffi = cffi.FFI()
+    ffi.cdef(_CDEF)
+    ffi.set_source(name, source, extra_compile_args=_FLAGS)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=".build-", dir=target.parent)
+    try:
+        os.replace(ffi.compile(tmpdir=tmp), target)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _remember_failure(marker: Path, reason: str) -> None:
+    """Record a failed build next to where the module would have gone, so
+    later imports (worker processes included) skip straight to numpy."""
+    try:
+        tmp = marker.with_name(f".{marker.name}.{os.getpid()}")
+        tmp.write_text(reason)
+        os.replace(tmp, marker)
+    except OSError:  # unwritable cache: the next build fails before compiling
+        pass
+
+
+def _load():
+    """The compiled module, or ``(None, reason)`` when it cannot be had."""
+    try:
+        import cffi  # noqa: F401
+    except ImportError:
+        return None, "cffi is not installed"
+    source = _SOURCE.read_text()
+    key = "\0".join([_CDEF, source, *_FLAGS]).encode()
+    name = "_repro_native_" + hashlib.sha256(key).hexdigest()[:16]
+    target = _cache_dir() / (name + sysconfig.get_config_var("EXT_SUFFIX"))
+    failed = target.with_suffix(".failed")
+    if failed.exists():
+        return None, f"{failed.read_text()}; delete {failed} to retry the build"
+    try:
+        if not target.exists():
+            try:
+                _build(name, source, target)
+            except Exception as exc:
+                _remember_failure(failed, f"{type(exc).__name__}: {exc}")
+                raise
+        spec = importlib.util.spec_from_file_location(name, target)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception as exc:  # any build or load failure: the numpy path runs
+        return None, f"{type(exc).__name__}: {exc}"
+    return module, None
+
+
+_module, _reason = _load()
+#: Whether the native kernel loaded; when ``False`` the numpy path runs.
+available: bool = _module is not None
+if not available:
+    warnings.warn(
+        f"native tabu-search kernel unavailable ({_reason}); using the numpy path",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    ffi = lib = None
+else:
+    ffi, lib = _module.ffi, _module.lib
+
+
+def _bitgen(rng: np.random.Generator):
+    """``rng``'s numpy ``bitgen_t`` as a C pointer.
+
+    Read through the ``ctypes`` interface: the ``cffi`` one parses its C
+    declarations with a fresh ``FFI`` for every generator (about 2 ms each),
+    and each slave task seeds new generators.
+    """
+    return ffi.cast("void *", rng.bit_generator.ctypes.bit_generator.value)
+
+
+#: The numpy dtype each C element type of ``ts_kernel`` aliases (the free
+#: mask is numpy ``bool``, one byte per item).
+_DTYPES = {
+    "double": np.dtype(np.float64),
+    "int64_t": np.dtype(np.int64),
+    "uint64_t": np.dtype(np.uint64),
+    "int8_t": np.dtype(np.int8),
+    "uint8_t": np.dtype(np.bool_),
+}
+
+
+class NativeKernel:
+    """The C kernel's view of one bitset-mode ``EvalKernel``.
+
+    Holds a ``ts_kernel`` struct whose pointers alias the kernel's own
+    buffers and the instance's :class:`~repro.core.bitset.HotTables`, plus
+    the move scratch.  ``value`` and ``n_packed`` are Python scalars on the
+    kernel; every call copies them in and back out.
+    """
+
+    __slots__ = (
+        "ptr", "_keep", "dropped", "added", "allowed", "ratios",
+        "_tabu", "_expiry", "_rng", "_bitgen",
+    )
+
+    def __init__(self, kernel, fit_eps: float) -> None:
+        inst, hot = kernel.instance, kernel.hot
+        tables, profit_order = hot.integer, hot.profit_order
+        m, n = inst.shape
+        self._keep: list = []
+        self.allowed = np.empty(n, np.int64)
+        self.ratios = np.empty(n, np.float64)
+        self.dropped = np.empty(n, np.int64)
+        self.added = np.empty(n, np.int64)
+        s = self.ptr = ffi.new("ts_kernel *")
+        s.n, s.m, s.nw = n, m, tables.words
+        s.fit_eps = fit_eps
+        s.capacities = self._bind("double", inst.capacities)
+        s.profits = self._bind("double", inst.profits)
+        s.weightsT = self._bind("double", hot.weightsT)
+        s.weightsT_int = self._bind("int64_t", tables.weightsT_int)
+        s.ratio = self._bind("double", hot.ratio_matrix)
+        s.flat_sorted = self._bind("int64_t", tables.flat_sorted)
+        s.cumbits = self._bind("uint64_t", tables.cumbits)
+        s.sorted_profits = self._bind("double", profit_order.sorted_profits)
+        s.suffix = self._bind("uint64_t", profit_order.suffix)
+        s.x = self._bind("int8_t", kernel.x)
+        s.free_mask = self._bind("uint8_t", kernel._free)
+        s.free_words = self._bind("uint64_t", kernel.free_words)
+        s.q_base = self._bind("int64_t", kernel._q_base)
+        s.load = self._bind("double", kernel.load)
+        s.slack = self._bind("double", kernel.slack)
+        s.fit = self._bind("uint64_t", np.empty(tables.words, np.uint64))
+        s.rich = self._bind("uint64_t", np.empty(tables.words, np.uint64))
+        s.allowed = self._bind("int64_t", self.allowed)
+        s.ratios = self._bind("double", self.ratios)
+        s.dropped = self._bind("int64_t", self.dropped)
+        s.added = self._bind("int64_t", self.added)
+        self._tabu = self._expiry = self._rng = self._bitgen = None
+
+    def _bind(self, ctype: str, array: np.ndarray):
+        """A C view of ``array`` after checking dtype and contiguity; the
+        view (and so the array) lives as long as this object."""
+        if array.dtype != _DTYPES[ctype] or not array.flags.c_contiguous:
+            raise TypeError(f"native kernel needs a C-contiguous {_DTYPES[ctype]} array")
+        buf = ffi.from_buffer(ctype + "[]", array)
+        self._keep.append(buf)
+        return buf
+
+    def _sync_out(self, kernel) -> None:
+        s = self.ptr
+        kernel.value = s.value
+        kernel.n_packed = s.n_packed
+        kernel._invalidate()
+
+    def move(self, kernel, tabu, rng, nb_drop: int, best_value: float,
+             add_candidates: int) -> tuple[list[int], list[int], int]:
+        """One Drop/Add compound move: ``(dropped, added, evaluations)``.
+
+        ``add_candidates`` must be 1 or 2.  A handed-back Add selection is
+        made here exactly as the numpy path makes it.
+        """
+        if tabu is not self._tabu:
+            self._tabu, self._expiry = tabu, ffi.from_buffer("int64_t[]", tabu._expiry)
+        if rng is not self._rng:
+            self._rng, self._bitgen = rng, _bitgen(rng)
+        s = self.ptr
+        s.value = kernel.value
+        s.n_packed = kernel.n_packed
+        clock = tabu.clock
+        status = lib.ts_move(
+            s, self._expiry, clock, self._bitgen, nb_drop, best_value, add_candidates
+        )
+        while status:
+            top = self.ratios[: s.n_allowed].argpartition(1)[:2]
+            j = int(self.allowed[top[rng.integers(0, 2)]])
+            status = lib.ts_add_continue(
+                s, self._expiry, clock, self._bitgen, best_value, add_candidates, j
+            )
+        self._sync_out(kernel)
+        return (
+            self.dropped[: s.n_dropped].tolist(),
+            self.added[: s.n_added].tolist(),
+            s.evaluations,
+        )
+
+    def swap(self, kernel) -> tuple[int, int]:
+        """Swap intensification in place: ``(swaps_applied, evaluations)``."""
+        s = self.ptr
+        s.value = kernel.value
+        s.n_packed = kernel.n_packed
+        swaps = lib.ts_swap(s)
+        self._sync_out(kernel)
+        return swaps, s.evaluations
+
+    def fill(self, kernel, order: np.ndarray) -> bool:
+        """Greedy fill in ``order``; ``False`` (state untouched) when
+        ``order`` is not a 1-D array of in-range integer indices."""
+        order = np.asarray(order)
+        if order.ndim != 1 or order.dtype.kind not in "iu":
+            return False
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        s = self.ptr
+        s.value = kernel.value
+        s.n_packed = kernel.n_packed
+        if lib.ts_fill(s, ffi.from_buffer("int64_t[]", order), order.size) < 0:
+            return False
+        self._sync_out(kernel)
+        return True

@@ -28,7 +28,6 @@ against this control flow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -394,14 +393,3 @@ def expected_phase_sequence(nb_div: int, nb_int: int) -> list[str]:
             seq.append("intensification")
         seq.append("diversification")
     return seq
-
-
-def evaluations_per_second_estimate(instance: MKPInstance) -> float:
-    """Rough throughput estimate used to size fixed-time budgets.
-
-    Purely advisory (benchmarks calibrate precisely); scales as
-    ``1 / (m + log n)`` which tracks the per-candidate cost of the
-    vectorized evaluator.
-    """
-    m, n = instance.shape
-    return 2.0e6 / (m + math.log2(max(2, n)))

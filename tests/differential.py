@@ -18,37 +18,48 @@ that contract so any test can assert it in one call:
     canonical payload is byte-identical to the reference's, reporting
     the first differing JSON path on failure.
 
+``assert_native_matches_numpy``
+    Run one case twice in this process — once with the native C kernel,
+    once with every kernel held on the numpy reference path
+    (:func:`numpy_reference`) — and assert the canonical bytes match.
+
 Wall-measured fields canonicalized away (everything else — virtual
 seconds, byte ledgers, value histories, per-slave accounting — must
 match exactly):
 
 * top-level ``wall_seconds``;
 * per-round ``phase_wall_seconds`` and ``gather_idle_s``;
-* the trace's ``wall_phases`` records.
+* the trace's ``wall_phases`` records;
+* the async pipeline's ``master_wait_s`` and ``reclaimed_idle_s``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.analysis.serialize import result_to_dict
+from repro.core import native
 from repro.core.instance import MKPInstance
 from repro.master.result import ParallelRunResult
 from repro.parallel.backends import Backend
-from repro.variants.runner import solve_cts1, solve_cts2, solve_its
+from repro.variants.runner import solve_cts1, solve_cts2, solve_its, solve_seq
 
 __all__ = [
     "VARIANTS",
     "assert_differential",
+    "assert_native_matches_numpy",
     "canonical_bytes",
     "canonicalize",
     "first_difference",
+    "numpy_reference",
     "run_canonical",
 ]
 
 VARIANTS: Mapping[str, Callable[..., ParallelRunResult]] = {
+    "seq": solve_seq,
     "its": solve_its,
     "cts1": solve_cts1,
     "cts2": solve_cts2,
@@ -65,6 +76,11 @@ def canonicalize(data: dict) -> dict:
     trace = out.get("trace")
     if isinstance(trace, dict):
         trace["wall_phases"] = []
+    stats = out.get("pipeline_stats")
+    if isinstance(stats, dict):
+        for key in ("master_wait_s", "reclaimed_idle_s"):
+            if key in stats:
+                stats[key] = 0.0
     return out
 
 
@@ -84,24 +100,27 @@ def run_canonical(
     n_rounds: int = 3,
     rng_seed: int = 7,
     max_evaluations: int = 1_500,
+    **solver_kwargs: Any,
 ) -> bytes:
     """Solve ``variant`` once and return its canonical serialization.
 
     ``backend_factory`` builds the backend to run on (``None`` = the
     runner's default serial backend); the harness owns its shutdown, so
     factories can hand over freshly-constructed multiprocessing backends
-    without leaking workers on assertion failure.
+    without leaking workers on assertion failure.  ``seq`` is the one
+    sequential thread, so it takes no slave count, rounds or backend.
+    ``solver_kwargs`` (``pipeline``, ``core_ratio``, ...) pass through.
     """
     solver = VARIANTS[variant]
     backend = backend_factory() if backend_factory is not None else None
+    if variant != "seq":
+        solver_kwargs.update(n_slaves=n_slaves, n_rounds=n_rounds, backend=backend)
     try:
         result = solver(
             instance,
-            n_slaves=n_slaves,
-            n_rounds=n_rounds,
             rng_seed=rng_seed,
             max_evaluations=max_evaluations,
-            backend=backend,
+            **solver_kwargs,
         )
     finally:
         if backend is not None:
@@ -163,3 +182,34 @@ def assert_differential(
             raise AssertionError(
                 f"run {label!r} diverged from reference {labels[0]!r}: {diff}"
             )
+
+
+@contextlib.contextmanager
+def numpy_reference() -> Iterator[None]:
+    """Build every kernel created inside on the numpy reference path.
+
+    Kernels bind the native C kernel at construction when
+    ``repro.core.native.available``; holding the flag down for the block
+    keeps every search thread, restart and fill of an in-process run on
+    numpy.  Worker processes are not reached, so use in-process backends.
+    """
+    saved = native.available
+    native.available = False
+    try:
+        yield
+    finally:
+        native.available = saved
+
+
+def assert_native_matches_numpy(run: Callable[[], bytes]) -> None:
+    """Assert ``run()`` yields the same canonical bytes on both kernel paths.
+
+    ``run`` is any zero-argument case returning canonical bytes (for
+    instance a :func:`run_canonical` partial on an in-process backend).
+    """
+    with numpy_reference():
+        reference = run()
+    candidate = run()
+    if candidate != reference:
+        diff = first_difference(json.loads(reference), json.loads(candidate))
+        raise AssertionError(f"native kernel diverged from the numpy path: {diff}")

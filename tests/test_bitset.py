@@ -1,7 +1,8 @@
 """Tests for the packed-bitset codec layer (``repro.core.bitset``) and the
 exactness contract of everything built on it: codec round-trips (Hypothesis),
-the prefix-bitmask fitting scan vs. the generic float path, the word-level
-swap intensification, the packed Hamming/dispersion statistics, the
+the prefix-bitmask fitting scan vs. the generic float path, the native C
+kernel's moves, greedy fill and swap intensification vs. both numpy paths,
+the word-level swap intensification, the packed Hamming/dispersion statistics, the
 :class:`Solution` wire frames, and the ``set_exclusions`` no-op short-circuit.
 """
 
@@ -20,8 +21,10 @@ from repro.core import (
     SearchState,
     Solution,
     TabuList,
+    fill_greedily,
     greedy_solution,
     mean_pairwise_distance,
+    native,
 )
 from repro.core.bitset import (
     bytes_to_words,
@@ -45,6 +48,8 @@ from repro.parallel import SerialBackend
 from repro.parallel.message import SlaveReport, SlaveTask
 from repro.parallel.shm import WireCodec
 
+from tests.differential import numpy_reference
+
 #: Word-boundary sizes the ISSUE pins: single word, 63/64/65 edges, GK-scale.
 BOUNDARY_SIZES = (1, 63, 64, 65, 500)
 
@@ -64,6 +69,60 @@ def random_integer_instance(rng: np.random.Generator) -> MKPInstance:
     ).astype(int).astype(float) + 1
     profits = rng.integers(1, 100, size=n).astype(float)
     return MKPInstance(weights, capacities, profits)
+
+
+#: native C kernel, numpy prefix-bitset scan, generic elementwise scan
+PATHS = ("native", "bitset", "generic")
+
+
+class _CountingRng:
+    """A Generator stand-in that counts the Python-side ``integers`` draws."""
+
+    def __init__(self, seed: int) -> None:
+        self._gen = np.random.default_rng(seed)
+        self.bit_generator = self._gen.bit_generator
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._gen.integers(*args, **kwargs)
+
+
+def _state_on_path(inst: MKPInstance, x: np.ndarray, path: str) -> SearchState:
+    if path == "native":
+        state = SearchState(inst, x.copy())
+    else:
+        with numpy_reference():
+            state = SearchState(inst, x.copy())
+    kernel = state.kernel
+    kernel.use_bitset = path != "generic"
+    assert (kernel.native() is not None) == (path == "native" and native.available)
+    return state
+
+
+def _kernel_fingerprint(kernel) -> tuple:
+    """Every buffer the native kernel writes, as comparable bytes."""
+    return (
+        kernel.x.tobytes(), kernel.load.tobytes(), kernel.slack.tobytes(),
+        kernel.value, kernel.n_packed, kernel._free.tobytes(),
+        kernel.free_words.tobytes(), kernel._q_base.tobytes(),
+    )
+
+
+def _move_trajectory(inst, x0, path, add_candidates, rng, n_moves=40):
+    state = _state_on_path(inst, x0, path)
+    tabu = TabuList(inst.n_items, 5)
+    engine = MoveEngine(state, tabu, rng, add_candidates=add_candidates)
+    best = state.value
+    trace = []
+    for _move in range(n_moves):
+        record = engine.apply(2, best)
+        best = max(best, state.value)
+        tabu.tick()
+        if record.touched:
+            tabu.make_tabu(np.asarray(record.touched))
+        trace.append((tuple(record.dropped), tuple(record.added)))
+    return trace, engine.evaluations, engine.counters.moves, _kernel_fingerprint(state.kernel)
 
 
 # --------------------------------------------------------------------------- #
@@ -188,29 +247,54 @@ class TestFittingEquivalence:
 
     def test_trajectory_identical_across_paths(self):
         # The strongest equivalence statement: same seeds, same instance,
-        # whole compound-move trajectories coincide move for move —
-        # including the shared evaluation ledger the farm model charges.
+        # whole compound-move trajectories coincide move for move on the
+        # native, numpy-bitset and generic paths — including the shared
+        # evaluation ledger the farm model charges and every kernel buffer.
+        # Add breadths 1 and 2 run in C; 3 keeps the numpy path throughout.
         rng = np.random.default_rng(12)
         for _ in range(5):
             inst = random_integer_instance(rng)
             x0 = greedy_solution(inst).x
-            records = []
-            for use_bitset in (True, False):
-                state = SearchState(inst, x0.copy())
-                state.kernel.use_bitset = use_bitset
-                tabu = TabuList(inst.n_items, 5)
-                engine = MoveEngine(state, tabu, np.random.default_rng(99))
-                best = state.value
-                trace = []
-                for _move in range(40):
-                    record = engine.apply(2, best)
-                    best = max(best, state.value)
-                    tabu.tick()
-                    if record.touched:
-                        tabu.make_tabu(np.asarray(record.touched))
-                    trace.append((tuple(record.dropped), tuple(record.added)))
-                records.append((trace, state.value, engine.evaluations))
-            assert records[0] == records[1]
+            for add_candidates in (1, 2, 3):
+                runs = [
+                    _move_trajectory(
+                        inst, x0, path, add_candidates, np.random.default_rng(99)
+                    )
+                    for path in PATHS
+                ]
+                assert runs[0] == runs[1] == runs[2], add_candidates
+
+    @pytest.mark.parametrize("order_kind", ["density", "random"])
+    def test_greedy_fill_identical_across_paths(self, order_kind):
+        rng = np.random.default_rng(13)
+        for _ in range(15):
+            inst = random_integer_instance(rng)
+            # a feasible partial start: the greedy solution with half its
+            # items dropped
+            x0 = greedy_solution(inst).x.copy()
+            packed = x0.nonzero()[0]
+            x0[packed[rng.random(packed.size) < 0.5]] = 0
+            order = None if order_kind == "density" else rng.permutation(inst.n_items)
+            out = []
+            for path in PATHS:
+                state = _state_on_path(inst, x0, path)
+                fill_greedily(state, order)
+                out.append(_kernel_fingerprint(state.kernel))
+            assert out[0] == out[1] == out[2]
+
+    @pytest.mark.skipif(not native.available, reason="native kernel unavailable")
+    def test_tied_add_selections_are_handed_back(self):
+        # Equal profits and a 1..3 weight range make ratio ties the rule, so
+        # add_candidates == 2 meets argpartition's unspecified tie order and
+        # the C kernel must hand those picks back to numpy.
+        rng = np.random.default_rng(14)
+        weights = rng.integers(1, 4, size=(3, 60)).astype(float)
+        inst = MKPInstance(weights, weights.sum(axis=1) // 2, np.full(60, 7.0))
+        x0 = greedy_solution(inst).x
+        native_rng = _CountingRng(5)
+        native_run = _move_trajectory(inst, x0, "native", 2, native_rng)
+        assert native_rng.calls > 0  # every native-side draw happens in C
+        assert native_run == _move_trajectory(inst, x0, "bitset", 2, _CountingRng(5))
 
 
 class TestSwapIntensificationEquivalence:
@@ -220,16 +304,15 @@ class TestSwapIntensificationEquivalence:
             inst = random_integer_instance(rng)
             sol = greedy_solution(inst)
             out = []
-            for use_bitset in (True, False):
-                state = SearchState(inst, sol.x.copy())
-                state.kernel.use_bitset = use_bitset
+            for path in PATHS:
+                state = _state_on_path(inst, sol.x, path)
                 stats = IntensificationStats()
                 result = swap_intensification(state, stats)
                 out.append(
                     (result.x.tobytes(), result.value, stats.evaluations,
-                     stats.swaps_applied)
+                     stats.swaps_applied, _kernel_fingerprint(state.kernel))
                 )
-            assert out[0] == out[1]
+            assert out[0] == out[1] == out[2]
 
 
 # --------------------------------------------------------------------------- #

@@ -12,18 +12,30 @@ Matrix covered across the module, per ISSUE-7's acceptance line:
 * multiprocessing under **fork and spawn**, transport ∈ {pipe, shm},
   batch ∈ {1, 4};
 * one seeded chaos plan (drops/duplicates/delays/straggles, crash-free)
-  replayed on both transports within each batch width.
+  replayed on both transports within each batch width;
+* the native C kernel against the numpy reference path, over every golden
+  run of ``tests/test_golden_trajectory.py``.
 """
 
 from __future__ import annotations
 
+import functools
+import json
+
 import pytest
 
+from repro.core import Strategy, TabuSearch, TabuSearchConfig, native
 from repro.instances import gk_instance
 from repro.parallel import MultiprocessingBackend, SerialBackend, shm_available
 from repro.parallel.faults import FaultKind, FaultPlan
 
-from tests.differential import assert_differential, run_canonical
+from tests.differential import (
+    assert_differential,
+    assert_native_matches_numpy,
+    run_canonical,
+)
+from tests.test_golden_trajectory import _chaos_plan
+from tests.test_golden_trajectory import _instance as _golden_instance
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -152,3 +164,52 @@ class TestChaosDifferential:
             },
             max_evaluations=1_000,
         )
+
+
+def _thread_canonical() -> bytes:
+    """``GOLDEN_THREAD``'s raw thread: trace, ledger, incumbent and elite."""
+    result = TabuSearch(
+        _golden_instance(), Strategy(8, 2, 10), config=TabuSearchConfig(nb_div=2), rng=42
+    ).run()
+    return json.dumps({
+        "trace": result.value_trace,
+        "evaluations": result.evaluations,
+        "moves": result.moves,
+        "best": [result.best.value, result.best.x.tolist()],
+        "elite": [[s.value, s.x.tolist()] for s in result.elite],
+    }).encode()
+
+
+#: Every golden run, with the settings ``tests/test_golden_trajectory.py``
+#: pins it at (GK10, seed 7; in-process backends only).
+_GOLDEN = functools.partial(run_canonical, rng_seed=7, n_slaves=3, n_rounds=10,
+                            max_evaluations=8_000)
+GOLDEN_RUNS = {
+    "seq": lambda: run_canonical(
+        _golden_instance(), variant="seq", rng_seed=7, max_evaluations=20_000
+    ),
+    "its": lambda: _GOLDEN(_golden_instance(), variant="its"),
+    "cts2": lambda: _GOLDEN(_golden_instance(), variant="cts2"),
+    "cts2-async": lambda: _GOLDEN(
+        _golden_instance(), pipeline="async", backend_factory=lambda: SerialBackend(3)
+    ),
+    "cts2-chaos": lambda: _GOLDEN(
+        _golden_instance(),
+        backend_factory=lambda: SerialBackend(3, fault_plan=_chaos_plan()),
+    ),
+    "cts2-core-ratio-one": lambda: _GOLDEN(_golden_instance(), core_ratio=1.0),
+    "thread": _thread_canonical,
+}
+
+
+@pytest.mark.skipif(not native.available, reason="native kernel unavailable")
+class TestNativeDifferential:
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+    def test_native_kernel_matches_numpy_reference(self, golden):
+        assert_native_matches_numpy(GOLDEN_RUNS[golden])
+
+    def test_total_evaluations_are_part_of_the_canonical_bytes(self):
+        # The farm's virtual time charges evaluations: the leg above only
+        # proves the ledger equal if the canonical form carries it.
+        payload = json.loads(GOLDEN_RUNS["cts2"]())
+        assert payload["total_evaluations"] == 27144  # GOLDEN_CTS2["evaluations"]
