@@ -1,5 +1,6 @@
-/* Native hot loop of the tabu search: the Drop/Add compound move, the §3.2
- * swap intensification and the greedy fill, in the bitset mode of
+/* Native hot loop of the tabu search: the Figure-1 local-search loop
+ * (steps 4-10) around the Drop/Add compound move, the §3.2 swap
+ * intensification and the greedy fill, in the bitset mode of
  * repro.core.kernels.EvalKernel.
  *
  * Every routine works in place on the kernel's own numpy buffers (x, the
@@ -20,12 +21,18 @@
  * selection with add_candidates == 2 whose two smallest ratios tie, or
  * whose second smallest ties the third.  The numpy path resolves it with
  * argpartition, whose order among equal keys is implementation-defined;
- * ts_move/ts_add_continue return TS_HANDBACK with the admissible set in
- * k->allowed/k->ratios, and Python picks and resumes.
+ * ts_move/ts_add_continue return TS_HANDBACK (ts_local_search returns
+ * LS_HANDBACK mid-move) with the admissible set in k->allowed/k->ratios,
+ * and Python picks and resumes.
+ *
+ * ts_local_search also keeps the thread's memories as the Python loop
+ * does: the tabu list, History, the BestSol block (ts_elite_offer is
+ * memory.EliteArray.offer), X*, X_local and the per-move incumbent trace.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* numpy's bitgen_t (numpy/random/bitgen.h), reached through
  * BitGenerator.cffi.bit_generator. */
@@ -69,6 +76,40 @@ typedef struct {
     int64_t n_dropped, n_added, n_allowed;
     int64_t evaluations;
 } ts_kernel;
+
+/* The thread's memories and budget for one local-search loop
+ * (TabuSearch._local_search_loop): the arrays alias TabuList._expiry,
+ * History.counts and EliteArray's block; the scalars are copied in and
+ * back out by repro/core/native.py around every call. */
+typedef struct {
+    /* strategy and budget (read only) */
+    int64_t nb_drop, nb_local, add_candidates, tenure;
+    int64_t max_evaluations, max_moves;   /* INT64_MAX: no cap */
+    double target_value;                  /* +inf: no target */
+    void *bitgen;
+    /* tabu list and History (mutated in place) */
+    int64_t *expiry;                      /* (n,) */
+    int64_t clock;
+    int64_t *counts;                      /* (n,) */
+    int64_t iterations;
+    /* BestSol: rows sorted by decreasing value (EliteArray) */
+    int8_t *elite_x;                      /* (elite_capacity, n) */
+    double *elite_values;                 /* (elite_capacity,) */
+    int64_t elite_count, elite_capacity;
+    /* X* and X_local: a buffer is written only when the loop improves on
+     * the value handed in, and its flag is then set.  Once best_moved is
+     * set, X_local is X* (local_x is not written for it). */
+    int8_t *best_x;                       /* (n,) */
+    int8_t *local_x;                      /* (n,) */
+    double best_value, local_value;
+    int64_t best_moved, local_moved;
+    /* ledger: evaluations and moves are the running totals the budget
+     * reads; loop_moves, snapshots and stall count from the loop's start */
+    int64_t evaluations, moves, loop_moves, snapshots, stall;
+    /* per-move incumbent trace, flushed by Python when full */
+    double *trace;                        /* (trace_cap,) */
+    int64_t trace_len, trace_cap;
+} ts_loop;
 
 enum { TS_DONE = 0, TS_HANDBACK = 1 };
 
@@ -378,6 +419,129 @@ int ts_add_continue(ts_kernel *k, const int64_t *expiry, int64_t clock,
     k_add(k, j);
     k->added[k->n_added++] = j;
     return add_pass(k, expiry, clock, bitgen, best_value, add_candidates);
+}
+
+/* ------------------------------------------------------------------ */
+/* BestSol insertion (memory.EliteArray.offer)                          */
+/* ------------------------------------------------------------------ */
+
+/* Offer (x, value) to the elite block: rows[0..*count) of n bytes sorted by
+ * decreasing value.  A vector already present, or a value that does not
+ * beat the last row of a full block, changes nothing (returns 0).  Else the
+ * row goes after every row of equal or higher value (a stable sort of the
+ * appended row) and a full block drops its last row; returns 1. */
+int ts_elite_offer(int8_t *rows, double *values, int64_t *count,
+                   int64_t capacity, int64_t n, const int8_t *x, double value)
+{
+    const int64_t c = *count;
+    for (int64_t r = 0; r < c; r++) {
+        if (memcmp(rows + r * n, x, (size_t)n) == 0)
+            return 0;
+    }
+    if (c >= capacity && !(value > values[c - 1]))
+        return 0;
+    int64_t pos = 0;
+    while (pos < c && values[pos] >= value)
+        pos++;
+    const int64_t last = c < capacity ? c : capacity - 1;
+    memmove(rows + (pos + 1) * n, rows + pos * n, (size_t)((last - pos) * n));
+    memmove(values + pos + 1, values + pos, (size_t)(last - pos) * sizeof(double));
+    memcpy(rows + pos * n, x, (size_t)n);
+    values[pos] = value;
+    if (c < capacity)
+        *count = c + 1;
+    return 1;
+}
+
+/* ------------------------------------------------------------------ */
+/* The local-search loop (TabuSearch._local_search_loop, steps 4-10)    */
+/* ------------------------------------------------------------------ */
+enum { LS_STALLED = 0, LS_BUDGET = 1, LS_STUCK = 2, LS_HANDBACK = 3, LS_TRACE_FULL = 4 };
+
+/* Steps 6-9 after a compound move; returns 1 when the move changed nothing
+ * (the loop then ends, as the Python loop's degenerate break does). */
+static int after_move(ts_kernel *k, ts_loop *ls)
+{
+    const int64_t n = k->n;
+    ls->evaluations += k->evaluations;
+    ls->moves++;
+    ls->loop_moves++;
+    if (k->n_dropped + k->n_added == 0)
+        return 1;
+    /* steps 6-7; snapshots counts the Solution copies the Python loop
+     * takes, so both paths keep one KernelCounters ledger */
+    const double value = k->value;
+    int snapshot = 0;
+    if (value > ls->best_value) {
+        memcpy(ls->best_x, k->x, (size_t)n);
+        ls->best_value = ls->local_value = value;
+        ls->best_moved = 1;
+        ls->stall = 0;
+        snapshot = 1;
+    } else {
+        if (value > ls->local_value) {
+            memcpy(ls->local_x, k->x, (size_t)n);
+            ls->local_value = value;
+            ls->local_moved = 1;
+            snapshot = 1;
+        }
+        ls->stall++;
+    }
+    if (ls->elite_count < ls->elite_capacity
+        || value > ls->elite_values[ls->elite_count - 1]) {
+        ts_elite_offer(ls->elite_x, ls->elite_values, &ls->elite_count,
+                       ls->elite_capacity, n, k->x, value);
+        snapshot = 1;
+    }
+    ls->snapshots += snapshot;
+    /* step 8: History */
+    for (int64_t j = 0; j < n; j++)
+        ls->counts[j] += k->x[j];
+    ls->iterations++;
+    /* step 9: tick, then tabu the touched items until clock + tenure */
+    ls->clock++;
+    const int64_t until = ls->clock + ls->tenure;
+    for (int64_t t = 0; t < k->n_dropped; t++) {
+        int64_t j = k->dropped[t];
+        if (ls->expiry[j] < until)
+            ls->expiry[j] = until;
+    }
+    for (int64_t t = 0; t < k->n_added; t++) {
+        int64_t j = k->added[t];
+        if (ls->expiry[j] < until)
+            ls->expiry[j] = until;
+    }
+    ls->trace[ls->trace_len++] = ls->best_value;
+    return 0;
+}
+
+/* Run compound moves until X* stalls for nb_local moves, the budget is
+ * spent or a move changes nothing.  resume >= 0 finishes a move whose Add
+ * selection was handed back (LS_HANDBACK, k->allowed/k->ratios set) by
+ * adding item `resume`; LS_TRACE_FULL asks for the trace to be emptied.
+ * After either, call again to continue the same loop. */
+int ts_local_search(ts_kernel *k, ts_loop *ls, int64_t resume)
+{
+    if (resume >= 0) {
+        if (ts_add_continue(k, ls->expiry, ls->clock, ls->bitgen, ls->best_value,
+                            ls->add_candidates, resume) == TS_HANDBACK)
+            return LS_HANDBACK;
+        if (after_move(k, ls))
+            return LS_STUCK;
+    }
+    while (ls->stall < ls->nb_local) {
+        if (ls->evaluations >= ls->max_evaluations || ls->moves >= ls->max_moves
+            || ls->best_value >= ls->target_value)
+            return LS_BUDGET;
+        if (ls->trace_len == ls->trace_cap)
+            return LS_TRACE_FULL;
+        if (ts_move(k, ls->expiry, ls->clock, ls->bitgen, ls->nb_drop,
+                    ls->best_value, ls->add_candidates) == TS_HANDBACK)
+            return LS_HANDBACK;
+        if (after_move(k, ls))
+            return LS_STUCK;
+    }
+    return LS_STALLED;
 }
 
 /* ------------------------------------------------------------------ */

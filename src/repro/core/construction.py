@@ -57,16 +57,24 @@ def greedy_solution(instance: MKPInstance) -> Solution:
 
 
 def random_solution(
-    instance: MKPInstance, rng: int | None | np.random.Generator = None
+    instance: MKPInstance,
+    rng: int | None | np.random.Generator = None,
+    scratch: SearchState | None = None,
 ) -> Solution:
     """Random feasible solution: greedy fill in a uniformly random item order.
 
     Always feasible (items are only added when they fit), and maximal (no
     further item fits) — matching the solutions the paper's slaves start
-    from after a random restart.
+    from after a random restart.  ``scratch``, a state over ``instance``,
+    is reset and refilled instead of building a new one (and with it a new
+    kernel); callers that restart often keep one.
     """
     gen = make_rng(rng)
-    state = SearchState.empty(instance)
+    if scratch is None:
+        state = SearchState.empty(instance)
+    else:
+        state = scratch
+        state.reset()
     order = gen.permutation(instance.n_items)
     fill_greedily(state, order)
     return state.snapshot()

@@ -39,9 +39,9 @@ the bitset scan (integer-valued instances)
     switches the path at runtime so tests can pin the equivalence.
 
 the native kernel (bitset mode)
-    When :mod:`repro.core.native` loaded, the compound move, the swap
-    intensification and the greedy fill run as C over these same buffers
-    (:meth:`native`).
+    When :mod:`repro.core.native` loaded, the compound move (and the
+    tabu search's local-search loop around it), the swap intensification
+    and the greedy fill run as C over these same buffers (:meth:`native`).
 
 Exactness contract: every result the kernel returns is bit-identical to the
 naive recomputation it replaces (same elementwise comparisons, same

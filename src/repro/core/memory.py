@@ -81,35 +81,47 @@ class EliteArray:
     0/1 vector, not the value, so plateaus contribute genuinely different
     elite members (the SGP's dispersion statistic would be meaningless
     otherwise).
+
+    The members live in one array block: :attr:`rows` (``(B, n)`` ``int8``,
+    the first :attr:`count` rows in use) and :attr:`values`.  The native
+    local-search loop inserts into the same block
+    (``ts_elite_offer`` in ``core/_native.c``), so there is one copy of the
+    array whichever path fills it; :class:`Solution` objects are built on
+    the way out.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, n_items: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive; got {capacity}")
         self.capacity = int(capacity)
-        self._solutions: list[Solution] = []
-        self._keys: set[bytes] = set()
+        self.values = np.empty(self.capacity, dtype=np.float64)
+        self.rows = np.empty((self.capacity, int(n_items)), dtype=np.int8)
+        self.count = 0
 
     def __len__(self) -> int:
-        return len(self._solutions)
+        return self.count
 
     def __iter__(self) -> Iterator[Solution]:
-        return iter(self._solutions)
+        return iter(self.to_list())
 
     def __getitem__(self, idx: int) -> Solution:
-        return self._solutions[idx]
+        if idx < 0:
+            idx += self.count
+        if not 0 <= idx < self.count:
+            raise IndexError("elite index out of range")
+        return Solution.trusted(self.rows[idx].copy(), self.values[idx])
 
     @property
     def best(self) -> Solution | None:
         """Highest-value member, or ``None`` when empty."""
-        return self._solutions[0] if self._solutions else None
+        return self[0] if self.count else None
 
     @property
     def worst_value(self) -> float:
         """Value of the weakest member (``-inf`` when not yet full)."""
-        if len(self._solutions) < self.capacity:
+        if self.count < self.capacity:
             return float("-inf")
-        return self._solutions[-1].value
+        return float(self.values[-1])
 
     def qualifies(self, value: float) -> bool:
         """Whether a solution of ``value`` would enter the array.
@@ -118,30 +130,36 @@ class EliteArray:
         solutions" — callers use it to skip the snapshot cost for
         non-qualifying moves.
         """
-        return value > self.worst_value or len(self._solutions) < self.capacity
+        return value > self.worst_value or self.count < self.capacity
 
     def offer(self, solution: Solution) -> bool:
         """Insert ``solution`` if it qualifies and is distinct.
 
-        Returns ``True`` when the array changed.
+        The new member goes after every member of equal or higher value,
+        and a full array then drops its last member.  Returns ``True`` when
+        the array changed.
         """
-        key = solution.x.tobytes()
-        if key in self._keys:
+        x = solution.x
+        count = self.count
+        if count and (self.rows[:count] == x).all(axis=1).any():
             return False
         if not self.qualifies(solution.value):
             return False
-        self._solutions.append(solution)
-        self._keys.add(key)
-        self._solutions.sort(key=lambda s: -s.value)
-        if len(self._solutions) > self.capacity:
-            evicted = self._solutions.pop()
-            self._keys.discard(evicted.x.tobytes())
+        pos = int(np.count_nonzero(self.values[:count] >= solution.value))
+        last = min(count, self.capacity - 1)
+        self.rows[pos + 1 : last + 1] = self.rows[pos:last]
+        self.values[pos + 1 : last + 1] = self.values[pos:last]
+        self.rows[pos] = x
+        self.values[pos] = solution.value
+        self.count = last + 1
         return True
 
     def to_list(self) -> list[Solution]:
         """Snapshot as a plain list (what a slave ships back to the master)."""
-        return list(self._solutions)
+        return [
+            Solution.trusted(self.rows[i].copy(), value)
+            for i, value in enumerate(self.values[: self.count].tolist())
+        ]
 
     def clear(self) -> None:
-        self._solutions.clear()
-        self._keys.clear()
+        self.count = 0

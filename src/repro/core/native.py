@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import math
 import os
 import shutil
 import sys
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "NativeKernel"]
+__all__ = ["available", "NativeKernel", "NativeLoop"]
 
 _SOURCE = Path(__file__).with_name("_native.c")
 
@@ -79,6 +80,27 @@ typedef struct {
     int64_t evaluations;
 } ts_kernel;
 
+typedef struct {
+    int64_t nb_drop, nb_local, add_candidates, tenure;
+    int64_t max_evaluations, max_moves;
+    double target_value;
+    void *bitgen;
+    int64_t *expiry;
+    int64_t clock;
+    int64_t *counts;
+    int64_t iterations;
+    int8_t *elite_x;
+    double *elite_values;
+    int64_t elite_count, elite_capacity;
+    int8_t *best_x;
+    int8_t *local_x;
+    double best_value, local_value;
+    int64_t best_moved, local_moved;
+    int64_t evaluations, moves, loop_moves, snapshots, stall;
+    double *trace;
+    int64_t trace_len, trace_cap;
+} ts_loop;
+
 uint64_t ts_bounded(void *bitgen, uint64_t k);
 int ts_move(ts_kernel *k, const int64_t *expiry, int64_t clock, void *bitgen,
             int64_t nb_drop, double best_value, int64_t add_candidates);
@@ -87,6 +109,9 @@ int ts_add_continue(ts_kernel *k, const int64_t *expiry, int64_t clock,
                     int64_t j);
 int64_t ts_swap(ts_kernel *k);
 int ts_fill(ts_kernel *k, const int64_t *order, int64_t len);
+int ts_elite_offer(int8_t *rows, double *values, int64_t *count,
+                   int64_t capacity, int64_t n, const int8_t *x, double value);
+int ts_local_search(ts_kernel *k, ts_loop *ls, int64_t resume);
 """
 
 
@@ -247,13 +272,7 @@ class NativeKernel:
         kernel.n_packed = s.n_packed
         kernel._invalidate()
 
-    def move(self, kernel, tabu, rng, nb_drop: int, best_value: float,
-             add_candidates: int) -> tuple[list[int], list[int], int]:
-        """One Drop/Add compound move: ``(dropped, added, evaluations)``.
-
-        ``add_candidates`` must be 1 or 2.  A handed-back Add selection is
-        made here exactly as the numpy path makes it.
-        """
+    def _sync_in(self, kernel, tabu, rng) -> None:
         if tabu is not self._tabu:
             self._tabu, self._expiry = tabu, ffi.from_buffer("int64_t[]", tabu._expiry)
         if rng is not self._rng:
@@ -261,15 +280,29 @@ class NativeKernel:
         s = self.ptr
         s.value = kernel.value
         s.n_packed = kernel.n_packed
+
+    def handback_pick(self, rng) -> int:
+        """The numpy path's pick from a handed-back Add selection."""
+        top = self.ratios[: self.ptr.n_allowed].argpartition(1)[:2]
+        return int(self.allowed[top[rng.integers(0, 2)]])
+
+    def move(self, kernel, tabu, rng, nb_drop: int, best_value: float,
+             add_candidates: int) -> tuple[list[int], list[int], int]:
+        """One Drop/Add compound move: ``(dropped, added, evaluations)``.
+
+        ``add_candidates`` must be 1 or 2.  A handed-back Add selection is
+        made here exactly as the numpy path makes it.
+        """
+        self._sync_in(kernel, tabu, rng)
+        s = self.ptr
         clock = tabu.clock
         status = lib.ts_move(
             s, self._expiry, clock, self._bitgen, nb_drop, best_value, add_candidates
         )
         while status:
-            top = self.ratios[: s.n_allowed].argpartition(1)[:2]
-            j = int(self.allowed[top[rng.integers(0, 2)]])
             status = lib.ts_add_continue(
-                s, self._expiry, clock, self._bitgen, best_value, add_candidates, j
+                s, self._expiry, clock, self._bitgen, best_value, add_candidates,
+                self.handback_pick(rng),
             )
         self._sync_out(kernel)
         return (
@@ -301,3 +334,115 @@ class NativeKernel:
             return False
         self._sync_out(kernel)
         return True
+
+
+#: ``ts_local_search`` exits after which the same loop continues: an Add
+#: selection handed back mid-move, and a full trace chunk.
+_LS_HANDBACK, _LS_TRACE_FULL = 3, 4
+_NO_CAP = 2**63 - 1
+#: Per-move trace entries ``ts_local_search`` buffers before it returns to
+#: have them emptied into the thread's trace list.
+_TRACE_CHUNK = 1024
+
+
+class NativeLoop:
+    """``ts_local_search``'s view of one :class:`~repro.core.tabu_search.TabuSearch`.
+
+    Figure 1 steps 4-10 run as one C call per local-search loop.  The loop
+    works on the thread's own memories: ``TabuList._expiry``,
+    ``History.counts`` and the :class:`~repro.core.memory.EliteArray`
+    block are bound on every call; the tabu clock, History iterations,
+    elite count and the counters are copied in and back out.  This object
+    owns the rest: the ``ts_loop`` struct, the X* and X_local vectors the
+    loop writes when it improves on them, and a chunk of the per-move
+    incumbent trace, which Python empties into the thread's trace list.
+    """
+
+    __slots__ = ("ptr", "best_x", "local_x", "_native", "_trace", "_keep")
+
+    def __init__(self, native_kernel: NativeKernel, n: int) -> None:
+        self._native = native_kernel
+        self.best_x = np.empty(n, np.int8)
+        self.local_x = np.empty(n, np.int8)
+        self._trace = np.empty(_TRACE_CHUNK, np.float64)
+        s = self.ptr = ffi.new("ts_loop *")
+        self._keep = [
+            ffi.from_buffer("int8_t[]", self.best_x),
+            ffi.from_buffer("int8_t[]", self.local_x),
+            ffi.from_buffer("double[]", self._trace),
+        ]
+        s.best_x, s.local_x, s.trace = self._keep
+        s.trace_cap = _TRACE_CHUNK
+
+    def run(self, thread, budget, moves_so_far: int, local_value: float,
+            trace: list[float]):
+        """Run one local-search loop of ``thread`` from its current state.
+
+        ``local_value`` is F(X_local) at step 4.  Appends one incumbent
+        value per move to ``trace`` and returns the ``ts_loop`` struct:
+        ``loop_moves``, and ``best_moved``/``local_moved`` with
+        ``best_value``/``local_value`` when :attr:`best_x`/:attr:`local_x`
+        hold a newer X*/X_local (X_local is X* whenever ``best_moved``).
+        """
+        kernel, tabu, history, elite = (
+            thread.state.kernel, thread.tabu, thread.history, thread.elite
+        )
+        counters, rng, strategy = thread.counters, thread.engine.rng, thread.strategy
+        native = self._native
+        if kernel._n_excluded:
+            kernel.clear_exclusions()
+        native._sync_in(kernel, tabu, rng)
+        s = self.ptr
+        s.nb_drop = max(0, int(strategy.nb_drop))
+        s.nb_local = strategy.nb_local
+        s.add_candidates = thread.engine.add_candidates
+        s.tenure = tabu.tenure
+        s.max_evaluations = _cap(budget.max_evaluations)
+        s.max_moves = _cap(budget.max_moves)
+        s.target_value = (
+            float("inf") if budget.target_value is None else float(budget.target_value)
+        )
+        s.bitgen = native._bitgen
+        s.expiry = native._expiry
+        s.clock = tabu.clock
+        s.counts = ffi.from_buffer("int64_t[]", history.counts)
+        s.iterations = history.iterations
+        s.elite_x = ffi.from_buffer("int8_t[]", elite.rows)
+        s.elite_values = ffi.from_buffer("double[]", elite.values)
+        s.elite_count = elite.count
+        s.elite_capacity = elite.capacity
+        s.best_value = thread.best.value
+        s.local_value = local_value
+        s.best_moved = s.local_moved = 0
+        start = counters.total
+        s.evaluations = start
+        s.moves = moves_so_far
+        s.loop_moves = s.snapshots = s.stall = 0
+        s.trace_len = 0
+        k = native.ptr
+        status = lib.ts_local_search(k, s, -1)
+        while status in (_LS_HANDBACK, _LS_TRACE_FULL):
+            if status == _LS_HANDBACK:
+                status = lib.ts_local_search(k, s, native.handback_pick(rng))
+            else:
+                trace.extend(self._trace.tolist())
+                s.trace_len = 0
+                status = lib.ts_local_search(k, s, -1)
+        trace.extend(self._trace[: s.trace_len].tolist())
+        native._sync_out(kernel)
+        tabu.advance_to(s.clock)
+        history.iterations = s.iterations
+        elite.count = s.elite_count
+        counters.move_evaluations += s.evaluations - start
+        counters.moves += s.loop_moves
+        counters.snapshots += s.snapshots
+        return s
+
+
+def _cap(limit: float | None) -> int:
+    """A budget cap as ``int64``: ``None`` (and anything past it) is no cap.
+
+    The caps bound integer counts, so ``count >= limit`` is
+    ``count >= ceil(limit)``.
+    """
+    return _NO_CAP if limit is None else min(math.ceil(limit), _NO_CAP)

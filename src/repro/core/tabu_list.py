@@ -65,6 +65,14 @@ class TabuList:
         """Advance the iteration clock by one (call once per TS move)."""
         self._clock += 1
 
+    def advance_to(self, clock: int) -> None:
+        """Set the clock to ``clock`` after the expiry array was written in
+        place (the native local-search loop ticks and marks in C), and drop
+        the mask caches."""
+        self._clock = int(clock)
+        self._mask_clock = -1
+        self._words_clock = -1
+
     # ------------------------------------------------------------------ #
     # Updates
     # ------------------------------------------------------------------ #

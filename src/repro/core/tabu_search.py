@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from ..rng import make_rng
+from . import native
 from .construction import random_solution
 from .diversification import DiversificationConfig, diversify
 from .instance import MKPInstance
@@ -153,7 +154,7 @@ class TabuSearch:
         self.state: SearchState = SearchState.empty(instance)
         self.tabu = TabuList(instance.n_items, strategy.lt_length)
         self.history = History(instance.n_items)
-        self.elite = EliteArray(self.config.elite_size)
+        self.elite = EliteArray(self.config.elite_size, instance.n_items)
         self.best: Solution = self.state.snapshot()
         self.engine = MoveEngine(
             self.state, self.tabu, self.rng, add_candidates=self.config.add_candidates
@@ -164,6 +165,8 @@ class TabuSearch:
         self.counters = self.state.kernel.counters
         self._intensify_stats = IntensificationStats(self.counters)
         self._trace_control_flow: list[str] | None = None
+        #: the C local-search loop over this thread (built on first use)
+        self._c_loop: native.NativeLoop | None = None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -213,11 +216,20 @@ class TabuSearch:
         budget = (budget or Budget.unlimited()).start()
         if x_init is None:
             x_init = random_solution(self.instance, self.rng)
-        if not x_init.is_feasible(self.instance):
-            raise ValueError("initial solution must be feasible")
+        x = x_init.x
+        if x.shape != (self.instance.n_items,):
+            raise ValueError(
+                f"solution vector must have shape ({self.instance.n_items},); got {x.shape}"
+            )
+        if not np.all((x == 0) | (x == 1)):
+            raise ValueError("solution vector must be 0/1")
 
-        # Step 1: X = X_init; Lt = {}
+        # Step 1: X = X_init; Lt = {}.  The restore computes A @ x once; its
+        # load gives the feasibility check (same formula and tolerance as
+        # MKPInstance.is_feasible).
         self.state.restore(x_init)
+        if not self.state.is_feasible:
+            raise ValueError("initial solution must be feasible")
         self.best = self.state.snapshot()
         self.elite.offer(self.best)
         initial_value = x_init.value
@@ -244,7 +256,13 @@ class TabuSearch:
                     break
                 self._note("local_search")
                 # Steps 4–10: one local-search loop
-                x_local, loop_moves = self._local_search_loop(budget, moves, trace)
+                c_loop = self._native_loop(budget)
+                if c_loop is not None:
+                    x_local, loop_moves = self._c_local_search_loop(
+                        c_loop, budget, moves, trace
+                    )
+                else:
+                    x_local, loop_moves = self._local_search_loop(budget, moves, trace)
                 moves += loop_moves
                 loops += 1
                 if out_of_budget():
@@ -334,6 +352,42 @@ class TabuSearch:
             if self.on_move is not None:
                 self.on_move(self)
         return x_local, loop_moves
+
+    def _native_loop(self, budget: Budget) -> "native.NativeLoop | None":
+        """The C loop when it may run this loop, else ``None``.
+
+        :meth:`_local_search_loop` is the reference and runs instead when
+        ``on_move`` is set (the hook sees every move), when the budget has
+        a wall-clock cap (read per move), and wherever the compound move
+        itself is not native: no native kernel (no cffi, float instances,
+        ``use_bitset`` off) or an Add breadth above 2.
+        """
+        if self.on_move is not None or budget.wall_seconds is not None:
+            return None
+        kernel_native = self.state.kernel.native()
+        if kernel_native is None or self.engine.add_candidates > 2:
+            return None
+        if self._c_loop is None:
+            self._c_loop = native.NativeLoop(kernel_native, self.instance.n_items)
+        return self._c_loop
+
+    def _c_local_search_loop(
+        self, c_loop: "native.NativeLoop", budget: Budget, moves_so_far: int,
+        trace: list[float],
+    ) -> tuple[Solution, int]:
+        """Steps 4–10 in C, with :meth:`_local_search_loop`'s effects.
+
+        The moves, X*/X_local/elite updates, ``History``, the tabu list,
+        the counters and the trace all change exactly as in the Python
+        loop; ``Solution`` objects are built only here, at loop exit.
+        """
+        x_local = self.state.snapshot()  # step 4
+        out = c_loop.run(self, budget, moves_so_far, x_local.value, trace)
+        if out.best_moved:
+            self.best = x_local = Solution.trusted(c_loop.best_x.copy(), out.best_value)
+        elif out.local_moved:
+            x_local = Solution.trusted(c_loop.local_x.copy(), out.local_value)
+        return x_local, out.loop_moves
 
     # ------------------------------------------------------------------ #
     # Figure 1, step 11

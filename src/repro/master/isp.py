@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.construction import random_solution
 from ..core.instance import MKPInstance
-from ..core.solution import Solution
+from ..core.solution import SearchState, Solution
 from .datastruct import SlaveEntry
 
 __all__ = ["ISPConfig", "AlphaController", "generate_initial_solutions", "ISPDecision"]
@@ -105,12 +105,14 @@ def generate_initial_solutions(
     instance: MKPInstance,
     config: ISPConfig,
     rng: np.random.Generator,
+    scratch: SearchState | None = None,
 ) -> list[ISPDecision]:
     """Apply the two ISP rules to every entry; mutates stagnation counters.
 
     Entries must already hold the latest round's results (their
     ``best_solutions`` merged and ``stagnant_rounds`` updated by the master
-    loop).  Returns one decision per slave, in slave order.
+    loop).  Returns one decision per slave, in slave order.  Rule-2
+    restarts refill ``scratch`` (a state over ``instance``) when given.
     """
     decisions: list[ISPDecision] = []
     threshold = config.alpha * global_best.value
@@ -118,7 +120,7 @@ def generate_initial_solutions(
         own_best = entry.best if entry.best is not None else entry.init_solution
         if entry.stagnant_rounds >= config.stagnation_limit:
             # Rule 2: random restart for a stagnant thread.
-            fresh = random_solution(instance, rng)
+            fresh = random_solution(instance, rng, scratch)
             entry.stagnant_rounds = 0
             decisions.append(ISPDecision(entry.slave_id, "restart", fresh))
         elif own_best.value < threshold:

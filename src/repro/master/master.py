@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 
 from ..core.construction import random_solution
 from ..core.instance import MKPInstance
+from ..core.solution import SearchState
 from ..core.strategy import StrategyBounds
 from ..core.tabu_search import TabuSearchConfig
 from ..core.termination import Budget, CancelToken
@@ -210,6 +211,9 @@ class MasterProcess:
         #: the process-wide content-addressed cache — full-space runs never
         #: touch the LP (or scipy) at all
         self._core_selector = None
+        #: one search state over the instance that every random start of
+        #: this master (initial entries, ISP rule-2 restarts) refills
+        self._scratch = SearchState.empty(instance)
 
     def _fixation_pattern(self, strategy, slave_id: int):
         """The slave's fixation pattern for this round (None = full space).
@@ -283,7 +287,9 @@ class MasterProcess:
             SlaveEntry(
                 slave_id=k,
                 strategy=strategies[k],
-                init_solution=random_solution(self.instance, derive_rng(self.rng_seed, 0, k)),
+                init_solution=random_solution(
+                    self.instance, derive_rng(self.rng_seed, 0, k), self._scratch
+                ),
             )
             for k in range(cfg.n_slaves)
         ]
@@ -715,6 +721,7 @@ class MasterProcess:
             self.instance,
             ISPConfig(alpha=alpha, stagnation_limit=cfg.isp.stagnation_limit),
             self.rng,
+            self._scratch,
         )
         w.isp.update(d.rule for d in decisions)
 

@@ -23,6 +23,11 @@ that contract so any test can assert it in one call:
     once with every kernel held on the numpy reference path
     (:func:`numpy_reference`) — and assert the canonical bytes match.
 
+``assert_c_loop_matches_per_move``
+    The same, with the reference run holding every search thread on the
+    per-move loop (:func:`per_move_reference`): the native compound move
+    without the native local-search loop.
+
 Wall-measured fields canonicalized away (everything else — virtual
 seconds, byte ledgers, value histories, per-slave accounting — must
 match exactly):
@@ -41,7 +46,7 @@ import json
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.analysis.serialize import result_to_dict
-from repro.core import native
+from repro.core import TabuSearch, native
 from repro.core.instance import MKPInstance
 from repro.master.result import ParallelRunResult
 from repro.parallel.backends import Backend
@@ -49,12 +54,14 @@ from repro.variants.runner import solve_cts1, solve_cts2, solve_its, solve_seq
 
 __all__ = [
     "VARIANTS",
+    "assert_c_loop_matches_per_move",
     "assert_differential",
     "assert_native_matches_numpy",
     "canonical_bytes",
     "canonicalize",
     "first_difference",
     "numpy_reference",
+    "per_move_reference",
     "run_canonical",
 ]
 
@@ -201,15 +208,54 @@ def numpy_reference() -> Iterator[None]:
         native.available = saved
 
 
+def _no_op(thread: TabuSearch) -> None:
+    pass
+
+
+@contextlib.contextmanager
+def per_move_reference() -> Iterator[None]:
+    """Run every search thread built inside on the per-move loop.
+
+    Threads get a no-op ``on_move`` hook, which keeps
+    ``TabuSearch._local_search_loop`` (one native compound move per Python
+    iteration) instead of the native local-search loop.  Like
+    :func:`numpy_reference`, it reaches in-process threads only.
+    """
+    init = TabuSearch.__init__
+
+    def init_with_hook(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.on_move is None:
+            self.on_move = _no_op
+
+    TabuSearch.__init__ = init_with_hook
+    try:
+        yield
+    finally:
+        TabuSearch.__init__ = init
+
+
+def _assert_matches(run: Callable[[], bytes], reference_path, what: str) -> None:
+    with reference_path():
+        reference = run()
+    candidate = run()
+    if candidate != reference:
+        diff = first_difference(json.loads(reference), json.loads(candidate))
+        raise AssertionError(f"{what}: {diff}")
+
+
 def assert_native_matches_numpy(run: Callable[[], bytes]) -> None:
     """Assert ``run()`` yields the same canonical bytes on both kernel paths.
 
     ``run`` is any zero-argument case returning canonical bytes (for
     instance a :func:`run_canonical` partial on an in-process backend).
     """
-    with numpy_reference():
-        reference = run()
-    candidate = run()
-    if candidate != reference:
-        diff = first_difference(json.loads(reference), json.loads(candidate))
-        raise AssertionError(f"native kernel diverged from the numpy path: {diff}")
+    _assert_matches(run, numpy_reference, "native kernel diverged from the numpy path")
+
+
+def assert_c_loop_matches_per_move(run: Callable[[], bytes]) -> None:
+    """Assert ``run()`` yields the same canonical bytes with the native
+    local-search loop as on the per-move loop (:func:`per_move_reference`)."""
+    _assert_matches(
+        run, per_move_reference, "native local-search loop diverged from the per-move loop"
+    )

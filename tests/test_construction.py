@@ -51,6 +51,15 @@ class TestRandom:
         sols = {random_solution(medium_instance, rng=s).x.tobytes() for s in range(8)}
         assert len(sols) > 1
 
+    def test_scratch_state_refill_matches_a_fresh_state(self, small_instance):
+        # The master's restarts refill one scratch state; each draw must be
+        # the one a fresh state gives, whatever the scratch last held.
+        scratch = SearchState.from_solution(small_instance, greedy_solution(small_instance))
+        for seed in range(6):
+            refilled = random_solution(small_instance, seed, scratch)
+            assert refilled == random_solution(small_instance, seed)
+            assert refilled.x is not scratch.x
+
 
 class TestFillGreedily:
     def test_respects_order(self, tiny_instance):

@@ -14,7 +14,9 @@ Matrix covered across the module, per ISSUE-7's acceptance line:
 * one seeded chaos plan (drops/duplicates/delays/straggles, crash-free)
   replayed on both transports within each batch width;
 * the native C kernel against the numpy reference path, over every golden
-  run of ``tests/test_golden_trajectory.py``.
+  run of ``tests/test_golden_trajectory.py``;
+* the native local-search loop against the per-move loop (the native
+  compound move under a no-op ``on_move``), over the same golden runs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.parallel import MultiprocessingBackend, SerialBackend, shm_available
 from repro.parallel.faults import FaultKind, FaultPlan
 
 from tests.differential import (
+    assert_c_loop_matches_per_move,
     assert_differential,
     assert_native_matches_numpy,
     run_canonical,
@@ -207,6 +210,10 @@ class TestNativeDifferential:
     @pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
     def test_native_kernel_matches_numpy_reference(self, golden):
         assert_native_matches_numpy(GOLDEN_RUNS[golden])
+
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+    def test_native_loop_matches_per_move_loop(self, golden):
+        assert_c_loop_matches_per_move(GOLDEN_RUNS[golden])
 
     def test_total_evaluations_are_part_of_the_canonical_bytes(self):
         # The farm's virtual time charges evaluations: the leg above only
