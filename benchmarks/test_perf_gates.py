@@ -189,6 +189,9 @@ def test_native_kernel_triples_numpy_moves_per_s():
 # --------------------------------------------------------------------- #
 N_SLAVES = 8
 EVALS_PER_ROUND = 150
+#: Rounds per timed window, and alternating pairs, of the full-size shm gate.
+SHM_GATE_ROUNDS = 20
+SHM_GATE_PAIRS = 31
 
 
 class TestRoundLoop:
@@ -247,41 +250,58 @@ class TestRoundLoop:
 
         Rounds/s must improve (>= 1.05x), and the transport-owned share of
         the round (wall above the serial compute floor) must shrink >= 1.3x.
-        Interleaved best-of-4 windows of 60 rounds after 3 warm-up rounds.
+        The three backends stay up for the whole test.  Each pair times one
+        window of rounds per arm back to back, reversing the arm order from
+        pair to pair; each bound applies to the median of its per-pair
+        ratio, so a host-speed phase moves all arms of a pair alike and a
+        pair it splits is one outlier among many.
         """
         instance = gk_instance(24)
-        n_warmup, n_rounds, repeats = 3, 60, 4
+        n_warmup, n_rounds = 3, SHM_GATE_ROUNDS
         budget = Budget(max_evaluations=EVALS_PER_ROUND)
         rounds = [
             _tasks(instance, N_SLAVES, r, budget) for r in range(n_warmup + n_rounds)
         ]
         arms = {
-            "serial": lambda: SerialBackend(N_SLAVES),
-            "pipe": lambda: MultiprocessingBackend(
-                N_SLAVES, transport="pipe", batch_k=1
-            ),
-            "shm": lambda: MultiprocessingBackend(N_SLAVES, transport="shm", batch_k=8),
+            "serial": SerialBackend(N_SLAVES),
+            "pipe": MultiprocessingBackend(N_SLAVES, transport="pipe", batch_k=1),
+            "shm": MultiprocessingBackend(N_SLAVES, transport="shm", batch_k=8),
         }
-        best = {label: float("inf") for label in arms}
-        for _ in range(repeats):
-            for label, factory in arms.items():
-                with factory() as backend:
-                    backend.start(instance, TabuSearchConfig(nb_div=10_000))
-                    if label == "shm" and backend.worker_transports != ["shm"]:
-                        pytest.skip("POSIX shared memory unavailable")
-                    for tasks in rounds[:n_warmup]:
-                        backend.run_round(tasks)
-                    t0 = time.perf_counter()
-                    for tasks in rounds[n_warmup:]:
-                        backend.run_round(tasks)
-                    best[label] = min(best[label], time.perf_counter() - t0)
-        speedup = best["pipe"] / best["shm"]
-        overhead_ratio = (best["pipe"] - best["serial"]) / max(
-            best["shm"] - best["serial"], 1e-9
+
+        def window_s(backend) -> float:
+            t0 = time.perf_counter()
+            for tasks in rounds[n_warmup:]:
+                backend.run_round(tasks)
+            return time.perf_counter() - t0
+
+        speedups, overhead_ratios = [], []
+        try:
+            for backend in arms.values():
+                backend.start(instance, TabuSearchConfig(nb_div=10_000))
+                for tasks in rounds[:n_warmup]:
+                    backend.run_round(tasks)
+            if arms["shm"].worker_transports != ["shm"]:
+                pytest.skip("POSIX shared memory unavailable")
+            for i in range(SHM_GATE_PAIRS):
+                order = list(arms) if i % 2 == 0 else list(reversed(arms))
+                t = {label: window_s(arms[label]) for label in order}
+                speedups.append(t["pipe"] / t["shm"])
+                overhead_ratios.append(
+                    (t["pipe"] - t["serial"]) / max(t["shm"] - t["serial"], 1e-9)
+                )
+        finally:
+            for backend in arms.values():
+                backend.shutdown()
+        speedup = float(np.median(speedups))
+        overhead_ratio = float(np.median(overhead_ratios))
+        print(
+            f"shm k=8: x{speedup:.3f} rounds/s, x{overhead_ratio:.2f} less overhead "
+            f"(medians of {SHM_GATE_PAIRS} pairs)"
         )
-        print(f"shm k=8: x{speedup:.3f} rounds/s, x{overhead_ratio:.2f} less overhead")
-        assert speedup >= 1.05, f"shm k=8 speedup {speedup:.3f} below 1.05"
-        assert overhead_ratio >= 1.3, f"overhead ratio {overhead_ratio:.2f} below 1.3"
+        assert speedup >= 1.05, f"shm k=8 speedup {speedup:.3f} below 1.05 ({speedups})"
+        assert overhead_ratio >= 1.3, (
+            f"overhead ratio {overhead_ratio:.2f} below 1.3 ({overhead_ratios})"
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -538,28 +538,3 @@ class EvalKernel:
         return self._ratio_rows[i_star].take(
             candidates, out=self._ratio[: candidates.size]
         )
-
-    # ------------------------------------------------------------------ #
-    # Batched (K, n) evaluation
-    # ------------------------------------------------------------------ #
-    def batch_values(self, X: np.ndarray) -> np.ndarray:
-        """Objective values of ``K`` solution rows in one matmul.
-
-        ``X`` is a ``(K, n)`` 0/1 array (any numeric dtype).  For integer
-        instances the products are exact in float64 well past GK scale, so
-        the result equals ``K`` scalar :meth:`~repro.core.instance.MKPInstance.objective`
-        calls bit-for-bit — which is what lets the batched transport path
-        audit a whole round's decoded ``x_init`` frames in one pass.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return X @ self.instance.profits
-
-    def batch_loads(self, X: np.ndarray) -> np.ndarray:
-        """Per-constraint loads ``X a^T`` of ``K`` solution rows: ``(K, m)``."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return X @ self._weightsT
-
-    def batch_feasible(self, X: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-        """Feasibility mask of ``K`` solution rows against the capacities."""
-        loads = self.batch_loads(X)
-        return np.all(loads <= self.instance.capacities + atol, axis=1)

@@ -16,7 +16,7 @@ Two objects implement it:
     The wire-friendly description of one slave's fixation: a boolean core
     mask plus the 0/1 values pinned outside the core.  Patterns ride inside
     :class:`~repro.parallel.message.SlaveTask` (the
-    :class:`~repro.parallel.shm.WireCodec` frame ships two packed
+    :class:`~repro.parallel.wire.WireCodec` frame ships two packed
     ``ceil(n/8)``-byte blocks), so a warm worker can re-core without a
     respawn and a respawned worker re-cores from the task alone.
 

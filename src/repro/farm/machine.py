@@ -143,10 +143,6 @@ class FarmModel:
         """
         return sum(self.transfer_seconds(b) for b in payload_bytes_per_slave)
 
-    def gather_seconds(self, payload_bytes_per_slave: list[int]) -> float:
-        """Slaves send results back; the master's incoming link serializes."""
-        return sum(self.transfer_seconds(b) for b in payload_bytes_per_slave)
-
 
 #: The paper's testbed.
 ALPHA_FARM = FarmModel()

@@ -12,11 +12,10 @@ from .shm import (
     ShmComm,
     ShmRing,
     TornFrameError,
-    WireCodec,
-    WireError,
     resolve_transport,
     shm_available,
 )
+from .wire import WireCodec, WireError
 
 __all__ = [
     "ShmRing",

@@ -21,13 +21,18 @@ reaches, and makes the fleet *elastic*:
 
 Wire protocol (DESIGN.md §5.10): length-prefixed frames ``<tag:u8, len:u32>``
 followed by ``len`` payload bytes.  Task and report payloads are the
-:class:`~repro.parallel.shm.WireCodec` *batch* envelopes — byte-identical
+:class:`~repro.parallel.wire.WireCodec` *batch* envelopes — byte-identical
 to the shm/pipe carriers, so the byte ledgers agree across transports.
 The control frames, HELLO (magic, wire version, pid, name) and REBIND
 (instance and config), are struct frames too.  Nothing a peer sends is
 unpickled: every frame meets a total decoder raising
-:class:`~repro.parallel.shm.WireError`, and a peer's first frame may be no
+:class:`~repro.parallel.wire.WireError`, and a peer's first frame may be no
 larger than the largest HELLO.
+
+The worker agent, :func:`run_worker`, is carrier setup only — connect,
+HELLO, a heartbeat thread — around the same
+:func:`~repro.parallel.backends.worker_loop` that serves pipe and shm
+workers.
 
 The master's socket I/O runs on one asyncio loop in a daemon thread; the
 blocking backend methods exchange events with it through a queue, so the
@@ -51,16 +56,14 @@ from typing import Any, Callable, Sequence
 from ..core.instance import MKPInstance
 from ..core.tabu_search import TabuSearchConfig
 from ..obs.telemetry import RoundTelemetry
-from .backends import Entries, _as_entries, _run_round, _same_problem, _serve_or_die
+from .backends import Entries, _as_entries, _run_round, _same_problem, worker_loop
 from .comm import CommTimeout
 from .faults import FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
-from .runtime import SlaveRuntime
-from .shm import (
+from .wire import (
     HELLO_MAX_NBYTES,
     WireCodec,
     WireError,
-    decode_bind,
     decode_hello,
     encode_bind,
     encode_hello,
@@ -258,7 +261,7 @@ class SocketBackend:
         """One connection's lifetime: HELLO, then frames until death.
 
         The first frame must be a HELLO no larger than
-        :data:`~repro.parallel.shm.HELLO_MAX_NBYTES`; anything else closes
+        :data:`~repro.parallel.wire.HELLO_MAX_NBYTES`; anything else closes
         the connection before the peer joins.  After that, any read error —
         EOF, reset, a malformed frame, or a heartbeat window expiring (the
         ``asyncio`` timeout is normalised through
@@ -701,15 +704,15 @@ def run_worker(
 ) -> int:
     """Serve slave tasks for a :class:`SocketBackend` master until STOP.
 
-    The agent behind ``repro worker --connect HOST:PORT``: registers with
-    HELLO, receives the problem in a REBIND frame, then answers each task
-    batch with one report batch computed on a single warm
-    :class:`~repro.parallel.runtime.SlaveRuntime` (identity override per
-    slave id, so any worker can serve any shard bit-identically) through
-    the same :func:`~repro.parallel.backends.serve_batch` wrapper as a
-    multiprocessing worker.  A daemon thread keeps HEARTBEAT frames flowing
-    while the main thread is compute-bound.  Returns 0 on STOP or a closed
-    master.
+    The agent behind ``repro worker --connect HOST:PORT``: connects,
+    registers with HELLO and starts a daemon thread that keeps HEARTBEAT
+    frames flowing while the main thread is compute-bound.  The rest is
+    :func:`~repro.parallel.backends.worker_loop`, the same frame loop a
+    multiprocessing worker runs: the problem arrives in a REBIND frame,
+    and each task batch is answered with one report batch computed on a
+    single warm :class:`~repro.parallel.runtime.SlaveRuntime` (identity
+    override per slave id, so any worker can serve any shard
+    bit-identically).  Returns 0 on STOP or a closed master.
 
     ``fault_plan`` injects worker-side chaos for the seeded test matrix:
     a scheduled crash is a hard ``os._exit`` mid-batch (the master only
@@ -717,7 +720,6 @@ def run_worker(
     reports may be dropped, duplicated or delayed.  Task drops are a
     master-side fault, which a socket master does not inject.
     """
-    plan = fault_plan or FaultPlan.none()
     sock = socket.create_connection((host, port), timeout=connect_timeout_s)
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -737,31 +739,15 @@ def run_worker(
 
     send_frame(HELLO_TAG, encode_hello(os.getpid(), name or f"worker-{os.getpid()}"))
     threading.Thread(target=beat, name="repro-heartbeat", daemon=True).start()
-    codec: WireCodec | None = None
-    runtime: SlaveRuntime | None = None
-    held: list[SlaveReport] = []
     try:
-        while True:
-            tag, payload = _recv_frame(sock)
-            if tag == STOP_TAG:
-                return 0
-            if tag == REBIND_TAG:
-                instance, config = decode_bind(payload)
-                codec = WireCodec(instance.n_items)
-                runtime = SlaveRuntime(instance, config, slave_id=0)
-                held = []
-                continue
-            if tag != TASK_TAG:
-                raise RuntimeError(f"worker: unexpected tag {tag}")
-            if codec is None or runtime is None:
-                raise RuntimeError("worker: task frame before problem bind")
-            entries, _sizes = codec.decode_task_batch(payload)
-            frame, _sizes = codec.encode_report_batch(
-                _serve_or_die(runtime, plan, entries, held)
-            )
-            send_frame(RESULT_TAG, frame)
+        worker_loop(
+            lambda: _recv_frame(sock),
+            lambda frame: send_frame(RESULT_TAG, frame),
+            fault_plan or FaultPlan.none(),
+        )
     except (ConnectionError, EOFError, OSError):
-        return 0  # master went away; nothing left to serve
+        pass  # master went away; nothing left to serve
     finally:
         stop_beat.set()
         sock.close()
+    return 0

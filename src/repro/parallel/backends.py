@@ -30,19 +30,27 @@ Three implementations:
 :class:`SerialBackend`
     Runs slaves inline, one after the other.  Objects travel by reference,
     but every task and report is charged its
-    :class:`~repro.parallel.shm.WireCodec` frame length, so the byte volume
+    :class:`~repro.parallel.wire.WireCodec` frame length, so the byte volume
     is identical to a real run.  This is also the engine of the *simulated
     farm*: the master driver converts the reports' evaluation counts and
     the charged bytes into virtual time.
 
 :class:`MultiprocessingBackend`
-    Persistent worker processes connected by private duplex pipes, speaking
-    the :class:`~repro.parallel.shm.WireCodec` batch frames through
-    :class:`~repro.parallel.shm.ShmComm`.  This is the real-parallelism
-    path (the Python GIL forces processes, not threads — see DESIGN.md).
+    Persistent worker processes connected by private duplex pipes.  The
+    backend encodes task batches and decodes report batches with its one
+    :class:`~repro.parallel.wire.WireCodec`;
+    :class:`~repro.parallel.shm.ShmComm` only carries the bytes.  This is
+    the real-parallelism path (the Python GIL forces processes, not
+    threads — see DESIGN.md).
 
 :class:`~repro.parallel.backend_socket.SocketBackend`
     TCP workers that may join and leave mid-run (DESIGN.md §5.10).
+
+Every worker process — a pipe/shm worker here or a TCP agent — serves
+frames through the one :func:`worker_loop`: STOP ends it, REBIND rebuilds
+its runtime from a bind frame, and each TASK batch frame is decoded, served
+through :func:`serve_batch` and answered by one report batch frame.  The
+carriers differ only in how the loop's frames arrive and leave.
 
 All produce bit-identical reports for identical tasks (same seeds), which
 ``tests/test_backends.py`` asserts — the property that makes the simulated
@@ -86,7 +94,7 @@ import os
 import time
 from collections import Counter, defaultdict, deque
 from multiprocessing import connection as mp_connection
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from ..core.instance import MKPInstance
 from ..core.tabu_search import TabuSearchConfig
@@ -95,26 +103,19 @@ from .comm import CommClosedError, PipeComm
 from .faults import FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
 from .runtime import SlaveRuntime
-from .shm import (
-    DEFAULT_RING_NBYTES,
-    ShmComm,
-    ShmRing,
-    TornFrameError,
-    WireCodec,
-    WireError,
-    decode_bind,
-    encode_bind,
-    resolve_transport,
-)
+from .shm import DEFAULT_RING_NBYTES, ShmComm, ShmRing, TornFrameError, resolve_transport
+from .wire import WireCodec, WireError, decode_bind, encode_bind
 
-__all__ = ["Backend", "SerialBackend", "MultiprocessingBackend", "serve_batch"]
+__all__ = [
+    "Backend",
+    "SerialBackend",
+    "MultiprocessingBackend",
+    "serve_batch",
+    "worker_loop",
+]
 
 #: ``dispatch``'s list form: ``(slave_id, task)`` pairs.
 Entries = Sequence[tuple[int, SlaveTask]]
-
-
-def _n_groups(n_slaves: int, batch_k: int) -> int:
-    return -(-n_slaves // batch_k)  # ceil division
 
 
 class Backend(Protocol):
@@ -291,6 +292,7 @@ class SerialBackend:
     charges the execution to ``compute``.  Each task is served by the same
     :func:`serve_batch` as a worker process, with that slave's held-report
     list: a crash is counted, a straggle becomes ``last_slowdowns``.
+    Every slave keeps its own warm runtime.
     """
 
     #: inline slaves never hang, so the shared round needs no deadline
@@ -301,17 +303,10 @@ class SerialBackend:
         n_slaves: int,
         *,
         fault_plan: FaultPlan | None = None,
-        batch_k: int = 1,
     ) -> None:
         if n_slaves < 1:
             raise ValueError("n_slaves must be >= 1")
-        if batch_k < 1:
-            raise ValueError("batch_k must be >= 1")
         self.n_slaves = int(n_slaves)
-        #: slaves per shared warm runtime (``1`` = one arena per slave);
-        #: higher values share one arena across a whole slave group, the
-        #: serial mirror of the multiprocessing backend's batched workers
-        self.batch_k = int(batch_k)
         self.fault_plan = fault_plan or FaultPlan.none()
         self._codec: WireCodec | None = None
         self._instance: MKPInstance | None = None
@@ -370,13 +365,8 @@ class SerialBackend:
         self._codec = WireCodec(instance.n_items)
         # Held reports belong to the old problem, as a rebound worker's do.
         self._held = [[] for _ in range(self.n_slaves)]
-        # One warm arena per slave *group*: with batch_k == 1 that is the
-        # historical one-arena-per-slave layout; with batch_k > 1 a group
-        # of K slaves shares a single runtime (the trajectory depends only
-        # on the task, so reports are bit-identical either way).
         self._runtimes = [
-            SlaveRuntime(instance, config, slave_id=g * self.batch_k)
-            for g in range(_n_groups(self.n_slaves, self.batch_k))
+            SlaveRuntime(instance, config, slave_id=k) for k in range(self.n_slaves)
         ]
 
     def _require_started(self) -> None:
@@ -405,7 +395,7 @@ class SerialBackend:
         total = 0
         for k, t in _drop_tasks(self, _as_entries(slave_id, task)):
             if t is not None:
-                nbytes = len(self._codec.encode(t))
+                nbytes = len(self._codec.encode_task(t))
                 self.last_task_nbytes[k] = nbytes
                 total += nbytes
             self._queued.append((k, t))
@@ -423,7 +413,7 @@ class SerialBackend:
             k, task = self._queued.popleft()
             entries = [] if task is None else [(k, task)]
             reports, crashed, factors = serve_batch(
-                self._runtimes[k // self.batch_k], self.fault_plan, entries, self._held[k]
+                self._runtimes[k], self.fault_plan, entries, self._held[k]
             )
             if crashed:
                 # Inline "process death": the task is consumed, no report.
@@ -432,7 +422,7 @@ class SerialBackend:
                 self.fault_counters["straggle"] += 1
                 self.last_slowdowns[slave] = factor
             self._pending.extend(
-                (report, len(self._codec.encode(report))) for report in reports
+                (report, len(self._codec.encode_report(report))) for report in reports
             )
 
     def next_report(
@@ -482,27 +472,22 @@ def serve_batch(
 ) -> tuple[list[SlaveReport], bool, dict[int, float]]:
     """Serve one task batch; returns ``(reports, crashed, straggle factors)``.
 
-    The one code that decides slave-side faults, on every backend.
-    Fault-free, the whole batch runs through
-    :meth:`SlaveRuntime.execute_batch`.  Otherwise the plan applies per
-    entry: a crash stops the batch (``crashed`` is true and no later entry
-    runs), a straggle records its factor by slave id, and a report may be
-    dropped, duplicated or delayed.  ``held`` is the slave's (or worker's)
-    list of delayed reports: they ride out first, ahead of this batch's
-    reports, and this batch's delayed reports take their place — so a delay
-    fault costs the master no wait and is charged on the round the stale
-    bytes arrive (``tests/test_wall_clock.py``).  The caller enacts the
-    verdict: a worker process through :func:`_serve_or_die`, the serial
-    backend by counting it.
+    The one serving path and the one code that decides slave-side faults,
+    on every backend and under every plan, empty or armed.  Each entry runs
+    through :meth:`SlaveRuntime.execute`, which audits its ``x_init``
+    first.  The plan applies per entry: a crash stops the batch
+    (``crashed`` is true and no later entry runs), a straggle records its
+    factor by slave id, and a report may be dropped, duplicated or delayed.
+    ``held`` is the slave's (or worker's) list of delayed reports: they ride
+    out first, ahead of this batch's reports, and this batch's delayed
+    reports take their place — so a delay fault costs the master no wait
+    and is charged on the round the stale bytes arrive
+    (``tests/test_wall_clock.py``).  The caller enacts the verdict: a worker
+    process through :func:`_serve_or_die`, the serial backend by counting it.
     """
     out = list(held)
     held.clear()
     factors: dict[int, float] = {}
-    if fault_plan.is_empty:
-        out.extend(
-            runtime.execute_batch([t for _, t in entries], [k for k, _ in entries])
-        )
-        return out, False, factors
     for k, task in entries:
         r = task.round_index
         if fault_plan.crashes(r, k):
@@ -544,6 +529,48 @@ def _serve_or_die(
     return reports
 
 
+def worker_loop(
+    recv: Callable[[], tuple[int, bytes]],
+    reply: Callable[[bytes], None],
+    fault_plan: FaultPlan,
+    runtime: SlaveRuntime | None = None,
+) -> None:
+    """Serve frames until STOP: the one worker agent, on every carrier.
+
+    ``recv`` returns the next ``(tag, frame)`` and ``reply`` sends one
+    report batch frame back; the carrier setup around the loop supplies
+    both.  STOP ends the loop.  REBIND decodes a bind frame and builds a
+    fresh :class:`~repro.parallel.runtime.SlaveRuntime` in place of a
+    process respawn; the carrier keeps frames in order, so every later task
+    sees the new problem with no acknowledgement round-trip, and reports a
+    delay fault held belong to the old problem and are dropped.  TASK
+    decodes the batch, serves it through :func:`_serve_or_die` and answers
+    with exactly one report batch frame.  ``runtime`` is the problem bound
+    at spawn, or ``None`` until the first REBIND.  A task before any bind,
+    or an unknown tag, is a protocol error; an undecodable frame raises
+    :class:`~repro.parallel.wire.WireError`.
+    """
+    held: list[SlaveReport] = []
+    while True:
+        tag, frame = recv()
+        if tag == STOP_TAG:
+            return
+        if tag == REBIND_TAG:
+            instance, config = decode_bind(frame)
+            slave_id = 0 if runtime is None else runtime.slave_id
+            runtime = SlaveRuntime(instance, config, slave_id=slave_id)
+            held = []
+            continue
+        if tag != TASK_TAG:
+            raise RuntimeError(f"worker: unexpected tag {tag}")
+        if runtime is None:
+            raise RuntimeError("worker: task frame before problem bind")
+        codec = WireCodec(runtime.instance.n_items)
+        entries, _ = codec.decode_task_batch(frame)
+        reports = _serve_or_die(runtime, fault_plan, entries, held)
+        reply(codec.encode_report_batch(reports)[0])
+
+
 def _worker_main(
     conn: "mp.connection.Connection",
     instance: MKPInstance,
@@ -552,19 +579,18 @@ def _worker_main(
     fault_plan: FaultPlan,
     shm_spec: tuple[str, str] | None = None,
 ) -> None:
-    """Worker process entry point: serve task batches until the stop sentinel.
+    """Worker process entry point: carrier setup around :func:`worker_loop`.
 
     One worker owns a whole slave *group* (``slave_ids``; a single id in
     the classic one-process-per-slave layout) on one warm runtime built at
     spawn.  The fault plan travels to the worker so faults happen on the
-    worker side of the wire (:func:`_serve_or_die`).
+    worker side of the wire.
 
     ``shm_spec`` names the two rings the master created for this worker
     (task direction, report direction); attach failure silently degrades
     to the in-band pipe carrier — the doorbell protocol needs no
     negotiation, so the master never has to know.
     """
-    codec = WireCodec(instance.n_items)
     send_ring = recv_ring = None
     if shm_spec is not None:
         task_name, report_name = shm_spec
@@ -575,27 +601,14 @@ def _worker_main(
             if recv_ring is not None:
                 recv_ring.close()
             send_ring = recv_ring = None
-    comm = ShmComm(PipeComm(conn), codec, send_ring=send_ring, recv_ring=recv_ring)
-    runtime = SlaveRuntime(instance, config, slave_id=slave_ids[0])
-    held: list[SlaveReport] = []
+    comm = ShmComm(PipeComm(conn), send_ring=send_ring, recv_ring=recv_ring)
     try:
-        while True:
-            tag, obj = comm.recv_message()
-            if tag == STOP_TAG:
-                return
-            if tag == REBIND_TAG:
-                # The backend was re-started on a new problem: rebuild the
-                # warm arena here, once, in place of a process respawn.
-                # Pipe ordering guarantees every later task sees the new
-                # instance, so this needs no acknowledgement round-trip.
-                instance, config = decode_bind(obj)
-                codec.n_items = instance.n_items
-                runtime = SlaveRuntime(instance, config, slave_id=slave_ids[0])
-                held = []
-                continue
-            if tag != TASK_TAG:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"worker {slave_ids[0]}: unexpected tag {tag}")
-            comm.send_reports(_serve_or_die(runtime, fault_plan, obj, held))
+        worker_loop(
+            comm.recv_message,
+            lambda frame: comm.send(frame, tag=RESULT_TAG),
+            fault_plan,
+            SlaveRuntime(instance, config, slave_id=slave_ids[0]),
+        )
     except (EOFError, BrokenPipeError, CommClosedError):  # pragma: no cover - master died
         pass
     finally:
@@ -618,12 +631,16 @@ class MultiprocessingBackend:
     is terminated (``respawns`` counts its lazy replacement), and the round
     returns without its reports instead of deadlocking the Fig. 2 barrier.
 
-    Transport (DESIGN.md §5.7): with ``transport="shm"`` (the automatic
-    choice wherever POSIX shared memory works; override with the argument
-    or ``REPRO_TRANSPORT``) every task and report frame moves through a
-    per-worker pair of :class:`~repro.parallel.shm.ShmRing` buffers and
-    the pipe carries only constant-size doorbells; ``"pipe"`` ships the
-    same codec frames in-band.  Byte ledgers are identical either way.
+    Transport (DESIGN.md §5.7): the backend owns the one
+    :class:`~repro.parallel.wire.WireCodec` of the master side and charges
+    each entry its frame length; per worker, a byte carrier
+    (:class:`~repro.parallel.shm.ShmComm`) moves the frames.  With
+    ``transport="shm"`` (the automatic choice wherever POSIX shared memory
+    works; override with the argument or ``REPRO_TRANSPORT``) every task
+    and report frame moves through a per-worker pair of
+    :class:`~repro.parallel.shm.ShmRing` buffers and the pipe carries only
+    constant-size doorbells; ``"pipe"`` ships the same frames in-band.
+    Byte ledgers are identical either way.
 
     Batching: ``batch_k`` slaves share one worker process and one
     :class:`~repro.parallel.runtime.SlaveRuntime`; a round then exchanges
@@ -656,7 +673,7 @@ class MultiprocessingBackend:
         #: slaves served per worker process and message (1 = classic layout)
         self.batch_k = int(batch_k)
         #: worker process count: ``ceil(n_slaves / batch_k)``
-        self.n_workers = _n_groups(self.n_slaves, self.batch_k)
+        self.n_workers = -(-self.n_slaves // self.batch_k)
         #: resolved payload carrier: explicit arg > ``REPRO_TRANSPORT`` > auto
         self.transport = resolve_transport(transport)
         self.ring_nbytes = int(ring_nbytes)
@@ -671,6 +688,7 @@ class MultiprocessingBackend:
         self.worker_transports: list[str] = []
         self._instance: MKPInstance | None = None
         self._config: TabuSearchConfig | None = None
+        self._codec: WireCodec | None = None
         self.last_task_nbytes: dict[int, int] = {}
         self.last_report_nbytes: dict[int, int] = {}
         #: always empty: worker straggles are real sleeps, not virtual time
@@ -743,10 +761,7 @@ class MultiprocessingBackend:
         child_conn.close()
         self._procs[w] = proc
         self._comms[w] = ShmComm(
-            PipeComm(parent_conn),
-            WireCodec(self._instance.n_items),
-            send_ring=task_ring,
-            recv_ring=report_ring,
+            PipeComm(parent_conn), send_ring=task_ring, recv_ring=report_ring
         )
         self._rings[w] = (
             (task_ring, report_ring) if task_ring is not None else None
@@ -813,6 +828,7 @@ class MultiprocessingBackend:
             self.rebinds += 1
             self._instance = instance
             self._config = config
+            self._codec = WireCodec(instance.n_items)
             bind = encode_bind(instance, config)
             for w in range(self.n_workers):
                 comm = self._comms[w]
@@ -821,12 +837,12 @@ class MultiprocessingBackend:
                     continue  # lazily respawned (with the new problem) on use
                 try:
                     comm.send(bind, tag=REBIND_TAG)
-                    comm.codec.n_items = instance.n_items
                 except (BrokenPipeError, OSError, CommClosedError):
                     self._bury(w)
             return
         self._instance = instance
         self._config = config
+        self._codec = WireCodec(instance.n_items)
         self._procs = [None] * self.n_workers
         self._comms = [None] * self.n_workers
         self._rings = [None] * self.n_workers
@@ -862,8 +878,11 @@ class MultiprocessingBackend:
                 per_worker.setdefault(k // self.batch_k, []).append((k, t))
         total = 0
         for w, entries in per_worker.items():
+            # Each entry is charged its own frame, not the envelope: the
+            # same ledger for any ``batch_k``.
+            frame, sizes = self._codec.encode_task_batch(entries)
             try:
-                sizes = self._ensure_alive(w).send_tasks(entries)
+                self._ensure_alive(w).send(frame, tag=TASK_TAG)
             except (BrokenPipeError, OSError, CommClosedError):
                 # The worker died between liveness check and send; the
                 # next dispatch respawns it.
@@ -916,9 +935,11 @@ class MultiprocessingBackend:
                 comm = self._comms[w]
                 try:
                     while self._in_flight[w] and comm.poll(0.0):
-                        batch = comm.recv(tag=RESULT_TAG)
+                        reports, sizes = self._codec.decode_report_batch(
+                            comm.recv(tag=RESULT_TAG)
+                        )
                         self._in_flight[w].popleft()
-                        self._report_buffer.extend(zip(batch, comm.last_entry_nbytes))
+                        self._report_buffer.extend(zip(reports, sizes))
                 except (EOFError, OSError, TornFrameError, CommClosedError, WireError):
                     # The worker died mid-round, tore its ring or sent a
                     # frame that does not decode.

@@ -4,7 +4,7 @@ One search round of the synchronous scheme (Fig. 2) is two messages per
 slave: a :class:`SlaveTask` down (initial solution + strategy + budget +
 seed) and a :class:`SlaveReport` back up (the ``B`` best solutions plus the
 scoring/accounting signals).  Both are plain dataclasses with one wire form,
-the struct frames of :class:`~repro.parallel.shm.WireCodec`: process and
+the struct frames of :class:`~repro.parallel.wire.WireCodec`: process and
 socket carriers send those frames, and the serial backend and the
 simulated farm charge their lengths.
 
@@ -28,7 +28,7 @@ __all__ = ["SlaveTask", "SlaveReport", "RESULT_TAG"]
 #: Message tags, mirroring the mpi4py ``tag`` convention.
 TASK_TAG = 1
 RESULT_TAG = 2
-#: Carries a bind frame (:func:`repro.parallel.shm.encode_bind`) to a live
+#: Carries a bind frame (:func:`repro.parallel.wire.encode_bind`) to a live
 #: worker so a long-lived backend can be re-``start()``-ed on a new problem
 #: without respawning its processes (DESIGN.md §5.6 service leasing).
 REBIND_TAG = 3

@@ -132,11 +132,24 @@ class SlaveRuntime:
         solution is projected onto the core, the search scans only the free
         columns, and the report is lifted back to full space — the master
         never sees reduced coordinates.
+
+        Every task's ``x_init`` is audited first, before either branch: on
+        integer instances, where recomputation is exact, a frame whose
+        claimed value disagrees with ``profits @ x`` raises ``ValueError``
+        instead of silently seeding a wrong trajectory.
         """
         t0 = time.perf_counter()
         if self._last_done_t is not None:
             self.last_idle_s = t0 - self._last_done_t
             self.total_idle_s += self.last_idle_s
+        x_init = task.x_init
+        exact = self._thread.state.kernel.use_bitset  # integer data
+        if exact and float(self.instance.profits @ x_init.x) != x_init.value:
+            raise ValueError(
+                f"corrupt x_init frame for slave "
+                f"{self.slave_id if slave_id is None else slave_id}: claimed value "
+                f"{x_init.value} disagrees with recomputation"
+            )
         pattern = task.pattern
         if pattern is not None and not pattern.is_trivial:
             report = self._execute_reduced(task, pattern, slave_id)
@@ -237,37 +250,3 @@ class SlaveRuntime:
             round_index=task.round_index,
             seq_id=task.seq_id,
         )
-
-    def execute_batch(
-        self, tasks: list[SlaveTask], slave_ids: list[int]
-    ) -> list[SlaveReport]:
-        """Serve a whole slave group's round on this one arena.
-
-        Before any search runs, the decoded initial solutions are audited
-        in a single batched ``(K, n)`` kernel pass
-        (:meth:`~repro.core.kernels.EvalKernel.batch_values`): on integer
-        instances a transport-corrupted frame whose claimed value disagrees
-        with recomputation fails loudly here instead of silently seeding a
-        wrong trajectory.  Execution itself stays sequential per task —
-        each run is a long dependent move chain — so reports are
-        bit-identical to ``K`` individual :meth:`execute` calls.
-        """
-        if len(tasks) != len(slave_ids):
-            raise ValueError("tasks and slave_ids must have equal length")
-        if tasks:
-            kernel = self._thread.state.kernel
-            if kernel.use_bitset:  # integer data: recomputation is exact
-                claimed = np.array([t.x_init.value for t in tasks])
-                values = kernel.batch_values(
-                    np.stack([t.x_init.x for t in tasks])
-                )
-                if not np.array_equal(values, claimed):
-                    bad = np.flatnonzero(values != claimed).tolist()
-                    raise ValueError(
-                        f"corrupt x_init frame(s) for slave(s) "
-                        f"{[slave_ids[i] for i in bad]}: claimed values "
-                        f"disagree with batched recomputation"
-                    )
-        return [
-            self.execute(task, slave_id=k) for task, k in zip(tasks, slave_ids)
-        ]

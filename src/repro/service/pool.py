@@ -88,22 +88,10 @@ class SolverPool:
         cls,
         size: int,
         n_slaves: int,
-        *,
-        batch_k: int = 1,
         **backend_kwargs: object,
     ) -> "SolverPool":
-        """Pool of :class:`~repro.parallel.backends.SerialBackend` slots.
-
-        ``batch_k`` groups slaves onto shared warm runtimes — the serial
-        mirror of the batched multiprocessing workers, useful when many
-        same-instance service jobs should share one arena.
-        """
-        return cls(
-            [
-                SerialBackend(n_slaves, batch_k=batch_k, **backend_kwargs)
-                for _ in range(size)
-            ]
-        )
+        """Pool of :class:`~repro.parallel.backends.SerialBackend` slots."""
+        return cls([SerialBackend(n_slaves, **backend_kwargs) for _ in range(size)])
 
     @classmethod
     def multiprocessing(

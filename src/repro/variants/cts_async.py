@@ -43,7 +43,7 @@ from ..farm.trace import EventKind, FarmTrace
 from ..master.result import ParallelRunResult, RoundStats
 from ..master.sgp import SGPConfig, classify_dispersion
 from ..parallel.faults import FaultPlan
-from ..parallel.shm import WireCodec
+from ..parallel.wire import WireCodec
 from ..rng import derive_rng, random_seed_from
 
 __all__ = ["AsyncConfig", "solve_cts_async"]

@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing as mp
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import Budget, Strategy, TabuSearchConfig, random_solution
-from repro.parallel import MultiprocessingBackend, SerialBackend, SlaveTask
+from repro.core.reduction import FixationPattern
+from repro.parallel import (
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    MultiprocessingBackend,
+    PipeComm,
+    SerialBackend,
+    SlaveRuntime,
+    SlaveTask,
+    WireCodec,
+)
+from repro.parallel.backends import _worker_main
+from repro.parallel.message import STOP_TAG, TASK_TAG
 
 
 def make_tasks(instance, n, evals=2000):
@@ -268,53 +284,24 @@ class TestMultiprocessingWarmLeasing:
             backend.shutdown()
 
 
-class TestBatchedKernel:
-    """The (K, n) kernel path must agree with K scalar resets bit-for-bit."""
+def _corrupt(task: SlaveTask, **changes) -> SlaveTask:
+    """``task`` with an ``x_init`` whose claimed value disagrees with its bits."""
+    bad = type(task.x_init).trusted(task.x_init.x, task.x_init.value + 1.0)
+    return dataclasses.replace(task, x_init=bad, **changes)
 
-    def test_batch_values_loads_feasible_match_scalar(self, small_instance, rng):
-        import numpy as np
 
-        from repro.core.kernels import EvalKernel
-
-        kernel = EvalKernel(small_instance)
-        X = (rng.random((6, small_instance.n_items)) < 0.4).astype(np.int8)
-        values = kernel.batch_values(X)
-        loads = kernel.batch_loads(X)
-        feasible = kernel.batch_feasible(X)
-        assert values.shape == (6,)
-        assert loads.shape == (6, small_instance.n_constraints)
-        for i in range(6):
-            kernel.reset(X[i])
-            assert values[i] == kernel.value
-            assert np.array_equal(loads[i], kernel.load)
-            assert feasible[i] == kernel.is_feasible
-
-    def test_single_row_is_promoted_to_2d(self, small_instance):
-        import numpy as np
-
-        from repro.core.kernels import EvalKernel
-
-        kernel = EvalKernel(small_instance)
-        x = np.zeros(small_instance.n_items, dtype=np.int8)
-        assert kernel.batch_values(x).shape == (1,)
-        assert bool(kernel.batch_feasible(x)[0])  # empty knapsack is feasible
+#: An armed plan that never fires: its events lie far past any test round.
+NEVER_FIRING = FaultPlan(
+    events=tuple(
+        FaultEvent(1_000_000, k, kind)
+        for k in range(4)
+        for kind in (FaultKind.CRASH, FaultKind.DROP_REPORT)
+    )
+)
 
 
 class TestBatchedBackends:
-    """batch_k groups slaves onto shared runtimes without changing reports."""
-
-    def test_serial_batched_reports_match_per_slave(self, small_instance):
-        tasks = make_tasks(small_instance, 4, evals=600)
-        with SerialBackend(4) as ref, SerialBackend(4, batch_k=3) as batched:
-            ref.start(small_instance, TabuSearchConfig(nb_div=100))
-            batched.start(small_instance, TabuSearchConfig(nb_div=100))
-            a = ref.run_round(list(tasks))
-            b = batched.run_round(list(tasks))
-            # 4 slaves over groups of 3 → two warm runtimes, not four.
-            assert len(batched._runtimes) == 2
-        assert [r.slave_id for r in b] == [r.slave_id for r in a]
-        assert [r.best.value for r in b] == [r.best.value for r in a]
-        assert [r.evaluations for r in b] == [r.evaluations for r in a]
+    """batch_k groups slaves onto shared worker runtimes without changing reports."""
 
     def test_mp_batched_spawns_fewer_workers(self, small_instance):
         with MultiprocessingBackend(4, batch_k=2) as backend:
@@ -326,25 +313,64 @@ class TestBatchedBackends:
 
     def test_batch_k_validation(self):
         with pytest.raises(ValueError):
-            SerialBackend(2, batch_k=0)
-        with pytest.raises(ValueError):
             MultiprocessingBackend(2, batch_k=0)
 
     def test_batched_runtime_audit_rejects_corrupt_x_init(self, small_instance):
-        from repro.core import TabuSearchConfig as _Cfg
-        from repro.parallel.runtime import SlaveRuntime
-
-        runtime = SlaveRuntime(small_instance, _Cfg(nb_div=100), slave_id=0)
+        runtime = SlaveRuntime(small_instance, TabuSearchConfig(nb_div=100), slave_id=0)
         tasks = make_tasks(small_instance, 2, evals=100)
-        bad = SlaveTask(
-            x_init=type(tasks[1].x_init).trusted(
-                tasks[1].x_init.x, tasks[1].x_init.value + 1.0
-            ),
-            strategy=tasks[1].strategy,
-            budget=tasks[1].budget,
-            seed=tasks[1].seed,
-            round_index=tasks[1].round_index,
-            seq_id=tasks[1].seq_id,
+        runtime.execute(tasks[0], slave_id=0)
+        with pytest.raises(ValueError, match="corrupt x_init frame for slave 1"):
+            runtime.execute(_corrupt(tasks[1]), slave_id=1)
+
+
+class TestArmedPlanAudit:
+    """Every task is audited in ``SlaveRuntime.execute``, under any plan.
+
+    An armed plan that never fires must not switch the corrupt-``x_init``
+    check off: ``serve_batch`` has one serving path for every plan.
+    """
+
+    def test_serial_backend(self, small_instance):
+        tasks = make_tasks(small_instance, 2, evals=100)
+        with SerialBackend(2, fault_plan=NEVER_FIRING) as backend:
+            backend.start(small_instance, TabuSearchConfig(nb_div=100))
+            with pytest.raises(ValueError, match="corrupt x_init"):
+                backend.run_round([tasks[0], _corrupt(tasks[1])])
+
+    def test_fixation_pattern_is_audited_before_projection(self, small_instance):
+        n = small_instance.n_items
+        core_mask = np.ones(n, dtype=bool)
+        core_mask[: n // 3] = False
+        pattern = FixationPattern(core_mask=core_mask, fixed_values=np.zeros(n, np.int8))
+        assert not pattern.is_trivial
+        task = _corrupt(make_tasks(small_instance, 1, evals=100)[0], pattern=pattern)
+        with SerialBackend(1, fault_plan=NEVER_FIRING) as backend:
+            backend.start(small_instance, TabuSearchConfig(nb_div=100))
+            with pytest.raises(ValueError, match="corrupt x_init"):
+                backend.run_round([task])
+
+    def test_multiprocessing_worker(self, small_instance, mp_context):
+        # The worker entry point itself, run in-process over a real pipe.
+        config = TabuSearchConfig(nb_div=100)
+        task = _corrupt(make_tasks(small_instance, 1, evals=100)[0])
+        master_end, worker_end = mp.Pipe()
+        master = PipeComm(master_end)
+        master.send(
+            WireCodec(small_instance.n_items).encode_task_batch([(0, task)])[0],
+            tag=TASK_TAG,
         )
-        with pytest.raises(ValueError, match="corrupt x_init"):
-            runtime.execute_batch([tasks[0], bad], [0, 1])
+        master.send(b"", tag=STOP_TAG)
+        try:
+            with pytest.raises(ValueError, match="corrupt x_init"):
+                _worker_main(worker_end, small_instance, config, (0,), NEVER_FIRING)
+        finally:
+            master.close()
+        # End to end, the corrupt slave's worker dies and its peer serves on.
+        tasks = make_tasks(small_instance, 2, evals=100)
+        with MultiprocessingBackend(
+            2, mp_context=mp_context, fault_plan=NEVER_FIRING, round_timeout_s=30.0
+        ) as backend:
+            backend.start(small_instance, config)
+            reports = backend.run_round([tasks[0], _corrupt(tasks[1])])
+            assert [r.slave_id for r in reports] == [0]
+            assert backend.drain_dead_slaves() == [1]

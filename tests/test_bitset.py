@@ -46,7 +46,7 @@ from repro.instances import gk_suite
 from repro.master import MasterConfig, MasterProcess
 from repro.parallel import SerialBackend
 from repro.parallel.message import SlaveReport, SlaveTask
-from repro.parallel.shm import WireCodec
+from repro.parallel.wire import WireCodec
 
 from tests.differential import numpy_reference
 

@@ -391,9 +391,11 @@ class TestFaultParity:
 
     Both decide slave-side faults in the one ``serve_batch`` and drop tasks
     in the one ``dispatch`` helper, so a plan gives the same reports and the
-    same per-slave byte ledgers on either.  A crash is checked at
-    ``batch_k`` 1 only: a worker's death legitimately takes its whole slave
-    group, while an inline serial crash loses one task.
+    same per-slave byte ledgers on either.  ``batch_k`` is the
+    multiprocessing backend's; the serial backend keeps one runtime per
+    slave.  A crash is checked at ``batch_k`` 1 only: a worker's death
+    legitimately takes its whole slave group, while an inline serial crash
+    loses one task.
     """
 
     CASES = [
@@ -409,7 +411,7 @@ class TestFaultParity:
 
     @staticmethod
     def _assert_parity(instance, plan, batch_k, mp_context):
-        serial = _two_rounds(SerialBackend(3, fault_plan=plan, batch_k=batch_k), instance)
+        serial = _two_rounds(SerialBackend(3, fault_plan=plan), instance)
         with MultiprocessingBackend(
             3,
             mp_context=mp_context,

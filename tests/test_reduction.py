@@ -3,7 +3,7 @@
 Four layers under test:
 
 * :class:`~repro.core.reduction.FixationPattern` — wire forms (packed
-  blocks, :class:`~repro.parallel.shm.WireCodec` frames) round-trip at
+  blocks, :class:`~repro.parallel.wire.WireCodec` frames) round-trip at
   word-boundary sizes, and a task frame carries no pattern bytes when no
   pattern rides along.
 * :func:`~repro.exact.preprocess.reduce_to_core` /
@@ -42,7 +42,7 @@ from repro.exact.preprocess import reduce_to_core
 from repro.instances import gk_suite
 from repro.parallel import SlaveTask
 from repro.parallel.runtime import SlaveRuntime
-from repro.parallel.shm import WireCodec
+from repro.parallel.wire import WireCodec
 from repro.rng import make_rng
 
 #: Word-boundary item counts for the packed two-block wire form.

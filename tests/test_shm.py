@@ -7,10 +7,10 @@ Three layers, matching :mod:`repro.parallel.shm`:
   (stuck-odd ``wseq``, out-of-sequence frame numbers, impossible lengths);
 * **WireCodec** — property round-trips for tasks, reports and their
   batched envelopes, including every budget-flag combination;
-* **ShmComm** — a live master↔worker endpoint pair over a real pipe
-  doorbell, the tiny-ring overflow → in-band fallback, and a
-  cross-process writer/reader stress run whose pacing is driven by a
-  PR-2 chaos fault plan.
+* **ShmComm** — a live master↔worker byte-carrier pair over a real pipe
+  doorbell, the tiny-ring overflow → in-band fallback, the multiprocessing
+  backend's per-entry byte ledger, and a cross-process writer/reader
+  stress run whose pacing is driven by a PR-2 chaos fault plan.
 
 Everything here is skipped wholesale on hosts without working POSIX
 shared memory (``shm_available()``), where the backend auto-degrades to
@@ -54,12 +54,10 @@ from repro.parallel.shm import (
     ShmComm,
     ShmRing,
     TornFrameError,
-    WireCodec,
-    decode_bind,
-    encode_bind,
     resolve_transport,
     shm_available,
 )
+from repro.parallel.wire import WireCodec, decode_bind, encode_bind
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable on this host"
@@ -299,7 +297,6 @@ class TestWireCodec:
         task = _random_task(rnd, n_items)
         frame = codec.encode_task(task)
         _assert_tasks_equal(codec.decode_task(frame), task)
-        assert codec.decode(frame).seq_id == task.seq_id  # kind dispatch
 
     @given(st.integers(1, 300), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
@@ -340,8 +337,8 @@ class TestWireCodec:
         task_frame = codec.encode_task(_random_task(rnd, 10))
         with pytest.raises(ValueError, match="not a report frame"):
             codec.decode_report(task_frame)
-        with pytest.raises(ValueError, match="unknown frame kind"):
-            codec.decode(bytes([99]) + task_frame[1:])
+        with pytest.raises(ValueError, match="not a batch frame"):
+            codec.decode_task_batch(bytes([99]) + task_frame[1:])
 
 
 # ---------------------------------------------------------------------- #
@@ -350,23 +347,13 @@ class TestWireCodec:
 
 
 @contextlib.contextmanager
-def comm_pair(n_items: int, ring_capacity: int = 1 << 13):
+def comm_pair(ring_capacity: int = 1 << 13):
     """Master/worker ShmComm pair over a real pipe + two rings."""
     parent_conn, child_conn = multiprocessing.Pipe()
     task_ring = ShmRing.create(ring_capacity)
     report_ring = ShmRing.create(ring_capacity)
-    master = ShmComm(
-        PipeComm(parent_conn),
-        WireCodec(n_items),
-        send_ring=task_ring,
-        recv_ring=report_ring,
-    )
-    worker = ShmComm(
-        PipeComm(child_conn),
-        WireCodec(n_items),
-        send_ring=report_ring,
-        recv_ring=task_ring,
-    )
+    master = ShmComm(PipeComm(parent_conn), send_ring=task_ring, recv_ring=report_ring)
+    worker = ShmComm(PipeComm(child_conn), send_ring=report_ring, recv_ring=task_ring)
     try:
         yield master, worker
     finally:
@@ -379,69 +366,72 @@ def comm_pair(n_items: int, ring_capacity: int = 1 << 13):
 class TestShmComm:
     def test_task_and_report_travel_through_rings_only(self):
         rnd = random.Random(7)
-        with comm_pair(40) as (master, worker):
-            task = _random_task(rnd, 40)
-            master.send(task, tag=TASK_TAG)
-            tag, got = worker.recv_message(timeout=5.0)
-            assert tag == TASK_TAG
-            _assert_tasks_equal(got, task)
+        codec = WireCodec(40)
+        with comm_pair() as (master, worker):
+            task_frame, _ = codec.encode_task_batch([(0, _random_task(rnd, 40))])
+            master.send(task_frame, tag=TASK_TAG)
+            assert worker.recv_message(timeout=5.0) == (TASK_TAG, task_frame)
 
-            report = _random_report(rnd, 40)
-            worker.send(report, tag=RESULT_TAG)
-            got_report = master.recv(tag=RESULT_TAG, timeout=5.0)
-            _assert_reports_equal(got_report, report)
+            report_frame, _ = codec.encode_report_batch([_random_report(rnd, 40)])
+            worker.send(report_frame, tag=RESULT_TAG)
+            assert master.recv(tag=RESULT_TAG, timeout=5.0) == report_frame
 
-            # Zero payload bytes crossed the pipe; ledgers agree end-to-end.
+            # Zero payload bytes crossed the pipe: doorbells only.
             assert master.pipe_payload_bytes == 0
             assert worker.pipe_payload_bytes == 0
             assert master.ring_overflows == 0
-            assert master.bytes_sent == worker.bytes_received
-            assert worker.bytes_sent == master.bytes_received
 
-    def test_batched_send_charges_per_entry_sizes(self):
-        rnd = random.Random(11)
-        with comm_pair(25) as (master, worker):
-            entries = [(k, _random_task(rnd, 25)) for k in range(4)]
-            sizes = master.send_tasks(entries)
-            tag, got = worker.recv_message(timeout=5.0)
-            assert tag == TASK_TAG
-            assert [k for k, _ in got] == [0, 1, 2, 3]
-            assert worker.last_entry_nbytes == [sizes[k] for k, _ in entries]
-            assert master.bytes_sent == sum(sizes.values())
-            assert worker.bytes_received == sum(sizes.values())
+    def test_batched_send_charges_per_entry_sizes(self, small_instance):
+        # The backend owns the codec and its ledger: a batch frame charges
+        # each entry its own frame length, never the envelope.
+        codec = WireCodec(small_instance.n_items)
+        tasks = [
+            SlaveTask(
+                x_init=random_solution(small_instance, rng=k),
+                strategy=Strategy(8, 2, 10),
+                budget=Budget(max_evaluations=200),
+                seed=k,
+                round_index=0,
+                seq_id=k,
+            )
+            for k in range(4)
+        ]
+        with MultiprocessingBackend(4, transport="shm", batch_k=4) as backend:
+            backend.start(small_instance, TabuSearchConfig(nb_div=100))
+            reports = backend.run_round(tasks)
+        task_sizes = {k: len(codec.encode_task(t)) for k, t in enumerate(tasks)}
+        assert backend.last_telemetry.task_nbytes == task_sizes
+        assert backend.last_telemetry.report_nbytes == {
+            r.slave_id: len(codec.encode_report(r)) for r in reports
+        }
 
     def test_ring_overflow_falls_back_in_band(self):
         rnd = random.Random(13)
-        with comm_pair(600, ring_capacity=80) as (master, worker):
+        with comm_pair(ring_capacity=80) as (master, worker):
             # A 600-item report cannot fit an 80-byte ring: payload must
-            # ride the pipe, and the message must still decode identically.
-            report = _random_report(rnd, 600)
-            worker.send(report, tag=RESULT_TAG)
-            got = master.recv(tag=RESULT_TAG, timeout=5.0)
-            _assert_reports_equal(got, report)
+            # ride the pipe, and the frame must still arrive identically.
+            frame, _ = WireCodec(600).encode_report_batch([_random_report(rnd, 600)])
+            worker.send(frame, tag=RESULT_TAG)
+            assert master.recv(tag=RESULT_TAG, timeout=5.0) == frame
             assert worker.ring_overflows == 1
-            assert worker.pipe_payload_bytes > 0
-            # The byte ledger is carrier-independent: same charge as shm.
-            assert worker.bytes_sent == master.bytes_received
+            assert worker.pipe_payload_bytes == len(frame)
 
     def test_ringless_endpoint_is_plain_pipe_transport(self):
         parent_conn, child_conn = multiprocessing.Pipe()
-        a = ShmComm(PipeComm(parent_conn), WireCodec(10))
-        b = ShmComm(PipeComm(child_conn), WireCodec(10))
+        a = ShmComm(PipeComm(parent_conn))
+        b = ShmComm(PipeComm(child_conn))
         try:
             assert a.transport == "pipe"
-            task = _random_task(random.Random(3), 10)
-            a.send(task, tag=TASK_TAG)
-            tag, got = b.recv_message(timeout=5.0)
-            assert tag == TASK_TAG
-            _assert_tasks_equal(got, task)
-            assert a.pipe_payload_bytes == a.bytes_sent > 0
+            frame = WireCodec(10).encode_task(_random_task(random.Random(3), 10))
+            a.send(frame, tag=TASK_TAG)
+            assert b.recv_message(timeout=5.0) == (TASK_TAG, frame)
+            assert a.pipe_payload_bytes == len(frame) > 0
         finally:
             a.close()
             b.close()
 
     def test_control_frames_ride_the_pipe_as_bytes(self, small_instance):
-        with comm_pair(small_instance.n_items) as (master, worker):
+        with comm_pair() as (master, worker):
             bind = encode_bind(small_instance, TabuSearchConfig(nb_div=7))
             master.send(bind, tag=REBIND_TAG)
             master.send(b"", tag=STOP_TAG)
@@ -450,9 +440,9 @@ class TestShmComm:
             instance, config = decode_bind(body)
             assert instance.content_hash() == small_instance.content_hash()
             assert config.nb_div == 7
+            # An empty STOP is a frame of its own, not a ring doorbell.
             assert worker.recv_message(timeout=5.0) == (STOP_TAG, b"")
-            # Charged at the frame length on both ends; never unpickled.
-            assert master.bytes_sent == worker.bytes_received == len(bind)
+            assert master.pipe_payload_bytes == len(bind)
             with pytest.raises(TypeError):
                 master.send(("instance", "config"), tag=REBIND_TAG)
 

@@ -29,7 +29,7 @@ from repro.obs import RunRecorder, validate_stream
 from repro.parallel import SerialBackend, SocketBackend
 from repro.parallel.backend_socket import HELLO_TAG, _recv_frame, _WIRE_HEADER
 from repro.parallel.message import RESULT_TAG, TASK_TAG, SlaveTask
-from repro.parallel.shm import KIND_REPORT_BATCH, encode_hello
+from repro.parallel.wire import KIND_REPORT_BATCH, encode_hello
 from repro.variants import solve_cts2
 
 from tests.differential import assert_differential
