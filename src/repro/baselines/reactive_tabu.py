@@ -105,7 +105,7 @@ def reactive_tabu_search(
     max_tenure = max(2, int(config.max_tenure_fraction * instance.n_items))
 
     while not budget.exhausted(
-        evaluations=engine.evaluations, moves=moves, best_value=best.value
+        evaluations=state.counters.move_evaluations, moves=moves, best_value=best.value
     ):
         record = engine.apply(config.nb_drop, best.value)
         moves += 1
@@ -146,7 +146,7 @@ def reactive_tabu_search(
 
     return ReactiveResult(
         best=best,
-        evaluations=engine.evaluations,
+        evaluations=state.counters.move_evaluations,
         moves=moves,
         revisits=revisits,
         escapes=escapes,

@@ -116,7 +116,7 @@ def rem_tabu_search(
     trace_steps = 0
 
     while not budget.exhausted(
-        evaluations=engine.evaluations, moves=moves, best_value=best.value
+        evaluations=state.counters.move_evaluations, moves=moves, best_value=best.value
     ):
         record = engine.apply(config.nb_drop, best.value)
         moves += 1
@@ -134,7 +134,7 @@ def rem_tabu_search(
 
     return REMResult(
         best=best,
-        evaluations=engine.evaluations,
+        evaluations=state.counters.move_evaluations,
         moves=moves,
         running_list_length=len(running_list),
         trace_steps=trace_steps,

@@ -13,12 +13,8 @@ Public surface:
 from .construction import fill_greedily, greedy_solution, random_solution, repair
 from .diversification import DiversificationConfig, diversify
 from .instance import MKPInstance
-from .kernels import EvalKernel, KernelCounters, drop_ratios
-from .intensification import (
-    IntensificationStats,
-    strategic_oscillation,
-    swap_intensification,
-)
+from .kernels import KernelCounters, drop_ratios
+from .intensification import strategic_oscillation, swap_intensification
 from .memory import EliteArray, History
 from .moves import MoveEngine, MoveRecord
 from .polish import PolishStats, exchange_11, exchange_12, exchange_21, polish
@@ -40,7 +36,6 @@ from .termination import Budget, CancelToken
 
 __all__ = [
     "MKPInstance",
-    "EvalKernel",
     "KernelCounters",
     "drop_ratios",
     "Solution",
@@ -65,7 +60,6 @@ __all__ = [
     "StrategyBounds",
     "DiversificationConfig",
     "diversify",
-    "IntensificationStats",
     "swap_intensification",
     "strategic_oscillation",
     "IntensificationKind",

@@ -1,12 +1,12 @@
 /* Native hot loop of the tabu search: the Figure-1 local-search loop
  * (steps 4-10) around the Drop/Add compound move, the §3.2 swap
  * intensification and the greedy fill, in the bitset mode of
- * repro.core.kernels.EvalKernel.
+ * repro.core.solution.SearchState.
  *
- * Every routine works in place on the kernel's own numpy buffers (x, the
- * free mask and free words, q_base, load, slack) and reads the instance's
- * HotTables; repro/core/native.py fills the ts_kernel struct with pointers
- * to them.  The contract is bit-identity with the numpy reference path:
+ * Every routine works in place on the search state's own numpy buffers (x,
+ * the free mask and free words, q_base, load, slack) and reads the
+ * instance's HotTables; repro/core/native.py fills the ts_kernel struct
+ * with pointers to them when the state is built.  The contract is bit-identity with the numpy reference path:
  *
  *   - the same candidate sets in the same ascending order, and the same
  *     evaluation counts;
@@ -57,7 +57,7 @@ typedef struct {
     const uint64_t *cumbits;       /* (m * (n + 1), nw) */
     const double *sorted_profits;  /* (n,) */
     const uint64_t *suffix;        /* (n + 1, nw) */
-    /* kernel state (mutated in place) */
+    /* search state (mutated in place) */
     int8_t *x;
     uint8_t *free_mask;
     uint64_t *free_words;
@@ -104,8 +104,8 @@ typedef struct {
     double best_value, local_value;
     int64_t best_moved, local_moved;
     /* ledger: evaluations and moves are the running totals the budget
-     * reads; loop_moves, snapshots and stall count from the loop's start */
-    int64_t evaluations, moves, loop_moves, snapshots, stall;
+     * reads; loop_moves and stall count from the loop's start */
+    int64_t evaluations, moves, loop_moves, stall;
     /* per-move incumbent trace, flushed by Python when full */
     double *trace;                        /* (trace_cap,) */
     int64_t trace_len, trace_cap;
@@ -138,7 +138,7 @@ uint64_t ts_bounded(void *bitgen, uint64_t k)
 }
 
 /* ------------------------------------------------------------------ */
-/* O(m) state updates (EvalKernel.add / EvalKernel.drop)                */
+/* O(m) state updates (SearchState.add / SearchState.drop)            */
 /* ------------------------------------------------------------------ */
 static void k_add(ts_kernel *k, int64_t j)
 {
@@ -174,7 +174,7 @@ static void k_drop(ts_kernel *k, int64_t j)
     k->value -= k->profits[j];
 }
 
-/* argmin of slack, first occurrence (EvalKernel.most_saturated_constraint) */
+/* argmin of slack, first occurrence (SearchState.most_saturated_constraint) */
 static int64_t k_istar(const ts_kernel *k)
 {
     int64_t best = 0;
@@ -189,7 +189,7 @@ static int64_t k_istar(const ts_kernel *k)
 }
 
 /* ------------------------------------------------------------------ */
-/* Prefix-bitmask fitting scan (EvalKernel.fitting_words[_without])    */
+/* Prefix-bitmask fitting scan (SearchState.fitting_words[_without])   */
 /* ------------------------------------------------------------------ */
 
 /* Number of entries <= q in the ascending block a[0..n). */
@@ -468,32 +468,25 @@ static int after_move(ts_kernel *k, ts_loop *ls)
     ls->loop_moves++;
     if (k->n_dropped + k->n_added == 0)
         return 1;
-    /* steps 6-7; snapshots counts the Solution copies the Python loop
-     * takes, so both paths keep one KernelCounters ledger */
+    /* steps 6-7 */
     const double value = k->value;
-    int snapshot = 0;
     if (value > ls->best_value) {
         memcpy(ls->best_x, k->x, (size_t)n);
         ls->best_value = ls->local_value = value;
         ls->best_moved = 1;
         ls->stall = 0;
-        snapshot = 1;
     } else {
         if (value > ls->local_value) {
             memcpy(ls->local_x, k->x, (size_t)n);
             ls->local_value = value;
             ls->local_moved = 1;
-            snapshot = 1;
         }
         ls->stall++;
     }
     if (ls->elite_count < ls->elite_capacity
-        || value > ls->elite_values[ls->elite_count - 1]) {
+        || value > ls->elite_values[ls->elite_count - 1])
         ts_elite_offer(ls->elite_x, ls->elite_values, &ls->elite_count,
                        ls->elite_capacity, n, k->x, value);
-        snapshot = 1;
-    }
-    ls->snapshots += snapshot;
     /* step 8: History */
     for (int64_t j = 0; j < n; j++)
         ls->counts[j] += k->x[j];

@@ -33,7 +33,7 @@ The prefix-bitmask tables (:class:`HotTables`)
     every load/slack is an exactly-represented integer (sums stay far below
     2**53), so ``a_ij <= slack_i + FIT_EPS`` holds iff the int64 comparison
     ``a_ij <= slack_i`` does.  Non-integer instances simply get
-    ``integer is None`` and the kernel falls back to the elementwise scan.
+    ``integer is None`` and the search state falls back to the elementwise scan.
 """
 
 from __future__ import annotations
@@ -236,10 +236,10 @@ class ProfitOrderTables:
 
 @dataclass(frozen=True)
 class HotTables:
-    """Static per-instance data shared by every :class:`EvalKernel`.
+    """Static per-instance data shared by every :class:`SearchState`.
 
     Built once per :class:`~repro.core.instance.MKPInstance` (lazily, cached
-    on the instance) instead of once per kernel: short-lived kernels — one
+    on the instance) instead of once per state: short-lived states — one
     per slave task — no longer pay the transpose/divide/table costs.
     """
 

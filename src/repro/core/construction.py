@@ -36,17 +36,15 @@ def fill_greedily(state: SearchState, order: np.ndarray | None = None) -> None:
     inst = state.instance
     if order is None:
         order = np.argsort(inst.density, kind="stable")
-    native = state.kernel.native()
-    if native is not None and native.fill(state.kernel, order):
+    native = state.native()
+    if native is not None and native.fill(state, order):
         return
-    slack = state.slack
     for j in order:
         if state.x[j]:
             continue
         col = inst.weights[:, j]
-        if np.all(col <= slack + FIT_EPS):
+        if np.all(col <= state.slack + FIT_EPS):
             state.add(j)
-            slack = state.slack
 
 
 def greedy_solution(instance: MKPInstance) -> Solution:
@@ -66,8 +64,8 @@ def random_solution(
     Always feasible (items are only added when they fit), and maximal (no
     further item fits) — matching the solutions the paper's slaves start
     from after a random restart.  ``scratch``, a state over ``instance``,
-    is reset and refilled instead of building a new one (and with it a new
-    kernel); callers that restart often keep one.
+    is reset and refilled instead of building a new one (and with it new
+    buffers); callers that restart often keep one.
     """
     gen = make_rng(rng)
     if scratch is None:

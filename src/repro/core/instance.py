@@ -155,8 +155,8 @@ class MKPInstance:
         for integer-valued data — the prefix-bitmask fitting tables).
 
         Built lazily once per instance and shared by every
-        :class:`~repro.core.kernels.EvalKernel`, so short-lived kernels (one
-        per slave task) stop paying the per-kernel transpose/divide/table
+        :class:`~repro.core.solution.SearchState`, so short-lived states (one
+        per slave task) stop paying the per-state transpose/divide/table
         construction.  See :mod:`repro.core.bitset`.
         """
         if self._hot is None:

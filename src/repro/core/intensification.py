@@ -21,44 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from .construction import fill_greedily, repair
-from .kernels import FIT_EPS, KernelCounters
+from .kernels import FIT_EPS
 from .solution import SearchState, Solution
 
-__all__ = ["swap_intensification", "strategic_oscillation", "IntensificationStats"]
+__all__ = ["swap_intensification", "strategic_oscillation"]
 
 
-class IntensificationStats:
-    """Bookkeeping shared by both procedures (feeds the farm cost model).
-
-    Evaluation counts are written to a :class:`~repro.core.kernels.KernelCounters`
-    (``intensify_evaluations``), so a thread's move engine and its
-    intensification phases share one ledger; pass the thread's counters to
-    join it, or omit them for a standalone ledger.
-    """
-
-    def __init__(self, counters: KernelCounters | None = None) -> None:
-        self.counters = counters if counters is not None else KernelCounters()
-        self.swaps_applied = 0
-        self.oscillations = 0
-
-    @property
-    def evaluations(self) -> int:
-        return self.counters.intensify_evaluations
-
-    @evaluations.setter
-    def evaluations(self, value: int) -> None:
-        self.counters.intensify_evaluations = int(value)
-
-    def reset(self) -> None:
-        """Zero the procedure tallies (the shared counters reset separately)."""
-        self.swaps_applied = 0
-        self.oscillations = 0
-
-
-def swap_intensification(
-    state: SearchState,
-    stats: IntensificationStats | None = None,
-) -> Solution:
+def swap_intensification(state: SearchState) -> Solution:
     """Apply all improving, feasibility-preserving (1,1)-swaps in place.
 
     ``state`` should hold ``X_local`` on entry; on exit it holds the swapped
@@ -66,18 +35,16 @@ def swap_intensification(
     decreasing order of the profit gain ``c_j - c_i`` so the most promising
     exchanges land first (the paper fixes no order; any order that applies
     every admissible couple is conformant because each applied swap strictly
-    improves and a pair is only admissible once).
+    improves and a pair is only admissible once).  Every candidate checked
+    is charged to ``state.counters.intensify_evaluations``.
     """
     inst = state.instance
-    stats = stats or IntensificationStats()
-    kernel = state.kernel
-    native = kernel.native()
+    counters = state.counters
+    native = state.native()
     if native is not None:
-        swaps, evaluations = native.swap(kernel)
-        stats.swaps_applied += swaps
-        stats.evaluations += evaluations
+        counters.intensify_evaluations += native.swap(state)
         return state.snapshot()
-    use_words = kernel.use_bitset
+    use_words = state.use_bitset
     profit_order = inst.hot.profit_order if use_words else None
     improved = True
     while improved:
@@ -96,23 +63,23 @@ def swap_intensification(
                     inst.profits[i], side="right"
                 )
                 rich_words = np.bitwise_and(
-                    kernel.free_words, profit_order.suffix[cnt]
+                    state.free_words, profit_order.suffix[cnt]
                 )
                 n_richer = int.from_bytes(
                     rich_words.tobytes(), "little"
                 ).bit_count()
                 if n_richer == 0:
                     continue
-                stats.evaluations += n_richer
-                cand_words = kernel.fitting_words_without(int(i), rich_words)
-                candidates = kernel.decode_words_u8(cand_words.view(np.uint8))
+                counters.intensify_evaluations += n_richer
+                cand_words = state.fitting_words_without(int(i), rich_words)
+                candidates = state.decode_words_u8(cand_words.view(np.uint8))
             else:
                 slack_without_i = state.slack + inst.weights[:, i]
                 free = state.free_items()
                 richer = free[inst.profits[free] > inst.profits[i]]
                 if richer.size == 0:
                     continue
-                stats.evaluations += int(richer.size)
+                counters.intensify_evaluations += int(richer.size)
                 fits = np.all(
                     inst.weights[:, richer] <= slack_without_i[:, None] + FIT_EPS,
                     axis=0,
@@ -123,7 +90,6 @@ def swap_intensification(
             j = candidates[int(np.argmax(inst.profits[candidates]))]
             state.drop(int(i))
             state.add(int(j))
-            stats.swaps_applied += 1
             improved = True
             break  # re-derive packed/free sets after a structural change
     return state.snapshot()
@@ -133,7 +99,6 @@ def strategic_oscillation(
     state: SearchState,
     depth: int,
     rng: np.random.Generator,
-    stats: IntensificationStats | None = None,
 ) -> Solution:
     """One depth-limited excursion into the infeasible region, in place.
 
@@ -141,21 +106,21 @@ def strategic_oscillation(
     capacities (lowest aggregate density first, with random tie-breaking),
     then projects back onto the feasible region by ejecting the items with
     the largest ``sum_i a_ij / c_j`` ratio, and finally tops the solution up
-    greedily.  Returns the resulting feasible snapshot.
+    greedily.  Returns the resulting feasible snapshot; the forced adds
+    and one full greedy pass are charged to
+    ``state.counters.intensify_evaluations``.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0; got {depth}")
     inst = state.instance
-    stats = stats or IntensificationStats()
-    stats.oscillations += 1
     free = state.free_items()
     if free.size > 0 and depth > 0:
         # Rank free items by density with random jitter for tie-breaking.
         order = free[np.argsort(inst.density[free] + rng.random(free.size) * 1e-12)]
         for j in order[:depth]:
             state.add(int(j))
-        stats.evaluations += int(min(depth, order.size))
+        state.counters.intensify_evaluations += int(min(depth, order.size))
     repair(state)
     fill_greedily(state)
-    stats.evaluations += int(state.instance.n_items)
+    state.counters.intensify_evaluations += int(inst.n_items)
     return state.snapshot()

@@ -63,16 +63,6 @@ class History:
         self.counts[:] = 0
         self.iterations = 0
 
-    def merged_with(self, other: "History") -> "History":
-        """Pointwise sum of two histories (used by the async variant when a
-        thread adopts a peer's view of the landscape)."""
-        if other.n_items != self.n_items:
-            raise ValueError("history size mismatch")
-        out = History(self.n_items)
-        out.counts = self.counts + other.counts
-        out.iterations = self.iterations + other.iterations
-        return out
-
 
 class EliteArray:
     """Bounded array of the ``B`` best *distinct* solutions seen so far.

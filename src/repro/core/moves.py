@@ -12,10 +12,9 @@ successor ``X'`` as two steps:
 The :class:`MoveEngine` also counts *candidate evaluations*: the virtual-time
 farm model charges slave CPU time proportional to this counter, which is how
 the reproduction gets deterministic "execution times" out of a single host
-core (see ``repro.farm``).  The counts flow into the thread's shared
+core (see ``repro.farm``).  The counts flow into the state's
 :class:`~repro.core.kernels.KernelCounters` (``move_evaluations``), and all
-candidate scoring goes through the state's preallocated
-:class:`~repro.core.kernels.EvalKernel`.
+candidate scoring and fitting scans run on the state's preallocated buffers.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ class MoveEngine:
     Parameters
     ----------
     state:
-        The mutable search state the engine operates on.  Candidate scoring
-        and the fitting scan run through ``state.kernel``.
+        The mutable search state the engine operates on; it scores the
+        candidates, runs the fitting scan and holds the evaluation ledger.
     tabu:
         Short-term memory consulted for both steps.
     rng:
@@ -84,32 +83,23 @@ class MoveEngine:
         #: measurably improves the FP-57 optimum-hit rate (see DESIGN.md).
         #: 1 recovers the fully greedy deterministic rule.
         self.add_candidates = int(add_candidates)
-        #: Shared per-thread evaluation ledger (owned by the state's kernel).
-        self.counters: KernelCounters = state.kernel.counters
+        #: The thread's evaluation ledger (owned by the state).
+        self.counters: KernelCounters = state.counters
         n = state.instance.n_items
         #: whole-neighborhood drop-scan scratch: candidate mask and the
         #: masked score vector (-inf on non-candidates)
         self._drop_mask = np.empty(n, dtype=bool)
         self._drop_scores = np.empty(n, dtype=np.float64)
-        #: zero-copy bool view of the kernel's 0/1 vector (0/1 int8 is a
+        #: zero-copy bool view of the state's 0/1 vector (0/1 int8 is a
         #: valid bool buffer) — the packed-item mask without a compare
-        self._x_bool = state.kernel.x.view(np.bool_)
-        #: admissible-add word scratch (bitset-mode kernels only)
-        if state.kernel._fit_words is not None:
-            self._allowed_words = np.empty_like(state.kernel._fit_words)
+        self._x_bool = state.x.view(np.bool_)
+        #: admissible-add word scratch (bitset-mode states only)
+        if state.free_words is not None:
+            self._allowed_words = np.empty_like(state.free_words)
             self._allowed_words_u8 = self._allowed_words.view(np.uint8)
         else:
             self._allowed_words = None
             self._allowed_words_u8 = None
-
-    @property
-    def evaluations(self) -> int:
-        """Cumulative candidate evaluations (farm cost model input)."""
-        return self.counters.move_evaluations
-
-    @evaluations.setter
-    def evaluations(self, value: int) -> None:
-        self.counters.move_evaluations = int(value)
 
     # ------------------------------------------------------------------ #
     # Drop step
@@ -130,19 +120,19 @@ class MoveEngine:
         candidate-list scan, so trajectories are bit-identical (pinned by
         ``tests/test_golden_trajectory.py``).
         """
-        kernel = self.state.kernel
-        if kernel.n_packed == 0:
+        state = self.state
+        if state.n_packed == 0:
             return None
-        i_star = kernel.most_saturated_constraint()
+        i_star = state.most_saturated_constraint()
         mask = self._drop_mask
         np.logical_and(self._x_bool, self.tabu.nontabu_mask(), out=mask)
         count = int(np.count_nonzero(mask))
         if count == 0:
             np.copyto(mask, self._x_bool)
-            count = kernel.n_packed
+            count = state.n_packed
         scores = self._drop_scores
         scores.fill(-np.inf)
-        np.copyto(scores, kernel.ratio_row(i_star), where=mask)
+        np.copyto(scores, state.ratio_row(i_star), where=mask)
         self.counters.move_evaluations += count
         np.equal(scores, scores.max(), out=mask)
         ties = mask.nonzero()[0]
@@ -153,12 +143,11 @@ class MoveEngine:
     def drop_step(self, nb_drop: int) -> list[int]:
         """Perform up to ``nb_drop`` drops; returns the dropped indices."""
         dropped: list[int] = []
-        kernel = self.state.kernel
         for _ in range(max(0, int(nb_drop))):
             j = self.select_drop()
             if j is None:
                 break
-            kernel.drop(j)
+            self.state.drop(j)
             dropped.append(j)
         return dropped
 
@@ -184,22 +173,22 @@ class MoveEngine:
         exclusion mask once for the whole pass; this entry point re-installs
         it per call for standalone use.)
         """
-        self.state.kernel.set_exclusions(exclude)
+        self.state.set_exclusions(exclude)
         return self._select_add(best_value)
 
     def _select_add(self, best_value: float) -> int | None:
-        """The Add selection rule against the kernel's current exclusions.
+        """The Add selection rule against the state's current exclusions.
 
-        On bitset-mode kernels the tabu filter happens at the word level —
+        On bitset-mode states the tabu filter happens at the word level —
         fitting words AND non-tabu words — and only the admissible set is
         ever decoded to indices; the generic path filters the decoded
         fitting array with the boolean mask.  Both produce the identical
         ascending ``allowed`` array (and charge the identical fitting-set
         size), so the scoring and tie-breaking below are path-independent.
         """
-        kernel = self.state.kernel
-        if kernel.use_bitset:
-            fit_words = kernel.fitting_words()
+        state = self.state
+        if state.use_bitset:
+            fit_words = state.fitting_words()
             # popcount via one arbitrary-precision int: cheaper than a numpy
             # reduction at word counts this small
             n_fitting = int.from_bytes(fit_words.tobytes(), "little").bit_count()
@@ -208,19 +197,19 @@ class MoveEngine:
             self.counters.move_evaluations += n_fitting
             nontabu_words = self.tabu.nontabu_words()
             np.bitwise_and(fit_words, nontabu_words, out=self._allowed_words)
-            allowed = kernel.decode_words_u8(self._allowed_words_u8)
+            allowed = state.decode_words_u8(self._allowed_words_u8)
             if allowed.size == 0:
                 # Aspiration: a tabu add is allowed if it beats the incumbent.
-                tabu_items = kernel.decode_words_u8(
+                tabu_items = state.decode_words_u8(
                     np.bitwise_and(fit_words, ~nontabu_words).view(np.uint8)
                 )
-                gains = kernel.value + self.state.instance.profits[tabu_items]
+                gains = state.value + state.instance.profits[tabu_items]
                 aspire = tabu_items[gains > best_value]
                 if aspire.size == 0:
                     return None
                 allowed = aspire
         else:
-            fitting = kernel.fitting_items()
+            fitting = state.fitting_items()
             if fitting.size == 0:
                 return None
             self.counters.move_evaluations += fitting.size
@@ -228,13 +217,13 @@ class MoveEngine:
             allowed = fitting[nontabu]
             if allowed.size == 0:
                 tabu_items = fitting[~nontabu]
-                gains = kernel.value + self.state.instance.profits[tabu_items]
+                gains = state.value + state.instance.profits[tabu_items]
                 aspire = tabu_items[gains > best_value]
                 if aspire.size == 0:
                     return None
                 allowed = aspire
-        i_star = kernel.most_saturated_constraint()
-        ratios = kernel.scores(i_star, allowed)
+        i_star = state.most_saturated_constraint()
+        ratios = state.scores(i_star, allowed)
         if self.add_candidates == 1 or allowed.size == 1:
             return int(allowed[_argmin_random_tie(ratios, self.rng)])
         k = min(self.add_candidates, allowed.size)
@@ -247,19 +236,19 @@ class MoveEngine:
         """Add items until none can be added; returns the added indices.
 
         The exclusion mask is written once for the whole pass, and the
-        kernel's fitting pool shrinks monotonically across the adds — the
+        state's fitting pool shrinks monotonically across the adds — the
         two properties that make the Add loop cheap on large instances.
         """
-        kernel = self.state.kernel
-        kernel.set_exclusions(exclude)
+        state = self.state
+        state.set_exclusions(exclude)
         added: list[int] = []
         while True:
             j = self._select_add(best_value)
             if j is None:
                 break
-            kernel.add(j)
+            state.add(j)
             added.append(j)
-        kernel.clear_exclusions()
+        state.clear_exclusions()
         return added
 
     # ------------------------------------------------------------------ #
@@ -272,17 +261,17 @@ class MoveEngine:
         ticking the tabu clock (Fig. 1, steps 8–9), because intensification
         phases reuse the engine without touching the short-term memory.
 
-        On a kernel with the native path (:meth:`EvalKernel.native`) and an
+        On a state with the native path (:meth:`SearchState.native`) and an
         Add breadth of at most 2, the whole move runs in C with the same
         candidate sets, evaluation counts and draws from :attr:`rng`.
         """
-        kernel = self.state.kernel
-        native = kernel.native()
+        state = self.state
+        native = state.native()
         if native is not None and self.add_candidates <= 2:
-            if kernel._n_excluded:
-                kernel.clear_exclusions()
+            if state._n_excluded:
+                state.clear_exclusions()
             dropped, added, evaluations = native.move(
-                kernel, self.tabu, self.rng, max(0, int(nb_drop)),
+                state, self.tabu, self.rng, max(0, int(nb_drop)),
                 float(best_value), self.add_candidates,
             )
             self.counters.move_evaluations += evaluations

@@ -1,10 +1,13 @@
 """The native tabu-search hot loop: build, cache and bind ``_native.c``.
 
-``_native.c`` holds the bitset-mode compound move, the §3.2 swap
-intensification and the greedy fill (see its header comment for the
-exactness contract).  This module compiles it once with cffi's API mode and
-the system C compiler, and binds it to each :class:`~repro.core.kernels.EvalKernel`
-through :class:`NativeKernel`.
+``_native.c`` holds the bitset-mode compound move, the Figure-1
+local-search loop around it, the §3.2 swap intensification and the greedy
+fill (see its header comment for the exactness contract).  This module
+compiles it once with cffi's API mode and the system C compiler; each
+bitset-mode :class:`~repro.core.solution.SearchState` binds it to its own
+buffers at construction through :class:`NativeKernel`, and each
+:class:`~repro.core.tabu_search.TabuSearch` thread wraps that in a
+:class:`NativeLoop`.
 
 Build cache
     The extension is keyed by the SHA-256 of the C source, the cffi
@@ -96,7 +99,7 @@ typedef struct {
     int8_t *local_x;
     double best_value, local_value;
     int64_t best_moved, local_moved;
-    int64_t evaluations, moves, loop_moves, snapshots, stall;
+    int64_t evaluations, moves, loop_moves, stall;
     double *trace;
     int64_t trace_len, trace_cap;
 } ts_loop;
@@ -209,12 +212,12 @@ _DTYPES = {
 
 
 class NativeKernel:
-    """The C kernel's view of one bitset-mode ``EvalKernel``.
+    """The C kernel's view of one bitset-mode ``SearchState``.
 
-    Holds a ``ts_kernel`` struct whose pointers alias the kernel's own
+    Holds a ``ts_kernel`` struct whose pointers alias the state's own
     buffers and the instance's :class:`~repro.core.bitset.HotTables`, plus
     the move scratch.  ``value`` and ``n_packed`` are Python scalars on the
-    kernel; every call copies them in and back out.
+    state; every call copies them in and back out.
     """
 
     __slots__ = (
@@ -222,8 +225,9 @@ class NativeKernel:
         "_tabu", "_expiry", "_rng", "_bitgen",
     )
 
-    def __init__(self, kernel, fit_eps: float) -> None:
-        inst, hot = kernel.instance, kernel.hot
+    def __init__(self, state, fit_eps: float) -> None:
+        inst = state.instance
+        hot = inst.hot
         tables, profit_order = hot.integer, hot.profit_order
         m, n = inst.shape
         self._keep: list = []
@@ -243,12 +247,12 @@ class NativeKernel:
         s.cumbits = self._bind("uint64_t", tables.cumbits)
         s.sorted_profits = self._bind("double", profit_order.sorted_profits)
         s.suffix = self._bind("uint64_t", profit_order.suffix)
-        s.x = self._bind("int8_t", kernel.x)
-        s.free_mask = self._bind("uint8_t", kernel._free)
-        s.free_words = self._bind("uint64_t", kernel.free_words)
-        s.q_base = self._bind("int64_t", kernel._q_base)
-        s.load = self._bind("double", kernel.load)
-        s.slack = self._bind("double", kernel.slack)
+        s.x = self._bind("int8_t", state.x)
+        s.free_mask = self._bind("uint8_t", state._free)
+        s.free_words = self._bind("uint64_t", state.free_words)
+        s.q_base = self._bind("int64_t", state._q_base)
+        s.load = self._bind("double", state.load)
+        s.slack = self._bind("double", state.slack)
         s.fit = self._bind("uint64_t", np.empty(tables.words, np.uint64))
         s.rich = self._bind("uint64_t", np.empty(tables.words, np.uint64))
         s.allowed = self._bind("int64_t", self.allowed)
@@ -266,34 +270,34 @@ class NativeKernel:
         self._keep.append(buf)
         return buf
 
-    def _sync_out(self, kernel) -> None:
+    def _sync_out(self, state) -> None:
         s = self.ptr
-        kernel.value = s.value
-        kernel.n_packed = s.n_packed
-        kernel._invalidate()
+        state.value = s.value
+        state.n_packed = s.n_packed
+        state._invalidate()
 
-    def _sync_in(self, kernel, tabu, rng) -> None:
+    def _sync_in(self, state, tabu, rng) -> None:
         if tabu is not self._tabu:
             self._tabu, self._expiry = tabu, ffi.from_buffer("int64_t[]", tabu._expiry)
         if rng is not self._rng:
             self._rng, self._bitgen = rng, _bitgen(rng)
         s = self.ptr
-        s.value = kernel.value
-        s.n_packed = kernel.n_packed
+        s.value = state.value
+        s.n_packed = state.n_packed
 
     def handback_pick(self, rng) -> int:
         """The numpy path's pick from a handed-back Add selection."""
         top = self.ratios[: self.ptr.n_allowed].argpartition(1)[:2]
         return int(self.allowed[top[rng.integers(0, 2)]])
 
-    def move(self, kernel, tabu, rng, nb_drop: int, best_value: float,
+    def move(self, state, tabu, rng, nb_drop: int, best_value: float,
              add_candidates: int) -> tuple[list[int], list[int], int]:
         """One Drop/Add compound move: ``(dropped, added, evaluations)``.
 
         ``add_candidates`` must be 1 or 2.  A handed-back Add selection is
         made here exactly as the numpy path makes it.
         """
-        self._sync_in(kernel, tabu, rng)
+        self._sync_in(state, tabu, rng)
         s = self.ptr
         clock = tabu.clock
         status = lib.ts_move(
@@ -304,23 +308,23 @@ class NativeKernel:
                 s, self._expiry, clock, self._bitgen, best_value, add_candidates,
                 self.handback_pick(rng),
             )
-        self._sync_out(kernel)
+        self._sync_out(state)
         return (
             self.dropped[: s.n_dropped].tolist(),
             self.added[: s.n_added].tolist(),
             s.evaluations,
         )
 
-    def swap(self, kernel) -> tuple[int, int]:
-        """Swap intensification in place: ``(swaps_applied, evaluations)``."""
+    def swap(self, state) -> int:
+        """Swap intensification in place; returns the evaluations charged."""
         s = self.ptr
-        s.value = kernel.value
-        s.n_packed = kernel.n_packed
-        swaps = lib.ts_swap(s)
-        self._sync_out(kernel)
-        return swaps, s.evaluations
+        s.value = state.value
+        s.n_packed = state.n_packed
+        lib.ts_swap(s)
+        self._sync_out(state)
+        return s.evaluations
 
-    def fill(self, kernel, order: np.ndarray) -> bool:
+    def fill(self, state, order: np.ndarray) -> bool:
         """Greedy fill in ``order``; ``False`` (state untouched) when
         ``order`` is not a 1-D array of in-range integer indices."""
         order = np.asarray(order)
@@ -328,11 +332,11 @@ class NativeKernel:
             return False
         order = np.ascontiguousarray(order, dtype=np.int64)
         s = self.ptr
-        s.value = kernel.value
-        s.n_packed = kernel.n_packed
+        s.value = state.value
+        s.n_packed = state.n_packed
         if lib.ts_fill(s, ffi.from_buffer("int64_t[]", order), order.size) < 0:
             return False
-        self._sync_out(kernel)
+        self._sync_out(state)
         return True
 
 
@@ -384,14 +388,14 @@ class NativeLoop:
         ``best_value``/``local_value`` when :attr:`best_x`/:attr:`local_x`
         hold a newer X*/X_local (X_local is X* whenever ``best_moved``).
         """
-        kernel, tabu, history, elite = (
-            thread.state.kernel, thread.tabu, thread.history, thread.elite
+        state, tabu, history, elite = (
+            thread.state, thread.tabu, thread.history, thread.elite
         )
-        counters, rng, strategy = thread.counters, thread.engine.rng, thread.strategy
+        counters, rng, strategy = state.counters, thread.engine.rng, thread.strategy
         native = self._native
-        if kernel._n_excluded:
-            kernel.clear_exclusions()
-        native._sync_in(kernel, tabu, rng)
+        if state._n_excluded:
+            state.clear_exclusions()
+        native._sync_in(state, tabu, rng)
         s = self.ptr
         s.nb_drop = max(0, int(strategy.nb_drop))
         s.nb_local = strategy.nb_local
@@ -417,7 +421,7 @@ class NativeLoop:
         start = counters.total
         s.evaluations = start
         s.moves = moves_so_far
-        s.loop_moves = s.snapshots = s.stall = 0
+        s.loop_moves = s.stall = 0
         s.trace_len = 0
         k = native.ptr
         status = lib.ts_local_search(k, s, -1)
@@ -429,13 +433,12 @@ class NativeLoop:
                 s.trace_len = 0
                 status = lib.ts_local_search(k, s, -1)
         trace.extend(self._trace[: s.trace_len].tolist())
-        native._sync_out(kernel)
+        native._sync_out(state)
         tabu.advance_to(s.clock)
         history.iterations = s.iterations
         elite.count = s.elite_count
         counters.move_evaluations += s.evaluations - start
         counters.moves += s.loop_moves
-        counters.snapshots += s.snapshots
         return s
 
 

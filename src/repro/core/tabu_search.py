@@ -39,11 +39,7 @@ from . import native
 from .construction import random_solution
 from .diversification import DiversificationConfig, diversify
 from .instance import MKPInstance
-from .intensification import (
-    IntensificationStats,
-    strategic_oscillation,
-    swap_intensification,
-)
+from .intensification import strategic_oscillation, swap_intensification
 from .memory import EliteArray, History
 from .moves import MoveEngine
 from .solution import SearchState, Solution
@@ -132,9 +128,10 @@ class TabuSearch:
         Seed or generator for all stochastic choices of this thread.
     on_move:
         Optional hook called after every compound move with the running
-        thread (used by the asynchronous cooperative variant to exchange
-        information mid-search, and by conformance tests to trace control
-        flow).
+        thread (conformance tests use it to trace control flow, and
+        ``tests/differential.py::per_move_reference`` to pin the per-move
+        Python loop).  A thread with a hook runs every local-search loop in
+        Python, never as the one C call.
     """
 
     def __init__(
@@ -161,9 +158,8 @@ class TabuSearch:
         )
         #: Unified evaluation ledger shared by the move engine, the
         #: intensification procedures, and the budget checks (owned by the
-        #: state's kernel).
-        self.counters = self.state.kernel.counters
-        self._intensify_stats = IntensificationStats(self.counters)
+        #: state).
+        self.counters = self.state.counters
         self._trace_control_flow: list[str] | None = None
         #: the C local-search loop over this thread (built on first use)
         self._c_loop: native.NativeLoop | None = None
@@ -181,7 +177,7 @@ class TabuSearch:
         After ``rebind(strategy, seed)`` the thread is bit-identical to a
         freshly constructed ``TabuSearch(instance, strategy, config,
         rng=seed)`` — same RNG stream, same zeroed short/long-term memories,
-        same counter ledger — while reusing the preallocated arenas (kernel
+        same counter ledger — while reusing the preallocated arenas (state
         buffers, tabu expiry arrays, history counts) instead of reallocating
         them.  This is the warm-runtime reuse path of the parallel round
         loop (:mod:`repro.parallel.runtime`); the reset contract is pinned
@@ -192,7 +188,6 @@ class TabuSearch:
         self.rng = make_rng(rng)
         self.engine.rng = self.rng
         self.counters.reset()
-        self._intensify_stats.reset()
         self.state.reset()
         self.tabu.reset(self.strategy.lt_length)
         self.history.reset()
@@ -364,11 +359,11 @@ class TabuSearch:
         """
         if self.on_move is not None or budget.wall_seconds is not None:
             return None
-        kernel_native = self.state.kernel.native()
-        if kernel_native is None or self.engine.add_candidates > 2:
+        state_native = self.state.native()
+        if state_native is None or self.engine.add_candidates > 2:
             return None
         if self._c_loop is None:
-            self._c_loop = native.NativeLoop(kernel_native, self.instance.n_items)
+            self._c_loop = native.NativeLoop(state_native, self.instance.n_items)
         return self._c_loop
 
     def _c_local_search_loop(
@@ -398,16 +393,13 @@ class TabuSearch:
             return
         if kind in (IntensificationKind.SWAP, IntensificationKind.BOTH):
             self.state.restore(x_local)
-            improved = swap_intensification(self.state, self._intensify_stats)
+            improved = swap_intensification(self.state)
             self._register_candidate(improved)
             x_local = improved if improved.value > x_local.value else x_local
         if kind in (IntensificationKind.OSCILLATION, IntensificationKind.BOTH):
             self.state.restore(x_local)
             projected = strategic_oscillation(
-                self.state,
-                self.config.oscillation_depth,
-                self.rng,
-                self._intensify_stats,
+                self.state, self.config.oscillation_depth, self.rng
             )
             self._register_candidate(projected)
         # Continue the search from the (possibly improved) solution the

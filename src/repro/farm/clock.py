@@ -48,12 +48,6 @@ class VirtualClock:
         self._t[proc] += seconds
         return float(self._t[proc])
 
-    def advance_all(self, seconds: float) -> None:
-        """Charge ``seconds`` to every processor (e.g. a broadcast)."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance by negative time: {seconds}")
-        self._t += seconds
-
     def barrier(self) -> np.ndarray:
         """Synchronize all processors to the maximum time.
 

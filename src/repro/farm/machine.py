@@ -134,15 +134,6 @@ class FarmModel:
     def transfer_seconds(self, payload_bytes: int) -> float:
         return self.network.transfer_seconds(payload_bytes)
 
-    def scatter_seconds(self, payload_bytes_per_slave: list[int]) -> float:
-        """Master sends distinct payloads to each slave.
-
-        The master's outgoing link serializes the sends (one NIC), so the
-        scatter takes the *sum* of the individual transfer times — the same
-        asymmetry that makes master–slave schemes master-bound at large P.
-        """
-        return sum(self.transfer_seconds(b) for b in payload_bytes_per_slave)
-
 
 #: The paper's testbed.
 ALPHA_FARM = FarmModel()

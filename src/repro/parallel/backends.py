@@ -659,7 +659,6 @@ class MultiprocessingBackend:
         shutdown_timeout_s: float = 10.0,
         transport: str | None = None,
         batch_k: int = 1,
-        ring_nbytes: int = DEFAULT_RING_NBYTES,
     ) -> None:
         if n_slaves < 1:
             raise ValueError("n_slaves must be >= 1")
@@ -676,7 +675,6 @@ class MultiprocessingBackend:
         self.n_workers = -(-self.n_slaves // self.batch_k)
         #: resolved payload carrier: explicit arg > ``REPRO_TRANSPORT`` > auto
         self.transport = resolve_transport(transport)
-        self.ring_nbytes = int(ring_nbytes)
         self.fault_plan = fault_plan or FaultPlan.none()
         self.round_timeout_s = round_timeout_s
         self.shutdown_timeout_s = float(shutdown_timeout_s)
@@ -730,8 +728,8 @@ class MultiprocessingBackend:
         shm_spec: tuple[str, str] | None = None
         if self.transport == "shm":
             try:
-                task_ring = ShmRing.create(self.ring_nbytes)
-                report_ring = ShmRing.create(self.ring_nbytes)
+                task_ring = ShmRing.create(DEFAULT_RING_NBYTES)
+                report_ring = ShmRing.create(DEFAULT_RING_NBYTES)
                 shm_spec = (task_ring.name, report_ring.name)
             except Exception:
                 # Segment creation failed (exhausted /dev/shm, hardened

@@ -253,10 +253,6 @@ class FaultPlan:
     def straggle_factor(self, round_index: int, slave_id: int) -> float:
         return self._straggles.get((round_index, slave_id), 1.0)
 
-    def crashed_slaves(self) -> set[int]:
-        """All slave ids that crash at least once under this plan."""
-        return {slave_id for _, slave_id in self._crashes}
-
     def fingerprint(self) -> str:
         """Stable digest of the schedule (determinism assertions)."""
         text = ";".join(

@@ -1,8 +1,8 @@
 """Per-slave warm search runtime: build the arena once, reset it per task.
 
 Before this module every round rebuilt a slave's entire search runtime from
-scratch — ``SearchState.empty`` → a fresh :class:`~repro.core.kernels.EvalKernel`
-(a dozen preallocated buffers plus the bitset scan workspace), a fresh
+scratch — a fresh :class:`~repro.core.solution.SearchState` (a dozen
+preallocated buffers plus the bitset scan workspace), a fresh
 :class:`~repro.core.tabu_list.TabuList`, history and elite arrays — only to
 throw it all away a few thousand evaluations later.  With the short
 per-round budgets the Fig. 2 master hands out, that setup cost rivals the
@@ -13,7 +13,7 @@ gk10-shm-short workload tracks).
 thread per slave for the life of the process.  Each task *rebinds* the
 thread in place (:meth:`~repro.core.tabu_search.TabuSearch.rebind`): the RNG
 is re-seeded, the tabu clock rewound, history/elite/counters zeroed and the
-kernel reloaded — all without reallocating a single arena buffer — so the
+search state reloaded — all without reallocating a single arena buffer — so the
 resulting trajectory is bit-identical to a cold construction (pinned by
 ``tests/test_runtime.py`` and, transitively, by every golden-trajectory
 test, since every backend runs warm).
@@ -23,7 +23,7 @@ Reset contract (DESIGN.md §5.4) — what may persist across tasks:
 * the instance-bound immutables: the :class:`~repro.core.instance.MKPInstance`
   itself, its shared :class:`~repro.core.bitset.HotTables`, and the
   structural :class:`~repro.core.tabu_search.TabuSearchConfig`;
-* preallocated *storage* (kernel buffers, tabu expiry arrays, history
+* preallocated *storage* (search-state buffers, tabu expiry arrays, history
   counts, scratch vectors) — reused, never trusted for content.
 
 Everything with per-run *content* must be cleared: RNG state, the 0/1
@@ -107,14 +107,6 @@ class SlaveRuntime:
         """The resident search thread (tests inspect its reset state)."""
         return self._thread
 
-    def arena_nbytes(self) -> int:
-        """Approximate resident footprint of the cached per-instance tables.
-
-        Dominated by the shared :class:`~repro.core.bitset.HotTables`; the
-        per-thread buffers add a few ``n``- and ``m``-length arrays on top.
-        """
-        return self.instance.hot.nbytes
-
     def execute(self, task: SlaveTask, slave_id: int | None = None) -> SlaveReport:
         """Run one tabu-search round on the warm arena and package the report.
 
@@ -143,7 +135,7 @@ class SlaveRuntime:
             self.last_idle_s = t0 - self._last_done_t
             self.total_idle_s += self.last_idle_s
         x_init = task.x_init
-        exact = self._thread.state.kernel.use_bitset  # integer data
+        exact = self._thread.state.use_bitset  # integer data
         if exact and float(self.instance.profits @ x_init.x) != x_init.value:
             raise ValueError(
                 f"corrupt x_init frame for slave "
@@ -180,7 +172,7 @@ class SlaveRuntime:
 
         A cache miss builds the reduced instance (pure array slicing — the
         LP behind the pattern was solved master-side) plus a warm reduced
-        thread whose kernels, fitting tables and batched matmuls all span
+        thread whose search state, fitting tables and batched matmuls all span
         ``n_core`` columns.  Misses count as ``recores``: a respawned or
         freshly rebound worker re-cores from the task's pattern alone.
         """

@@ -193,12 +193,12 @@ def assert_differential(
 
 @contextlib.contextmanager
 def numpy_reference() -> Iterator[None]:
-    """Build every kernel created inside on the numpy reference path.
+    """Build every search state created inside on the numpy reference path.
 
-    Kernels bind the native C kernel at construction when
-    ``repro.core.native.available``; holding the flag down for the block
-    keeps every search thread, restart and fill of an in-process run on
-    numpy.  Worker processes are not reached, so use in-process backends.
+    A :class:`~repro.core.solution.SearchState` binds the native C kernel at
+    construction when ``repro.core.native.available``; holding the flag down
+    for the block keeps every search thread, restart and fill of an
+    in-process run on numpy.  Worker processes are not reached, so use in-process backends.
     """
     saved = native.available
     native.available = False

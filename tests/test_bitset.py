@@ -38,7 +38,7 @@ from repro.core.bitset import (
     unpack_bits,
     words_to_bytes,
 )
-from repro.core.intensification import IntensificationStats, swap_intensification
+from repro.core.intensification import swap_intensification
 from repro.core.strategy import Strategy
 from repro.core.tabu_search import TabuSearchConfig
 from repro.core.termination import Budget
@@ -94,18 +94,17 @@ def _state_on_path(inst: MKPInstance, x: np.ndarray, path: str) -> SearchState:
     else:
         with numpy_reference():
             state = SearchState(inst, x.copy())
-    kernel = state.kernel
-    kernel.use_bitset = path != "generic"
-    assert (kernel.native() is not None) == (path == "native" and native.available)
+    state.use_bitset = path != "generic"
+    assert (state.native() is not None) == (path == "native" and native.available)
     return state
 
 
-def _kernel_fingerprint(kernel) -> tuple:
+def _kernel_fingerprint(state) -> tuple:
     """Every buffer the native kernel writes, as comparable bytes."""
     return (
-        kernel.x.tobytes(), kernel.load.tobytes(), kernel.slack.tobytes(),
-        kernel.value, kernel.n_packed, kernel._free.tobytes(),
-        kernel.free_words.tobytes(), kernel._q_base.tobytes(),
+        state.x.tobytes(), state.load.tobytes(), state.slack.tobytes(),
+        state.value, state.n_packed, state._free.tobytes(),
+        state.free_words.tobytes(), state._q_base.tobytes(),
     )
 
 
@@ -122,7 +121,8 @@ def _move_trajectory(inst, x0, path, add_candidates, rng, n_moves=40):
         if record.touched:
             tabu.make_tabu(np.asarray(record.touched))
         trace.append((tuple(record.dropped), tuple(record.added)))
-    return trace, engine.evaluations, engine.counters.moves, _kernel_fingerprint(state.kernel)
+    counters = engine.counters
+    return trace, counters.move_evaluations, counters.moves, _kernel_fingerprint(state)
 
 
 # --------------------------------------------------------------------------- #
@@ -224,16 +224,14 @@ class TestFittingEquivalence:
             x = greedy_solution(inst).x
             bit = SearchState(inst, x.copy())
             gen = SearchState(inst, x.copy())
-            assert bit.kernel.use_bitset
-            gen.kernel.use_bitset = False
+            assert bit.use_bitset
+            gen.use_bitset = False
             assert np.array_equal(bit.fitting_items(), gen.fitting_items())
             # ... and with exclusions layered on top.
             excl = set(map(int, rng.integers(0, inst.n_items, size=3)))
-            bit.kernel.set_exclusions(excl)
-            gen.kernel.set_exclusions(excl)
-            assert np.array_equal(
-                bit.kernel.fitting_items(), gen.kernel.fitting_items()
-            )
+            bit.set_exclusions(excl)
+            gen.set_exclusions(excl)
+            assert np.array_equal(bit.fitting_items(), gen.fitting_items())
 
     def test_float_instance_falls_back_to_generic(self):
         inst = MKPInstance(
@@ -242,7 +240,7 @@ class TestFittingEquivalence:
             profits=np.array([1.0, 2.0, 3.0]),
         )
         state = SearchState.empty(inst)
-        assert not state.kernel.use_bitset
+        assert not state.use_bitset
         assert np.array_equal(state.fitting_items(), [0, 1, 2])
 
     def test_trajectory_identical_across_paths(self):
@@ -279,7 +277,7 @@ class TestFittingEquivalence:
             for path in PATHS:
                 state = _state_on_path(inst, x0, path)
                 fill_greedily(state, order)
-                out.append(_kernel_fingerprint(state.kernel))
+                out.append(_kernel_fingerprint(state))
             assert out[0] == out[1] == out[2]
 
     @pytest.mark.skipif(not native.available, reason="native kernel unavailable")
@@ -306,11 +304,10 @@ class TestSwapIntensificationEquivalence:
             out = []
             for path in PATHS:
                 state = _state_on_path(inst, sol.x, path)
-                stats = IntensificationStats()
-                result = swap_intensification(state, stats)
+                result = swap_intensification(state)
                 out.append(
-                    (result.x.tobytes(), result.value, stats.evaluations,
-                     stats.swaps_applied, _kernel_fingerprint(state.kernel))
+                    (result.x.tobytes(), result.value,
+                     state.counters.intensify_evaluations, _kernel_fingerprint(state))
                 )
             assert out[0] == out[1] == out[2]
 
@@ -323,34 +320,32 @@ class TestExclusionShortCircuit:
         rng = np.random.default_rng(21)
         inst = random_integer_instance(rng)
         state = SearchState.empty(inst)
-        kernel = state.kernel
-        kernel.use_bitset = False
-        kernel.set_exclusions({1, 3})
-        kernel.fitting_items()
-        assert kernel._pool is not None
+        state.use_bitset = False
+        state.set_exclusions({1, 3})
+        state.fitting_items()
+        assert state._pool is not None
         # Re-installing the identical mask must not invalidate the pool.
-        kernel.set_exclusions({3, 1})
-        assert kernel._pool is not None
+        state.set_exclusions({3, 1})
+        assert state._pool is not None
         # Clearing when nothing is excluded is likewise free.
-        kernel.clear_exclusions()
-        kernel.fitting_items()
-        pool = kernel._pool
-        kernel.set_exclusions(None)
-        kernel.clear_exclusions()
-        assert kernel._pool is pool
+        state.clear_exclusions()
+        state.fitting_items()
+        pool = state._pool
+        state.set_exclusions(None)
+        state.clear_exclusions()
+        assert state._pool is pool
         # A genuinely different mask still invalidates.
-        kernel.set_exclusions({2})
-        assert kernel._pool is None
+        state.set_exclusions({2})
+        assert state._pool is None
 
     def test_unchanged_mask_still_correct_on_bitset_path(self):
         rng = np.random.default_rng(22)
         inst = random_integer_instance(rng)
         state = SearchState.empty(inst)
-        kernel = state.kernel
-        kernel.set_exclusions({0, 2})
-        first = kernel.fitting_items().copy()
-        kernel.set_exclusions({2, 0})
-        assert np.array_equal(kernel.fitting_items(), first)
+        state.set_exclusions({0, 2})
+        first = state.fitting_items().copy()
+        state.set_exclusions({2, 0})
+        assert np.array_equal(state.fitting_items(), first)
         assert 0 not in first and 2 not in first
 
 

@@ -71,11 +71,6 @@ class TestFarmModel:
         assert ALPHA_FARM.processor.mips == 500.0
         assert ALPHA_FARM.network.link_bandwidth_mbps == 200.0
 
-    def test_scatter_serializes_master_link(self):
-        farm = FarmModel(n_processors=4)
-        single = farm.transfer_seconds(1000)
-        assert farm.scatter_seconds([1000] * 4) == pytest.approx(4 * single)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FarmModel(n_processors=0)
@@ -106,17 +101,10 @@ class TestVirtualClock:
         assert clock.wait_until(0, 1.0) == 0.0
         assert clock.time_of(0) == 5.0
 
-    def test_advance_all(self):
-        clock = VirtualClock(2)
-        clock.advance_all(1.5)
-        np.testing.assert_allclose(clock.times, [1.5, 1.5])
-
     def test_negative_rejected(self):
         clock = VirtualClock(2)
         with pytest.raises(ValueError):
             clock.advance(0, -1.0)
-        with pytest.raises(ValueError):
-            clock.advance_all(-1.0)
 
     def test_monotonicity_property(self):
         """Clocks never go backwards under any operation mix."""

@@ -123,7 +123,6 @@ class TestFaultPlan:
         assert plan.straggle_factor(2, 1) == 3.0
         assert plan.straggle_factor(0, 0) == 1.0
         assert plan.drops_task(3, 2)
-        assert plan.crashed_slaves() == {1}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="crash_rate"):

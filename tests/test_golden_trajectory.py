@@ -1,7 +1,7 @@
 """Golden-trajectory determinism tests for the kernel-backed hot path.
 
-These fingerprints were recorded from a seed-era run (pre ``EvalKernel``)
-on a fixed GK instance with fixed seeds.  The flat-array kernel layer is a
+These fingerprints were recorded from a seed-era run (before the flat-array
+kernel layer) on a fixed GK instance with fixed seeds.  The flat-array kernel layer is a
 *refactor*, not a rewrite: every candidate scan, tie-break and evaluation
 count must be bit-identical to the naive implementation it replaced, so the
 SEQ/ITS/CTS2 value histories, the per-move incumbent trace, and the
@@ -228,8 +228,7 @@ class TestThreadTrace:
         )
         result = ts.run()
         assert ts.counters.total == result.evaluations
-        assert ts.counters.move_evaluations == ts.engine.evaluations
-        assert ts.counters.intensify_evaluations == ts._intensify_stats.evaluations
+        assert ts.counters is ts.state.counters is ts.engine.counters
         assert ts.counters.move_evaluations + ts.counters.intensify_evaluations == (
             result.evaluations
         )

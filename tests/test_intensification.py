@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    IntensificationStats,
     SearchState,
     greedy_solution,
     strategic_oscillation,
@@ -40,12 +39,12 @@ class TestSwap:
         assert set(result.items) == {0, 2}
 
     def test_stats_counted(self, small_instance):
-        stats = IntensificationStats()
         state = SearchState.from_solution(
             small_instance, greedy_solution(small_instance)
         )
-        swap_intensification(state, stats)
-        assert stats.evaluations > 0
+        swap_intensification(state)
+        assert state.counters.intensify_evaluations > 0
+        assert state.counters.move_evaluations == 0
 
     def test_fixed_point(self, small_instance):
         """Applying swap intensification twice changes nothing the 2nd time."""
@@ -86,13 +85,13 @@ class TestStrategicOscillation:
             strategic_oscillation(state, depth=-1, rng=rng)
 
     def test_oscillation_counter(self, small_instance, rng):
-        stats = IntensificationStats()
+        """Each excursion charges its forced adds plus one greedy pass."""
         state = SearchState.from_solution(
             small_instance, greedy_solution(small_instance)
         )
-        strategic_oscillation(state, depth=3, rng=rng, stats=stats)
-        strategic_oscillation(state, depth=3, rng=rng, stats=stats)
-        assert stats.oscillations == 2
+        strategic_oscillation(state, depth=3, rng=rng)
+        strategic_oscillation(state, depth=3, rng=rng)
+        assert state.counters.intensify_evaluations == 2 * (3 + small_instance.n_items)
 
     def test_can_escape_greedy_local_optimum(self, tiny_instance, rng):
         """The excursion can land somewhere the greedy fill cannot reach."""

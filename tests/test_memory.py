@@ -46,18 +46,6 @@ class TestHistory:
         assert h.iterations == 0
         np.testing.assert_array_equal(h.counts, [0, 0])
 
-    def test_merged(self):
-        a, b = History(2), History(2)
-        a.record(np.array([1, 0]))
-        b.record(np.array([1, 1]))
-        merged = a.merged_with(b)
-        np.testing.assert_array_equal(merged.counts, [2, 1])
-        assert merged.iterations == 2
-
-    def test_merge_size_mismatch(self):
-        with pytest.raises(ValueError):
-            History(2).merged_with(History(3))
-
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             History(0)

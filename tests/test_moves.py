@@ -112,12 +112,12 @@ class TestCompoundMove:
 
     def test_evaluation_counter_monotone(self, small_instance, rng):
         engine, state, _ = make_engine(small_instance, rng)
-        assert engine.evaluations == 0
+        assert engine.counters.move_evaluations == 0
         engine.apply(1, best_value=state.value)
-        first = engine.evaluations
+        first = engine.counters.move_evaluations
         assert first > 0
         engine.apply(1, best_value=state.value)
-        assert engine.evaluations > first
+        assert engine.counters.move_evaluations > first
 
     def test_nb_drop_zero_is_pure_add(self, small_instance, rng):
         engine, state, _ = make_engine(small_instance, rng)

@@ -99,7 +99,7 @@ class TestBoundedDraw:
 
 class TestBuild:
     def test_integer_instances_bind_the_native_kernel(self):
-        assert SearchState.empty(gk_instance(5)).kernel.native() is not None
+        assert SearchState.empty(gk_instance(5)).native() is not None
 
     def test_extension_is_cached_outside_the_source_tree(self):
         built = Path(native._module.__file__).resolve()

@@ -222,7 +222,7 @@ class TestFallbackRules:
 
     def test_generic_scan_keeps_the_reference_loop(self, c_loops):
         ts = _thread()
-        ts.state.kernel.use_bitset = False
+        ts.state.use_bitset = False
         ts.run()
         assert not c_loops
 

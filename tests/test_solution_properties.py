@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +13,14 @@ from repro.core import (
     MKPInstance,
     SearchState,
     Solution,
+    fill_greedily,
     hamming_distance,
     mean_pairwise_distance,
+    native,
     repair,
 )
+from repro.core.kernels import FIT_EPS
+from tests.differential import numpy_reference
 
 
 @st.composite
@@ -43,6 +50,44 @@ def instance_and_flips(draw):
         )
     )
     return inst, flips
+
+
+@st.composite
+def instance_and_ops(draw, integer: bool):
+    """An instance and a random sequence of state operations.
+
+    Float instances use quarter-unit weights and profits, and capacities an
+    eighth off the quarter grid: the capacities keep them off the integer
+    bitset path, and every load, slack and value stays a small dyadic
+    rational, so incremental and from-scratch arithmetic agree exactly.
+    """
+    inst = draw(instances())
+    if not integer:
+        inst = MKPInstance(inst.weights / 4, inst.capacities / 4 + 0.125, inst.profits / 4)
+    n = inst.n_items
+    op = st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, n - 1)),
+        st.tuples(st.just("restore"), st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        st.tuples(st.just("reset"), st.none()),
+        st.tuples(st.just("fill"), st.permutations(range(n))),
+    )
+    return inst, draw(st.lists(op, max_size=30))
+
+
+def _mirrors(state: SearchState) -> tuple:
+    """Every incrementally maintained buffer of ``state``, as bytes."""
+    words = state.free_words
+    q_base = state._q_base
+    return (
+        state.x.tobytes(),
+        state.load.tobytes(),
+        state.slack.tobytes(),
+        np.float64(state.value).tobytes(),
+        state.n_packed,
+        state._free.tobytes(),
+        None if words is None else words.tobytes(),
+        None if q_base is None else q_base.tobytes(),
+    )
 
 
 class TestIncrementalEvaluation:
@@ -82,6 +127,36 @@ class TestIncrementalEvaluation:
             clone = state.copy()
             clone.add(int(j))
             assert clone.is_feasible
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["native", "numpy"])
+    @pytest.mark.parametrize("integer", [True, False], ids=["int", "float"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mirrors_match_a_fresh_state(self, integer, reference, data):
+        """After any mix of flip, restore, reset and greedy fill, every
+        mirror equals a freshly built state of the same ``x``, byte for
+        byte, and the fitting scan equals the elementwise definition."""
+        inst, ops = data.draw(instance_and_ops(integer))
+        with numpy_reference() if reference else contextlib.nullcontext():
+            state = SearchState.empty(inst)
+        assert state.use_bitset == integer
+        assert (state.native() is not None) == (
+            integer and not reference and native.available
+        )
+        for name, arg in ops:
+            if name == "flip":
+                state.flip(arg)
+            elif name == "restore":
+                state.restore(Solution(np.array(arg), 0.0))
+            elif name == "reset":
+                state.reset()
+            else:
+                fill_greedily(state, np.array(arg))
+            assert _mirrors(state) == _mirrors(SearchState(inst, state.x.copy()))
+            fits = (state.x == 0) & np.all(
+                inst.weights <= state.slack[:, None] + FIT_EPS, axis=0
+            )
+            np.testing.assert_array_equal(state.fitting_items(), np.flatnonzero(fits))
 
 
 class TestRepair:

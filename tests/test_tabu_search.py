@@ -160,7 +160,7 @@ class TestIntensificationModes:
         config = small_config(intensification=IntensificationKind.NONE)
         ts = TabuSearch(small_instance, Strategy(8, 2, 10), config, rng=0)
         ts.run(budget=Budget(max_moves=80))
-        assert ts._intensify_stats.evaluations == 0
+        assert ts.counters.intensify_evaluations == 0
 
 
 class TestConfigValidation:
