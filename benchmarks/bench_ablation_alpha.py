@@ -36,8 +36,7 @@ def run_one(inst, alpha: float | None, seed: int):
     config = MasterConfig(
         n_slaves=N_SLAVES,
         n_rounds=ROUNDS,
-        communicate=True,
-        adapt_strategies=False,
+        variant="CTS1",
         isp=ISPConfig(alpha=alpha if alpha is not None else 0.98),
         dynamic_alpha=alpha is None,
     )

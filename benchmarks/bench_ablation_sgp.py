@@ -46,17 +46,13 @@ def run_comparison() -> list[list[object]]:
             inst,
             rng_seed=seed,
             max_evaluations=scaled(EVALS),
-            master_config=MasterConfig(
-                communicate=True, adapt_strategies=False, **mc_bad
-            ),
+            master_config=MasterConfig(variant="CTS1", **mc_bad),
         )
         cts2_bad = solve_cts2(
             inst,
             rng_seed=seed,
             max_evaluations=scaled(EVALS),
-            master_config=MasterConfig(
-                communicate=True, adapt_strategies=True, **mc_bad
-            ),
+            master_config=MasterConfig(variant="CTS2", **mc_bad),
         )
         cts2_rand = solve_cts2(
             inst,

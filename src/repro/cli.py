@@ -54,8 +54,12 @@ from .instances import (
     uncorrelated_instance,
     write_instance,
 )
+from .master import VARIANTS
 
 __all__ = ["main", "build_parser"]
+
+#: ``--variant`` spellings of the master-driven rows of Table 2
+_MASTER_VARIANTS = [name.lower() for name in VARIANTS]
 
 
 def _load_instance(spec: str) -> MKPInstance:
@@ -84,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance", help="registry name (GK07, FP12, MK3) or file path")
     solve.add_argument(
         "--variant",
-        choices=["seq", "its", "cts1", "cts2", "async"],
+        choices=["seq", *_MASTER_VARIANTS, "async"],
         default="cts2",
     )
     solve.add_argument("--slaves", type=int, default=8, help="parallel threads P")
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser("submit", help="submit a solve job to a running service")
     submit.add_argument("instance", help="registry name or file path")
     add_endpoint(submit)
-    submit.add_argument("--variant", choices=["its", "cts1", "cts2"], default="cts2")
+    submit.add_argument("--variant", choices=_MASTER_VARIANTS, default="cts2")
     submit.add_argument("--rounds", type=int, default=8)
     submit.add_argument("--seed", type=int, default=0)
     sgroup = submit.add_mutually_exclusive_group()
@@ -276,13 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .variants import (
-        solve_cts1,
-        solve_cts2,
-        solve_cts_async,
-        solve_its,
-        solve_seq,
-    )
+    from .variants import solve_cts_async, solve_master, solve_seq
 
     instance = _load_instance(args.instance)
     budget: dict[str, object] = {}
@@ -293,21 +291,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         budget["virtual_seconds"] = 1.0
 
-    if args.record and args.variant in ("seq", "async"):
-        raise SystemExit(
-            "error: --record needs a master-driven variant (its/cts1/cts2)"
-        )
     if args.pipeline != "async" and args.max_staleness is not None:
         raise SystemExit("error: --max-staleness needs --pipeline async")
-    if args.pipeline == "async" and args.variant in ("seq", "async"):
-        raise SystemExit(
-            "error: --pipeline async needs a master-driven variant "
-            "(its/cts1/cts2)"
-        )
-    if args.listen and args.variant in ("seq", "async"):
-        raise SystemExit(
-            "error: --listen needs a master-driven variant (its/cts1/cts2)"
-        )
+    if args.variant not in _MASTER_VARIANTS:
+        for flag, given in (
+            ("--record", args.record),
+            ("--pipeline async", args.pipeline == "async"),
+            ("--listen", args.listen),
+        ):
+            if given:
+                raise SystemExit(
+                    f"error: {flag} needs a master-driven variant "
+                    f"({'/'.join(_MASTER_VARIANTS)})"
+                )
 
     if args.variant == "seq":
         result = solve_seq(instance, rng_seed=args.seed, **budget)
@@ -318,9 +314,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         from .obs import RunRecorder
 
-        solver = {"its": solve_its, "cts1": solve_cts1, "cts2": solve_cts2}[
-            args.variant
-        ]
         backend = None
         if args.listen:
             from .parallel import SocketBackend
@@ -342,8 +335,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             )
         try:
             with RunRecorder(args.record, enabled=bool(args.record)) as recorder:
-                result = solver(
+                result = solve_master(
                     instance,
+                    args.variant.upper(),
                     n_slaves=args.slaves,
                     n_rounds=args.rounds,
                     rng_seed=args.seed,

@@ -2,7 +2,7 @@
 
 from .datastruct import INITIAL_SCORE, SlaveEntry
 from .isp import AlphaController, ISPConfig, ISPDecision, generate_initial_solutions
-from .master import MasterConfig, MasterProcess
+from .master import VARIANTS, MasterConfig, MasterProcess
 from .result import ParallelRunResult, RoundStats
 from .sgp import SGPConfig, SGPDecision, classify_dispersion, update_strategies
 
@@ -19,6 +19,7 @@ __all__ = [
     "update_strategies",
     "MasterConfig",
     "MasterProcess",
+    "VARIANTS",
     "ParallelRunResult",
     "RoundStats",
 ]

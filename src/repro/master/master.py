@@ -9,8 +9,9 @@
             Send initial solutions and strategies to slaves
             Receive from each slave its B best solutions
 
-Cooperation is switchable so that one driver realises all four evaluated
-approaches (Table 2):
+One driver realises the three master-driven approaches of Table 2.
+``MasterConfig.variant`` names one row of :data:`VARIANTS`, and the row's
+two switches are all that differ between them:
 
 ===========  =============  =================
 variant      communicate    adapt_strategies
@@ -20,8 +21,9 @@ CTS1         yes            no
 CTS2         yes            yes
 ===========  =============  =================
 
-(SEQ is the degenerate ``P = 1`` single-round case, provided by
-``repro.variants.seq`` without a master.)
+``communicate`` turns on the ISP (otherwise each slave restarts from its
+own best) and ``adapt_strategies`` the SGP.  SEQ, the fourth approach, is
+one thread without a master (``repro.variants.runner.solve_seq``).
 
 **One ledger, two pipelines.**  Search iteration ``i`` keeps its books in
 one :class:`_Window`: report, failure and backoff counts, the SGP/ISP
@@ -50,6 +52,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..core.construction import random_solution
 from ..core.instance import MKPInstance
@@ -70,11 +73,26 @@ from .isp import AlphaController, ISPConfig, generate_initial_solutions
 from .result import ParallelRunResult, RoundStats
 from .sgp import SGPConfig, update_strategies
 
-__all__ = ["MasterConfig", "MasterProcess"]
+__all__ = ["MasterConfig", "MasterProcess", "VARIANTS"]
 
 #: async per-slave in-flight task cap: double buffering, one burst
 #: computing while the next waits in the slave's queue
 QUEUE_DEPTH = 2
+
+
+class Switches(NamedTuple):
+    """One row of Table 2: whether the master runs the ISP and the SGP."""
+
+    communicate: bool
+    adapt_strategies: bool
+
+
+#: Table 2's master-driven variants, the one place their switches live
+VARIANTS: dict[str, Switches] = {
+    "ITS": Switches(communicate=False, adapt_strategies=False),
+    "CTS1": Switches(communicate=True, adapt_strategies=False),
+    "CTS2": Switches(communicate=True, adapt_strategies=True),
+}
 
 
 @dataclass(frozen=True)
@@ -83,15 +101,15 @@ class MasterConfig:
 
     n_slaves: int = 16
     n_rounds: int = 10
-    communicate: bool = True
-    adapt_strategies: bool = True
+    #: the Table 2 row this master runs: a key of :data:`VARIANTS`
+    variant: str = "CTS2"
     isp: ISPConfig = field(default_factory=ISPConfig)
     sgp: SGPConfig = field(default_factory=SGPConfig)
     bounds: StrategyBounds = field(default_factory=StrategyBounds)
     ts_config: TabuSearchConfig = field(default_factory=TabuSearchConfig)
     #: per-slave elite pool size retained by the master across rounds
     elite_capacity: int = 8
-    #: adapt alpha dynamically (macro int/div; ignored if not communicate)
+    #: adapt alpha dynamically (macro int/div; ITS runs no ISP to adapt)
     dynamic_alpha: bool = True
     #: explicit starting strategies (one per slave); ``None`` = random from
     #: ``bounds``.  Lets experiments hand every slave a deliberately bad
@@ -99,9 +117,11 @@ class MasterConfig:
     #: master "unloads the user from the task of finding the efficient TS
     #: parameters").
     initial_strategies: tuple = ()
-    #: cap on the exponential respawn backoff: a slave that failed ``f``
-    #: consecutive rounds sits out ``min(2**(f-1), max_backoff_rounds)``
-    #: rounds before the master retasks it
+    #: cap on the exponential backoff ``min(2**(f-1), max_backoff_rounds)``
+    #: of a slave whose task failed ``f`` consecutive times.  Sync counts it
+    #: from the failed round, so the slave sits out one round fewer (none
+    #: after a first failure); async counts it from the slave's dispatch
+    #: frontier, so that many of its undispatched bursts are skipped
     max_backoff_rounds: int = 8
     #: master execution mode (DESIGN.md §5.9): ``"sync"`` is the Fig. 2
     #: barrier loop; ``"async"`` pipelines per-slave bursts with bounded
@@ -120,6 +140,8 @@ class MasterConfig:
             raise ValueError("n_slaves must be >= 1")
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {sorted(VARIANTS)}; got {self.variant!r}")
         if self.elite_capacity < 1:
             raise ValueError("elite_capacity must be >= 1")
         if self.max_backoff_rounds < 1:
@@ -172,7 +194,6 @@ class MasterProcess:
         backend: Backend,
         rng_seed: int = 0,
         farm: FarmModel | None = None,
-        variant_name: str | None = None,
         recorder: RunRecorder | None = None,
         cancel: CancelToken | None = None,
     ) -> None:
@@ -187,13 +208,6 @@ class MasterProcess:
         self.rng_seed = int(rng_seed)
         self.rng = make_rng(self.rng_seed)
         self.farm = farm
-        self.variant_name = variant_name or (
-            "CTS2"
-            if config.communicate and config.adapt_strategies
-            else "CTS1"
-            if config.communicate
-            else "ITS"
-        )
         self.alpha_controller = AlphaController(alpha=config.isp.alpha)
         #: structured observability sink; the disabled default is a no-op,
         #: so recording is strictly opt-in and costs nothing otherwise
@@ -268,15 +282,16 @@ class MasterProcess:
         # --- Fig. 2 line 1: distribute problem data ---------------------
         self._note("distribute_problem")
         self.backend.start(self.instance, cfg.ts_config)
+        switches = VARIANTS[cfg.variant]
         rec.run_start(
-            variant=self.variant_name,
+            variant=cfg.variant,
             n_slaves=cfg.n_slaves,
             n_rounds=cfg.n_rounds,
             seed=self.rng_seed,
             instance=str(getattr(self.instance, "name", "") or ""),
             instance_size=self.instance.size_label,
-            communicate=cfg.communicate,
-            adapt_strategies=cfg.adapt_strategies,
+            communicate=switches.communicate,
+            adapt_strategies=switches.adapt_strategies,
         )
 
         # --- initial entries: random solutions + random strategies ------
@@ -320,7 +335,7 @@ class MasterProcess:
             pipeline_stats = {}
 
         result = ParallelRunResult(
-            variant=self.variant_name,
+            variant=cfg.variant,
             best=self._best,
             rounds=self._rounds,
             total_evaluations=self._evaluations,
@@ -691,7 +706,8 @@ class MasterProcess:
     ) -> None:
         """SGP then ISP over ``entries``; ``improved=None`` holds alpha."""
         cfg = self.config
-        if cfg.adapt_strategies:
+        switches = VARIANTS[cfg.variant]
+        if switches.adapt_strategies:
             self._note("sgp")
             decisions = update_strategies(
                 entries,
@@ -703,7 +719,7 @@ class MasterProcess:
                 allow_missing=True,
             )
             w.sgp.update(d.action for d in decisions)
-        if not cfg.communicate:
+        if not switches.communicate:
             # Independent threads: each continues from its own best.
             for entry in entries:
                 if entry.best is not None:
@@ -752,7 +768,7 @@ class MasterProcess:
                 duplicate_reports=w.duplicates,
                 stale_reports=w.stale,
             )
-        if cfg.adapt_strategies:
+        if VARIANTS[cfg.variant].adapt_strategies:
             rec.sgp(w.index, dict(w.sgp))
         rec.isp(w.index, dict(w.isp))
         self._rounds.append(

@@ -88,6 +88,29 @@ def classify_dispersion(dispersion: float, n_items: int, config: SGPConfig) -> s
     return "random"
 
 
+def regenerate_strategy(
+    strategy: Strategy,
+    n_elite: int,
+    dispersion: float,
+    bounds: StrategyBounds,
+    config: SGPConfig,
+    n_items: int,
+    rng: np.random.Generator,
+) -> tuple[str, Strategy]:
+    """The regenerate step for an exhausted score: ``(action, new strategy)``.
+
+    An elite of two or more solutions is classified by its ``dispersion``;
+    a smaller one leaves only the paper's random option.  The master's SGP
+    and the CTS-async peers both regenerate through here.
+    """
+    action = classify_dispersion(dispersion, n_items, config) if n_elite >= 2 else "random"
+    if action == "diversify":
+        return action, strategy.diversified(bounds, config.mutation_intensity)
+    if action == "intensify":
+        return action, strategy.intensified(bounds, config.mutation_intensity)
+    return action, bounds.random(rng)
+
+
 def update_strategies(
     entries: list[SlaveEntry],
     reports: list[SlaveReport],
@@ -132,16 +155,9 @@ def update_strategies(
             )
             continue
         # Score exhausted: regenerate the strategy.
-        if len(entry.best_solutions) >= 2:
-            action = classify_dispersion(dispersion, n_items, config)
-        else:
-            action = "random"
-        if action == "diversify":
-            new_strategy = entry.strategy.diversified(bounds, config.mutation_intensity)
-        elif action == "intensify":
-            new_strategy = entry.strategy.intensified(bounds, config.mutation_intensity)
-        else:
-            new_strategy = bounds.random(rng)
+        action, new_strategy = regenerate_strategy(
+            entry.strategy, len(entry.best_solutions), dispersion, bounds, config, n_items, rng
+        )
         entry.strategy = new_strategy
         entry.score = config.initial_score
         entry.regenerations += 1

@@ -27,6 +27,7 @@ class RoundTelemetry:
     #: measured wall seconds per phase (``scatter``/``compute``/``gather``)
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: seconds from gather start until each slave's first accepted report
+    #: (a slave silent at the deadline is charged the whole gather)
     gather_idle_s: dict[int, float] = field(default_factory=dict)
     #: master wall time blocked waiting on slaves
     master_wait_s: float = 0.0

@@ -191,9 +191,7 @@ class SocketBackend:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.last_task_nbytes: dict[int, int] = {}
-        self.last_report_nbytes: dict[int, int] = {}
         self.last_slowdowns: dict[int, float] = {}
-        self.last_gather_idle_s: dict[int, float] = {}
         self.last_master_wait_s: float = 0.0
         self.last_telemetry: RoundTelemetry | None = None
         self.fault_counters: Counter[str] = Counter()

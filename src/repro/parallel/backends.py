@@ -200,10 +200,10 @@ def _run_round(backend, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
     if len(tasks) != backend.n_slaves:
         raise ValueError(f"expected {backend.n_slaves} tasks; got {len(tasks)}")
     backend.last_task_nbytes = {}
-    backend.last_report_nbytes = {}
     backend.last_slowdowns = {}
-    backend.last_gather_idle_s = {}
     backend.last_master_wait_s = 0.0
+    report_nbytes: dict[int, int] = {}
+    gather_idle_s: dict[int, float] = {}
     t_scatter = time.perf_counter()
     deadline = (
         None
@@ -230,10 +230,8 @@ def _run_round(backend, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
         now = time.perf_counter() - t_gather
         if first_report_s is None:
             first_report_s = now
-        backend.last_gather_idle_s.setdefault(report.slave_id, now)
-        backend.last_report_nbytes[report.slave_id] = (
-            backend.last_report_nbytes.get(report.slave_id, 0) + nbytes
-        )
+        gather_idle_s.setdefault(report.slave_id, now)
+        report_nbytes[report.slave_id] = report_nbytes.get(report.slave_id, 0) + nbytes
         reports.append(report)
     t_end = time.perf_counter()
     for unit, frames in list(backend._in_flight.items()):
@@ -242,7 +240,7 @@ def _run_round(backend, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
         backend.fault_counters["gather_lost"] += 1
         for slave_ids in frames:
             for k in slave_ids:
-                backend.last_gather_idle_s.setdefault(k, t_end - t_gather)
+                gather_idle_s.setdefault(k, t_end - t_gather)
         backend._expire_silent(unit)
     backend.last_master_wait_s = wait_s
     backend.last_telemetry = RoundTelemetry(
@@ -252,10 +250,10 @@ def _run_round(backend, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
             "compute": first_report_s if first_report_s is not None else 0.0,
             "gather": t_end - t_gather,
         },
-        gather_idle_s=dict(backend.last_gather_idle_s),
+        gather_idle_s=gather_idle_s,
         master_wait_s=wait_s,
         task_nbytes=dict(backend.last_task_nbytes),
-        report_nbytes=dict(backend.last_report_nbytes),
+        report_nbytes=report_nbytes,
         slowdowns=dict(backend.last_slowdowns),
     )
     reports.sort(key=lambda r: (r.slave_id, r.seq_id))
@@ -317,15 +315,12 @@ class SerialBackend:
         self.warm_reuses = 0
         #: ``start()`` calls that rebound live state to a *different* problem
         self.rebinds = 0
-        #: per-round message sizes by slave id, for the farm's scatter/gather model
+        #: per-round task sizes by slave id (reports: ``last_telemetry``)
         self.last_task_nbytes: dict[int, int] = {}
-        self.last_report_nbytes: dict[int, int] = {}
         #: per-round straggler slowdown factors by slave id (virtual time)
         self.last_slowdowns: dict[int, float] = {}
         #: cumulative injected-fault tally (diagnostics for the chaos suite)
         self.fault_counters: Counter[str] = Counter()
-        #: seconds from gather start to each slave's first accepted report
-        self.last_gather_idle_s: dict[int, float] = {}
         #: master wall time blocked waiting on slaves (0 for inline slaves)
         self.last_master_wait_s: float = 0.0
         #: typed telemetry record of the last round (DESIGN.md §5.5)
@@ -688,7 +683,6 @@ class MultiprocessingBackend:
         self._config: TabuSearchConfig | None = None
         self._codec: WireCodec | None = None
         self.last_task_nbytes: dict[int, int] = {}
-        self.last_report_nbytes: dict[int, int] = {}
         #: always empty: worker straggles are real sleeps, not virtual time
         self.last_slowdowns: dict[int, float] = {}
         #: respawn count per worker (the chaos suite asserts recovery)
@@ -698,9 +692,6 @@ class MultiprocessingBackend:
         self.warm_reuses = 0
         #: ``start()`` calls that rebound live workers to a new problem
         self.rebinds = 0
-        #: seconds from gather start to each slave's first accepted report
-        #: (silent slaves get the full gather wall — their cost to the round)
-        self.last_gather_idle_s: dict[int, float] = {}
         #: master wall time blocked inside ``connection.wait`` (per round,
         #: or per :meth:`next_report` call outside one)
         self.last_master_wait_s: float = 0.0

@@ -25,13 +25,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
 
 from ..core.instance import MKPInstance
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..core.reduction import CoreSelector
-    from ..exact.bounds import LPRelaxation
 
 __all__ = ["InstanceCache"]
 
@@ -51,11 +46,6 @@ class InstanceCache:
         self.misses = 0
         #: entries discarded by the LRU bound
         self.evictions = 0
-        #: root-LP lookups served by an already-built CoreSelector
-        self.lp_hits = 0
-        #: root-LP lookups that had to solve the LP (selector build)
-        self.lp_misses = 0
-        self._selectors: OrderedDict[str, "CoreSelector"] = OrderedDict()
 
     def canonical(self, instance: MKPInstance) -> MKPInstance:
         """Return the cache's canonical instance for ``instance``'s content.
@@ -81,40 +71,6 @@ class InstanceCache:
         instance.hot  # noqa: B018 - intentional eager warm-up
         return instance
 
-    def core_selector(self, instance: MKPInstance) -> "CoreSelector":
-        """The LP-core selector for ``instance``'s content (ISSUE-8).
-
-        The heavy pieces — one root LP solve, the ``|reduced cost|``
-        ranking, and the per-core reduced instances with their
-        ``HotTables`` — live on the :class:`~repro.core.reduction.CoreSelector`,
-        which is built at most once per content hash: repeated jobs on the
-        same problem never re-solve the root LP.  Backed by the process-wide
-        :func:`~repro.core.reduction.shared_selector` cache, so masters
-        running outside the service share the same object.
-        """
-        from ..core.reduction import shared_selector  # lazy: pulls scipy
-
-        instance = self.canonical(instance)
-        key = instance.content_hash()
-        with self._lock:
-            cached = self._selectors.get(key)
-            if cached is not None:
-                self._selectors.move_to_end(key)
-                self.lp_hits += 1
-                return cached
-            self.lp_misses += 1
-        selector = shared_selector(instance)
-        with self._lock:
-            self._selectors.setdefault(key, selector)
-            self._selectors.move_to_end(key)
-            while len(self._selectors) > self.max_entries:
-                self._selectors.popitem(last=False)
-            return self._selectors[key]
-
-    def lp_relaxation(self, instance: MKPInstance) -> "LPRelaxation":
-        """The cached root-LP relaxation for ``instance``'s content."""
-        return self.core_selector(instance).lp
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -126,14 +82,11 @@ class InstanceCache:
             return digest in self._entries
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot (hits/misses/evictions/size + LP counters)."""
+        """Counter snapshot (hits/misses/evictions/size)."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "size": len(self._entries),
-                "lp_hits": self.lp_hits,
-                "lp_misses": self.lp_misses,
-                "lp_size": len(self._selectors),
             }

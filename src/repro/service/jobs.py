@@ -41,16 +41,15 @@ from functools import partial
 
 from ..core.instance import MKPInstance
 from ..core.termination import CancelToken
+from ..master.master import VARIANTS
 from ..master.result import ParallelRunResult
 from ..obs.clock import monotonic_s
 from ..obs.recorder import RunRecorder
-from ..variants.runner import solve_cts1, solve_cts2, solve_its
+from ..variants.runner import solve_master
 from .cache import InstanceCache
 from .pool import LeaseCancelled, SolverPool
 
 __all__ = ["JobManager", "JobRequest", "JobState", "JobStatus"]
-
-_SOLVERS = {"its": solve_its, "cts1": solve_cts1, "cts2": solve_cts2}
 
 #: Sentinel closing a stream queue (events themselves are always dicts).
 _STREAM_END = None
@@ -93,10 +92,11 @@ class JobRequest:
     pipeline: str = "sync"
 
     def __post_init__(self) -> None:
-        if self.variant not in _SOLVERS:
+        names = sorted(v.lower() for v in VARIANTS)
+        if self.variant not in names:
             raise ValueError(
                 f"unknown variant {self.variant!r}; service variants are "
-                f"{sorted(_SOLVERS)} (seq/async need no farm of slaves)"
+                f"{names} (seq/async need no farm of slaves)"
             )
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
@@ -355,10 +355,10 @@ class JobManager:
                     self._dispatch, job, record
                 )
             )
-            solver = _SOLVERS[request.variant]
             run = partial(
-                solver,
+                solve_master,
                 job.canonical,
+                request.variant.upper(),
                 n_slaves=self.pool.n_slaves,
                 n_rounds=request.n_rounds,
                 rng_seed=request.rng_seed,

@@ -8,6 +8,7 @@ from .runner import (
     solve_cts1,
     solve_cts2,
     solve_its,
+    solve_master,
     solve_seq,
 )
 
@@ -15,6 +16,7 @@ __all__ = [
     "ParallelRunResult",
     "RoundStats",
     "solve_seq",
+    "solve_master",
     "solve_its",
     "solve_cts1",
     "solve_cts2",

@@ -17,7 +17,7 @@ Design (discrete-event simulation on the farm's virtual clocks):
 * Cooperation rules mirror the synchronous ISP/SGP, but decentralized:
   a thread adopts the visible global best when its own best falls below
   ``alpha`` × that value, restarts randomly when stagnant, and self-scores
-  (±1 per segment) to retune its own strategy at score 0.
+  (±1 per segment) to regenerate its strategy at score 0 with the SGP's step.
 * The event loop always advances the thread with the *smallest* clock, so
   the interleaving is exactly time-ordered and deterministic.
 
@@ -41,12 +41,17 @@ from ..core.termination import Budget
 from ..farm.machine import ALPHA_FARM, FarmModel
 from ..farm.trace import EventKind, FarmTrace
 from ..master.result import ParallelRunResult, RoundStats
-from ..master.sgp import SGPConfig, classify_dispersion
+from ..master.datastruct import SlaveEntry
+from ..master.sgp import SGPConfig, regenerate_strategy
 from ..parallel.faults import FaultPlan
 from ..parallel.wire import WireCodec
 from ..rng import derive_rng, random_seed_from
+from .runner import _resolve_budget
 
 __all__ = ["AsyncConfig", "solve_cts_async"]
+
+#: each peer keeps its best distinct solutions for the SGP dispersion
+ELITE_CAPACITY = 8
 
 
 @dataclass(frozen=True)
@@ -77,17 +82,14 @@ class AsyncConfig:
 
 
 @dataclass
-class _Peer:
-    """State of one asynchronous search thread."""
+class _Peer(SlaveEntry):
+    """One asynchronous search thread.
 
-    peer_id: int
-    strategy: object
-    current: Solution
+    It keeps for itself what the master keeps for a slave (strategy,
+    starting solution, best solutions, score, stagnation), plus its clock.
+    """
+
     clock: float = 0.0
-    score: int = 4
-    stagnant: int = 0
-    best: Solution | None = None
-    elite: list[Solution] = field(default_factory=list)
     evaluations: int = 0
     segments: int = 0
 
@@ -128,14 +130,9 @@ def solve_cts_async(
         config = AsyncConfig(n_threads=n_threads)
     elif config.n_threads != n_threads:
         raise ValueError("n_threads argument conflicts with config.n_threads")
-    if (max_evaluations is None) == (virtual_seconds is None):
-        raise ValueError("specify exactly one of max_evaluations / virtual_seconds")
-    if max_evaluations is None:
-        max_evaluations = farm.processor.evaluations_for_seconds(
-            float(virtual_seconds), instance.n_constraints
-        )
-    if max_evaluations < 1:
-        raise ValueError("per-peer budget must be >= 1 evaluation")
+    max_evaluations = _resolve_budget(
+        instance, farm, max_evaluations, virtual_seconds
+    ).max_evaluations
 
     t_wall0 = time.perf_counter()
     plan = fault_plan or FaultPlan.none()
@@ -147,15 +144,15 @@ def solve_cts_async(
     for k in range(config.n_threads):
         peers.append(
             _Peer(
-                peer_id=k,
+                slave_id=k,
                 strategy=config.bounds.random(rng),
-                current=random_solution(instance, derive_rng(rng_seed, 0, k)),
+                init_solution=random_solution(instance, derive_rng(rng_seed, 0, k)),
                 score=config.initial_score,
             )
         )
 
     blackboard: list[_Posting] = []
-    global_best: Solution = max((p.current for p in peers), key=lambda s: s.value)
+    global_best: Solution = max((p.init_solution for p in peers), key=lambda s: s.value)
     value_history: list[float] = [global_best.value]
     total_evaluations = 0
     bytes_sent = 0
@@ -165,7 +162,7 @@ def solve_cts_async(
     rounds: list[RoundStats] = []
 
     # Event queue keyed by (clock, peer_id): always run the earliest peer.
-    heap: list[tuple[float, int]] = [(p.clock, p.peer_id) for p in peers]
+    heap: list[tuple[float, int]] = [(p.clock, p.slave_id) for p in peers]
     heapq.heapify(heap)
 
     def visible_best(at_time: float) -> Solution | None:
@@ -198,7 +195,7 @@ def solve_cts_async(
         )
         seed = random_seed_from(derive_rng(rng_seed, 1 + peer.segments, pid))
         thread = TabuSearch(instance, peer.strategy, config=ts_config, rng=seed)
-        result = thread.run(x_init=peer.current, budget=seg_budget)
+        result = thread.run(x_init=peer.init_solution, budget=seg_budget)
         dt = farm.compute_seconds_on(pid, result.evaluations, instance.n_constraints)
         dt *= plan.straggle_factor(peer.segments, pid)
         t0 = peer.clock
@@ -211,19 +208,8 @@ def solve_cts_async(
 
         # --- fold segment results ---------------------------------------
         seg_best = result.best
-        improved = peer.best is None or seg_best.value > peer.best.value
-        if improved:
-            peer.best = seg_best
-            peer.stagnant = 0
-        else:
-            peer.stagnant += 1
-        seen = {s.x.tobytes() for s in peer.elite}
-        for sol in [result.best, *result.elite]:
-            if sol.x.tobytes() not in seen:
-                peer.elite.append(sol)
-                seen.add(sol.x.tobytes())
-        peer.elite.sort(key=lambda s: -s.value)
-        del peer.elite[8:]
+        improved = peer.absorb_elite([seg_best, *result.elite], ELITE_CAPACITY)
+        peer.stagnant_rounds = 0 if improved else peer.stagnant_rounds + 1
 
         # --- publish to the blackboard (asynchronous send) --------------
         # A dropped publication is lost in flight: the peer still pays the
@@ -247,33 +233,31 @@ def solve_cts_async(
         peer.score += 1 if result.improved else -1
         sgp_action = "keep"
         if peer.score <= 0:
-            dispersion = mean_pairwise_distance(peer.elite)
-            if len(peer.elite) >= 2:
-                sgp_action = classify_dispersion(
-                    dispersion, instance.n_items, config.sgp
-                )
-            else:
-                sgp_action = "random"
-            if sgp_action == "diversify":
-                peer.strategy = peer.strategy.diversified(config.bounds)
-            elif sgp_action == "intensify":
-                peer.strategy = peer.strategy.intensified(config.bounds)
-            else:
-                peer.strategy = config.bounds.random(rng)
+            sgp_action, peer.strategy = regenerate_strategy(
+                peer.strategy,
+                len(peer.best_solutions),
+                mean_pairwise_distance(peer.best_solutions),
+                config.bounds,
+                config.sgp,
+                instance.n_items,
+                rng,
+            )
             peer.score = config.initial_score
 
         # Decentralized ISP: restart / adopt-from-blackboard / keep.
-        if peer.stagnant >= config.stagnation_segments:
-            peer.current = random_solution(instance, derive_rng(rng_seed, 2, pid, peer.segments))
-            peer.stagnant = 0
+        if peer.stagnant_rounds >= config.stagnation_segments:
+            peer.init_solution = random_solution(
+                instance, derive_rng(rng_seed, 2, pid, peer.segments)
+            )
+            peer.stagnant_rounds = 0
             isp_rule = "restart"
         else:
             assert peer.best is not None
-            peer.current = peer.best
+            peer.init_solution = peer.best
             isp_rule = "keep"
             pool = visible_best(peer.clock)
             if pool is not None and peer.best.value < config.alpha * pool.value:
-                peer.current = pool
+                peer.init_solution = pool
                 isp_rule = "pool"
 
         rounds.append(

@@ -35,6 +35,7 @@ from ..farm.machine import ALPHA_FARM, FarmModel
 from ..farm.trace import EventKind, FarmTrace
 from ..master.result import ParallelRunResult, RoundStats
 from ..rng import derive_rng, make_rng
+from .runner import _resolve_budget
 
 __all__ = ["partition_items", "solve_decomposition"]
 
@@ -78,16 +79,11 @@ def solve_decomposition(
     per-processor budget minus the polish share (``polish_fraction``),
     which runs on one processor afterwards.
     """
-    if (max_evaluations is None) == (virtual_seconds is None):
-        raise ValueError("specify exactly one of max_evaluations / virtual_seconds")
+    max_evaluations = _resolve_budget(
+        instance, farm, max_evaluations, virtual_seconds
+    ).max_evaluations
     if not 0.0 <= polish_fraction < 1.0:
         raise ValueError("polish_fraction must be in [0, 1)")
-    if max_evaluations is None:
-        max_evaluations = farm.processor.evaluations_for_seconds(
-            float(virtual_seconds), instance.n_constraints
-        )
-    if max_evaluations < 1:
-        raise ValueError("budget must be >= 1 evaluation")
 
     t0 = time.perf_counter()
     rng = make_rng(rng_seed)

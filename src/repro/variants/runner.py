@@ -7,7 +7,14 @@
 -CTS2: P cooperative threads, communication **and** dynamic strategy
        parameter setting (the paper's full contribution).
 
-All four accept a common "fixed execution time" contract: either an
+:func:`solve_seq` runs one thread without a master.  ITS, CTS1 and CTS2
+are one master with different switches (the table
+:data:`repro.master.VARIANTS`), so they share one body,
+:func:`solve_master`, which takes the variant's name; ``solve_its``,
+``solve_cts1`` and ``solve_cts2`` bind that name.
+
+Every variant here, and CTS-async and decomposition besides, sizes its
+budget with :func:`_resolve_budget`: a "fixed execution time" is either an
 explicit per-slave ``max_evaluations``, or ``virtual_seconds`` which the
 attached :class:`~repro.farm.FarmModel` converts into an evaluation budget
 (SEQ runs its single thread on one simulated processor, each slave of the
@@ -34,6 +41,7 @@ from ..rng import derive_rng, make_rng
 
 __all__ = [
     "solve_seq",
+    "solve_master",
     "solve_its",
     "solve_cts1",
     "solve_cts2",
@@ -74,6 +82,12 @@ def _resolve_budget(
     target_value: float | None = None,
     wall_seconds: float | None = None,
 ) -> Budget:
+    """The per-processor budget of every variant's "fixed execution time".
+
+    Exactly one of the three limits applies.  A ``virtual_seconds`` budget
+    that converts to fewer than one evaluation is rejected, as an explicit
+    ``max_evaluations < 1`` is.
+    """
     given = [b is not None for b in (max_evaluations, virtual_seconds, wall_seconds)]
     if sum(given) != 1:
         raise ValueError(
@@ -90,6 +104,11 @@ def _resolve_budget(
             raise ValueError("wall_seconds must be positive")
         return Budget(wall_seconds=wall_seconds, target_value=target_value)
     budget = budget_for_virtual_seconds(instance, float(virtual_seconds), farm)
+    if budget.max_evaluations < 1:
+        raise ValueError(
+            f"virtual_seconds={virtual_seconds} is less than one evaluation "
+            "on this farm"
+        )
     return Budget(max_evaluations=budget.max_evaluations, target_value=target_value)
 
 
@@ -152,20 +171,18 @@ def solve_seq(
     )
 
 
-def _solve_master_variant(
+def solve_master(
     instance: MKPInstance,
+    variant: str,
     *,
-    communicate: bool,
-    adapt_strategies: bool,
-    variant_name: str,
-    n_slaves: int,
-    n_rounds: int,
-    rng_seed: int,
-    max_evaluations: int | None,
-    virtual_seconds: float | None,
-    farm: FarmModel,
-    backend: Backend | None,
-    master_config: MasterConfig | None,
+    n_slaves: int = 16,
+    n_rounds: int = 10,
+    rng_seed: int = 0,
+    max_evaluations: int | None = None,
+    virtual_seconds: float | None = None,
+    farm: FarmModel = ALPHA_FARM,
+    backend: Backend | None = None,
+    master_config: MasterConfig | None = None,
     target_value: float | None = None,
     wall_seconds: float | None = None,
     recorder: RunRecorder | None = None,
@@ -174,6 +191,11 @@ def _solve_master_variant(
     pipeline: str = "sync",
     max_staleness: int | None = None,
 ) -> ParallelRunResult:
+    """Run ``variant`` (``"ITS"``, ``"CTS1"`` or ``"CTS2"``) through one master.
+
+    An explicit ``master_config`` must name the same variant, and then
+    carries the core ratio, pipeline and staleness itself.
+    """
     budget = _resolve_budget(
         instance, farm, max_evaluations, virtual_seconds, target_value, wall_seconds
     )
@@ -181,21 +203,19 @@ def _solve_master_variant(
         master_config = MasterConfig(
             n_slaves=n_slaves,
             n_rounds=n_rounds,
-            communicate=communicate,
-            adapt_strategies=adapt_strategies,
+            variant=variant,
             bounds=StrategyBounds(core_ratio=_core_bounds(core_ratio)),
             pipeline=pipeline,
             **({"max_staleness": max_staleness} if max_staleness is not None else {}),
         )
-    elif core_ratio is not None:
+    elif master_config.variant != variant:
         raise ValueError(
-            "pass the core ratio through master_config.bounds when supplying "
-            "an explicit MasterConfig"
+            f"{variant} was given a master_config for {master_config.variant}"
         )
-    elif pipeline != "sync" or max_staleness is not None:
+    elif core_ratio is not None or pipeline != "sync" or max_staleness is not None:
         raise ValueError(
-            "pass pipeline/max_staleness through master_config when supplying "
-            "an explicit MasterConfig"
+            "pass core_ratio (as bounds), pipeline and max_staleness through "
+            "master_config when supplying an explicit MasterConfig"
         )
     owns_backend = backend is None
     if backend is None:
@@ -210,7 +230,6 @@ def _solve_master_variant(
             # charge a virtual farm round against, so the farm model only
             # rides along on the sync path.
             farm=None if master_config.pipeline == "async" else farm,
-            variant_name=variant_name,
             recorder=recorder,
             cancel=cancel,
         )
@@ -220,139 +239,16 @@ def _solve_master_variant(
             backend.shutdown()
 
 
-def solve_its(
-    instance: MKPInstance,
-    *,
-    n_slaves: int = 16,
-    n_rounds: int = 10,
-    rng_seed: int = 0,
-    max_evaluations: int | None = None,
-    virtual_seconds: float | None = None,
-    farm: FarmModel = ALPHA_FARM,
-    backend: Backend | None = None,
-    master_config: MasterConfig | None = None,
-    target_value: float | None = None,
-    wall_seconds: float | None = None,
-    recorder: RunRecorder | None = None,
-    cancel: CancelToken | None = None,
-    core_ratio: float | tuple[float, float] | None = None,
-    pipeline: str = "sync",
-    max_staleness: int | None = None,
-) -> ParallelRunResult:
+def solve_its(instance: MKPInstance, **kwargs) -> ParallelRunResult:
     """ITS — P independent threads, no communication, fixed strategies."""
-    if master_config is not None:
-        if master_config.communicate or master_config.adapt_strategies:
-            raise ValueError("ITS requires communicate=False, adapt_strategies=False")
-    return _solve_master_variant(
-        instance,
-        communicate=False,
-        adapt_strategies=False,
-        variant_name="ITS",
-        n_slaves=n_slaves,
-        n_rounds=n_rounds,
-        rng_seed=rng_seed,
-        max_evaluations=max_evaluations,
-        virtual_seconds=virtual_seconds,
-        farm=farm,
-        backend=backend,
-        master_config=master_config,
-        target_value=target_value,
-        wall_seconds=wall_seconds,
-        recorder=recorder,
-        cancel=cancel,
-        core_ratio=core_ratio,
-        pipeline=pipeline,
-        max_staleness=max_staleness,
-    )
+    return solve_master(instance, "ITS", **kwargs)
 
 
-def solve_cts1(
-    instance: MKPInstance,
-    *,
-    n_slaves: int = 16,
-    n_rounds: int = 10,
-    rng_seed: int = 0,
-    max_evaluations: int | None = None,
-    virtual_seconds: float | None = None,
-    farm: FarmModel = ALPHA_FARM,
-    backend: Backend | None = None,
-    master_config: MasterConfig | None = None,
-    target_value: float | None = None,
-    wall_seconds: float | None = None,
-    recorder: RunRecorder | None = None,
-    cancel: CancelToken | None = None,
-    core_ratio: float | tuple[float, float] | None = None,
-    pipeline: str = "sync",
-    max_staleness: int | None = None,
-) -> ParallelRunResult:
+def solve_cts1(instance: MKPInstance, **kwargs) -> ParallelRunResult:
     """CTS1 — cooperative threads (ISP pooling), fixed strategies."""
-    if master_config is not None:
-        if not master_config.communicate or master_config.adapt_strategies:
-            raise ValueError("CTS1 requires communicate=True, adapt_strategies=False")
-    return _solve_master_variant(
-        instance,
-        communicate=True,
-        adapt_strategies=False,
-        variant_name="CTS1",
-        n_slaves=n_slaves,
-        n_rounds=n_rounds,
-        rng_seed=rng_seed,
-        max_evaluations=max_evaluations,
-        virtual_seconds=virtual_seconds,
-        farm=farm,
-        backend=backend,
-        master_config=master_config,
-        target_value=target_value,
-        wall_seconds=wall_seconds,
-        recorder=recorder,
-        cancel=cancel,
-        core_ratio=core_ratio,
-        pipeline=pipeline,
-        max_staleness=max_staleness,
-    )
+    return solve_master(instance, "CTS1", **kwargs)
 
 
-def solve_cts2(
-    instance: MKPInstance,
-    *,
-    n_slaves: int = 16,
-    n_rounds: int = 10,
-    rng_seed: int = 0,
-    max_evaluations: int | None = None,
-    virtual_seconds: float | None = None,
-    farm: FarmModel = ALPHA_FARM,
-    backend: Backend | None = None,
-    master_config: MasterConfig | None = None,
-    target_value: float | None = None,
-    wall_seconds: float | None = None,
-    recorder: RunRecorder | None = None,
-    cancel: CancelToken | None = None,
-    core_ratio: float | tuple[float, float] | None = None,
-    pipeline: str = "sync",
-    max_staleness: int | None = None,
-) -> ParallelRunResult:
+def solve_cts2(instance: MKPInstance, **kwargs) -> ParallelRunResult:
     """CTS2 — full cooperative parallel TS with dynamic strategy tuning."""
-    if master_config is not None:
-        if not (master_config.communicate and master_config.adapt_strategies):
-            raise ValueError("CTS2 requires communicate=True, adapt_strategies=True")
-    return _solve_master_variant(
-        instance,
-        communicate=True,
-        adapt_strategies=True,
-        variant_name="CTS2",
-        n_slaves=n_slaves,
-        n_rounds=n_rounds,
-        rng_seed=rng_seed,
-        max_evaluations=max_evaluations,
-        virtual_seconds=virtual_seconds,
-        farm=farm,
-        backend=backend,
-        master_config=master_config,
-        target_value=target_value,
-        wall_seconds=wall_seconds,
-        recorder=recorder,
-        cancel=cancel,
-        core_ratio=core_ratio,
-        pipeline=pipeline,
-        max_staleness=max_staleness,
-    )
+    return solve_master(instance, "CTS2", **kwargs)

@@ -57,10 +57,10 @@ class TestBlackboardSemantics:
 
     def test_peer_dataclass_defaults(self):
         sol = Solution(np.array([1, 0], dtype=np.int8), 5.0)
-        peer = _Peer(peer_id=0, strategy=None, current=sol)
+        peer = _Peer(slave_id=0, strategy=None, init_solution=sol)
         assert peer.clock == 0.0
         assert peer.best is None
-        assert peer.elite == []
+        assert peer.best_solutions == []
 
 
 class TestCooperationEffects:

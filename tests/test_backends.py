@@ -63,10 +63,11 @@ class TestSerialBackend:
         backend = SerialBackend(2)
         backend.start(small_instance, TabuSearchConfig(nb_div=100))
         backend.run_round(make_tasks(small_instance, 2))
-        assert sorted(backend.last_task_nbytes) == [0, 1]
-        assert sorted(backend.last_report_nbytes) == [0, 1]
-        assert all(b > 0 for b in backend.last_task_nbytes.values())
-        assert all(b > 0 for b in backend.last_report_nbytes.values())
+        told = backend.last_telemetry
+        assert sorted(told.task_nbytes) == [0, 1]
+        assert sorted(told.report_nbytes) == [0, 1]
+        assert all(b > 0 for b in told.task_nbytes.values())
+        assert all(b > 0 for b in told.report_nbytes.values())
 
     def test_reports_carry_results(self, small_instance):
         backend = SerialBackend(2)

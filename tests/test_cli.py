@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -26,6 +28,30 @@ class TestSolve:
         assert code == 0
         assert "round 0" in out
         assert "round 1" in out
+
+    @pytest.mark.parametrize(
+        "variant,communicate,adapt_strategies",
+        [("its", False, False), ("cts1", True, False), ("cts2", True, True)],
+    )
+    def test_master_variant_records_its_table_row(
+        self, tmp_path, capsys, variant, communicate, adapt_strategies
+    ):
+        out_file = tmp_path / "run.jsonl"
+        code = main(
+            [
+                "solve", "FP05", "--variant", variant, "--slaves", "2",
+                "--rounds", "2", "--evals", "4000", "--record", str(out_file),
+            ]
+        )
+        assert code == 0
+        assert f"{variant.upper()}: best=" in capsys.readouterr().out
+        start = json.loads(out_file.read_text().splitlines()[0])
+        assert start["event"] == "run_start"
+        assert (start["variant"], start["communicate"], start["adapt_strategies"]) == (
+            variant.upper(),
+            communicate,
+            adapt_strategies,
+        )
 
     def test_solve_async(self, capsys):
         code = main(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import load_balance
 from repro.farm import EventKind
+from repro.master import SGPConfig
 from repro.variants import AsyncConfig, solve_cts_async
 
 EVALS = 20_000
@@ -86,6 +87,28 @@ class TestRun:
             small_instance, n_threads=2, rng_seed=0, virtual_seconds=0.02
         )
         assert result.virtual_seconds == pytest.approx(0.02, rel=0.5)
+
+    def test_sgp_mutation_intensity_is_used(self, small_instance):
+        """A peer's intensify/diversify step scales with ``sgp.mutation_intensity``."""
+
+        def run(intensity):
+            config = AsyncConfig(
+                n_threads=3,
+                segment_evaluations=2_000,
+                initial_score=1,
+                sgp=SGPConfig(mutation_intensity=intensity),
+            )
+            return solve_cts_async(
+                small_instance, n_threads=3, rng_seed=0, max_evaluations=EVALS, config=config
+            )
+
+        gentle, strong = run(0.05), run(1.0)
+        steps = sum(
+            r.sgp_actions.get("intensify", 0) + r.sgp_actions.get("diversify", 0)
+            for r in gentle.rounds
+        )
+        assert steps > 0
+        assert [r.evaluations for r in gentle.rounds] != [r.evaluations for r in strong.rounds]
 
 
 class TestAsyncConfig:

@@ -52,8 +52,7 @@ def run_master(
     rng_seed=7,
     evals=6_000,
     farm=None,
-    communicate=True,
-    adapt=True,
+    variant="CTS2",
     max_backoff=8,
     capture=None,
 ):
@@ -62,8 +61,7 @@ def run_master(
     config = MasterConfig(
         n_slaves=n_slaves,
         n_rounds=n_rounds,
-        communicate=communicate,
-        adapt_strategies=adapt,
+        variant=variant,
         max_backoff_rounds=max_backoff,
     )
     if capture is not None:
@@ -192,6 +190,41 @@ class TestBackoffSchedule:
         assert backoff_rounds == [2, 4, 6]
 
 
+class TestBackoffOrigin:
+    """Each pipeline counts the backoff from its own round (DESIGN.md §5.9).
+
+    Slave 0's report is lost in rounds 1 and 4, two separate first
+    failures, so each backoff is ``2**0 = 1``.
+    """
+
+    PLAN = FaultPlan(
+        events=(
+            FaultEvent(1, 0, FaultKind.DROP_REPORT),
+            FaultEvent(4, 0, FaultKind.DROP_REPORT),
+        )
+    )
+
+    def run(self, instance, pipeline):
+        config = MasterConfig(n_slaves=3, n_rounds=8, pipeline=pipeline)
+        backend = SerialBackend(3, fault_plan=self.PLAN)
+        master = MasterProcess(instance, config, backend, rng_seed=7)
+        return master.run(budget_per_slave=Budget(max_evaluations=8_000))
+
+    def test_sync_counts_from_the_failed_round(self, small_instance):
+        # Retasked in round b + 1: a first failure costs no round.
+        result = self.run(small_instance, "sync")
+        assert [s.failed_slaves for s in result.rounds] == [0, 1, 0, 0, 1, 0, 0, 0]
+        assert [s.backoff_slaves for s in result.rounds] == [0] * 8
+
+    def test_async_counts_from_the_dispatch_frontier(self, small_instance):
+        # The loss of burst b shows when burst b + 1 reports.  Burst b + 2
+        # is then the next undispatched one, and the one-burst backoff
+        # skips it.
+        result = self.run(small_instance, "async")
+        assert [s.failed_slaves for s in result.rounds] == [0, 1, 0, 0, 1, 0, 0, 0]
+        assert [s.backoff_slaves for s in result.rounds] == [0, 0, 0, 1, 0, 0, 1, 0]
+
+
 class TestDuplicateAndStaleReports:
     def test_duplicate_report_not_double_counted(self, small_instance):
         plan = FaultPlan(events=(FaultEvent(0, 1, FaultKind.DUPLICATE_REPORT),))
@@ -295,9 +328,7 @@ class TestDegradedVariants:
     def test_its_mode_survives_crashes(self, small_instance):
         # Independent threads (no ISP/SGP) must also tolerate dead slaves.
         plan = FaultPlan(events=(crash(0, 0), crash(1, 2)))
-        result = run_master(
-            small_instance, plan=plan, communicate=False, adapt=False
-        )
+        result = run_master(small_instance, plan=plan, variant="ITS")
         assert len(result.rounds) == N_ROUNDS
         assert result.best.is_feasible(small_instance)
         assert_monotone(result.value_history)

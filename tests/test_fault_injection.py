@@ -356,7 +356,7 @@ class TestMultiprocessingChaos:
             backend.run_round(make_tasks(small_instance, 3, evals=300, round_index=1))
             reports = backend.run_round(make_tasks(small_instance, 3, evals=500))
             assert [r.slave_id for r in reports] == [0, 1, 2]
-            idle = backend.last_gather_idle_s
+            idle = backend.last_telemetry.gather_idle_s
             assert sorted(idle) == [0, 1, 2]
             # The injected sleep is min(0.05 * (15 - 1), 1.0) = 0.7 s.
             assert idle[0] >= 0.6
@@ -377,8 +377,8 @@ def _two_rounds(backend, instance):
         out.append(
             (
                 [(r.slave_id, r.seq_id, r.best.value) for r in reports],
-                dict(backend.last_task_nbytes),
-                dict(backend.last_report_nbytes),
+                backend.last_telemetry.task_nbytes,
+                backend.last_telemetry.report_nbytes,
             )
         )
     return out
@@ -600,7 +600,7 @@ class TestShmTransportChaos:
             backend.run_round(make_tasks(small_instance, 3, evals=300, round_index=1))
             reports = backend.run_round(make_tasks(small_instance, 3, evals=500))
             assert [r.slave_id for r in reports] == [0, 1, 2]
-            idle = backend.last_gather_idle_s
+            idle = backend.last_telemetry.gather_idle_s
             assert idle[0] >= 0.6
             assert idle[1] < 0.5 and idle[2] < 0.5
 

@@ -11,13 +11,8 @@ from repro.master import MasterConfig, MasterProcess
 from repro.parallel import SerialBackend
 
 
-def run_master(instance, *, communicate=True, adapt=True, rounds=3, slaves=3):
-    config = MasterConfig(
-        n_slaves=slaves,
-        n_rounds=rounds,
-        communicate=communicate,
-        adapt_strategies=adapt,
-    )
+def run_master(instance, *, variant="CTS2", rounds=3, slaves=3):
+    config = MasterConfig(n_slaves=slaves, n_rounds=rounds, variant=variant)
     backend = SerialBackend(slaves)
     master = MasterProcess(instance, config, backend, rng_seed=0)
     trace = master.enable_phase_trace()
@@ -39,13 +34,13 @@ class TestPhaseOrder:
         assert body == expected_round * 3
 
     def test_its_skips_sgp_and_isp(self, small_instance):
-        trace, _ = run_master(small_instance, communicate=False, adapt=False)
+        trace, _ = run_master(small_instance, variant="ITS")
         assert "sgp" not in trace
         assert "isp" not in trace
         assert trace[1:] == ["send_tasks", "receive_reports"] * 3
 
     def test_cts1_runs_isp_only(self, small_instance):
-        trace, _ = run_master(small_instance, communicate=True, adapt=False)
+        trace, _ = run_master(small_instance, variant="CTS1")
         assert "sgp" not in trace
         assert trace.count("isp") == 3
 
@@ -73,9 +68,9 @@ class TestMasterResults:
         assert result.best.is_feasible(small_instance)
 
     def test_variant_name_derivation(self, small_instance):
-        _, r_cts2 = run_master(small_instance, communicate=True, adapt=True)
-        _, r_cts1 = run_master(small_instance, communicate=True, adapt=False)
-        _, r_its = run_master(small_instance, communicate=False, adapt=False)
+        _, r_cts2 = run_master(small_instance, variant="CTS2")
+        _, r_cts1 = run_master(small_instance, variant="CTS1")
+        _, r_its = run_master(small_instance, variant="ITS")
         assert (r_cts2.variant, r_cts1.variant, r_its.variant) == (
             "CTS2",
             "CTS1",

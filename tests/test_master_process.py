@@ -42,7 +42,7 @@ class TestInitialStrategies:
         config = MasterConfig(
             n_slaves=2,
             n_rounds=1,
-            adapt_strategies=False,
+            variant="CTS1",
             initial_strategies=(marker, marker),
         )
         backend = SerialBackend(2)

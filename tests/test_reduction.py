@@ -258,20 +258,6 @@ class TestSelectorCaches:
         assert stats["lp_misses"] == base["lp_misses"] + 1
         assert stats["lp_hits"] == base["lp_hits"] + 1
 
-    def test_instance_cache_lp_counters(self):
-        from repro.service.cache import InstanceCache
-
-        cache = InstanceCache()
-        inst = _instance()
-        s1 = cache.core_selector(inst)
-        s2 = cache.core_selector(_instance())
-        assert s1 is s2
-        assert cache.lp_misses == 1 and cache.lp_hits == 1
-        assert cache.lp_relaxation(inst) is s1.lp
-        stats = cache.stats()
-        assert stats["lp_misses"] == 1 and stats["lp_size"] == 1
-        assert stats["lp_hits"] == 2  # second selector hit + lp_relaxation
-
 
 class TestStrategyCoreKnob:
     def test_default_bounds_draw_no_core_variate(self):

@@ -375,12 +375,13 @@ class TestJobManagerSerial:
         async def scenario():
             pool = SolverPool.serial(1, 2)
             manager = JobManager(pool)
-            monkeypatch.setitem(jobs_module._SOLVERS, "cts2", boom)
+            real = jobs_module.solve_master
+            monkeypatch.setattr(jobs_module, "solve_master", boom)
             failed = manager.submit(
                 JobRequest(small_instance, n_rounds=1, max_evaluations=1000)
             )
             failed_status = await manager.wait(failed)
-            monkeypatch.setitem(jobs_module._SOLVERS, "cts2", solve_cts2)
+            monkeypatch.setattr(jobs_module, "solve_master", real)
             # the failed job's backend was shut down and unbound...
             assert pool.slots()[0].bound_hash is None
             # ...but the slot still serves the next job correctly
@@ -662,6 +663,51 @@ class TestServiceServer:
         assert status["status"]["rounds_completed"] == 2
         assert stats["pool"]["size"] == 1
         assert stats["jobs"] == 1
+
+    def test_submit_its_job_runs_the_its_row(self, small_instance):
+        spec = {
+            "name": "inline-its",
+            "profits": small_instance.profits.tolist(),
+            "weights": small_instance.weights.tolist(),
+            "capacities": small_instance.capacities.tolist(),
+        }
+
+        async def scenario():
+            manager = JobManager(SolverPool.serial(1, 2))
+            server = ServiceServer(manager, port=0)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            submitted = await loop.run_in_executor(
+                None,
+                request,
+                host,
+                port,
+                {"op": "submit", "instance": spec, "variant": "its", "rounds": 2,
+                 "evals": 2000, "seed": 3},
+            )
+            events = await loop.run_in_executor(
+                None, lambda: list(stream_events(host, port, submitted["job_id"]))
+            )
+            await loop.run_in_executor(None, request, host, port, {"op": "shutdown"})
+            await server.serve_until_shutdown()
+            return events
+
+        events = run(scenario())
+        assert events[-1]["status"]["state"] == "done"
+        assert events[-1]["status"]["variant"] == "its"
+        start = events[0]
+        assert start["event"] == "run_start"
+        assert (start["variant"], start["communicate"], start["adapt_strategies"]) == (
+            "ITS",
+            False,
+            False,
+        )
+        # Independent threads: no SGP at all, and every ISP decision is "keep".
+        kinds = [e["event"] for e in events[:-1]]
+        assert "sgp" not in kinds
+        isp = [e for e in events if e.get("event") == "isp"]
+        assert len(isp) == 2
+        assert all(set(e["rules"]) == {"keep"} for e in isp)
 
     def test_string_spec_requires_loader(self, small_instance):
         async def scenario():

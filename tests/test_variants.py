@@ -9,6 +9,8 @@ from repro.variants import (
     budget_for_virtual_seconds,
     solve_cts1,
     solve_cts2,
+    solve_cts_async,
+    solve_decomposition,
     solve_its,
     solve_seq,
 )
@@ -90,14 +92,12 @@ class TestParallelVariants:
         assert all(r.communication_seconds > 0 for r in result.rounds)
 
     def test_master_config_consistency_enforced(self, small_instance):
-        bad = MasterConfig(n_slaves=2, n_rounds=2, communicate=False, adapt_strategies=False)
+        bad = MasterConfig(n_slaves=2, n_rounds=2, variant="ITS")
         with pytest.raises(ValueError):
             solve_cts2(small_instance, max_evaluations=EVALS, master_config=bad)
         with pytest.raises(ValueError):
             solve_cts1(small_instance, max_evaluations=EVALS, master_config=bad)
-        good_its = MasterConfig(
-            n_slaves=2, n_rounds=2, communicate=True, adapt_strategies=True
-        )
+        good_its = MasterConfig(n_slaves=2, n_rounds=2, variant="CTS2")
         with pytest.raises(ValueError):
             solve_its(small_instance, max_evaluations=EVALS, master_config=good_its)
 
@@ -111,6 +111,22 @@ class TestBudgetHelpers:
         result = solve_seq(small_instance, rng_seed=0, virtual_seconds=0.05)
         # the run must stop within ~1 move of the requested virtual time
         assert result.virtual_seconds == pytest.approx(0.05, rel=0.2)
+
+
+    @pytest.mark.parametrize(
+        "solver",
+        [solve_seq, solve_its, solve_cts1, solve_cts2, solve_cts_async, solve_decomposition],
+    )
+    @pytest.mark.parametrize(
+        "budget",
+        [{"virtual_seconds": 1e-12}, {"max_evaluations": 0}],
+        ids=["sub-evaluation-seconds", "zero-evaluations"],
+    )
+    def test_every_variant_rejects_a_budget_below_one_evaluation(
+        self, small_instance, solver, budget
+    ):
+        with pytest.raises(ValueError, match="evaluation"):
+            solver(small_instance, rng_seed=0, **budget)
 
 
 class TestResultMethods:

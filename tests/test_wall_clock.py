@@ -109,6 +109,7 @@ class TestDelayChargesFarmClockNotWall:
             assert by_slave == [0, 0, 1]
             rounds_seen = sorted(r.round_index for r in reports if r.slave_id == 0)
             assert rounds_seen == [0, 2]  # stale + fresh
+            report_nbytes = backend.last_telemetry.report_nbytes
             assert (
-                backend.last_report_nbytes[0] > backend.last_report_nbytes[1]
+                report_nbytes[0] > report_nbytes[1]
             ), "stale report bytes were not charged on the arrival round"
