@@ -72,24 +72,26 @@ def _tasks(instance, n_slaves: int, round_index: int, budget: Budget) -> list[Sl
 # --------------------------------------------------------------------- #
 # Kernel hot path
 # --------------------------------------------------------------------- #
-#: Compound moves/s of the flat-array kernel that preceded the packed-bitset
-#: layer, on this workload (GK24, fastest of three 3 s windows, 2-core host).
-FLAT_KERNEL_MOVES_PER_S = 7486.0
-
-
 #: The kernel paths of the hot loop: the numpy reference (also the fallback
 #: on hosts without cffi or a compiler) and the native C kernel.
 KERNEL_PATHS = ("numpy", "native")
 
 
 def _gk24_move_loop(path: str):
-    """The GK24 drop/add/tabu loop on one kernel path: ``(one_move, state)``."""
+    """The GK24 drop/add/tabu loop on one kernel path: ``(one_move, state)``.
+
+    ``path`` is one of :data:`KERNEL_PATHS` or ``"flat"``: the numpy path
+    with the packed-bitset scan off, i.e. the flat elementwise kernel the
+    bitset layer replaced.
+    """
     if path == "native" and not native.available:
         pytest.skip("native kernel unavailable on this host")
     instance = gk_suite()[23]
     with pytest.MonkeyPatch.context() as patch:  # kernels bind C at construction
         patch.setattr(native, "available", path == "native")
         state = SearchState.from_solution(instance, greedy_solution(instance))
+    if path == "flat":
+        state.use_bitset = False
     tabu = TabuList(instance.n_items, 10)
     engine = MoveEngine(state, tabu, np.random.default_rng(0))
     best = state.value
@@ -117,13 +119,27 @@ def _moves_per_s(one_move, seconds: float) -> float:
     return moves / (time.perf_counter() - t0)
 
 
+def _best_moves_per_s(loops: dict) -> dict:
+    """Best of three alternating 0.5 s windows per loop, in one process.
+
+    Alternating the loops lets host-speed drift hit every arm alike.
+    """
+    best = dict.fromkeys(loops, 0.0)
+    for _ in range(3):
+        for path, one_move in loops.items():
+            best[path] = max(best[path], _moves_per_s(one_move, 0.5))
+    return best
+
+
 @pytest.mark.parametrize("path", KERNEL_PATHS)
 def test_hot_path_keeps_flat_kernel_throughput(path):
-    """GK24 drop/add/tabu loop: >= 0.8x the flat-array kernel's moves/s."""
+    """GK24 drop/add/tabu loop: >= 1.3x the flat elementwise path's moves/s."""
     one_move, state = _gk24_move_loop(path)
-    ratio = _moves_per_s(one_move, 1.0) / FLAT_KERNEL_MOVES_PER_S
+    best = _best_moves_per_s({path: one_move, "flat": _gk24_move_loop("flat")[0]})
+    ratio = best[path] / best["flat"]
+    print(f"{path} {best[path]:.0f} vs flat {best['flat']:.0f} moves/s: x{ratio:.2f}")
     assert state.is_feasible
-    assert ratio >= 0.8, f"{path} hot path at {ratio:.2f}x the flat-array kernel"
+    assert ratio >= 1.3, f"{path} hot path only x{ratio:.2f} the flat elementwise path"
 
 
 def _gk24_thread_run_s(per_move: bool):
@@ -174,11 +190,7 @@ def test_native_kernel_triples_numpy_moves_per_s():
     The two paths are timed in alternating 0.5 s windows in one process,
     best of three each, so host-speed drift hits both arms alike.
     """
-    loops = {path: _gk24_move_loop(path)[0] for path in KERNEL_PATHS}
-    best = dict.fromkeys(KERNEL_PATHS, 0.0)
-    for _ in range(3):
-        for path, one_move in loops.items():
-            best[path] = max(best[path], _moves_per_s(one_move, 0.5))
+    best = _best_moves_per_s({path: _gk24_move_loop(path)[0] for path in KERNEL_PATHS})
     ratio = best["native"] / best["numpy"]
     print(f"native {best['native']:.0f} vs numpy {best['numpy']:.0f} moves/s: x{ratio:.2f}")
     assert ratio >= 3.0, f"native kernel only x{ratio:.2f} the numpy moves/s"

@@ -10,7 +10,8 @@ Three layers (DESIGN.md §5.5):
 :mod:`~repro.obs.recorder`
     :class:`RunRecorder` — streams run lifecycle events as JSONL (manifest,
     round telemetry, ISP/SGP decisions, fault tallies) with near-zero
-    overhead when disabled, and feeds a :class:`~repro.obs.metrics.MetricsRegistry`.
+    overhead when disabled; :func:`replay_metrics` projects a recorded
+    stream onto a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 :mod:`~repro.obs.metrics`
     Label-aware counters/gauges exportable as Prometheus-style text.

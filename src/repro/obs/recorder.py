@@ -71,11 +71,9 @@ class RunRecorder:
         path: str | Path | None = None,
         *,
         enabled: bool = True,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.enabled = bool(enabled)
         self.events: list[dict] = []
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._path = Path(path) if path is not None else None
         self._sink: IO[str] | None = None
         self._seq = 0
@@ -102,7 +100,6 @@ class RunRecorder:
         record.update(fields)
         self._seq += 1
         self.events.append(record)
-        self._update_metrics(event, record)
         if self._path is not None:
             if self._sink is None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -267,49 +264,6 @@ class RunRecorder:
             fault_summary={str(k): int(v) for k, v in fault_summary.items()},
         )
 
-    # ------------------------------------------------------------------ #
-    # Metrics projection
-    # ------------------------------------------------------------------ #
-    def _update_metrics(self, event: str, record: dict) -> None:
-        m = self.metrics
-        if event == "run_start":
-            m.set_gauge("repro_slaves", record["n_slaves"])
-        elif event == "round_telemetry":
-            for phase, seconds in record["phase_seconds"].items():
-                m.inc("repro_phase_seconds_total", seconds, phase=phase)
-            m.inc("repro_master_wait_seconds_total", record["master_wait_s"])
-            for slave, seconds in record["gather_idle_s"].items():
-                m.inc("repro_gather_idle_seconds_total", seconds, slave=slave)
-            m.inc(
-                "repro_bytes_total",
-                sum(record["task_nbytes"].values()),
-                direction="task",
-            )
-            m.inc(
-                "repro_bytes_total",
-                sum(record["report_nbytes"].values()),
-                direction="report",
-            )
-        elif event == "burst_telemetry":
-            slave = record["slave_id"]
-            m.set_gauge("repro_pipeline_queue_depth", record["queue_depth"], slave=slave)
-            m.set_gauge("repro_pipeline_staleness", record["staleness"], slave=slave)
-            m.inc("repro_bursts_total", outcome=record["outcome"])
-            m.inc("repro_burst_latency_seconds_total", record["latency_s"], slave=slave)
-        elif event == "faults":
-            for kind, key in (
-                ("failed", "failed_slaves"),
-                ("backoff", "backoff_slaves"),
-                ("duplicate", "duplicate_reports"),
-                ("stale", "stale_reports"),
-            ):
-                if record[key]:
-                    m.inc("repro_faults_total", record[key], kind=kind)
-        elif event == "round_end":
-            m.inc("repro_rounds_total")
-            m.inc("repro_evaluations_total", record["evaluations"])
-            m.set_gauge("repro_best_value", record["best_value"])
-
 
 def read_stream(path: str | Path) -> list[dict]:
     """Load a JSONL event stream written by :class:`RunRecorder`."""
@@ -375,12 +329,52 @@ def follow_stream(
 
 
 def replay_metrics(events: Iterable[dict]) -> MetricsRegistry:
-    """Rebuild the metrics registry a live run would have produced."""
-    recorder = RunRecorder()
-    for event in events:
-        payload = {k: v for k, v in event.items() if k not in ("event", "seq", "t")}
-        recorder.emit(event.get("event", "?"), **payload)
-    return recorder.metrics
+    """Project a recorded stream onto a Prometheus-style metrics registry.
+
+    The recorder keeps no live registry; ``repro trace --prometheus`` builds
+    one from the stream here, event by event.
+    """
+    m = MetricsRegistry()
+    for record in events:
+        event = record.get("event")
+        if event == "run_start":
+            m.set_gauge("repro_slaves", record["n_slaves"])
+        elif event == "round_telemetry":
+            for phase, seconds in record["phase_seconds"].items():
+                m.inc("repro_phase_seconds_total", seconds, phase=phase)
+            m.inc("repro_master_wait_seconds_total", record["master_wait_s"])
+            for slave, seconds in record["gather_idle_s"].items():
+                m.inc("repro_gather_idle_seconds_total", seconds, slave=slave)
+            m.inc(
+                "repro_bytes_total",
+                sum(record["task_nbytes"].values()),
+                direction="task",
+            )
+            m.inc(
+                "repro_bytes_total",
+                sum(record["report_nbytes"].values()),
+                direction="report",
+            )
+        elif event == "burst_telemetry":
+            slave = record["slave_id"]
+            m.set_gauge("repro_pipeline_queue_depth", record["queue_depth"], slave=slave)
+            m.set_gauge("repro_pipeline_staleness", record["staleness"], slave=slave)
+            m.inc("repro_bursts_total", outcome=record["outcome"])
+            m.inc("repro_burst_latency_seconds_total", record["latency_s"], slave=slave)
+        elif event == "faults":
+            for kind, key in (
+                ("failed", "failed_slaves"),
+                ("backoff", "backoff_slaves"),
+                ("duplicate", "duplicate_reports"),
+                ("stale", "stale_reports"),
+            ):
+                if record[key]:
+                    m.inc("repro_faults_total", record[key], kind=kind)
+        elif event == "round_end":
+            m.inc("repro_rounds_total")
+            m.inc("repro_evaluations_total", record["evaluations"])
+            m.set_gauge("repro_best_value", record["best_value"])
+    return m
 
 
 def summarize_stream(events: list[dict]) -> dict:

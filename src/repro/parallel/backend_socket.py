@@ -36,9 +36,13 @@ workers.
 
 The master's socket I/O runs on one asyncio loop in a daemon thread; the
 blocking backend methods exchange events with it through a queue, so the
-``Backend`` protocol surface (``start`` / ``dispatch`` / ``next_report`` /
-``drain_dead_slaves`` / ``shutdown``, plus the shared ``run_round``) stays
-synchronous and drop-in for both master pipelines and the service pool.
+surface :class:`~repro.parallel.backends.Backend` gives every backend
+(``start`` / ``dispatch`` / ``next_report`` / ``drain_dead_slaves`` /
+``shutdown``, plus the shared ``run_round``) stays synchronous and drop-in
+for both master pipelines and the service pool.  The warm lease, the round,
+its ledgers and the frame dispatch and receive steps are the base class's;
+this module adds only the transport: the IO thread, HELLO, heartbeats,
+membership and resharding.
 """
 
 from __future__ import annotations
@@ -50,19 +54,16 @@ import socket
 import struct
 import threading
 import time
-from collections import Counter, defaultdict, deque
 from typing import Any, Callable, Sequence
 
 from ..core.instance import MKPInstance
 from ..core.tabu_search import TabuSearchConfig
-from ..obs.telemetry import RoundTelemetry
-from .backends import Entries, _as_entries, _run_round, _same_problem, worker_loop
+from .backends import Backend, Entries, worker_loop
 from .comm import CommTimeout
 from .faults import FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
 from .wire import (
     HELLO_MAX_NBYTES,
-    WireCodec,
     WireError,
     decode_hello,
     encode_bind,
@@ -117,7 +118,7 @@ class _Member:
         self.slave_ids: tuple[int, ...] = ()
 
 
-class SocketBackend:
+class SocketBackend(Backend):
     """TCP backend with elastic membership over a fixed slave-id space.
 
     The *logical* farm size ``n_slaves`` is fixed (the master's ISP/SGP and
@@ -148,26 +149,17 @@ class SocketBackend:
         heartbeat_timeout_s: float | None = 15.0,
         shutdown_timeout_s: float = 10.0,
     ) -> None:
-        if n_slaves < 1:
-            raise ValueError("n_slaves must be >= 1")
+        super().__init__(n_slaves, round_timeout_s=round_timeout_s)
         if min_workers < 1:
             raise ValueError("min_workers must be >= 1")
-        if round_timeout_s is not None and round_timeout_s <= 0:
-            raise ValueError("round_timeout_s must be positive (or None)")
         if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
             raise ValueError("heartbeat_timeout_s must be positive (or None)")
-        self.n_slaves = int(n_slaves)
         self.host = host
         self.port = int(port)
         self.min_workers = int(min_workers)
-        self.round_timeout_s = round_timeout_s
         self.start_timeout_s = float(start_timeout_s)
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.shutdown_timeout_s = float(shutdown_timeout_s)
-
-        self._instance: MKPInstance | None = None
-        self._config: TabuSearchConfig | None = None
-        self._codec: WireCodec | None = None
 
         # IO loop plumbing (created by listen()).
         self._thread: threading.Thread | None = None
@@ -177,26 +169,11 @@ class SocketBackend:
         self._writers: dict[int, Any] = {}  # loop-thread only
         self._inbox: "queue.Queue[tuple]" = queue.Queue()
 
-        # Backend-thread membership and round state.
+        # Backend-thread membership state.
         self._members: dict[int, _Member] = {}
         self._owner_of: dict[int, int] = {}
         self._needs_reshard = True
-        self._report_buffer: deque[tuple[SlaveReport, int]] = deque()
-        #: per member, the slave ids of each task frame not yet answered
-        self._in_flight: defaultdict[int, deque[tuple[int, ...]]] = defaultdict(deque)
-        self._dead_slaves: set[int] = set()
         self._local_procs: list[mp.Process] = []
-
-        # Standard backend ledgers (see MultiprocessingBackend).
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.last_task_nbytes: dict[int, int] = {}
-        self.last_slowdowns: dict[int, float] = {}
-        self.last_master_wait_s: float = 0.0
-        self.last_telemetry: RoundTelemetry | None = None
-        self.fault_counters: Counter[str] = Counter()
-        self.warm_reuses = 0
-        self.rebinds = 0
         #: workers that ever registered (joins across the backend's life)
         self.joins = 0
 
@@ -354,7 +331,6 @@ class SocketBackend:
         if self._aloop is None:
             return
         frame = _WIRE_HEADER.pack(tag, len(payload)) + payload
-        self.bytes_sent += len(payload)
 
         def write() -> None:
             writer = self._writers.get(wid)
@@ -383,7 +359,7 @@ class SocketBackend:
         """Drain membership/report events; block up to ``timeout`` for one.
 
         Returns whether any event was processed.  All mutation of
-        ``_members`` / ``_report_buffer`` / ``_dead_slaves`` funnels through
+        ``_members`` / ``_arrived`` / ``_dead_slaves`` funnels through
         here, so the blocking backend methods see a consistent fleet.
         """
         processed = False
@@ -414,18 +390,13 @@ class SocketBackend:
                 if self._codec is None or wid not in self._members:
                     continue  # raced a shutdown/rebind, or a buried member
                 try:
-                    reports, sizes = self._codec.decode_report_batch(payload)
+                    self._receive(wid, payload)
                 except WireError:
                     # The peer is broken or hostile: bury it exactly like a
                     # dead connection.
                     self.fault_counters["bad_frame"] += 1
                     self._bury(wid)
                     self._hang_up(wid)
-                    continue
-                self.bytes_received += sum(sizes)
-                if self._in_flight[wid]:
-                    self._in_flight[wid].popleft()
-                self._report_buffer.extend(zip(reports, sizes))
 
     def _bury(self, wid: int) -> bool:
         """Drop member ``wid``: its shard goes to the dead-slave sweep.
@@ -478,23 +449,17 @@ class SocketBackend:
         return True
 
     # ------------------------------------------------------------------ #
-    # Backend protocol
+    # Transport surface
     # ------------------------------------------------------------------ #
-    def start(self, instance: MKPInstance, config: TabuSearchConfig) -> None:
-        """Bind the fleet to a problem; waits for ``min_workers`` members.
+    def _bind(self, instance: MKPInstance, config: TabuSearchConfig) -> None:
+        """Wait for ``min_workers`` members, then ship the problem to each.
 
-        Warm-lease semantics match the other backends: same problem on a
-        live backend is a counted no-op, a different problem ships one
-        REBIND frame per member.  Workers that join later receive the
-        current problem in their join handshake, so a mid-run attach needs
-        no extra protocol.
+        Every member gets one REBIND frame.  Workers that join later
+        receive the current problem in their join handshake, so a mid-run
+        attach needs no extra protocol.  Raises ``RuntimeError`` when too
+        few workers connect within ``start_timeout_s``.
         """
         self.listen()
-        if self._instance is not None and _same_problem(
-            self._instance, self._config, instance, config
-        ):
-            self.warm_reuses += 1
-            return
         deadline = time.perf_counter() + self.start_timeout_s
         self._pump(0.0)
         while len(self._members) < self.min_workers:
@@ -508,35 +473,21 @@ class SocketBackend:
                     f"`repro worker --connect {host}:{port}`"
                 )
             self._pump(remaining)
-        rebinding = self._instance is not None
-        self._instance = instance
-        self._config = config
-        self._codec = WireCodec(instance.n_items)
-        if rebinding:
-            self.rebinds += 1
         payload = encode_bind(instance, config)
         for wid in sorted(self._members):
             self._send(wid, REBIND_TAG, payload)
         if self._needs_reshard:
             self._reshard()
 
-    def _require_started(self) -> None:
-        if self._instance is None or self._codec is None:
-            raise RuntimeError("backend not started: call start() first")
-
     def _open_round(self, deadline: float | None) -> None:
         """Wait (up to the round deadline) for a fleet to deal the round to."""
         self._fleet(deadline)
 
-    def _expire_silent(self, wid: int) -> None:
-        """Deadline rule: only count a silent member, never bury it.
+    # A silent member is only counted at the deadline, never buried (the
+    # base rule): a remote straggler's liveness is the heartbeat's verdict,
+    # not the round clock's.
 
-        A remote straggler's liveness is the heartbeat's verdict, not the
-        round clock's; its frames stay in flight, so its late reply still
-        resolves them in a later call.
-        """
-
-    run_round = _run_round
+    run_round = Backend.run_round
 
     def dispatch(self, slave_id: int | Entries, task: SlaveTask | None = None) -> int:
         """Send tasks as one batch frame per owning member; returns their bytes.
@@ -550,22 +501,19 @@ class SocketBackend:
         self._pump(0.0)
         if self._needs_reshard:
             self._reshard()
-        per_member: dict[int, list[tuple[int, SlaveTask]]] = {}
-        for k, t in _as_entries(slave_id, task):
-            wid = self._owner_of.get(k)
-            if wid is None or wid not in self._members:
-                self.fault_counters["no_owner"] += 1
-                self._dead_slaves.add(k)
-                continue
-            per_member.setdefault(wid, []).append((k, t))
-        total = 0
-        for wid, entries in per_member.items():
-            frame, sizes = self._codec.encode_task_batch(entries)
-            self.last_task_nbytes.update(sizes)
-            self._send(wid, TASK_TAG, frame)
-            self._in_flight[wid].append(tuple(sizes))
-            total += sum(sizes.values())
-        return total
+        return self._dispatch_frames(slave_id, task)
+
+    def _unit_of(self, k: int) -> int | None:
+        wid = self._owner_of.get(k)
+        if wid is None or wid not in self._members:
+            self.fault_counters["no_owner"] += 1
+            self._dead_slaves.add(k)
+            return None
+        return wid
+
+    def _send_task(self, wid: int, frame: bytes) -> bool:
+        self._send(wid, TASK_TAG, frame)
+        return True  # a member lost in flight surfaces as a ``leave`` event
 
     def next_report(
         self, timeout_s: float | None = None
@@ -581,7 +529,7 @@ class SocketBackend:
         deadline = None if timeout_s is None else time.perf_counter() + timeout_s
         n_dead_before = len(self._dead_slaves)
         self._pump(0.0)
-        while not self._report_buffer:
+        while not self._arrived:
             if len(self._dead_slaves) > n_dead_before:
                 return None  # surface the loss instead of re-waiting
             if not any(self._in_flight.values()):
@@ -594,13 +542,7 @@ class SocketBackend:
             self.last_master_wait_s += time.perf_counter() - t_wait
             if not got and remaining is not None:
                 return None  # deadline expired with the fleet silent
-        return self._report_buffer.popleft()
-
-    def drain_dead_slaves(self) -> list[int]:
-        """Slave ids lost since the last call (consuming)."""
-        dead = sorted(self._dead_slaves)
-        self._dead_slaves.clear()
-        return dead
+        return self._arrived.popleft()
 
     # ------------------------------------------------------------------ #
     def attach_local_workers(
@@ -639,8 +581,8 @@ class SocketBackend:
         self._local_procs.extend(procs)
         return procs
 
-    def shutdown(self) -> None:
-        """Stop the fleet and the IO loop; idempotent, ``start()`` revives.
+    def _release(self) -> None:
+        """Stop the fleet and the IO loop.
 
         Every member gets one STOP frame, locally attached workers are
         joined against a single shared deadline (stragglers terminated),
@@ -667,23 +609,11 @@ class SocketBackend:
         self._members.clear()
         self._owner_of.clear()
         self._needs_reshard = True
-        self._report_buffer.clear()
-        self._in_flight.clear()
-        self._dead_slaves.clear()
-        self._instance = None
-        self._config = None
-        self._codec = None
         while True:  # drop events from the torn-down fleet
             try:
                 self._inbox.get_nowait()
             except queue.Empty:
                 break
-
-    def __enter__(self) -> "SocketBackend":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
 
 
 # ---------------------------------------------------------------------- #

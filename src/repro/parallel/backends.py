@@ -1,12 +1,17 @@
 """Execution backends for the master–slave exchange.
 
-A *backend* moves slave tasks out and slave reports back.  Its whole
-per-transport surface is five methods:
+A *backend* moves slave tasks out and slave reports back.  :class:`Backend`
+is the base class of every backend and holds everything that is not
+transport: the one rule for the Fig. 2 round (:meth:`Backend.run_round`),
+the byte ledgers and fault tallies, the warm-lease :meth:`Backend.start`,
+the arrival buffer, the frames in flight and the dead-slave books.  A
+subclass adds only its transport:
 
-``start(instance, config)`` / ``shutdown()``
+``_bind(instance, config)`` / ``_release()``
     Bind the slaves to a problem (Fig. 2: "Read and send to slaves") and
-    release them again.  Both are idempotent on a live backend — see
-    *Service leasing* below.
+    release them again; :meth:`Backend.start` and :meth:`Backend.shutdown`
+    wrap them, and both are idempotent on a live backend — see *Service
+    leasing* below.
 ``dispatch(slave_id, task)`` or ``dispatch([(slave_id, task), ...])``
     Send tasks without waiting.  A list goes out as one frame per worker
     (multiprocessing) or member (socket); the return value is the task
@@ -15,15 +20,16 @@ per-transport surface is five methods:
     The next ``(report, nbytes)`` pair in arrival order, or
     ``None`` on timeout, on a worker death (so the caller can consult
     ``drain_dead_slaves``), or at once when nothing is left in flight.
-``drain_dead_slaves()``
-    Slave ids whose worker was lost since the last call (consuming).
 
 Both master pipelines drive that surface.  The bounded-staleness loop
-(DESIGN.md §5.9) calls it directly; the Fig. 2 barrier calls ``run_round``,
-which every backend binds to the one shared :func:`_run_round`: dispatch all
-tasks, collect reports until nothing is in flight or a single
+(DESIGN.md §5.9) calls ``dispatch``, ``next_report`` and
+``drain_dead_slaves`` directly; the Fig. 2 barrier calls ``run_round``:
+dispatch all tasks, collect reports until nothing is in flight or a single
 ``round_timeout_s`` deadline passes, apply the backend's rule to workers
-still silent, and publish the round's telemetry.
+still silent, and publish the round's telemetry.  The two framed backends
+share the rest of their exchange too: ``_dispatch_frames`` sends one task
+batch frame per unit (a worker or a member) and ``_receive`` buffers one
+report batch frame; each supplies only the unit lookup and the send.
 
 Three implementations:
 
@@ -76,9 +82,9 @@ exponential backoff.  One function decides every slave-side fault on every
 backend, :func:`serve_batch`; the caller enacts its verdict.  A worker
 process exits hard on a crash and sleeps for a straggle; the serial backend
 counts both and turns a straggle into virtual time.  ``dispatch`` applies
-task drops master-side through :func:`_drop_tasks`.  Workers answer every
-task frame with exactly one report frame, empty when faults destroyed its
-reports, so a round never waits on a lost report.
+task drops master-side through :meth:`Backend._drop_tasks`.  Workers answer
+every task frame with exactly one report frame, empty when faults destroyed
+its reports, so a round never waits on a lost report.
 
 Observability (DESIGN.md §5.5): after each round the backend publishes one
 typed :class:`~repro.obs.telemetry.RoundTelemetry` record
@@ -94,7 +100,7 @@ import os
 import time
 from collections import Counter, defaultdict, deque
 from multiprocessing import connection as mp_connection
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from ..core.instance import MKPInstance
 from ..core.tabu_search import TabuSearchConfig
@@ -118,169 +124,283 @@ __all__ = [
 Entries = Sequence[tuple[int, SlaveTask]]
 
 
-class Backend(Protocol):
-    """Slave executor: a transport surface plus the shared sync round."""
+class Backend:
+    """Slave executor: the shared sync round and books over one transport.
 
-    n_slaves: int
-    #: the last ``run_round``'s measurements (DESIGN.md §5.5)
-    last_telemetry: RoundTelemetry | None
+    Subclasses implement ``_bind``, ``_release``, ``dispatch`` and
+    ``next_report`` (see the module docstring) and may override the two
+    round hooks, ``_open_round`` and ``_expire_silent``.  Layerbench wraps
+    ``run_round``, ``dispatch`` and ``next_report`` per class, so every
+    subclass names all three in its own namespace.
+    """
 
+    def __init__(
+        self,
+        n_slaves: int,
+        *,
+        fault_plan: FaultPlan | None = None,
+        round_timeout_s: float | None = None,
+    ) -> None:
+        if n_slaves < 1:
+            raise ValueError("n_slaves must be >= 1")
+        if round_timeout_s is not None and round_timeout_s <= 0:
+            raise ValueError("round_timeout_s must be positive (or None)")
+        self.n_slaves = int(n_slaves)
+        #: a round's gather deadline, counted from its start (``None``: none)
+        self.round_timeout_s = round_timeout_s
+        self.fault_plan = fault_plan or FaultPlan.none()
+        #: cumulative injected-fault tally (diagnostics for the chaos suite)
+        self.fault_counters: Counter[str] = Counter()
+        #: ``start()`` calls that found live warm state already bound to the
+        #: same problem and kept it (DESIGN.md §5.6 — the warm-lease path)
+        self.warm_reuses = 0
+        #: ``start()`` calls that rebound live state to a *different* problem
+        self.rebinds = 0
+        #: per-round task sizes by slave id (reports: ``last_telemetry``)
+        self.last_task_nbytes: dict[int, int] = {}
+        #: per-round straggler slowdown factors by slave id (virtual time:
+        #: only inline slaves report them; a worker's straggle is a sleep)
+        self.last_slowdowns: dict[int, float] = {}
+        #: master wall time blocked waiting on slaves (per round, or per
+        #: :meth:`next_report` call outside one; 0 for inline slaves)
+        self.last_master_wait_s: float = 0.0
+        #: typed telemetry record of the last round (DESIGN.md §5.5)
+        self.last_telemetry: RoundTelemetry | None = None
+        self._instance: MKPInstance | None = None
+        self._config: TabuSearchConfig | None = None
+        self._codec: WireCodec | None = None
+        #: arrival buffer: ``(report, nbytes)`` pairs in arrival order,
+        #: ahead of master consumption
+        self._arrived: deque[tuple[SlaveReport, int]] = deque()
+        #: per unit (worker or member), the slave ids of each task frame not
+        #: yet answered; inline slaves never leave any
+        self._in_flight: defaultdict[int, deque[tuple[int, ...]]] = defaultdict(deque)
+        #: slave ids whose worker was lost since the last ``drain_dead_slaves()``
+        self._dead_slaves: set[int] = set()
+
+    # ------------------------------------------------------------------ #
     def start(self, instance: MKPInstance, config: TabuSearchConfig) -> None:
-        """Distribute the problem data (Fig. 2: 'Read and send to slaves')."""
-        ...  # pragma: no cover
+        """Bind the backend to a problem; idempotent on a live backend.
 
-    def dispatch(
-        self, slave_id: int | Entries, task: SlaveTask | None = None
-    ) -> int:
-        """Send one task, or a list of ``(slave_id, task)`` pairs; no waiting."""
-        ...  # pragma: no cover
-
-    def next_report(
-        self, timeout_s: float | None = None
-    ) -> tuple[SlaveReport, int] | None:
-        """The next ``(report, nbytes)`` in arrival order, or ``None``."""
-        ...  # pragma: no cover
-
-    def drain_dead_slaves(self) -> list[int]:
-        """Slave ids lost since the last call (consuming)."""
-        ...  # pragma: no cover
-
-    def run_round(self, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
-        """Execute one search round; ``None`` entries sit the round out.
-
-        Every backend binds :func:`_run_round`.  Returns the reports that
-        actually arrived (possibly fewer than the number of tasks placed).
+        Re-``start()``-ing a bound backend on the same problem data and
+        config keeps the warm state and counts one ``warm_reuses`` — this is
+        how a leased backend serves many jobs without re-paying arena
+        construction.  The instance compares by identity first (the
+        :class:`~repro.service.cache.InstanceCache` hands out one canonical
+        object) and by content hash otherwise; the structural config
+        compares by value.  Any other problem goes to the transport's
+        ``_bind``, and replacing a bound problem counts one ``rebinds``.
+        Either way the resulting trajectories are bit-identical to a cold
+        backend (every task rebinds the arena before running;
+        ``tests/test_service.py`` pins this).  A ``_bind`` that raises
+        leaves the bound problem as it was.
         """
-        ...  # pragma: no cover
+        bound = self._instance
+        if (
+            bound is not None
+            and self._config == config
+            and (bound is instance or bound.content_hash() == instance.content_hash())
+        ):
+            self.warm_reuses += 1
+            return
+        self._bind(instance, config)
+        if bound is not None:
+            self.rebinds += 1
+        self._instance = instance
+        self._config = config
+        self._codec = WireCodec(instance.n_items)
 
     def shutdown(self) -> None:
-        """Release workers/resources."""
-        ...  # pragma: no cover
+        """Release the transport and unbind; idempotent, and ``start()`` revives.
 
+        Safe to call any number of times, including before ``start()``;
+        after a shutdown the backend is unbound and a later ``start()``
+        binds it from scratch.
+        """
+        self._release()
+        self._instance = None
+        self._config = None
+        self._codec = None
+        self._arrived.clear()
+        self._in_flight.clear()
+        self._dead_slaves.clear()
 
-def _as_entries(slave_id: int | Entries, task: SlaveTask | None) -> Entries:
-    """``dispatch``'s two call forms as one list of ``(slave_id, task)``."""
-    return list(slave_id) if task is None else [(slave_id, task)]
+    def __enter__(self) -> "Backend":
+        return self
 
+    def __exit__(self, *exc: object) -> None:
+        self.shutdown()
 
-def _drop_tasks(
-    backend, entries: Entries
-) -> Sequence[tuple[int, SlaveTask | None]]:
-    """``entries`` with each task the plan loses on the wire set to ``None``.
+    def _require_started(self) -> None:
+        if self._codec is None:
+            raise RuntimeError("backend not started: call start() first")
 
-    The one master-side fault, shared by every ``dispatch`` that takes a
-    plan: a dropped task is counted in ``fault_counters["drop_task"]``,
-    charged nothing and leaves no frame in flight.
-    """
-    plan = backend.fault_plan
-    if plan.is_empty:
-        return entries
-    out: list[tuple[int, SlaveTask | None]] = []
-    for k, t in entries:
-        if plan.drops_task(t.round_index, k):
-            backend.fault_counters["drop_task"] += 1
-            t = None
-        out.append((k, t))
-    return out
+    def drain_dead_slaves(self) -> list[int]:
+        """Slave ids lost since the last call (send/gather failures).
 
+        Consuming: the set is cleared.  Buffered reports those slaves
+        delivered before dying remain valid and still surface through
+        ``next_report`` — death invalidates the *in-flight*, not the
+        already-arrived.
+        """
+        dead = sorted(self._dead_slaves)
+        self._dead_slaves.clear()
+        return dead
 
-def _run_round(backend, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
-    """One Fig. 2 round over ``dispatch``/``next_report``, for every backend.
+    def _drop_tasks(
+        self, slave_id: int | Entries, task: SlaveTask | None
+    ) -> list[tuple[int, SlaveTask | None]]:
+        """``dispatch``'s two call forms as one list of ``(slave_id, task)``.
 
-    All non-``None`` tasks leave in one ``dispatch`` call, then reports are
-    collected in arrival order until nothing is in flight or the single
-    ``round_timeout_s`` deadline (counted from the round's start) passes.
-    Each worker still silent at the deadline counts one ``gather_lost`` and
-    gets the backend's ``_expire_silent`` rule.  The phase split is the
-    same everywhere: ``scatter`` is the dispatch, ``compute`` the latency
-    to the first report (inline slaves execute there) and ``gather`` the
-    whole collection, which contains ``compute``.
-    """
-    backend._require_started()
-    if len(tasks) != backend.n_slaves:
-        raise ValueError(f"expected {backend.n_slaves} tasks; got {len(tasks)}")
-    backend.last_task_nbytes = {}
-    backend.last_slowdowns = {}
-    backend.last_master_wait_s = 0.0
-    report_nbytes: dict[int, int] = {}
-    gather_idle_s: dict[int, float] = {}
-    t_scatter = time.perf_counter()
-    deadline = (
-        None
-        if backend.round_timeout_s is None
-        else t_scatter + backend.round_timeout_s
-    )
-    backend._open_round(deadline)
-    backend.dispatch([(k, task) for k, task in enumerate(tasks) if task is not None])
-    t_gather = time.perf_counter()
-    reports: list[SlaveReport] = []
-    first_report_s: float | None = None
-    wait_s = 0.0
-    while True:
-        remaining = (
-            None if deadline is None else max(0.0, deadline - time.perf_counter())
+        Each task the plan loses on the wire is set to ``None``: the one
+        master-side fault, counted in ``fault_counters["drop_task"]``,
+        charged nothing and leaving no frame in flight.
+        """
+        entries = list(slave_id) if task is None else [(slave_id, task)]
+        plan = self.fault_plan
+        if plan.is_empty:
+            return entries
+        out: list[tuple[int, SlaveTask | None]] = []
+        for k, t in entries:
+            if plan.drops_task(t.round_index, k):
+                self.fault_counters["drop_task"] += 1
+                t = None
+            out.append((k, t))
+        return out
+
+    # ------------------------------------------------------------------ #
+    # Framed exchange (multiprocessing and socket)
+    # ------------------------------------------------------------------ #
+    def _dispatch_frames(self, slave_id: int | Entries, task: SlaveTask | None) -> int:
+        """Send tasks as one task batch frame per unit; returns their bytes.
+
+        ``_unit_of(k)`` names the unit (worker or member) serving slave
+        ``k``, or ``None`` for a slave it has already written off;
+        ``_send_task(unit, frame)`` sends one frame and returns whether it
+        left.  Each entry is charged its own frame, not the envelope, so
+        the ledger is the same for any grouping; a unit whose every task is
+        dropped gets no frame, and a frame that did not leave is charged
+        nothing and leaves nothing in flight.
+        """
+        per_unit: dict[int, list[tuple[int, SlaveTask]]] = {}
+        for k, t in self._drop_tasks(slave_id, task):
+            if t is None:
+                continue
+            unit = self._unit_of(k)
+            if unit is not None:
+                per_unit.setdefault(unit, []).append((k, t))
+        total = 0
+        for unit, entries in per_unit.items():
+            frame, sizes = self._codec.encode_task_batch(entries)
+            if not self._send_task(unit, frame):
+                continue
+            self._in_flight[unit].append(tuple(sizes))
+            self.last_task_nbytes.update(sizes)
+            total += sum(sizes.values())
+        return total
+
+    def _receive(self, unit: int, frame: bytes) -> None:
+        """Buffer the reports of one report batch frame from ``unit``.
+
+        The frame answers the unit's oldest task frame in flight.  A frame
+        that does not decode raises :class:`~repro.parallel.wire.WireError`
+        before anything changes.
+        """
+        reports, sizes = self._codec.decode_report_batch(frame)
+        if self._in_flight[unit]:
+            self._in_flight[unit].popleft()
+        self._arrived.extend(zip(reports, sizes))
+
+    # ------------------------------------------------------------------ #
+    # The shared Fig. 2 round
+    # ------------------------------------------------------------------ #
+    def _open_round(self, deadline: float | None) -> None:
+        """Prepare a round before its dispatch (default: nothing to do)."""
+
+    def _expire_silent(self, unit: int) -> None:
+        """Deadline rule for a unit still silent (default: count it only).
+
+        Its frames stay in flight, so a late reply still resolves them in
+        a later call.
+        """
+
+    def run_round(self, tasks: Sequence[SlaveTask | None]) -> list[SlaveReport]:
+        """One Fig. 2 round over ``dispatch``/``next_report``.
+
+        ``None`` entries sit the round out.  All other tasks leave in one
+        ``dispatch`` call, then reports are collected in arrival order until
+        nothing is in flight or the single ``round_timeout_s`` deadline
+        (counted from the round's start) passes.  Each unit still silent at
+        the deadline counts one ``gather_lost`` and gets the backend's
+        ``_expire_silent`` rule.  The phase split is the same everywhere:
+        ``scatter`` is the dispatch, ``compute`` the latency to the first
+        report (inline slaves execute there) and ``gather`` the whole
+        collection, which contains ``compute``.  Returns the reports that
+        actually arrived (possibly fewer than the number of tasks placed).
+        """
+        self._require_started()
+        if len(tasks) != self.n_slaves:
+            raise ValueError(f"expected {self.n_slaves} tasks; got {len(tasks)}")
+        self.last_task_nbytes = {}
+        self.last_slowdowns = {}
+        self.last_master_wait_s = 0.0
+        report_nbytes: dict[int, int] = {}
+        gather_idle_s: dict[int, float] = {}
+        t_scatter = time.perf_counter()
+        deadline = (
+            None if self.round_timeout_s is None else t_scatter + self.round_timeout_s
         )
-        item = backend.next_report(remaining)
-        wait_s += backend.last_master_wait_s
-        if item is None:
-            if remaining == 0.0 or not any(backend._in_flight.values()):
-                break
-            continue  # a worker died; its peers are still in flight
-        report, nbytes = item
-        now = time.perf_counter() - t_gather
-        if first_report_s is None:
-            first_report_s = now
-        gather_idle_s.setdefault(report.slave_id, now)
-        report_nbytes[report.slave_id] = report_nbytes.get(report.slave_id, 0) + nbytes
-        reports.append(report)
-    t_end = time.perf_counter()
-    for unit, frames in list(backend._in_flight.items()):
-        if not frames:
-            continue
-        backend.fault_counters["gather_lost"] += 1
-        for slave_ids in frames:
-            for k in slave_ids:
-                gather_idle_s.setdefault(k, t_end - t_gather)
-        backend._expire_silent(unit)
-    backend.last_master_wait_s = wait_s
-    backend.last_telemetry = RoundTelemetry(
-        round_index=next((t.round_index for t in tasks if t is not None), -1),
-        phase_seconds={
-            "scatter": t_gather - t_scatter,
-            "compute": first_report_s if first_report_s is not None else 0.0,
-            "gather": t_end - t_gather,
-        },
-        gather_idle_s=gather_idle_s,
-        master_wait_s=wait_s,
-        task_nbytes=dict(backend.last_task_nbytes),
-        report_nbytes=report_nbytes,
-        slowdowns=dict(backend.last_slowdowns),
-    )
-    reports.sort(key=lambda r: (r.slave_id, r.seq_id))
-    return reports
+        self._open_round(deadline)
+        self.dispatch([(k, task) for k, task in enumerate(tasks) if task is not None])
+        t_gather = time.perf_counter()
+        reports: list[SlaveReport] = []
+        first_report_s: float | None = None
+        wait_s = 0.0
+        while True:
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.perf_counter())
+            )
+            item = self.next_report(remaining)
+            wait_s += self.last_master_wait_s
+            if item is None:
+                if remaining == 0.0 or not any(self._in_flight.values()):
+                    break
+                continue  # a worker died; its peers are still in flight
+            report, nbytes = item
+            now = time.perf_counter() - t_gather
+            if first_report_s is None:
+                first_report_s = now
+            gather_idle_s.setdefault(report.slave_id, now)
+            report_nbytes[report.slave_id] = report_nbytes.get(report.slave_id, 0) + nbytes
+            reports.append(report)
+        t_end = time.perf_counter()
+        for unit, frames in list(self._in_flight.items()):
+            if not frames:
+                continue
+            self.fault_counters["gather_lost"] += 1
+            for slave_ids in frames:
+                for k in slave_ids:
+                    gather_idle_s.setdefault(k, t_end - t_gather)
+            self._expire_silent(unit)
+        self.last_master_wait_s = wait_s
+        self.last_telemetry = RoundTelemetry(
+            round_index=next((t.round_index for t in tasks if t is not None), -1),
+            phase_seconds={
+                "scatter": t_gather - t_scatter,
+                "compute": first_report_s if first_report_s is not None else 0.0,
+                "gather": t_end - t_gather,
+            },
+            gather_idle_s=gather_idle_s,
+            master_wait_s=wait_s,
+            task_nbytes=dict(self.last_task_nbytes),
+            report_nbytes=report_nbytes,
+            slowdowns=dict(self.last_slowdowns),
+        )
+        reports.sort(key=lambda r: (r.slave_id, r.seq_id))
+        return reports
 
 
-def _same_problem(
-    bound_instance: MKPInstance,
-    bound_config: TabuSearchConfig | None,
-    instance: MKPInstance,
-    config: TabuSearchConfig,
-) -> bool:
-    """Whether a live backend's bound problem matches a ``start()`` request.
-
-    Instance comparison is by identity first (the common warm-lease case —
-    the :class:`~repro.service.cache.InstanceCache` hands out one canonical
-    object) and by content hash otherwise; the structural config compares
-    by value (plain dataclass equality — it carries no arrays).
-    """
-    if bound_config != config:
-        return False
-    if bound_instance is instance:
-        return True
-    return bound_instance.content_hash() == instance.content_hash()
-
-
-class SerialBackend:
+class SerialBackend(Backend):
     """In-process backend; the substrate of the simulated farm.
 
     ``dispatch`` only charges and queues tasks; they execute inline, in
@@ -290,11 +410,9 @@ class SerialBackend:
     charges the execution to ``compute``.  Each task is served by the same
     :func:`serve_batch` as a worker process, with that slave's held-report
     list: a crash is counted, a straggle becomes ``last_slowdowns``.
-    Every slave keeps its own warm runtime.
+    Every slave keeps its own warm runtime; inline slaves never hang, so
+    the shared round needs no deadline.
     """
-
-    #: inline slaves never hang, so the shared round needs no deadline
-    round_timeout_s: float | None = None
 
     def __init__(
         self,
@@ -302,71 +420,27 @@ class SerialBackend:
         *,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        if n_slaves < 1:
-            raise ValueError("n_slaves must be >= 1")
-        self.n_slaves = int(n_slaves)
-        self.fault_plan = fault_plan or FaultPlan.none()
-        self._codec: WireCodec | None = None
-        self._instance: MKPInstance | None = None
-        self._config: TabuSearchConfig | None = None
+        super().__init__(n_slaves, fault_plan=fault_plan)
         self._runtimes: list[SlaveRuntime] = []
-        #: ``start()`` calls that found live warm state already bound to the
-        #: same problem and kept it (DESIGN.md §5.6 — the warm-lease path)
-        self.warm_reuses = 0
-        #: ``start()`` calls that rebound live state to a *different* problem
-        self.rebinds = 0
-        #: per-round task sizes by slave id (reports: ``last_telemetry``)
-        self.last_task_nbytes: dict[int, int] = {}
-        #: per-round straggler slowdown factors by slave id (virtual time)
-        self.last_slowdowns: dict[int, float] = {}
-        #: cumulative injected-fault tally (diagnostics for the chaos suite)
-        self.fault_counters: Counter[str] = Counter()
-        #: master wall time blocked waiting on slaves (0 for inline slaves)
-        self.last_master_wait_s: float = 0.0
-        #: typed telemetry record of the last round (DESIGN.md §5.5)
-        self.last_telemetry: RoundTelemetry | None = None
         #: dispatched tasks awaiting inline execution, in dispatch order;
         #: ``None`` (a dropped task, or a sync round's opening) only
         #: releases that slave's held reports
         self._queued: deque[tuple[int, SlaveTask | None]] = deque()
         #: per slave, the reports a delay fault holds back
         self._held: list[list[SlaveReport]] = [[] for _ in range(self.n_slaves)]
-        #: executed ``(report, nbytes)`` pairs in arrival order
-        self._pending: deque[tuple[SlaveReport, int]] = deque()
-        #: frames in flight per worker: inline slaves never leave any
-        self._in_flight: dict[int, deque[tuple[int, ...]]] = {}
 
-    def start(self, instance: MKPInstance, config: TabuSearchConfig) -> None:
-        """Bind the backend to a problem; idempotent on a live backend.
-
-        Re-``start()``-ing an already-started backend on the same problem
-        data (by :meth:`~repro.core.instance.MKPInstance.content_hash`) and
-        config keeps the warm runtimes — this is how a leased backend
-        serves many jobs without re-paying arena construction.  A different
-        problem rebuilds the runtimes in place.  Either way the resulting
-        trajectories are bit-identical to a cold backend (every task rebinds
-        the arena before running; ``tests/test_service.py`` pins this).
-        """
-        if (
-            self._instance is not None
-            and _same_problem(self._instance, self._config, instance, config)
-        ):
-            self.warm_reuses += 1
-            return
-        if self._instance is not None:
-            self.rebinds += 1
-        self._instance = instance
-        self._config = config
-        self._codec = WireCodec(instance.n_items)
+    def _bind(self, instance: MKPInstance, config: TabuSearchConfig) -> None:
+        """Build one warm runtime per slave (in place of a live set)."""
         # Held reports belong to the old problem, as a rebound worker's do.
         self._held = [[] for _ in range(self.n_slaves)]
         self._runtimes = [
             SlaveRuntime(instance, config, slave_id=k) for k in range(self.n_slaves)
         ]
 
-    def _require_started(self) -> None:
-        if self._instance is None:
-            raise RuntimeError("backend not started: call start() first")
+    def _release(self) -> None:
+        """Drop the warm runtimes and every task not yet executed."""
+        self._runtimes = []
+        self._queued.clear()
 
     def _open_round(self, deadline: float | None) -> None:
         """Release every report a delay fault held in an earlier round.
@@ -377,7 +451,7 @@ class SerialBackend:
         """
         self._queued.extend((k, None) for k, held in enumerate(self._held) if held)
 
-    run_round = _run_round
+    run_round = Backend.run_round
 
     def dispatch(self, slave_id: int | Entries, task: SlaveTask | None = None) -> int:
         """Charge and queue tasks for their slaves; returns the task bytes.
@@ -388,7 +462,7 @@ class SerialBackend:
         """
         self._require_started()
         total = 0
-        for k, t in _drop_tasks(self, _as_entries(slave_id, task)):
+        for k, t in self._drop_tasks(slave_id, task):
             if t is not None:
                 nbytes = len(self._codec.encode_task(t))
                 self.last_task_nbytes[k] = nbytes
@@ -416,7 +490,7 @@ class SerialBackend:
             for slave, factor in factors.items():
                 self.fault_counters["straggle"] += 1
                 self.last_slowdowns[slave] = factor
-            self._pending.extend(
+            self._arrived.extend(
                 (report, len(self._codec.encode_report(report))) for report in reports
             )
 
@@ -431,32 +505,9 @@ class SerialBackend:
         deterministically under serial replay.
         """
         del timeout_s  # inline slaves: arrival already happened or never will
-        if not self._pending:
+        if not self._arrived:
             self._serve_queued()
-        return self._pending.popleft() if self._pending else None
-
-    def drain_dead_slaves(self) -> list[int]:
-        """Slaves lost since the last call (inline slaves never die)."""
-        return []
-
-    def shutdown(self) -> None:
-        """Release the warm runtimes; idempotent, and ``start()`` revives.
-
-        Safe to call any number of times (including before ``start()``);
-        after a shutdown the backend is simply unbound and a later
-        ``start()`` rebuilds it from scratch.
-        """
-        self._runtimes = []
-        self._instance = None
-        self._config = None
-        self._queued.clear()
-        self._pending.clear()
-
-    def __enter__(self) -> "SerialBackend":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
+        return self._arrived.popleft() if self._arrived else None
 
 
 def serve_batch(
@@ -610,7 +661,7 @@ def _worker_main(
         comm.close()
 
 
-class MultiprocessingBackend:
+class MultiprocessingBackend(Backend):
     """Real process-parallel backend (PVM stand-in; mpi4py idiom over pipes).
 
     Workers are forked once per run and reused across rounds, so the
@@ -655,23 +706,17 @@ class MultiprocessingBackend:
         transport: str | None = None,
         batch_k: int = 1,
     ) -> None:
-        if n_slaves < 1:
-            raise ValueError("n_slaves must be >= 1")
+        super().__init__(n_slaves, fault_plan=fault_plan, round_timeout_s=round_timeout_s)
         if batch_k < 1:
             raise ValueError("batch_k must be >= 1")
-        if round_timeout_s is not None and round_timeout_s <= 0:
-            raise ValueError("round_timeout_s must be positive (or None)")
         if shutdown_timeout_s <= 0:
             raise ValueError("shutdown_timeout_s must be positive")
-        self.n_slaves = int(n_slaves)
         #: slaves served per worker process and message (1 = classic layout)
         self.batch_k = int(batch_k)
         #: worker process count: ``ceil(n_slaves / batch_k)``
         self.n_workers = -(-self.n_slaves // self.batch_k)
         #: resolved payload carrier: explicit arg > ``REPRO_TRANSPORT`` > auto
         self.transport = resolve_transport(transport)
-        self.fault_plan = fault_plan or FaultPlan.none()
-        self.round_timeout_s = round_timeout_s
         self.shutdown_timeout_s = float(shutdown_timeout_s)
         self._ctx = mp.get_context(mp_context)
         self._procs: list[mp.Process | None] = []
@@ -679,31 +724,8 @@ class MultiprocessingBackend:
         self._rings: list[tuple[ShmRing, ShmRing] | None] = []
         #: per-worker carrier actually in use after spawn ("shm" or "pipe")
         self.worker_transports: list[str] = []
-        self._instance: MKPInstance | None = None
-        self._config: TabuSearchConfig | None = None
-        self._codec: WireCodec | None = None
-        self.last_task_nbytes: dict[int, int] = {}
-        #: always empty: worker straggles are real sleeps, not virtual time
-        self.last_slowdowns: dict[int, float] = {}
         #: respawn count per worker (the chaos suite asserts recovery)
         self.respawns: Counter[int] = Counter()
-        self.fault_counters: Counter[str] = Counter()
-        #: ``start()`` calls served by live workers with no reship needed
-        self.warm_reuses = 0
-        #: ``start()`` calls that rebound live workers to a new problem
-        self.rebinds = 0
-        #: master wall time blocked inside ``connection.wait`` (per round,
-        #: or per :meth:`next_report` call outside one)
-        self.last_master_wait_s: float = 0.0
-        #: typed telemetry record of the last round (DESIGN.md §5.5)
-        self.last_telemetry: RoundTelemetry | None = None
-        #: arrival buffer: ``(report, nbytes)`` pairs drained from worker
-        #: pipes in arrival order, ahead of master consumption
-        self._report_buffer: deque[tuple[SlaveReport, int]] = deque()
-        #: per worker, the slave ids of each task frame not yet answered
-        self._in_flight: defaultdict[int, deque[tuple[int, ...]]] = defaultdict(deque)
-        #: slave ids whose worker died since the last ``drain_dead_slaves()``
-        self._dead_slaves: set[int] = set()
 
     # ------------------------------------------------------------------ #
     def _group_slaves(self, w: int) -> range:
@@ -711,8 +733,7 @@ class MultiprocessingBackend:
         lo = w * self.batch_k
         return range(lo, min(lo + self.batch_k, self.n_slaves))
 
-    def _spawn(self, w: int) -> None:
-        assert self._instance is not None and self._config is not None
+    def _spawn(self, w: int, instance: MKPInstance, config: TabuSearchConfig) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         task_ring: ShmRing | None = None
         report_ring: ShmRing | None = None
@@ -737,8 +758,8 @@ class MultiprocessingBackend:
             target=_worker_main,
             args=(
                 child_conn,
-                self._instance,
-                self._config,
+                instance,
+                config,
                 tuple(self._group_slaves(w)),
                 self.fault_plan,
                 shm_spec,
@@ -791,33 +812,25 @@ class MultiprocessingBackend:
         proc = self._procs[w]
         if proc is None or not proc.is_alive():
             self._bury(w)
-            self._spawn(w)
+            self._spawn(w, self._instance, self._config)
             self.respawns[w] += 1
         comm = self._comms[w]
         assert comm is not None
         return comm
 
     # ------------------------------------------------------------------ #
-    def start(self, instance: MKPInstance, config: TabuSearchConfig) -> None:
-        """Bind the workers to a problem; reuses live workers when possible.
+    def _bind(self, instance: MKPInstance, config: TabuSearchConfig) -> None:
+        """Spawn the worker fleet, or rebind the live one in place.
 
-        On a cold backend this spawns the worker fleet (problem data crosses
-        the process boundary once, at spawn).  On an already-started backend
-        it *never* respawns: the same problem (by content hash) and config is
-        a no-op — the workers' warm arenas stay valid — and a different
-        problem ships one :data:`~repro.parallel.message.REBIND_TAG` bind
-        frame per live worker, which rebuilds its ``SlaveRuntime`` in place.  Dead
-        workers are left to the lazy respawn in :meth:`dispatch`, which
-        picks up the new problem from the updated backend fields.
+        On a cold backend this spawns the fleet (problem data crosses the
+        process boundary once, at spawn).  On a live one it *never*
+        respawns: each live worker gets one
+        :data:`~repro.parallel.message.REBIND_TAG` bind frame, which
+        rebuilds its ``SlaveRuntime`` in place.  Dead workers are left to
+        the lazy respawn in :meth:`dispatch`, which picks up the new problem
+        from the bound fields.
         """
         if self._procs:
-            if _same_problem(self._instance, self._config, instance, config):
-                self.warm_reuses += 1
-                return
-            self.rebinds += 1
-            self._instance = instance
-            self._config = config
-            self._codec = WireCodec(instance.n_items)
             bind = encode_bind(instance, config)
             for w in range(self.n_workers):
                 comm = self._comms[w]
@@ -829,24 +842,14 @@ class MultiprocessingBackend:
                 except (BrokenPipeError, OSError, CommClosedError):
                     self._bury(w)
             return
-        self._instance = instance
-        self._config = config
-        self._codec = WireCodec(instance.n_items)
         self._procs = [None] * self.n_workers
         self._comms = [None] * self.n_workers
         self._rings = [None] * self.n_workers
         self.worker_transports = ["pipe"] * self.n_workers
         for w in range(self.n_workers):
-            self._spawn(w)
+            self._spawn(w, instance, config)
 
-    def _require_started(self) -> None:
-        if not self._procs:
-            raise RuntimeError("backend not started: call start() first")
-
-    def _open_round(self, deadline: float | None) -> None:
-        """Nothing to prepare: dead workers respawn lazily in :meth:`dispatch`."""
-
-    run_round = _run_round
+    run_round = Backend.run_round
 
     def dispatch(self, slave_id: int | Entries, task: SlaveTask | None = None) -> int:
         """Send tasks without waiting for any report; returns their bytes.
@@ -861,27 +864,21 @@ class MultiprocessingBackend:
         group's slaves are queued for :meth:`drain_dead_slaves`.
         """
         self._require_started()
-        per_worker: dict[int, list[tuple[int, SlaveTask]]] = {}
-        for k, t in _drop_tasks(self, _as_entries(slave_id, task)):
-            if t is not None:
-                per_worker.setdefault(k // self.batch_k, []).append((k, t))
-        total = 0
-        for w, entries in per_worker.items():
-            # Each entry is charged its own frame, not the envelope: the
-            # same ledger for any ``batch_k``.
-            frame, sizes = self._codec.encode_task_batch(entries)
-            try:
-                self._ensure_alive(w).send(frame, tag=TASK_TAG)
-            except (BrokenPipeError, OSError, CommClosedError):
-                # The worker died between liveness check and send; the
-                # next dispatch respawns it.
-                self.fault_counters["send_failed"] += 1
-                self._lose(w)
-                continue
-            self._in_flight[w].append(tuple(sizes))
-            self.last_task_nbytes.update(sizes)
-            total += sum(sizes.values())
-        return total
+        return self._dispatch_frames(slave_id, task)
+
+    def _unit_of(self, k: int) -> int:
+        return k // self.batch_k
+
+    def _send_task(self, w: int, frame: bytes) -> bool:
+        try:
+            self._ensure_alive(w).send(frame, tag=TASK_TAG)
+        except (BrokenPipeError, OSError, CommClosedError):
+            # The worker died between liveness check and send; the next
+            # dispatch respawns it.
+            self.fault_counters["send_failed"] += 1
+            self._lose(w)
+            return False
+        return True
 
     def next_report(
         self, timeout_s: float | None = None
@@ -900,7 +897,7 @@ class MultiprocessingBackend:
         """
         self.last_master_wait_s = 0.0
         deadline = None if timeout_s is None else time.perf_counter() + timeout_s
-        while not self._report_buffer:
+        while not self._arrived:
             live = {
                 self._comms[w].connection: w
                 for w, frames in self._in_flight.items()
@@ -924,45 +921,26 @@ class MultiprocessingBackend:
                 comm = self._comms[w]
                 try:
                     while self._in_flight[w] and comm.poll(0.0):
-                        reports, sizes = self._codec.decode_report_batch(
-                            comm.recv(tag=RESULT_TAG)
-                        )
-                        self._in_flight[w].popleft()
-                        self._report_buffer.extend(zip(reports, sizes))
+                        self._receive(w, comm.recv(tag=RESULT_TAG))
                 except (EOFError, OSError, TornFrameError, CommClosedError, WireError):
                     # The worker died mid-round, tore its ring or sent a
                     # frame that does not decode.
                     self.fault_counters["gather_lost"] += 1
                     self._lose(w)
                     died = True
-            if died and not self._report_buffer:
+            if died and not self._arrived:
                 return None  # surface the loss instead of re-waiting
-        return self._report_buffer.popleft()
+        return self._arrived.popleft()
 
-    def drain_dead_slaves(self) -> list[int]:
-        """Slave ids lost since the last call (send/gather failures).
-
-        Consuming: the set is cleared.  Buffered reports those slaves
-        delivered before dying remain valid and still surface through
-        :meth:`next_report` — death invalidates the *in-flight*, not the
-        already-arrived.
-        """
-        dead = sorted(self._dead_slaves)
-        self._dead_slaves.clear()
-        return dead
-
-    def shutdown(self) -> None:
+    def _release(self) -> None:
         """Stop every worker, bounded by one shared deadline.
 
         Signals *all* workers first, then joins each against the remaining
         budget of a single ``shutdown_timeout_s`` window — P hung workers
         cost the deadline once, not ``P × 10`` seconds of sequential joins.
-        Whoever is still alive afterwards is terminated.
-
-        Idempotent by contract (``tests/test_backends.py`` pins it): calling
-        it twice, before ``start()``, or after workers already died/were
-        buried is a no-op beyond releasing whatever is still held, and a
-        later ``start()`` spawns a fresh fleet.
+        Whoever is still alive afterwards is terminated.  A no-op when no
+        fleet is up (``tests/test_backends.py`` pins the idempotence), and
+        a later ``start()`` spawns a fresh fleet.
         """
         if not self._procs and not self._comms:
             return
@@ -995,12 +973,3 @@ class MultiprocessingBackend:
         self._comms = []
         self._rings = []
         self.worker_transports = []
-        self._report_buffer.clear()
-        self._in_flight.clear()
-        self._dead_slaves.clear()
-
-    def __enter__(self) -> "MultiprocessingBackend":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()

@@ -12,7 +12,7 @@ tests are ordinary deterministic tests, never flaky.
 
 The plan only answers queries.  Every backend applies it in two places:
 ``dispatch`` drops tasks master-side
-(:func:`~repro.parallel.backends._drop_tasks`), and
+(:meth:`~repro.parallel.backends.Backend._drop_tasks`), and
 :func:`~repro.parallel.backends.serve_batch` decides every slave-side
 fault, which the caller then enacts (a worker process exits or sleeps, the
 serial backend counts the fault and charges virtual time).

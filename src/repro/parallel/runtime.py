@@ -80,17 +80,6 @@ class SlaveRuntime:
         self.tasks_served = 0
         #: wall seconds of the most recent :meth:`execute` (telemetry)
         self.last_execute_s = 0.0
-        #: cumulative wall seconds spent inside :meth:`execute` since spawn
-        self.total_execute_s = 0.0
-        #: wall seconds the arena sat starved before the most recent task —
-        #: the gap between one :meth:`execute` returning and the next
-        #: starting.  Under the Fig. 2 barrier this gap contains the whole
-        #: round-trip to the master; the pipelined mode (DESIGN.md §5.9)
-        #: exists to drive it toward zero by keeping a queued task ready.
-        self.last_idle_s = 0.0
-        #: cumulative starvation seconds since spawn (telemetry)
-        self.total_idle_s = 0.0
-        self._last_done_t: float | None = None
         self._thread = TabuSearch(instance, _BOOT_STRATEGY, config=config)
         #: reduced arenas keyed by pattern signature (ISSUE-8 re-core path);
         #: values are ``(Reduction, TabuSearch)`` pairs over the reduced
@@ -131,9 +120,6 @@ class SlaveRuntime:
         instead of silently seeding a wrong trajectory.
         """
         t0 = time.perf_counter()
-        if self._last_done_t is not None:
-            self.last_idle_s = t0 - self._last_done_t
-            self.total_idle_s += self.last_idle_s
         x_init = task.x_init
         exact = self._thread.state.use_bitset  # integer data
         if exact and float(self.instance.profits @ x_init.x) != x_init.value:
@@ -159,9 +145,7 @@ class SlaveRuntime:
                 seq_id=task.seq_id,
             )
         self.tasks_served += 1
-        self._last_done_t = time.perf_counter()
-        self.last_execute_s = self._last_done_t - t0
-        self.total_execute_s += self.last_execute_s
+        self.last_execute_s = time.perf_counter() - t0
         return report
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Unit tests for the serial and multiprocessing backends."""
+"""Unit tests for the serial and multiprocessing backends and their shared base."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from repro.parallel import (
     SerialBackend,
     SlaveRuntime,
     SlaveTask,
+    SocketBackend,
     WireCodec,
 )
 from repro.parallel.backends import _worker_main
@@ -375,3 +376,51 @@ class TestArmedPlanAudit:
             reports = backend.run_round([tasks[0], _corrupt(tasks[1])])
             assert [r.slave_id for r in reports] == [0]
             assert backend.drain_dead_slaves() == [1]
+
+
+BACKEND_KINDS = ("serial", "multiprocessing", "socket")
+
+
+def make_backend(kind, n_slaves, mp_context):
+    """A fresh, unstarted backend; the socket one has one local worker."""
+    if kind == "serial":
+        return SerialBackend(n_slaves)
+    if kind == "multiprocessing":
+        return MultiprocessingBackend(
+            n_slaves, mp_context=mp_context, round_timeout_s=30.0
+        )
+    backend = SocketBackend(n_slaves, round_timeout_s=30.0)
+    backend.attach_local_workers(1, mp_context=mp_context)
+    return backend
+
+
+class TestBackendBase:
+    """What every backend inherits from ``Backend``: the round, the lease."""
+
+    @pytest.mark.parametrize(
+        "cls", [SerialBackend, MultiprocessingBackend, SocketBackend]
+    )
+    def test_traced_methods_live_in_each_class(self, cls):
+        # layerbench's tracer wraps these by ``cls.__dict__[name]``.
+        for name in ("run_round", "dispatch", "next_report"):
+            assert name in cls.__dict__
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_run_round_before_start_raises(self, kind, small_instance, mp_context):
+        with make_backend(kind, 2, mp_context) as backend:
+            with pytest.raises(RuntimeError, match="not started"):
+                backend.run_round(make_tasks(small_instance, 2))
+
+    def test_socket_start_timeout_leaves_backend_unbound(
+        self, small_instance, mp_context
+    ):
+        config = TabuSearchConfig(nb_div=100)
+        with SocketBackend(2, start_timeout_s=0.2, round_timeout_s=30.0) as backend:
+            with pytest.raises(RuntimeError, match="workers connected"):
+                backend.start(small_instance, config)
+            assert (backend.rebinds, backend.warm_reuses) == (0, 0)
+            backend.start_timeout_s = 30.0  # long enough for a spawned worker
+            backend.attach_local_workers(1, mp_context=mp_context)
+            backend.start(small_instance, config)
+            assert (backend.rebinds, backend.warm_reuses) == (0, 0)
+            assert len(backend.run_round(make_tasks(small_instance, 2))) == 2

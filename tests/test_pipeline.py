@@ -34,7 +34,7 @@ import pytest
 from repro.core import Budget, Strategy, TabuSearchConfig, random_solution
 from repro.farm import ALPHA_FARM
 from repro.master import MasterConfig, MasterProcess
-from repro.obs import RunRecorder, validate_stream
+from repro.obs import RunRecorder, replay_metrics, validate_stream
 from repro.parallel import (
     FaultEvent,
     FaultKind,
@@ -202,7 +202,7 @@ class TestSerialAsync:
         bursts = [e for e in recorder.events if e["event"] == "burst_telemetry"]
         assert all(b["outcome"] == "report" for b in bursts)
         assert all(b["staleness"] <= 2 for b in bursts)
-        assert recorder.metrics.counter_value(
+        assert replay_metrics(recorder.events).counter_value(
             "repro_bursts_total", outcome="report"
         ) == N_SLAVES * N_ROUNDS
 

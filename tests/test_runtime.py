@@ -11,8 +11,6 @@ spawn multiprocessing contexts).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
@@ -163,23 +161,6 @@ class TestSlaveRuntime:
         runtime = SlaveRuntime(small_instance, CONFIG, slave_id=3)
         assert runtime.slave_id == 3
         assert runtime.execute(make_task(small_instance, TASK_SPECS[0])).slave_id == 3
-
-    def test_idle_telemetry_counts_gaps_between_tasks(self, small_instance):
-        runtime = SlaveRuntime(small_instance, CONFIG, slave_id=0)
-        assert runtime.total_idle_s == 0.0
-
-        runtime.execute(make_task(small_instance, TASK_SPECS[0]))
-        # The first task has no predecessor: no starvation charged yet.
-        assert runtime.last_idle_s == 0.0
-        assert runtime.total_idle_s == 0.0
-
-        time.sleep(0.02)
-        runtime.execute(make_task(small_instance, TASK_SPECS[1]))
-        assert runtime.last_idle_s >= 0.02
-        assert runtime.total_idle_s == pytest.approx(runtime.last_idle_s)
-
-        runtime.execute(make_task(small_instance, TASK_SPECS[2]))
-        assert runtime.total_idle_s > runtime.last_idle_s
 
 
 # --------------------------------------------------------------------- #

@@ -149,8 +149,7 @@ class TestTelemetry:
             assert sorted(told.task_nbytes) == [0, 1]
             assert sorted(told.report_nbytes) == [0, 1]
             assert all(v > 0 for v in told.task_nbytes.values())
-            assert backend.bytes_sent > 0
-            assert backend.bytes_received > 0
+            assert all(v > 0 for v in told.report_nbytes.values())
         finally:
             backend.shutdown()
 
