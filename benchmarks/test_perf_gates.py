@@ -35,6 +35,7 @@ from repro.core import (
     native,
     random_solution,
 )
+from repro.core.intensification import apply_swaps, strategic_oscillation
 from repro.core.reduction import shared_selector
 from repro.instances import correlated_instance, gk_instance, gk_suite
 from repro.master import MasterConfig, MasterProcess
@@ -194,6 +195,63 @@ def test_native_kernel_triples_numpy_moves_per_s():
     ratio = best["native"] / best["numpy"]
     print(f"native {best['native']:.0f} vs numpy {best['numpy']:.0f} moves/s: x{ratio:.2f}")
     assert ratio >= 3.0, f"native kernel only x{ratio:.2f} the numpy moves/s"
+
+
+def _gk24_intensify_s(path: str):
+    """A timer of Figure 1 step 11 on one kernel path, over fixed X_local starts.
+
+    The starts are the elite solutions of two short GK24 threads without
+    intensification, so they sit where step 11 meets them: at the end of a
+    local-search loop.  One timing restores each start, runs the swap scan,
+    restores it again and runs a depth-5 oscillation, as ``_intensify``
+    does.
+    """
+    if not native.available:
+        pytest.skip("native kernel unavailable on this host")
+    instance = gk_instance(24)
+    starts = []
+    for seed in (0, 1):
+        thread = TabuSearch(
+            instance,
+            Strategy(8, 2, 10),
+            TabuSearchConfig(intensification=IntensificationKind.NONE),
+            rng=seed,
+        )
+        starts += thread.run(budget=Budget(max_evaluations=300_000)).elite
+    with pytest.MonkeyPatch.context() as patch:  # kernels bind C at construction
+        patch.setattr(native, "available", path == "native")
+        state = SearchState.empty(instance)
+
+    def run_s(seed: int) -> float:
+        rng = np.random.default_rng(seed)
+        t0 = time.perf_counter()
+        for x_local in starts:
+            state.restore(x_local)
+            apply_swaps(state)
+            state.restore(x_local)
+            strategic_oscillation(state, 5, rng)
+        return time.perf_counter() - t0
+
+    run_s(0)  # warm caches
+    return run_s
+
+
+def test_native_intensification_beats_numpy():
+    """GK24 step 11 (swap scan, then oscillation): native >= 12x numpy.
+
+    Ten pairs over the same starts and oscillation seed within a pair,
+    alternating which path goes first; the estimate is the median of the
+    per-pair time ratios.
+    """
+    c_path, numpy_path = _gk24_intensify_s("native"), _gk24_intensify_s("numpy")
+    ratios = []
+    for seed in range(10):
+        arms = (c_path, numpy_path) if seed % 2 == 0 else (numpy_path, c_path)
+        times = {arm: arm(seed) for arm in arms}
+        ratios.append(times[numpy_path] / times[c_path])
+    ratio = float(np.median(ratios))
+    print(f"native step 11 x{ratio:.2f} the numpy path (pair ratios {ratios})")
+    assert ratio >= 12.0, f"native step 11 only x{ratio:.2f} the numpy path"
 
 
 # --------------------------------------------------------------------- #

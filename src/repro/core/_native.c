@@ -1,7 +1,8 @@
-/* Native hot loop of the tabu search: the Figure-1 local-search loop
- * (steps 4-10) around the Drop/Add compound move, the §3.2 swap
- * intensification and the greedy fill, in the bitset mode of
- * repro.core.solution.SearchState.
+/* Native hot loop of the tabu search, in the bitset mode of
+ * repro.core.solution.SearchState: the Figure-1 local-search loop (steps
+ * 4-10) around the Drop/Add compound move, step 11's §3.2 intensification
+ * (the swap scan, then the strategic oscillation with its forced adds,
+ * repair and greedy top-up), the greedy fill, and the state reload.
  *
  * Every routine works in place on the search state's own numpy buffers (x,
  * the free mask and free words, q_base, load, slack) and reads the
@@ -17,13 +18,22 @@
  *     (numpy's buffered Lemire rejection over next_uint32, and no draw
  *     at all for k == 1).
  *
- * One choice is handed back to Python instead of being made here: an Add
- * selection with add_candidates == 2 whose two smallest ratios tie, or
- * whose second smallest ties the third.  The numpy path resolves it with
- * argpartition, whose order among equal keys is implementation-defined;
- * ts_move/ts_add_continue return TS_HANDBACK (ts_local_search returns
- * LS_HANDBACK mid-move) with the admissible set in k->allowed/k->ratios,
- * and Python picks and resumes.
+ *   - the same loads: ts_reload sums the packed items' weight rows where
+ *     numpy computes A @ x, which is exact because bitset mode requires
+ *     integral weights and capacities (every partial sum is an integer
+ *     below 2**53, so the order of the sum cannot change a bit).
+ *
+ * Two choices are handed back to Python instead of being made here, where
+ * the numpy path resolves equal keys in an implementation-defined order:
+ *   - an Add selection with add_candidates == 2 whose two smallest ratios
+ *     tie, or whose second smallest ties the third (argpartition):
+ *     ts_move/ts_add_continue return TS_HANDBACK (ts_local_search returns
+ *     LS_HANDBACK mid-move) with the admissible set in
+ *     k->allowed/k->ratios, and Python picks and resumes;
+ *   - the forced adds of the oscillation when two of the keys it adds, or
+ *     the last of them and the next, tie exactly (np.argsort's default
+ *     kind is not stable): ts_oscillate returns TS_HANDBACK with the free
+ *     items and their keys, and Python sorts and resumes.
  *
  * ts_local_search also keeps the thread's memories as the Python loop
  * does: the tabu list, History, the BestSol block (ts_elite_offer is
@@ -57,6 +67,9 @@ typedef struct {
     const uint64_t *cumbits;       /* (m * (n + 1), nw) */
     const double *sorted_profits;  /* (n,) */
     const uint64_t *suffix;        /* (n + 1, nw) */
+    const int64_t *q_offsets;      /* (m,): i * OFF */
+    const double *density;         /* (n,): sum_i a_ij / c_j */
+    const int64_t *density_order;  /* (n,): stable argsort of density */
     /* search state (mutated in place) */
     int8_t *x;
     uint8_t *free_mask;
@@ -75,6 +88,7 @@ typedef struct {
     int64_t *added;                /* (n,) */
     int64_t n_dropped, n_added, n_allowed;
     int64_t evaluations;
+    int64_t empty_row;             /* row that last emptied a fitting AND */
 } ts_kernel;
 
 /* The thread's memories and budget for one local-search loop
@@ -220,23 +234,32 @@ static int64_t upper_bound_f64(const double *a, int64_t n, double q)
 }
 
 /* out &= AND over constraints of the prefix rows fitting q_base (+ the
- * weight row of item `without`, when >= 0).  Block i of flat_sorted is
+ * weight row of item `without`, when >= 0); returns 0, leaving out
+ * partial, as soon as out is empty, else 1.  Block i of flat_sorted is
  * i * OFF + sorted(a_i); counting its entries <= q_base[i] is the clamped
  * flat searchsorted of the numpy path (the clamp only routes queries below
  * or above every entry to the empty or full prefix, which this count
- * already yields). */
-static void and_fitting_rows(const ts_kernel *k, int64_t without, uint64_t *out)
+ * already yields).  The AND is order-free, so it starts at the row that
+ * emptied it last time (k->empty_row), the likeliest to empty it again. */
+static int and_fitting_rows(ts_kernel *k, int64_t without, uint64_t *out)
 {
     const int64_t n = k->n, m = k->m, nw = k->nw;
     const int64_t *extra = without >= 0 ? k->weightsT_int + without * m : NULL;
-    for (int64_t i = 0; i < m; i++) {
+    int64_t i = k->empty_row;
+    for (int64_t c = 0; c < m; c++, i = i + 1 == m ? 0 : i + 1) {
         int64_t q = k->q_base[i] + (extra ? extra[i] : 0);
         const int64_t *block = k->flat_sorted + i * (n + 1);
         int64_t pos = i * (n + 1) + upper_bound_i64(block, n, q);
         const uint64_t *row = k->cumbits + pos * nw;
+        uint64_t any = 0;
         for (int64_t w = 0; w < nw; w++)
-            out[w] &= row[w];
+            any |= out[w] &= row[w];
+        if (!any) {
+            k->empty_row = i;
+            return 0;
+        }
     }
+    return 1;
 }
 
 static int64_t popcount_words(const uint64_t *words, int64_t nw)
@@ -293,7 +316,8 @@ static int64_t select_add(ts_kernel *k, const int64_t *expiry, int64_t clock,
     uint64_t *fit = k->fit;
     for (int64_t w = 0; w < nw; w++)
         fit[w] = k->free_words[w];
-    and_fitting_rows(k, -1, fit);
+    if (!and_fitting_rows(k, -1, fit))
+        return -1;
     for (int64_t t = 0; t < k->n_dropped; t++) {
         int64_t d = k->dropped[t];
         fit[d >> 6] &= ~((uint64_t)1 << (d & 63));
@@ -538,7 +562,7 @@ int ts_local_search(ts_kernel *k, ts_loop *ls, int64_t resume)
 }
 
 /* ------------------------------------------------------------------ */
-/* Swap intensification (intensification.swap_intensification)         */
+/* Swap intensification (intensification.apply_swaps)                  */
 /* ------------------------------------------------------------------ */
 /* Stable bottom-up merge sort of idx[0..len) by profit (the numpy path's
  * stable argsort of profits[packed]); tmp holds len entries. */
@@ -566,70 +590,84 @@ static void sort_by_profit(int64_t *idx, int64_t *tmp, int64_t len,
         idx[t] = src[t];
 }
 
+/* Where item j goes in idx[0..len), sorted by (profit, index). */
+static int64_t profit_rank(const int64_t *idx, int64_t len,
+                           const double *profits, int64_t j)
+{
+    const double p = profits[j];
+    int64_t lo = 0, hi = len;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        double q = profits[idx[mid]];
+        if (q < p || (q == p && idx[mid] < j))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 /* Apply improving, feasibility-preserving (1,1)-swaps until none is left;
- * returns the number applied and charges k->evaluations.  k->allowed holds
- * the packed items, k->added is the sort's scratch. */
+ * returns the number applied and charges k->evaluations.  Packed items i
+ * are visited cheapest first (stably by index); i swaps with the richest
+ * free j (c_j > c_i) that fits once i is out, the lowest index on ties,
+ * and the scan restarts from the cheapest item after every applied swap.
+ * k->allowed keeps the packed items in that order across passes (a swap
+ * moves one entry), k->added is the sort's scratch. */
 int64_t ts_swap(ts_kernel *k)
 {
     const int64_t n = k->n, nw = k->nw;
     int64_t *packed = k->allowed;
-    int64_t swaps = 0;
+    int64_t swaps = 0, n_packed = 0;
     k->evaluations = 0;
-    while (k->n_packed > 0 && k->n_packed < n) {
-        int64_t n_packed = 0;
-        for (int64_t j = 0; j < n; j++) {
-            if (k->x[j])
-                packed[n_packed++] = j;
-        }
-        sort_by_profit(packed, k->added, n_packed, k->profits);
-        int improved = 0;
-        for (int64_t t = 0; t < n_packed && !improved; t++) {
-            int64_t i = packed[t];
-            /* {j free : c_j > c_i} as one suffix-bitset row */
-            int64_t cnt = upper_bound_f64(k->sorted_profits, n, k->profits[i]);
-            const uint64_t *suffix = k->suffix + cnt * nw;
-            uint64_t *rich = k->rich;
-            for (int64_t w = 0; w < nw; w++)
-                rich[w] = k->free_words[w] & suffix[w];
-            int64_t n_richer = popcount_words(rich, nw);
-            if (n_richer == 0)
-                continue;
-            k->evaluations += n_richer;
-            and_fitting_rows(k, i, rich);
-            int64_t best = -1;
-            for (int64_t w = 0; w < nw; w++) {
-                for (uint64_t bits = rich[w]; bits; bits &= bits - 1) {
-                    int64_t j = (w << 6) + __builtin_ctzll(bits);
-                    if (best < 0 || k->profits[j] > k->profits[best])
-                        best = j;
-                }
+    if (k->n_packed == 0 || k->n_packed == n)
+        return 0;
+    for (int64_t j = 0; j < n; j++) {
+        if (k->x[j])
+            packed[n_packed++] = j;
+    }
+    sort_by_profit(packed, k->added, n_packed, k->profits);
+    for (int64_t t = 0; t < n_packed; t++) {
+        const int64_t i = packed[t];
+        /* {j free : c_j > c_i} as one suffix-bitset row */
+        int64_t cnt = upper_bound_f64(k->sorted_profits, n, k->profits[i]);
+        const uint64_t *suffix = k->suffix + cnt * nw;
+        uint64_t *rich = k->rich;
+        for (int64_t w = 0; w < nw; w++)
+            rich[w] = k->free_words[w] & suffix[w];
+        int64_t n_richer = popcount_words(rich, nw);
+        if (n_richer == 0)
+            break;  /* no later (richer or equal) item has a richer free item */
+        k->evaluations += n_richer;
+        if (!and_fitting_rows(k, i, rich))
+            continue;
+        int64_t best = -1;
+        for (int64_t w = 0; w < nw; w++) {
+            for (uint64_t bits = rich[w]; bits; bits &= bits - 1) {
+                int64_t j = (w << 6) + __builtin_ctzll(bits);
+                if (best < 0 || k->profits[j] > k->profits[best])
+                    best = j;
             }
-            if (best < 0)
-                continue;
-            k_drop(k, i);
-            k_add(k, best);
-            swaps++;
-            improved = 1;
         }
-        if (!improved)
-            break;
+        k_drop(k, i);
+        k_add(k, best);
+        swaps++;
+        memmove(packed + t, packed + t + 1, (size_t)(n_packed - t - 1) * sizeof(int64_t));
+        int64_t r = profit_rank(packed, n_packed - 1, k->profits, best);
+        memmove(packed + r + 1, packed + r, (size_t)(n_packed - 1 - r) * sizeof(int64_t));
+        packed[r] = best;
+        t = -1;  /* restart from the cheapest packed item */
     }
     return swaps;
 }
 
 /* ------------------------------------------------------------------ */
-/* Greedy fill (construction.fill_greedily)                             */
+/* Greedy fill, repair and strategic oscillation (construction,        */
+/* intensification.strategic_oscillation)                             */
 /* ------------------------------------------------------------------ */
-
-/* Add the items of `order` that fit, in order.  Returns -1 without
- * touching the state when an index is out of range. */
-int ts_fill(ts_kernel *k, const int64_t *order, int64_t len)
+static void fill_in_order(ts_kernel *k, const int64_t *order, int64_t len)
 {
-    const int64_t n = k->n, m = k->m;
-    for (int64_t t = 0; t < len; t++) {
-        if (order[t] < 0 || order[t] >= n)
-            return -1;
-    }
+    const int64_t m = k->m;
     for (int64_t t = 0; t < len; t++) {
         int64_t j = order[t];
         if (k->x[j])
@@ -641,5 +679,144 @@ int ts_fill(ts_kernel *k, const int64_t *order, int64_t len)
         if (i == m)
             k_add(k, j);
     }
+}
+
+/* Add the items of `order` that fit, in order.  Returns -1 without
+ * touching the state when an index is out of range. */
+int ts_fill(ts_kernel *k, const int64_t *order, int64_t len)
+{
+    for (int64_t t = 0; t < len; t++) {
+        if (order[t] < 0 || order[t] >= k->n)
+            return -1;
+    }
+    fill_in_order(k, order, len);
     return 0;
+}
+
+/* Drop the packed item of largest density, the first index on ties,
+ * until load <= capacities + fit_eps holds on every row.  Returns the
+ * number dropped, or -1 when the state is still infeasible with nothing
+ * left to drop. */
+int64_t ts_repair(ts_kernel *k)
+{
+    const int64_t n = k->n, m = k->m;
+    int64_t dropped = 0;
+    for (;;) {
+        int64_t i = 0;
+        while (i < m && k->load[i] <= k->capacities[i] + k->fit_eps)
+            i++;
+        if (i == m)
+            return dropped;
+        if (k->n_packed == 0)
+            return -1;
+        int64_t worst = -1;
+        for (int64_t j = 0; j < n; j++) {
+            if (k->x[j] && (worst < 0 || k->density[j] > k->density[worst]))
+                worst = j;
+        }
+        k_drop(k, worst);
+        dropped++;
+    }
+}
+
+/* Force up to `depth` free items in regardless of capacity, repair, then
+ * fill greedily by increasing density; charges k->evaluations (the forced
+ * adds and one item per instance column for the fill).
+ *
+ * With order == NULL the forced items are drawn here: the free items, in
+ * ascending index order, get the keys density_j + u_j * 1e-12 with
+ * u_j = next_double() (Generator.random(n_free)), and the min(depth,
+ * n_free) smallest keys go in, smallest first.  When two of those keys, or
+ * the last of them and the next, are equal, the free items and their keys
+ * are left in k->allowed/k->ratios (k->n_allowed) and TS_HANDBACK returns
+ * with the state untouched; Python then sorts them and calls again with
+ * the items to force in `order`.  Returns TS_DONE, or -1 when repair finds
+ * nothing left to drop. */
+int ts_oscillate(ts_kernel *k, void *bitgen, int64_t depth,
+                 const int64_t *order, int64_t n_order)
+{
+    const int64_t n = k->n;
+    k->evaluations = 0;
+    if (order == NULL) {
+        const int64_t n_free = n - k->n_packed;
+        n_order = 0;
+        if (n_free > 0 && depth > 0) {
+            ts_bitgen *bg = (ts_bitgen *)bitgen;
+            int64_t *free_items = k->allowed;
+            double *keys = k->ratios;
+            int64_t *forced = k->dropped;
+            int64_t count = 0;
+            for (int64_t j = 0; j < n; j++) {
+                if (!k->x[j]) {
+                    free_items[count] = j;
+                    keys[count++] = k->density[j] + bg->next_double(bg->state) * 1e-12;
+                }
+            }
+            n_order = depth < n_free ? depth : n_free;
+            double prev = -INFINITY;
+            for (int64_t s = 0; s < n_order; s++) {
+                int64_t pos = -1, ties = 0;
+                for (int64_t t = 0; t < count; t++) {
+                    if (!(keys[t] > prev))
+                        continue;
+                    if (pos < 0 || keys[t] < keys[pos]) {
+                        pos = t;
+                        ties = 1;
+                    } else if (keys[t] == keys[pos]) {
+                        ties++;
+                    }
+                }
+                if (ties > 1) {
+                    k->n_allowed = count;
+                    return TS_HANDBACK;
+                }
+                forced[s] = free_items[pos];
+                prev = keys[pos];
+            }
+            order = forced;
+        }
+    }
+    for (int64_t s = 0; s < n_order; s++)
+        k_add(k, order[s]);
+    k->evaluations += n_order;
+    if (ts_repair(k) < 0)
+        return -1;
+    fill_in_order(k, k->density_order, n);
+    k->evaluations += n;
+    return TS_DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* State reload (SearchState.reset)                                     */
+/* ------------------------------------------------------------------ */
+/* Recompute the free mask and words, load, slack, q_base and n_packed
+ * from k->x.  load is the sum of the packed items' weight rows, equal to
+ * numpy's A @ x because every partial sum is an exact integer (see the
+ * header); value is left to the caller, since profits need not be
+ * integral. */
+void ts_reload(ts_kernel *k)
+{
+    const int64_t n = k->n, m = k->m;
+    int64_t n_packed = 0;
+    for (int64_t i = 0; i < m; i++)
+        k->load[i] = 0.0;
+    for (int64_t w = 0; w < k->nw; w++)
+        k->free_words[w] = 0;
+    for (int64_t j = 0; j < n; j++) {
+        if (k->x[j]) {
+            const double *w = k->weightsT + j * m;
+            k->free_mask[j] = 0;
+            n_packed++;
+            for (int64_t i = 0; i < m; i++)
+                k->load[i] += w[i];
+        } else {
+            k->free_mask[j] = 1;
+            k->free_words[j >> 6] |= (uint64_t)1 << (j & 63);
+        }
+    }
+    for (int64_t i = 0; i < m; i++) {
+        k->slack[i] = k->capacities[i] - k->load[i];
+        k->q_base[i] = k->q_offsets[i] + (int64_t)k->slack[i];
+    }
+    k->n_packed = n_packed;
 }

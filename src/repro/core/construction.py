@@ -20,6 +20,7 @@ import numpy as np
 from ..rng import make_rng
 from .instance import MKPInstance
 from .kernels import FIT_EPS
+from .native import INFEASIBLE_EMPTY
 from .solution import SearchState, Solution
 
 __all__ = ["greedy_solution", "random_solution", "repair", "fill_greedily"]
@@ -35,7 +36,7 @@ def fill_greedily(state: SearchState, order: np.ndarray | None = None) -> None:
     """
     inst = state.instance
     if order is None:
-        order = np.argsort(inst.density, kind="stable")
+        order = inst.density_order
     native = state.native()
     if native is not None and native.fill(state, order):
         return
@@ -83,15 +84,18 @@ def repair(state: SearchState) -> int:
 
     Repeatedly ejects the packed item with the largest density
     ``sum_i a_ij / c_j`` (the "less interesting objects", §3.2) until all
-    constraints hold.  Returns the number of items dropped.  No-op on an
-    already-feasible state.
+    constraints hold; on ties the lowest index goes first.  Returns the
+    number of items dropped.  No-op on an already-feasible state.
     """
+    native = state.native()
+    if native is not None:
+        return native.repair(state)
     inst = state.instance
     dropped = 0
     while not state.is_feasible:
         packed = state.packed_items()
         if packed.size == 0:  # pragma: no cover - impossible with a>=0, b>=0
-            raise RuntimeError("empty solution is infeasible: inconsistent instance")
+            raise RuntimeError(INFEASIBLE_EMPTY)
         worst = packed[int(np.argmax(inst.density[packed]))]
         state.drop(worst)
         dropped += 1

@@ -60,6 +60,7 @@ class MKPInstance:
     # Cached derived arrays; populated lazily via object.__setattr__ because
     # the dataclass is frozen.
     _density: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _density_order: np.ndarray | None = field(default=None, repr=False, compare=False)
     _tightness: np.ndarray | None = field(default=None, repr=False, compare=False)
     _hot: "HotTables | None" = field(default=None, repr=False, compare=False)
     _content_hash: str | None = field(default=None, repr=False, compare=False)
@@ -137,6 +138,19 @@ class MKPInstance:
             dens.setflags(write=False)
             object.__setattr__(self, "_density", dens)
         return self._density
+
+    @property
+    def density_order(self) -> np.ndarray:
+        """Items by increasing :attr:`density`, stably by index (cached).
+
+        The default order of :func:`~repro.core.construction.fill_greedily`,
+        which tops up every strategic oscillation.
+        """
+        if self._density_order is None:
+            order = np.argsort(self.density, kind="stable")
+            order.setflags(write=False)
+            object.__setattr__(self, "_density_order", order)
+        return self._density_order
 
     @property
     def tightness(self) -> np.ndarray:

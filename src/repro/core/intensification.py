@@ -24,38 +24,41 @@ from .construction import fill_greedily, repair
 from .kernels import FIT_EPS
 from .solution import SearchState, Solution
 
-__all__ = ["swap_intensification", "strategic_oscillation"]
+__all__ = ["apply_swaps", "swap_intensification", "strategic_oscillation"]
 
 
-def swap_intensification(state: SearchState) -> Solution:
+def apply_swaps(state: SearchState) -> int:
     """Apply all improving, feasibility-preserving (1,1)-swaps in place.
 
-    ``state`` should hold ``X_local`` on entry; on exit it holds the swapped
-    solution, which is returned as a snapshot.  Pairs are visited in
-    decreasing order of the profit gain ``c_j - c_i`` so the most promising
-    exchanges land first (the paper fixes no order; any order that applies
-    every admissible couple is conformant because each applied swap strictly
-    improves and a pair is only admissible once).  Every candidate checked
-    is charged to ``state.counters.intensify_evaluations``.
+    Returns the number of swaps applied.  Packed items ``i`` are visited by
+    increasing profit ``c_i`` (stably, so by index among equal profits);
+    ``i`` is exchanged for the free item ``j`` of largest ``c_j > c_i``
+    that fits once ``i`` is out, the lowest index on ties, and after every
+    applied swap the scan restarts from the cheapest packed item.  The
+    paper fixes no order; any order that applies every admissible couple is
+    conformant because each applied swap strictly improves.  Every
+    candidate checked (each free item richer than the visited ``i``) is
+    charged to ``state.counters.intensify_evaluations``.
     """
     inst = state.instance
     counters = state.counters
     native = state.native()
     if native is not None:
-        counters.intensify_evaluations += native.swap(state)
-        return state.snapshot()
+        swaps, evaluations = native.swap(state)
+        counters.intensify_evaluations += evaluations
+        return swaps
     use_words = state.use_bitset
     profit_order = inst.hot.profit_order if use_words else None
+    swaps = 0
     improved = True
     while improved:
         improved = False
         packed = state.packed_items()
         if packed.size == 0 or state.free_items().size == 0:
             break
-        # For each packed i (cheapest profits first), find the best free j
-        # with c_j > c_i that fits once i is removed.  The word path and the
-        # elementwise path visit the identical candidate sets and charge the
-        # identical evaluation counts (pinned by ``tests/test_bitset.py``).
+        # The word path and the elementwise path visit the identical
+        # candidate sets and charge the identical evaluation counts (pinned
+        # by ``tests/test_bitset.py``).
         for i in packed[np.argsort(inst.profits[packed], kind="stable")]:
             if use_words:
                 # {j free : c_j > c_i} as one suffix-bitset row AND.
@@ -90,8 +93,16 @@ def swap_intensification(state: SearchState) -> Solution:
             j = candidates[int(np.argmax(inst.profits[candidates]))]
             state.drop(int(i))
             state.add(int(j))
+            swaps += 1
             improved = True
             break  # re-derive packed/free sets after a structural change
+    return swaps
+
+
+def swap_intensification(state: SearchState) -> Solution:
+    """:func:`apply_swaps` on ``state``, which should hold ``X_local``;
+    returns the swapped solution as a snapshot."""
+    apply_swaps(state)
     return state.snapshot()
 
 
@@ -112,6 +123,10 @@ def strategic_oscillation(
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0; got {depth}")
+    native = state.native()
+    if native is not None:
+        state.counters.intensify_evaluations += native.oscillate(state, rng, depth)
+        return state.snapshot()
     inst = state.instance
     free = state.free_items()
     if free.size > 0 and depth > 0:

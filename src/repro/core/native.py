@@ -1,8 +1,9 @@
 """The native tabu-search hot loop: build, cache and bind ``_native.c``.
 
 ``_native.c`` holds the bitset-mode compound move, the Figure-1
-local-search loop around it, the §3.2 swap intensification and the greedy
-fill (see its header comment for the exactness contract).  This module
+local-search loop around it, step 11's §3.2 intensification (the swap scan,
+and the strategic oscillation with its repair), the greedy fill and the
+state reload (see its header comment for the exactness contract).  This module
 compiles it once with cffi's API mode and the system C compiler; each
 bitset-mode :class:`~repro.core.solution.SearchState` binds it to its own
 buffers at construction through :class:`NativeKernel`, and each
@@ -65,6 +66,9 @@ typedef struct {
     const uint64_t *cumbits;
     const double *sorted_profits;
     const uint64_t *suffix;
+    const int64_t *q_offsets;
+    const double *density;
+    const int64_t *density_order;
     int8_t *x;
     uint8_t *free_mask;
     uint64_t *free_words;
@@ -81,6 +85,7 @@ typedef struct {
     int64_t *added;
     int64_t n_dropped, n_added, n_allowed;
     int64_t evaluations;
+    int64_t empty_row;
 } ts_kernel;
 
 typedef struct {
@@ -112,6 +117,10 @@ int ts_add_continue(ts_kernel *k, const int64_t *expiry, int64_t clock,
                     int64_t j);
 int64_t ts_swap(ts_kernel *k);
 int ts_fill(ts_kernel *k, const int64_t *order, int64_t len);
+int64_t ts_repair(ts_kernel *k);
+int ts_oscillate(ts_kernel *k, void *bitgen, int64_t depth,
+                 const int64_t *order, int64_t n_order);
+void ts_reload(ts_kernel *k);
 int ts_elite_offer(int8_t *rows, double *values, int64_t *count,
                    int64_t capacity, int64_t n, const int8_t *x, double value);
 int ts_local_search(ts_kernel *k, ts_loop *ls, int64_t resume);
@@ -200,6 +209,13 @@ def _bitgen(rng: np.random.Generator):
     return ffi.cast("void *", rng.bit_generator.ctypes.bit_generator.value)
 
 
+#: ``ts_move``/``ts_oscillate``'s hand-back status.
+_TS_HANDBACK = 1
+
+#: ``repair``'s error when dropping every item leaves the state infeasible
+#: (impossible with non-negative weights and capacities).
+INFEASIBLE_EMPTY = "empty solution is infeasible: inconsistent instance"
+
 #: The numpy dtype each C element type of ``ts_kernel`` aliases (the free
 #: mask is numpy ``bool``, one byte per item).
 _DTYPES = {
@@ -247,6 +263,9 @@ class NativeKernel:
         s.cumbits = self._bind("uint64_t", tables.cumbits)
         s.sorted_profits = self._bind("double", profit_order.sorted_profits)
         s.suffix = self._bind("uint64_t", profit_order.suffix)
+        s.q_offsets = self._bind("int64_t", tables.q_offsets)
+        s.density = self._bind("double", inst.density)
+        s.density_order = self._bind("int64_t", inst.density_order)
         s.x = self._bind("int8_t", state.x)
         s.free_mask = self._bind("uint8_t", state._free)
         s.free_words = self._bind("uint64_t", state.free_words)
@@ -259,6 +278,7 @@ class NativeKernel:
         s.ratios = self._bind("double", self.ratios)
         s.dropped = self._bind("int64_t", self.dropped)
         s.added = self._bind("int64_t", self.added)
+        s.empty_row = 0
         self._tabu = self._expiry = self._rng = self._bitgen = None
 
     def _bind(self, ctype: str, array: np.ndarray):
@@ -276,10 +296,10 @@ class NativeKernel:
         state.n_packed = s.n_packed
         state._invalidate()
 
-    def _sync_in(self, state, tabu, rng) -> None:
-        if tabu is not self._tabu:
+    def _sync_in(self, state, tabu=None, rng=None) -> None:
+        if tabu is not None and tabu is not self._tabu:
             self._tabu, self._expiry = tabu, ffi.from_buffer("int64_t[]", tabu._expiry)
-        if rng is not self._rng:
+        if rng is not None and rng is not self._rng:
             self._rng, self._bitgen = rng, _bitgen(rng)
         s = self.ptr
         s.value = state.value
@@ -315,14 +335,12 @@ class NativeKernel:
             s.evaluations,
         )
 
-    def swap(self, state) -> int:
-        """Swap intensification in place; returns the evaluations charged."""
-        s = self.ptr
-        s.value = state.value
-        s.n_packed = state.n_packed
-        lib.ts_swap(s)
+    def swap(self, state) -> tuple[int, int]:
+        """Swap intensification in place: ``(swaps applied, evaluations)``."""
+        self._sync_in(state)
+        swaps = lib.ts_swap(self.ptr)
         self._sync_out(state)
-        return s.evaluations
+        return swaps, self.ptr.evaluations
 
     def fill(self, state, order: np.ndarray) -> bool:
         """Greedy fill in ``order``; ``False`` (state untouched) when
@@ -331,13 +349,46 @@ class NativeKernel:
         if order.ndim != 1 or order.dtype.kind not in "iu":
             return False
         order = np.ascontiguousarray(order, dtype=np.int64)
-        s = self.ptr
-        s.value = state.value
-        s.n_packed = state.n_packed
-        if lib.ts_fill(s, ffi.from_buffer("int64_t[]", order), order.size) < 0:
+        self._sync_in(state)
+        if lib.ts_fill(self.ptr, ffi.from_buffer("int64_t[]", order), order.size) < 0:
             return False
         self._sync_out(state)
         return True
+
+    def repair(self, state) -> int:
+        """``construction.repair`` in place: the number of items dropped."""
+        self._sync_in(state)
+        dropped = lib.ts_repair(self.ptr)
+        self._sync_out(state)
+        if dropped < 0:
+            raise RuntimeError(INFEASIBLE_EMPTY)
+        return dropped
+
+    def oscillate(self, state, rng, depth: int) -> int:
+        """``strategic_oscillation`` in place; returns the evaluations charged.
+
+        A handed-back forced-add order is sorted here exactly as the numpy
+        path sorts it.
+        """
+        self._sync_in(state, rng=rng)
+        s = self.ptr
+        status = lib.ts_oscillate(s, self._bitgen, depth, ffi.NULL, 0)
+        if status == _TS_HANDBACK:
+            keys = self.ratios[: s.n_allowed]
+            order = self.allowed[: s.n_allowed][np.argsort(keys)][:depth]
+            status = lib.ts_oscillate(
+                s, self._bitgen, depth, ffi.from_buffer("int64_t[]", order), order.size
+            )
+        self._sync_out(state)
+        if status < 0:
+            raise RuntimeError(INFEASIBLE_EMPTY)
+        return s.evaluations
+
+    def reload(self, state) -> None:
+        """Recompute every buffer but ``value`` from ``state.x`` (see
+        ``ts_reload``)."""
+        lib.ts_reload(self.ptr)
+        state.n_packed = self.ptr.n_packed
 
 
 #: ``ts_local_search`` exits after which the same loop continues: an Add

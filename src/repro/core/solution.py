@@ -400,31 +400,40 @@ class SearchState:
         indistinguishable from a freshly constructed one (the warm-runtime
         reuse contract), and every scan path already assumes an empty mask
         after a state reload.  The buffers are reused, not reallocated.
+        With the native kernel the buffers are reloaded in C without the
+        ``A @ x`` matmul (exact on integral weights, see ``ts_reload``);
+        ``value`` is ``c @ x`` on both paths.
         """
         if self._n_excluded:
             self.set_exclusions(None)
         if x is None:
             self.x[:] = 0
-            self.load[:] = 0.0
             self.value = 0.0
         else:
             self.x[:] = x
-            self.load[:] = self.instance.weights @ self.x.astype(np.float64)
             self.value = float(self.instance.profits @ self.x.astype(np.float64))
-        np.equal(self.x, 0, out=self._free)
-        self.n_packed = int(self.x.shape[0] - np.count_nonzero(self._free))
-        np.subtract(self.instance.capacities, self.load, out=self.slack)
-        if self.free_words is not None:
-            packed_free = np.packbits(self._free, bitorder="little")
-            self.free_words[:] = 0
-            self.free_words.view(np.uint8)[: packed_free.size] = packed_free
-            np.add(
-                self._int.q_offsets, self.slack, out=self._q_base, casting="unsafe"
-            )
+        native = self.native()
+        if native is not None:
+            native.reload(self)
+        else:
+            if x is None:
+                self.load[:] = 0.0
+            else:
+                self.load[:] = self.instance.weights @ self.x.astype(np.float64)
+            np.equal(self.x, 0, out=self._free)
+            self.n_packed = int(self.x.shape[0] - np.count_nonzero(self._free))
+            np.subtract(self.instance.capacities, self.load, out=self.slack)
+            if self.free_words is not None:
+                packed_free = np.packbits(self._free, bitorder="little")
+                self.free_words[:] = 0
+                self.free_words.view(np.uint8)[: packed_free.size] = packed_free
+                np.add(
+                    self._int.q_offsets, self.slack, out=self._q_base, casting="unsafe"
+                )
         self._invalidate()
 
     def restore(self, solution: Solution) -> None:
-        """Reset the state to ``solution`` (recomputes load/value, O(mn))."""
+        """Reset the state to ``solution`` (see :meth:`reset`)."""
         if solution.x.shape != (self.instance.n_items,):
             raise ValueError("solution shape does not match instance")
         self.reset(solution.x)

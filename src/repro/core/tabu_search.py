@@ -39,7 +39,7 @@ from . import native
 from .construction import random_solution
 from .diversification import DiversificationConfig, diversify
 from .instance import MKPInstance
-from .intensification import strategic_oscillation, swap_intensification
+from .intensification import apply_swaps, strategic_oscillation
 from .memory import EliteArray, History
 from .moves import MoveEngine
 from .solution import SearchState, Solution
@@ -219,8 +219,8 @@ class TabuSearch:
         if not np.all((x == 0) | (x == 1)):
             raise ValueError("solution vector must be 0/1")
 
-        # Step 1: X = X_init; Lt = {}.  The restore computes A @ x once; its
-        # load gives the feasibility check (same formula and tolerance as
+        # Step 1: X = X_init; Lt = {}.  The restore recomputes the load once;
+        # it gives the feasibility check (same formula and tolerance as
         # MKPInstance.is_feasible).
         self.state.restore(x_init)
         if not self.state.is_feasible:
@@ -391,15 +391,23 @@ class TabuSearch:
         kind = self.config.intensification
         if kind is IntensificationKind.NONE:
             return
+        state = self.state
+        holds_x_local = False
         if kind in (IntensificationKind.SWAP, IntensificationKind.BOTH):
-            self.state.restore(x_local)
-            improved = swap_intensification(self.state)
+            state.restore(x_local)
+            swaps = apply_swaps(state)
+            improved = state.snapshot()
             self._register_candidate(improved)
-            x_local = improved if improved.value > x_local.value else x_local
+            kept = improved.value > x_local.value
+            if kept:
+                x_local = improved
+            # The state still holds X_local unless a swap landed and lost.
+            holds_x_local = kept or swaps == 0
         if kind in (IntensificationKind.OSCILLATION, IntensificationKind.BOTH):
-            self.state.restore(x_local)
+            if not holds_x_local:
+                state.restore(x_local)
             projected = strategic_oscillation(
-                self.state, self.config.oscillation_depth, self.rng
+                state, self.config.oscillation_depth, self.rng
             )
             self._register_candidate(projected)
         # Continue the search from the (possibly improved) solution the

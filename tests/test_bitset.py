@@ -1,8 +1,9 @@
 """Tests for the packed-bitset codec layer (``repro.core.bitset``) and the
 exactness contract of everything built on it: codec round-trips (Hypothesis),
 the prefix-bitmask fitting scan vs. the generic float path, the native C
-kernel's moves, greedy fill and swap intensification vs. both numpy paths,
-the word-level swap intensification, the packed Hamming/dispersion statistics, the
+kernel's moves, greedy fill, swap intensification, repair, strategic
+oscillation and state reload vs. both numpy paths (Hypothesis on tie-heavy
+instances), the word-level swap intensification, the packed Hamming/dispersion statistics, the
 :class:`Solution` wire frames, and the ``set_exclusions`` no-op short-circuit.
 """
 
@@ -38,7 +39,8 @@ from repro.core.bitset import (
     unpack_bits,
     words_to_bytes,
 )
-from repro.core.intensification import swap_intensification
+from repro.core.construction import random_solution, repair
+from repro.core.intensification import strategic_oscillation, swap_intensification
 from repro.core.strategy import Strategy
 from repro.core.tabu_search import TabuSearchConfig
 from repro.core.termination import Budget
@@ -310,6 +312,103 @@ class TestSwapIntensificationEquivalence:
                      state.counters.intensify_evaluations, _kernel_fingerprint(state))
                 )
             assert out[0] == out[1] == out[2]
+
+
+@st.composite
+def tie_heavy_instances(draw) -> MKPInstance:
+    """Integer instances with profits and weights from tiny ranges, so that
+    profit ties (the swap order) and density ties (repair, the fill) are
+    the rule.  ``heavy`` weights put every density above 2**16, where the
+    oscillation's ``u * 1e-12`` jitter rounds away and its keys tie too."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.integers(1, draw(st.integers(1, 3)) + 1, size=(m, n)).astype(float)
+    if draw(st.booleans()):
+        weights += 70_000.0
+    profits = rng.integers(1, draw(st.integers(1, 5)) + 1, size=n).astype(float)
+    capacities = np.floor(weights.sum(axis=1) * draw(st.floats(0.2, 0.8))) + weights.max()
+    return MKPInstance(weights, capacities, profits)
+
+
+def _bits(inst: MKPInstance, seed: int, p: float) -> np.ndarray:
+    return (np.random.default_rng(seed).random(inst.n_items) < p).astype(np.int8)
+
+
+class TestIntensificationParity:
+    """The native swap scan, repair, oscillation and state reload against
+    both numpy paths on tie-heavy integer instances (Hypothesis)."""
+
+    @given(tie_heavy_instances(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_swap(self, inst, seed):
+        x0 = random_solution(inst, seed).x
+        out = []
+        for path in PATHS:
+            state = _state_on_path(inst, x0, path)
+            result = swap_intensification(state)
+            out.append(
+                (result.x.tobytes(), result.value,
+                 state.counters.intensify_evaluations, _kernel_fingerprint(state))
+            )
+        assert out[0] == out[1] == out[2]
+
+    @given(tie_heavy_instances(), st.integers(0, 2**32 - 1), st.floats(0.3, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_repair(self, inst, seed, p):
+        x0 = _bits(inst, seed, p)
+        out = []
+        for path in PATHS:
+            state = _state_on_path(inst, x0, path)
+            out.append((repair(state), state.is_feasible, _kernel_fingerprint(state)))
+        assert out[0] == out[1] == out[2]
+        assert out[0][1]
+
+    @given(tie_heavy_instances(), st.integers(0, 2**32 - 1), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_oscillation(self, inst, seed, depth):
+        x0 = random_solution(inst, seed).x.copy()
+        x0[np.random.default_rng(seed).random(inst.n_items) < 0.3] = 0
+        out = []
+        for path in PATHS:
+            state = _state_on_path(inst, x0, path)
+            rng = np.random.default_rng(seed)
+            result = strategic_oscillation(state, depth, rng)
+            out.append(
+                (result.x.tobytes(), result.value,
+                 state.counters.intensify_evaluations, _kernel_fingerprint(state),
+                 rng.bit_generator.state)
+            )
+        assert out[0] == out[1] == out[2]
+
+    @given(tie_heavy_instances(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_reload(self, inst, seed, p):
+        # an arbitrary (often infeasible) vector, loaded over a state that
+        # holds another one
+        x = _bits(inst, seed, p)
+        out = []
+        for path in PATHS:
+            state = _state_on_path(inst, _bits(inst, seed + 1, 0.5), path)
+            state.reset(x)
+            out.append(_kernel_fingerprint(state))
+        assert out[0] == out[1] == out[2]
+
+    @pytest.mark.skipif(not native.available, reason="native kernel unavailable")
+    def test_tied_forced_adds_are_handed_back(self):
+        # Equal heavy densities: every key is its density, so the forced
+        # adds meet np.argsort's unspecified tie order and C hands them back.
+        weights = np.full((3, 40), 70_000.0)
+        inst = MKPInstance(weights, weights.sum(axis=1) // 2, np.full(40, 5.0))
+        state = _state_on_path(inst, np.zeros(40, np.int8), "native")
+        kernel = state.native()
+        rng = np.random.default_rng(3)
+        status = native.lib.ts_oscillate(
+            kernel.ptr, native._bitgen(rng), 4, native.ffi.NULL, 0
+        )
+        assert status == native._TS_HANDBACK
+        assert kernel.ptr.n_allowed == 40
+        assert state.n_packed == 0 and kernel.ptr.n_packed == 0
 
 
 # --------------------------------------------------------------------------- #
