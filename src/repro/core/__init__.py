@@ -17,7 +17,6 @@ from .kernels import KernelCounters, drop_ratios
 from .intensification import strategic_oscillation, swap_intensification
 from .memory import EliteArray, History
 from .moves import MoveEngine, MoveRecord
-from .polish import PolishStats, exchange_11, exchange_12, exchange_21, polish
 from .solution import (
     SearchState,
     Solution,
@@ -51,11 +50,6 @@ __all__ = [
     "EliteArray",
     "MoveEngine",
     "MoveRecord",
-    "polish",
-    "PolishStats",
-    "exchange_11",
-    "exchange_12",
-    "exchange_21",
     "Strategy",
     "StrategyBounds",
     "DiversificationConfig",

@@ -1,13 +1,15 @@
-/* Native hot loop of the tabu search, in the bitset mode of
- * repro.core.solution.SearchState: the Figure-1 local-search loop (steps
- * 4-10) around the Drop/Add compound move, step 11's §3.2 intensification
- * (the swap scan, then the strategic oscillation with its forced adds,
- * repair and greedy top-up), the greedy fill, and the state reload.
+/* Native hot loop of the tabu search, for the search states
+ * (repro.core.solution.SearchState) of integer instances: the Figure-1
+ * local-search loop (steps 4-10) around the Drop/Add compound move, step
+ * 11's §3.2 intensification (the swap scan, then the strategic oscillation
+ * with its forced adds, repair and greedy top-up), the greedy fill, and
+ * the state reload.
  *
  * Every routine works in place on the search state's own numpy buffers (x,
  * the free mask and free words, q_base, load, slack) and reads the
  * instance's HotTables; repro/core/native.py fills the ts_kernel struct
- * with pointers to them when the state is built.  The contract is bit-identity with the numpy reference path:
+ * with pointers to them when the state is built.  The contract is
+ * bit-identity with the generic Python reference path of that class:
  *
  *   - the same candidate sets in the same ascending order, and the same
  *     evaluation counts;
@@ -19,12 +21,12 @@
  *     at all for k == 1).
  *
  *   - the same loads: ts_reload sums the packed items' weight rows where
- *     numpy computes A @ x, which is exact because bitset mode requires
+ *     numpy computes A @ x, which is exact because this kernel requires
  *     integral weights and capacities (every partial sum is an integer
  *     below 2**53, so the order of the sum cannot change a bit).
  *
  * Two choices are handed back to Python instead of being made here, where
- * the numpy path resolves equal keys in an implementation-defined order:
+ * the Python path resolves equal keys in an implementation-defined order:
  *   - an Add selection with add_candidates == 2 whose two smallest ratios
  *     tie, or whose second smallest ties the third (argpartition):
  *     ts_move/ts_add_continue return TS_HANDBACK (ts_local_search returns
@@ -203,7 +205,7 @@ static int64_t k_istar(const ts_kernel *k)
 }
 
 /* ------------------------------------------------------------------ */
-/* Prefix-bitmask fitting scan (SearchState.fitting_words[_without])   */
+/* Prefix-bitmask fitting scan                                         */
 /* ------------------------------------------------------------------ */
 
 /* Number of entries <= q in the ascending block a[0..n). */
@@ -236,10 +238,9 @@ static int64_t upper_bound_f64(const double *a, int64_t n, double q)
 /* out &= AND over constraints of the prefix rows fitting q_base (+ the
  * weight row of item `without`, when >= 0); returns 0, leaving out
  * partial, as soon as out is empty, else 1.  Block i of flat_sorted is
- * i * OFF + sorted(a_i); counting its entries <= q_base[i] is the clamped
- * flat searchsorted of the numpy path (the clamp only routes queries below
- * or above every entry to the empty or full prefix, which this count
- * already yields).  The AND is order-free, so it starts at the row that
+ * i * OFF + sorted(a_i); counting its entries <= q_base[i] gives the
+ * length of the weight-sorted prefix of items that fit slack_i (a query
+ * below or above every entry yields the empty or the full prefix).  The AND is order-free, so it starts at the row that
  * emptied it last time (k->empty_row), the likeliest to empty it again. */
 static int and_fitting_rows(ts_kernel *k, int64_t without, uint64_t *out)
 {
@@ -564,7 +565,7 @@ int ts_local_search(ts_kernel *k, ts_loop *ls, int64_t resume)
 /* ------------------------------------------------------------------ */
 /* Swap intensification (intensification.apply_swaps)                  */
 /* ------------------------------------------------------------------ */
-/* Stable bottom-up merge sort of idx[0..len) by profit (the numpy path's
+/* Stable bottom-up merge sort of idx[0..len) by profit (the Python path's
  * stable argsort of profits[packed]); tmp holds len entries. */
 static void sort_by_profit(int64_t *idx, int64_t *tmp, int64_t len,
                            const double *profits)

@@ -23,17 +23,18 @@ The prefix-bitmask tables (:class:`HotTables`)
     integer-valued instances (every GK / FP / Chu–Beasley benchmark) the
     answer set for constraint ``i`` is a prefix of the items sorted by
     ``a_ij`` — so we precompute, per constraint, the sorted weights and the
-    *cumulative packed bitset* of that order.  A fitting scan then costs one
-    vectorized ``searchsorted`` (m scalar queries against one flat sorted
-    array) plus a bitwise-AND reduction over ``m + 2`` word rows, instead of
-    an O(n·m) elementwise comparison.  ``tests/test_bitset.py`` pins the
-    equivalence against the naive scan property-style.
+    *cumulative packed bitset* of that order.  The C kernel
+    (:mod:`repro.core.native`) then answers a fitting scan with m binary
+    searches and an AND over ``m + 1`` word rows (the extra row is the
+    state's free-item bitset), instead of an O(n·m) elementwise comparison.
+    ``tests/test_bitset.py`` pins the equivalence against the generic
+    elementwise scan property-style.
 
     The integer gate is what makes this exact: with integral ``a`` and ``b``
     every load/slack is an exactly-represented integer (sums stay far below
     2**53), so ``a_ij <= slack_i + FIT_EPS`` holds iff the int64 comparison
     ``a_ij <= slack_i`` does.  Non-integer instances simply get
-    ``integer is None`` and the search state falls back to the elementwise scan.
+    ``integer is None``, and their states run the elementwise scan.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ __all__ = [
     "n_words",
     "pack_bits",
     "unpack_bits",
-    "pack_rows",
     "popcount",
     "hamming_words",
     "pairwise_hamming",
     "mean_pairwise_hamming",
-    "decode_indices",
     "words_to_bytes",
     "bytes_to_words",
     "HotTables",
@@ -97,18 +96,6 @@ def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     return bits.view(np.int8)
 
 
-def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Pack a ``(p, n)`` 0/1 matrix into a ``(p, W)`` word matrix."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ValueError(f"expected a 2-D 0/1 matrix; got shape {rows.shape}")
-    p, n = rows.shape
-    out = np.zeros((p, n_words(n)), dtype=np.uint64)
-    packed = np.packbits(rows.astype(bool), axis=1, bitorder="little")
-    out.view(np.uint8)[:, : packed.shape[1]] = packed
-    return out
-
-
 def popcount(words: np.ndarray) -> int:
     """Number of set bits across ``words``."""
     return int(np.bitwise_count(words).sum())
@@ -149,12 +136,6 @@ def mean_pairwise_hamming(packed: np.ndarray) -> float:
     return total_ordered / (p * (p - 1))
 
 
-def decode_indices(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Ascending indices of the set bits (the packed ``nonzero``)."""
-    bits = np.unpackbits(words.view(np.uint8), count=n_bits, bitorder="little")
-    return bits.nonzero()[0]
-
-
 def words_to_bytes(words: np.ndarray, n_bits: int) -> bytes:
     """Minimal ``ceil(n_bits / 8)``-byte frame of a packed vector (wire format)."""
     return words.view(np.uint8)[: (n_bits + 7) // 8].tobytes()
@@ -193,20 +174,18 @@ class IntegerScanTables:
     ``order_i[:p]`` — i.e. *every* item whose weight ranks among the ``p``
     smallest.  Because the fitting predicate is a threshold on ``a_ij``, the
     set of items fitting slack ``s_i`` is exactly such a prefix, found by
-    binary search.  All rows are concatenated into one flat sorted array —
-    block ``i`` offset by ``i * OFF`` with ``OFF = max(a) + 2`` and padded
-    with one sentinel ``i * OFF + max(a) + 1`` — so a single ``searchsorted``
-    call answers all ``m`` queries at once *and* its flat result is directly
-    the ``cumbits`` row index (blocks and ``cumbits`` share the ``n + 1``
-    stride; clamped queries never reach a sentinel).
+    binary search.  All rows are concatenated into one flat array — block
+    ``i`` offset by ``i * OFF`` with ``OFF = max(a) + 2`` and padded with
+    one sentinel ``i * OFF + max(a) + 1`` — that shares the ``n + 1`` block
+    stride of ``cumbits``: block start plus the count of entries ``<=`` the
+    query ``slack_i + i * OFF`` is directly the ``cumbits`` row index.  The
+    C kernel counts over each block's ``n`` sorted entries.
     """
 
     flat_sorted: np.ndarray  # (m * (n + 1),) int64, block i = sorted a_i + i * OFF
     cumbits: np.ndarray  # (m * (n + 1), W) uint64 cumulative prefix bitsets
     weightsT_int: np.ndarray  # (n, m) int64 — per-item weight rows
     q_offsets: np.ndarray  # (m,) int64 — i * OFF per constraint
-    q_lo: np.ndarray  # (m,) int64 — clamp for "nothing fits"
-    q_hi: np.ndarray  # (m,) int64 — clamp for "everything fits"
     words: int  # W
 
     @property
@@ -247,7 +226,7 @@ class HotTables:
     ratio_matrix: np.ndarray  # (m, n) float64 — a_ij / c_j, precomputed
     ratio_rows: list  # list of the m rows (cheap hot-path row access)
     profits_list: list  # python-float profits (scalar reads without numpy boxing)
-    integer: IntegerScanTables | None  # None => generic elementwise scans
+    integer: IntegerScanTables | None  # None => no C kernel, elementwise scans
     profit_order: ProfitOrderTables | None
 
     @property
@@ -329,14 +308,11 @@ def _build_integer_tables(weightsT: np.ndarray) -> IntegerScanTables:
         flat[i * (n + 1) : i * (n + 1) + n] = col[order] + i * off
         flat[(i + 1) * (n + 1) - 1] = i * off + maxw + 1  # sentinel pad
         cumbits[i * (n + 1) : (i + 1) * (n + 1)] = _cumulative_prefix_words(order, n, nw)
-    offsets = np.arange(m, dtype=np.int64) * off
     return IntegerScanTables(
         flat_sorted=flat,
         cumbits=cumbits,
         weightsT_int=np.ascontiguousarray(w_int),
-        q_offsets=offsets,
-        q_lo=offsets - 1,
-        q_hi=offsets + maxw,
+        q_offsets=np.arange(m, dtype=np.int64) * off,
         words=nw,
     )
 

@@ -47,8 +47,6 @@ def apply_swaps(state: SearchState) -> int:
         swaps, evaluations = native.swap(state)
         counters.intensify_evaluations += evaluations
         return swaps
-    use_words = state.use_bitset
-    profit_order = inst.hot.profit_order if use_words else None
     swaps = 0
     improved = True
     while improved:
@@ -56,38 +54,18 @@ def apply_swaps(state: SearchState) -> int:
         packed = state.packed_items()
         if packed.size == 0 or state.free_items().size == 0:
             break
-        # The word path and the elementwise path visit the identical
-        # candidate sets and charge the identical evaluation counts (pinned
-        # by ``tests/test_bitset.py``).
         for i in packed[np.argsort(inst.profits[packed], kind="stable")]:
-            if use_words:
-                # {j free : c_j > c_i} as one suffix-bitset row AND.
-                cnt = profit_order.sorted_profits.searchsorted(
-                    inst.profits[i], side="right"
-                )
-                rich_words = np.bitwise_and(
-                    state.free_words, profit_order.suffix[cnt]
-                )
-                n_richer = int.from_bytes(
-                    rich_words.tobytes(), "little"
-                ).bit_count()
-                if n_richer == 0:
-                    continue
-                counters.intensify_evaluations += n_richer
-                cand_words = state.fitting_words_without(int(i), rich_words)
-                candidates = state.decode_words_u8(cand_words.view(np.uint8))
-            else:
-                slack_without_i = state.slack + inst.weights[:, i]
-                free = state.free_items()
-                richer = free[inst.profits[free] > inst.profits[i]]
-                if richer.size == 0:
-                    continue
-                counters.intensify_evaluations += int(richer.size)
-                fits = np.all(
-                    inst.weights[:, richer] <= slack_without_i[:, None] + FIT_EPS,
-                    axis=0,
-                )
-                candidates = richer[fits]
+            slack_without_i = state.slack + inst.weights[:, i]
+            free = state.free_items()
+            richer = free[inst.profits[free] > inst.profits[i]]
+            if richer.size == 0:
+                continue
+            counters.intensify_evaluations += int(richer.size)
+            fits = np.all(
+                inst.weights[:, richer] <= slack_without_i[:, None] + FIT_EPS,
+                axis=0,
+            )
+            candidates = richer[fits]
             if candidates.size == 0:
                 continue
             j = candidates[int(np.argmax(inst.profits[candidates]))]

@@ -93,13 +93,6 @@ class MoveEngine:
         #: zero-copy bool view of the state's 0/1 vector (0/1 int8 is a
         #: valid bool buffer) — the packed-item mask without a compare
         self._x_bool = state.x.view(np.bool_)
-        #: admissible-add word scratch (bitset-mode states only)
-        if state.free_words is not None:
-            self._allowed_words = np.empty_like(state.free_words)
-            self._allowed_words_u8 = self._allowed_words.view(np.uint8)
-        else:
-            self._allowed_words = None
-            self._allowed_words_u8 = None
 
     # ------------------------------------------------------------------ #
     # Drop step
@@ -154,10 +147,9 @@ class MoveEngine:
     # ------------------------------------------------------------------ #
     # Add step
     # ------------------------------------------------------------------ #
-    def select_add(
-        self, best_value: float, exclude: set[int] | None = None
-    ) -> int | None:
-        """Pick the item to add, honouring tabu status and aspiration.
+    def _select_add(self, best_value: float) -> int | None:
+        """Pick the item to add against the state's current exclusions,
+        honouring tabu status and aspiration.
 
         Among free items that fit the residual capacities, prefer non-tabu
         ones; a tabu item is admissible only if adding it would beat the
@@ -165,63 +157,22 @@ class MoveEngine:
         the drop rule: minimize ``a_{i*,j} / c_j`` against the currently
         most saturated constraint, i.e. grab the best payoff per unit of
         the scarcest resource.
-
-        ``exclude`` bars items unconditionally — the compound move passes
-        the indices it just dropped, since the tabu list is only updated
-        *after* the move (Fig. 1 step 9) and re-adding a just-dropped item
-        would turn the move into a no-op.  (:meth:`add_step` installs the
-        exclusion mask once for the whole pass; this entry point re-installs
-        it per call for standalone use.)
-        """
-        self.state.set_exclusions(exclude)
-        return self._select_add(best_value)
-
-    def _select_add(self, best_value: float) -> int | None:
-        """The Add selection rule against the state's current exclusions.
-
-        On bitset-mode states the tabu filter happens at the word level —
-        fitting words AND non-tabu words — and only the admissible set is
-        ever decoded to indices; the generic path filters the decoded
-        fitting array with the boolean mask.  Both produce the identical
-        ascending ``allowed`` array (and charge the identical fitting-set
-        size), so the scoring and tie-breaking below are path-independent.
         """
         state = self.state
-        if state.use_bitset:
-            fit_words = state.fitting_words()
-            # popcount via one arbitrary-precision int: cheaper than a numpy
-            # reduction at word counts this small
-            n_fitting = int.from_bytes(fit_words.tobytes(), "little").bit_count()
-            if n_fitting == 0:
+        fitting = state.fitting_items()
+        if fitting.size == 0:
+            return None
+        self.counters.move_evaluations += fitting.size
+        nontabu = self.tabu.nontabu_mask()[fitting]
+        allowed = fitting[nontabu]
+        if allowed.size == 0:
+            # Aspiration: a tabu add is allowed if it beats the incumbent.
+            tabu_items = fitting[~nontabu]
+            gains = state.value + state.instance.profits[tabu_items]
+            aspire = tabu_items[gains > best_value]
+            if aspire.size == 0:
                 return None
-            self.counters.move_evaluations += n_fitting
-            nontabu_words = self.tabu.nontabu_words()
-            np.bitwise_and(fit_words, nontabu_words, out=self._allowed_words)
-            allowed = state.decode_words_u8(self._allowed_words_u8)
-            if allowed.size == 0:
-                # Aspiration: a tabu add is allowed if it beats the incumbent.
-                tabu_items = state.decode_words_u8(
-                    np.bitwise_and(fit_words, ~nontabu_words).view(np.uint8)
-                )
-                gains = state.value + state.instance.profits[tabu_items]
-                aspire = tabu_items[gains > best_value]
-                if aspire.size == 0:
-                    return None
-                allowed = aspire
-        else:
-            fitting = state.fitting_items()
-            if fitting.size == 0:
-                return None
-            self.counters.move_evaluations += fitting.size
-            nontabu = self.tabu.nontabu_mask()[fitting]
-            allowed = fitting[nontabu]
-            if allowed.size == 0:
-                tabu_items = fitting[~nontabu]
-                gains = state.value + state.instance.profits[tabu_items]
-                aspire = tabu_items[gains > best_value]
-                if aspire.size == 0:
-                    return None
-                allowed = aspire
+            allowed = aspire
         i_star = state.most_saturated_constraint()
         ratios = state.scores(i_star, allowed)
         if self.add_candidates == 1 or allowed.size == 1:
@@ -235,9 +186,13 @@ class MoveEngine:
     ) -> list[int]:
         """Add items until none can be added; returns the added indices.
 
-        The exclusion mask is written once for the whole pass, and the
-        state's fitting pool shrinks monotonically across the adds — the
-        two properties that make the Add loop cheap on large instances.
+        ``exclude`` bars items unconditionally — the compound move passes
+        the indices it just dropped, since the tabu list is only updated
+        *after* the move (Fig. 1 step 9) and re-adding a just-dropped item
+        would turn the move into a no-op.  The exclusion mask is written
+        once for the whole pass, and the state's fitting pool shrinks
+        monotonically across the adds — the two properties that make the
+        Add loop cheap on large instances.
         """
         state = self.state
         state.set_exclusions(exclude)

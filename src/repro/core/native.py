@@ -1,12 +1,12 @@
 """The native tabu-search hot loop: build, cache and bind ``_native.c``.
 
-``_native.c`` holds the bitset-mode compound move, the Figure-1
-local-search loop around it, step 11's §3.2 intensification (the swap scan,
-and the strategic oscillation with its repair), the greedy fill and the
-state reload (see its header comment for the exactness contract).  This module
-compiles it once with cffi's API mode and the system C compiler; each
-bitset-mode :class:`~repro.core.solution.SearchState` binds it to its own
-buffers at construction through :class:`NativeKernel`, and each
+``_native.c`` holds the compound move, the Figure-1 local-search loop
+around it, step 11's §3.2 intensification (the swap scan, and the strategic
+oscillation with its repair), the greedy fill and the state reload (see its
+header comment for the exactness contract).  This module compiles it once
+with cffi's API mode and the system C compiler; each
+:class:`~repro.core.solution.SearchState` of an integer instance binds it to
+its own buffers at construction through :class:`NativeKernel`, and each
 :class:`~repro.core.tabu_search.TabuSearch` thread wraps that in a
 :class:`NativeLoop`.
 
@@ -24,10 +24,11 @@ Build cache
 Fallback
     Without cffi, without a compiler, or with an unwritable cache,
     :data:`available` is ``False``, one :class:`RuntimeWarning` names the
-    reason, and every caller keeps the numpy reference path.  A failed
-    build leaves a ``.failed`` marker (same key) holding the reason, so
-    later imports and worker processes do not compile again; deleting the
-    marker retries the build.
+    reason, and every state runs the generic Python reference path of
+    :class:`~repro.core.solution.SearchState` instead.  A failed build
+    leaves a ``.failed`` marker (same key) holding the reason, so later
+    imports and worker processes do not compile again; deleting the marker
+    retries the build.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ def _build(name: str, source: str, target: Path) -> None:
 
 def _remember_failure(marker: Path, reason: str) -> None:
     """Record a failed build next to where the module would have gone, so
-    later imports (worker processes included) skip straight to numpy."""
+    later imports (worker processes included) skip straight to the Python
+    reference path."""
     try:
         tmp = marker.with_name(f".{marker.name}.{os.getpid()}")
         tmp.write_text(reason)
@@ -180,17 +182,19 @@ def _load():
         spec = importlib.util.spec_from_file_location(name, target)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    except Exception as exc:  # any build or load failure: the numpy path runs
+    except Exception as exc:  # any build or load failure: the Python path runs
         return None, f"{type(exc).__name__}: {exc}"
     return module, None
 
 
 _module, _reason = _load()
-#: Whether the native kernel loaded; when ``False`` the numpy path runs.
+#: Whether the native kernel loaded; when ``False`` the Python reference
+#: path runs.
 available: bool = _module is not None
 if not available:
     warnings.warn(
-        f"native tabu-search kernel unavailable ({_reason}); using the numpy path",
+        f"native tabu-search kernel unavailable ({_reason}); "
+        "using the Python reference path",
         RuntimeWarning,
         stacklevel=2,
     )
@@ -228,7 +232,7 @@ _DTYPES = {
 
 
 class NativeKernel:
-    """The C kernel's view of one bitset-mode ``SearchState``.
+    """The C kernel's view of one integer-instance ``SearchState``.
 
     Holds a ``ts_kernel`` struct whose pointers alias the state's own
     buffers and the instance's :class:`~repro.core.bitset.HotTables`, plus
@@ -306,7 +310,7 @@ class NativeKernel:
         s.n_packed = state.n_packed
 
     def handback_pick(self, rng) -> int:
-        """The numpy path's pick from a handed-back Add selection."""
+        """The Python path's pick from a handed-back Add selection."""
         top = self.ratios[: self.ptr.n_allowed].argpartition(1)[:2]
         return int(self.allowed[top[rng.integers(0, 2)]])
 
@@ -315,7 +319,7 @@ class NativeKernel:
         """One Drop/Add compound move: ``(dropped, added, evaluations)``.
 
         ``add_candidates`` must be 1 or 2.  A handed-back Add selection is
-        made here exactly as the numpy path makes it.
+        made here exactly as the Python path makes it.
         """
         self._sync_in(state, tabu, rng)
         s = self.ptr
@@ -367,7 +371,7 @@ class NativeKernel:
     def oscillate(self, state, rng, depth: int) -> int:
         """``strategic_oscillation`` in place; returns the evaluations charged.
 
-        A handed-back forced-add order is sorted here exactly as the numpy
+        A handed-back forced-add order is sorted here exactly as the Python
         path sorts it.
         """
         self._sync_in(state, rng=rng)

@@ -17,13 +17,13 @@ Two classes share the work:
     move), and the Drop/Add rules, the §3.2 intensification procedures and
     the greedy fill all read the same buffers.
 
-The state keeps three incrementally invalidated shortcuts:
+The state keeps two incrementally invalidated shortcuts:
 
 ``i*`` (:meth:`SearchState.most_saturated_constraint`)
     ``argmin`` of the slack vector, recomputed at most once per state change
     instead of once per candidate scan.
 
-the fitting pool (:meth:`SearchState.fitting_items`, generic path)
+the fitting pool (:meth:`SearchState.fitting_items`)
     Within a run of ``add`` calls the slack vector only decreases (IEEE-754
     rounding is monotone, so this holds bit-for-bit in floats), hence the
     set of fitting items only shrinks.  The scan therefore rescans *only the
@@ -32,22 +32,18 @@ the fitting pool (:meth:`SearchState.fitting_items`, generic path)
     ``drop``, ``reset``, or change of the exclusion mask invalidates the
     pool; re-installing an identical exclusion mask keeps it warm.
 
-the bitset scan (integer-valued instances)
-    When :class:`~repro.core.bitset.HotTables` detects integral weights and
-    capacities (every GK / FP / Chu–Beasley benchmark), the fitting query
-    drops the elementwise compare: per constraint the fitting set is a
-    prefix of the weight-sorted item order, found by one vectorized
-    ``searchsorted``, and the prefix *bitsets* are precomputed — so the scan
-    is an AND-reduction over ``m + 1`` rows of ``uint64`` words (the extra
-    row is the incrementally maintained free-item bitset).  Exact by the
-    integer gate documented in :mod:`repro.core.bitset`;
-    :attr:`SearchState.use_bitset` switches the path at runtime so tests can
-    pin the equivalence.
-
-When :mod:`repro.core.native` loaded, a bitset-mode state binds the C kernel
-to its own buffers at construction (:meth:`SearchState.native`): the
-compound move, the tabu search's local-search loop around it, the swap
-intensification and the greedy fill then run as C over those buffers.
+Two implementations run the moves.  When :mod:`repro.core.native` loaded
+and :class:`~repro.core.bitset.HotTables` found integral weights and
+capacities (every GK / FP / Chu–Beasley benchmark), the state binds the C
+kernel to its own buffers at construction (:meth:`SearchState.native`):
+the compound move, the tabu search's local-search loop around it, the
+swap intensification and the greedy fill then run as C over those
+buffers, scanning with the prefix-bitset tables.  Every other state — float
+instances, or any state built while ``native.available`` is ``False`` —
+runs the generic elementwise scans in this module, which are also the
+reference the C kernel is tested against.  Integer states keep the free-item
+bitset :attr:`SearchState.free_words` and the searchsorted query base
+current on both paths, so the two can be compared buffer for buffer.
 
 Exactness contract: every result is bit-identical to the naive
 recomputation it replaces (same elementwise comparisons, same ascending
@@ -82,22 +78,8 @@ __all__ = [
     "mean_pairwise_distance",
 ]
 
-#: Single-bit uint64 masks for the free-word maintenance, and their
-#: complements (precomputed: ``~_BIT[k]`` per call costs a numpy scalar op).
+#: Single-bit uint64 masks for the free-word maintenance.
 _BIT = (np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)).copy()
-_NOT_BIT = np.bitwise_not(_BIT)
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-try:  # single-ufunc clamp (the public np.clip wrapper costs ~2x per call)
-    from numpy._core.umath import clip as _clip
-except ImportError:  # pragma: no cover - numpy < 2
-    try:
-        from numpy.core.umath import clip as _clip  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - future numpy layout changes
-
-        def _clip(a, lo, hi, out):  # type: ignore[misc]
-            np.maximum(a, lo, out=out)
-            return np.minimum(out, hi, out=out)
 
 
 def _solution_from_wire(payload: bytes, n_items: int, value: float) -> "Solution":
@@ -263,7 +245,6 @@ class SearchState:
         "slack",
         "value",
         "n_packed",
-        "use_bitset",
         "free_words",
         "_native",
         "_i_star",
@@ -279,13 +260,7 @@ class SearchState:
         "_le_buf",
         "_fits_buf",
         "_excl_idx",
-        "_excl_keep",
         "_profits_list",
-        "_and_buf",
-        "_and_rows",
-        "_fit_words",
-        "_fit_words_u8",
-        "_q_buf",
         "_q_base",
     )
 
@@ -334,40 +309,19 @@ class SearchState:
         self._fits_buf = np.empty(n, dtype=bool)
         #: indices currently excluded (mirror of the bitmask, for cheap unset)
         self._excl_idx: np.ndarray | None = None
-        #: packed keep-mask (~excluded) applied to the bitset fitting scan
-        self._excl_keep: np.ndarray | None = None
         #: python-float profits: scalar reads in add/drop skip numpy boxing
         self._profits_list = hot.profits_list
-        #: whether the fitting scan takes the prefix-bitmask path; flip off to
-        #: force the generic elementwise scan (tests pin path equivalence)
-        self.use_bitset = self._int is not None
         if self._int is not None:
-            nw = self._int.words
-            #: AND-reduction workspace: rows 0..m-1 receive the per-constraint
-            #: prefix bitsets; row m *is* the free-item bitset (maintained
-            #: incrementally, one scalar XOR per add/drop; do not mutate)
-            self._and_buf = np.empty((m + 1, nw), dtype=np.uint64)
-            self._and_rows = self._and_buf[:m]
-            self.free_words = self._and_buf[m]
-            self.free_words[:] = ~np.uint64(0)
-            tail = n % WORD_BITS
-            if tail:
-                self.free_words[-1] = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
-            self._fit_words = np.empty(nw, dtype=np.uint64)
-            self._fit_words_u8 = self._fit_words.view(np.uint8)
-            self._q_buf = np.empty(m, dtype=np.int64)
-            #: unclamped searchsorted queries ``slack + i * OFF``, maintained
+            #: free-item bitset (``x == 0`` packed little-endian), maintained
+            #: incrementally, one scalar XOR per add/drop (do not mutate)
+            self.free_words = np.empty(self._int.words, dtype=np.uint64)
+            #: searchsorted queries ``slack + i * OFF``, maintained
             #: incrementally in exact int64 arithmetic by add/drop/reset
             self._q_base = self._int.q_offsets + self.slack.astype(np.int64)
         else:
-            self._and_buf = None
-            self._and_rows = None
             self.free_words = None
-            self._fit_words = None
-            self._fit_words_u8 = None
-            self._q_buf = None
             self._q_base = None
-        #: the C kernel bound to these buffers (bitset mode only)
+        #: the C kernel bound to these buffers (integer instances only)
         self._native = (
             native.NativeKernel(self, FIT_EPS)
             if native.available and self._int is not None
@@ -558,16 +512,6 @@ class SearchState:
             self._excluded[idx] = True
             self._excl_idx = idx
             self._n_excluded = int(idx.size)
-            if self._fit_words is not None:
-                # precompute the packed ~excluded mask: the fitting scan then
-                # applies all exclusions with one word-level AND
-                keep = self._excl_keep
-                if keep is None:
-                    keep = np.empty_like(self._fit_words)
-                keep.fill(_ALL_ONES)
-                for j in idx:
-                    keep[j >> 6] &= _NOT_BIT[j & 63]
-                self._excl_keep = keep
         self._pool = None
         self._pool_w = None
 
@@ -580,20 +524,11 @@ class SearchState:
     def fitting_items(self) -> np.ndarray:
         """Free, non-excluded items that fit the current slack, ascending.
 
-        On the bitset path (integer-valued instances) every query is a fresh
-        whole-neighborhood scan: one vectorized ``searchsorted`` for the m
-        per-constraint prefix lengths, one AND-reduction over ``m + 1`` word
-        rows, one decode — cheap enough that no pool is needed.  The generic
-        path is pool-accelerated: inside an Add pass only the previous
-        survivors are rescanned, and their weight rows stay gathered in
-        ``_pool_w`` so the rescan is one contiguous (k, m) broadcast with no
-        re-gather.  Both paths return the identical ascending index array
-        (pinned by ``tests/test_bitset.py``); the result must not be mutated
-        by callers.
+        Pool-accelerated: inside an Add pass only the previous survivors are
+        rescanned, and their weight rows stay gathered in ``_pool_w`` so the
+        rescan is one contiguous (k, m) broadcast with no re-gather.  The
+        result must not be mutated by callers.
         """
-        if self.use_bitset:
-            self.fitting_words()
-            return self.decode_words_u8(self._fit_words_u8)
         if self._pool is not None:
             # Rescan only the previous survivors: one fused mask drops both
             # the just-packed item and anything the shrunken slack rejects.
@@ -621,65 +556,12 @@ class SearchState:
         self._pool_w = w
         return cand
 
-    def fitting_words(self) -> np.ndarray:
-        """Packed bitset of the free, non-excluded items fitting the slack.
-
-        ``w <= slack + FIT_EPS`` over integral data is the int64 comparison
-        ``w <= slack``, so per constraint the fitting set is the prefix of
-        the weight-sorted order whose length ``searchsorted`` returns; the
-        precomputed prefix bitsets turn the m-way intersection (plus the
-        free-item filter) into one word-level AND-reduction.  The returned
-        array is the state's scratch — consume it before the next call and
-        do not mutate it.  Bitset-mode instances only.
-        """
-        tables = self._int
-        q = self._q_buf
-        # _q_base is the exact int64 mirror of slack + i * OFF; the clamps
-        # route out-of-range slacks to the nothing-fits / everything-fits
-        # prefix rows.
-        _clip(self._q_base, tables.q_lo, tables.q_hi, out=q)
-        pos = tables.flat_sorted.searchsorted(q, side="right")
-        tables.cumbits.take(pos, axis=0, out=self._and_rows)
-        words = np.bitwise_and.reduce(self._and_buf, axis=0, out=self._fit_words)
-        if self._n_excluded:
-            words &= self._excl_keep
-        return words
-
-    def fitting_words_without(self, i: int, mask_words: np.ndarray) -> np.ndarray:
-        """Packed subset of ``mask_words`` fitting the slack with item ``i`` out.
-
-        The §3.2 swap scan asks, per packed item ``i``, which candidates fit
-        the hypothetical slack ``b - load + a_{·,i}`` — one extra int64 add
-        on the query vector reuses the same prefix-bitmask machinery as
-        :meth:`fitting_words`.  ``mask_words`` must already encode the
-        free-item filter (it replaces the resident free row in the AND);
-        exclusions are deliberately not applied.  Returns the state's
-        scratch — consume before the next fitting scan.  Bitset-mode
-        instances only.
-        """
-        tables = self._int
-        q = self._q_buf
-        np.add(self._q_base, tables.weightsT_int[i], out=q)
-        _clip(q, tables.q_lo, tables.q_hi, out=q)
-        pos = tables.flat_sorted.searchsorted(q, side="right")
-        tables.cumbits.take(pos, axis=0, out=self._and_rows)
-        words = np.bitwise_and.reduce(self._and_rows, axis=0, out=self._fit_words)
-        words &= mask_words
-        return words
-
-    def decode_words_u8(self, words_u8: np.ndarray) -> np.ndarray:
-        """Ascending set-bit indices of a packed vector viewed as ``uint8``."""
-        bits = np.unpackbits(words_u8, count=self.x.shape[0], bitorder="little")
-        return bits.nonzero()[0]
-
     def native(self) -> "native.NativeKernel | None":
-        """The bound C kernel when the native path runs, else ``None``.
-
-        The native path needs the bitset tables and :attr:`use_bitset` on;
-        it is bit-identical to the numpy path it replaces (pinned by
-        ``tests/test_bitset.py`` and the differential suite).
-        """
-        return self._native if self.use_bitset else None
+        """The C kernel bound to this state, or ``None`` when the generic
+        path runs (no native kernel at construction, or float data).  The
+        two paths are bit-identical (pinned by ``tests/test_bitset.py`` and
+        the differential suite)."""
+        return self._native
 
     # ------------------------------------------------------------------ #
     # Candidate scoring

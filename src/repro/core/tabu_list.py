@@ -48,10 +48,6 @@ class TabuList:
         self._mask = np.zeros(n_items, dtype=bool)
         self._nontabu = np.ones(n_items, dtype=bool)
         self._mask_clock = -1
-        #: packed uint64 mirror of ``_nontabu`` (lazily allocated; used by the
-        #: word-level Add scan of bitset-mode kernels), with its own clock
-        self._nontabu_words: np.ndarray | None = None
-        self._words_clock = -1
 
     # ------------------------------------------------------------------ #
     # Clock
@@ -71,7 +67,6 @@ class TabuList:
         the mask caches."""
         self._clock = int(clock)
         self._mask_clock = -1
-        self._words_clock = -1
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -86,13 +81,11 @@ class TabuList:
         until = self._clock + self.tenure + int(extra_tenure)
         self._expiry[items] = np.maximum(self._expiry[items], until)
         self._mask_clock = -1
-        self._words_clock = -1
 
     def clear(self) -> None:
         """Forget all tabu statuses (used at diversification restarts)."""
         self._expiry[:] = 0
         self._mask_clock = -1
-        self._words_clock = -1
 
     def set_tenure(self, tenure: int) -> None:
         """Change ``Lt_length`` (the master's SGP retunes this dynamically)."""
@@ -106,15 +99,13 @@ class TabuList:
         Unlike :meth:`clear` — which forgets tabu statuses but keeps the
         clock running — this rewinds the clock to zero, so a reused list is
         indistinguishable from ``TabuList(n_items, tenure)``.  The expiry
-        array, mask caches and packed-word mirror are reset in place, never
-        reallocated.
+        array and mask caches are reset in place, never reallocated.
         """
         if tenure is not None:
             self.set_tenure(tenure)
         self._expiry[:] = 0
         self._clock = 0
         self._mask_clock = -1
-        self._words_clock = -1
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -138,26 +129,6 @@ class TabuList:
         if self._mask_clock != self._clock:
             self._refresh_masks()
         return self._nontabu
-
-    def nontabu_words(self) -> np.ndarray:
-        """Packed ``uint64`` mirror of :meth:`nontabu_mask` (do not mutate).
-
-        Refreshed at most once per clock/mutation — the word-level Add scan
-        queries it several times per move, so the packbits cost amortizes
-        the same way the boolean mask cache does.  Tail bits beyond
-        ``n_items`` are zero.
-        """
-        if self._words_clock != self._clock:
-            mask = self.nontabu_mask()
-            words = self._nontabu_words
-            if words is None:
-                nw = (self.n_items + 63) >> 6
-                words = np.zeros(nw, dtype=np.uint64)
-                self._nontabu_words = words
-            packed = np.packbits(mask, bitorder="little")
-            words.view(np.uint8)[: packed.size] = packed
-            self._words_clock = self._clock
-        return self._nontabu_words
 
     def tabu_mask(self, items: np.ndarray | None = None) -> np.ndarray:
         """Boolean tabu mask over ``items`` (all items when ``None``).

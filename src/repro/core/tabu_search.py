@@ -354,8 +354,8 @@ class TabuSearch:
         :meth:`_local_search_loop` is the reference and runs instead when
         ``on_move`` is set (the hook sees every move), when the budget has
         a wall-clock cap (read per move), and wherever the compound move
-        itself is not native: no native kernel (no cffi, float instances,
-        ``use_bitset`` off) or an Add breadth above 2.
+        itself is not native: no native kernel (no cffi when the state was
+        built, or float instances) or an Add breadth above 2.
         """
         if self.on_move is not None or budget.wall_seconds is not None:
             return None

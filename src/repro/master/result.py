@@ -81,27 +81,6 @@ class ParallelRunResult:
         """Rounds that completed with at least one missing slave report."""
         return sum(1 for s in self.rounds if s.failed_slaves or s.backoff_slaves)
 
-    def best_value_at(self, virtual_second: float) -> float:
-        """Best value known at a given virtual time (anytime curves).
-
-        Before the first round completes only the initial incumbent
-        (``value_history[0]``) is known — falling back to the first
-        round's best here would over-report the curve at small ``t``.
-        """
-        best = float("-inf")
-        elapsed = 0.0
-        for stats in self.rounds:
-            elapsed += stats.round_virtual_seconds
-            if elapsed > virtual_second:
-                break
-            best = max(best, stats.best_value)
-        if best == float("-inf"):
-            if self.value_history:
-                best = self.value_history[0]
-            elif self.rounds:
-                best = self.rounds[0].best_value
-        return best
-
     def summary(self) -> str:
         """One-line human-readable summary for example scripts."""
         return (

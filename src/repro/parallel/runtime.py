@@ -121,7 +121,7 @@ class SlaveRuntime:
         """
         t0 = time.perf_counter()
         x_init = task.x_init
-        exact = self._thread.state.use_bitset  # integer data
+        exact = self.instance.hot.integer is not None  # integer data
         if exact and float(self.instance.profits @ x_init.x) != x_init.value:
             raise ValueError(
                 f"corrupt x_init frame for slave "

@@ -20,7 +20,7 @@ that contract so any test can assert it in one call:
 
 ``assert_native_matches_numpy``
     Run one case twice in this process — once with the native C kernel,
-    once with every kernel held on the numpy reference path
+    once with every state held on the generic Python reference path
     (:func:`numpy_reference`) — and assert the canonical bytes match.
 
 ``assert_c_loop_matches_per_move``
@@ -193,12 +193,13 @@ def assert_differential(
 
 @contextlib.contextmanager
 def numpy_reference() -> Iterator[None]:
-    """Build every search state created inside on the numpy reference path.
+    """Build every search state created inside on the Python reference path.
 
     A :class:`~repro.core.solution.SearchState` binds the native C kernel at
     construction when ``repro.core.native.available``; holding the flag down
     for the block keeps every search thread, restart and fill of an
-    in-process run on numpy.  Worker processes are not reached, so use in-process backends.
+    in-process run on the generic numpy scans.  Worker processes are not
+    reached, so use in-process backends.
     """
     saved = native.available
     native.available = False
@@ -250,7 +251,7 @@ def assert_native_matches_numpy(run: Callable[[], bytes]) -> None:
     ``run`` is any zero-argument case returning canonical bytes (for
     instance a :func:`run_canonical` partial on an in-process backend).
     """
-    _assert_matches(run, numpy_reference, "native kernel diverged from the numpy path")
+    _assert_matches(run, numpy_reference, "native kernel diverged from the Python path")
 
 
 def assert_c_loop_matches_per_move(run: Callable[[], bytes]) -> None:

@@ -151,6 +151,9 @@ class TestSerializationV2:
 
 
 class TestBestValueAt:
+    """``value_at`` over ``anytime_curve``: the best value known at a
+    virtual time."""
+
     @staticmethod
     def _result(value_history):
         x = np.zeros(4, dtype=np.int8)
@@ -182,22 +185,21 @@ class TestBestValueAt:
         )
 
     def test_before_first_round_returns_initial_incumbent(self):
-        # Regression (ISSUE satellite 4): the pre-first-round value is the
-        # initial incumbent, not -inf and not round 0's (future) best.
-        result = self._result([7.0, 10.0, 11.0, 12.0])
-        assert result.best_value_at(0.0) == 7.0
-        assert result.best_value_at(0.5) == 7.0
-        assert result.best_value_at(-1.0) == 7.0
+        # The pre-first-round value is the initial incumbent, not -inf and
+        # not round 0's (future) best.
+        curve = anytime_curve(self._result([7.0, 10.0, 11.0, 12.0]))
+        assert value_at(curve, 0.0) == 7.0
+        assert value_at(curve, 0.5) == 7.0
+        assert value_at(curve, -1.0) == 7.0
 
     def test_after_rounds_accumulate(self):
-        result = self._result([7.0, 10.0, 11.0, 12.0])
-        assert result.best_value_at(1.0) == 10.0
-        assert result.best_value_at(2.5) == 11.0
-        assert result.best_value_at(99.0) == 12.0
+        curve = anytime_curve(self._result([7.0, 10.0, 11.0, 12.0]))
+        assert value_at(curve, 1.0) == 10.0
+        assert value_at(curve, 2.5) == 11.0
+        assert value_at(curve, 99.0) == 12.0
 
     def test_fallback_without_value_history(self):
-        result = self._result([])
-        assert result.best_value_at(0.0) == 10.0
+        assert value_at(anytime_curve(self._result([])), 0.0) == 10.0
 
 
 class TestConvergence:

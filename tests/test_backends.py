@@ -26,6 +26,8 @@ from repro.parallel import (
 from repro.parallel.backends import _worker_main
 from repro.parallel.message import STOP_TAG, TASK_TAG
 
+from tests.differential import numpy_reference
+
 
 def make_tasks(instance, n, evals=2000):
     tasks = []
@@ -323,6 +325,19 @@ class TestBatchedBackends:
         runtime.execute(tasks[0], slave_id=0)
         with pytest.raises(ValueError, match="corrupt x_init frame for slave 1"):
             runtime.execute(_corrupt(tasks[1]), slave_id=1)
+
+    def test_audit_follows_the_data_not_the_kernel(self, small_instance):
+        # Integer data makes the recomputation exact whichever kernel the
+        # state runs, so a runtime on the Python reference path audits too.
+        assert small_instance.hot.integer is not None
+        with numpy_reference():
+            runtime = SlaveRuntime(
+                small_instance, TabuSearchConfig(nb_div=100), slave_id=0
+            )
+        assert runtime._thread.state.native() is None
+        task = make_tasks(small_instance, 1, evals=100)[0]
+        with pytest.raises(ValueError, match="corrupt x_init frame for slave 0"):
+            runtime.execute(_corrupt(task))
 
 
 class TestArmedPlanAudit:

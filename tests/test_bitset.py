@@ -1,10 +1,11 @@
 """Tests for the packed-bitset codec layer (``repro.core.bitset``) and the
 exactness contract of everything built on it: codec round-trips (Hypothesis),
-the prefix-bitmask fitting scan vs. the generic float path, the native C
-kernel's moves, greedy fill, swap intensification, repair, strategic
-oscillation and state reload vs. both numpy paths (Hypothesis on tie-heavy
-instances), the word-level swap intensification, the packed Hamming/dispersion statistics, the
-:class:`Solution` wire frames, and the ``set_exclusions`` no-op short-circuit.
+the fitting scan vs. its elementwise definition, the native C kernel's
+prefix-bitset moves, greedy fill, swap intensification, repair, strategic
+oscillation and state reload vs. the generic Python reference path
+(Hypothesis on tie-heavy instances), the packed Hamming/dispersion
+statistics, the :class:`Solution` wire frames, and the ``set_exclusions``
+no-op short-circuit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.core.bitset import (
     mean_pairwise_hamming,
     n_words,
     pack_bits,
-    pack_rows,
     pairwise_hamming,
     popcount,
     unpack_bits,
@@ -41,6 +41,7 @@ from repro.core.bitset import (
 )
 from repro.core.construction import random_solution, repair
 from repro.core.intensification import strategic_oscillation, swap_intensification
+from repro.core.kernels import FIT_EPS
 from repro.core.strategy import Strategy
 from repro.core.tabu_search import TabuSearchConfig
 from repro.core.termination import Budget
@@ -73,8 +74,13 @@ def random_integer_instance(rng: np.random.Generator) -> MKPInstance:
     return MKPInstance(weights, capacities, profits)
 
 
-#: native C kernel, numpy prefix-bitset scan, generic elementwise scan
-PATHS = ("native", "bitset", "generic")
+#: native C kernel, generic elementwise Python reference
+PATHS = ("native", "generic")
+
+
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """``(p, n)`` 0/1 rows as ``(p, W)`` packed words."""
+    return np.stack([pack_bits(row) for row in rows])
 
 
 class _CountingRng:
@@ -96,7 +102,6 @@ def _state_on_path(inst: MKPInstance, x: np.ndarray, path: str) -> SearchState:
     else:
         with numpy_reference():
             state = SearchState(inst, x.copy())
-    state.use_bitset = path != "generic"
     assert (state.native() is not None) == (path == "native" and native.available)
     return state
 
@@ -216,24 +221,30 @@ class TestPairwiseHamming:
 
 
 # --------------------------------------------------------------------------- #
-# Kernel: bitset fitting scan vs. the generic float path
+# Kernel: the native C kernel vs. the generic Python reference path
 # --------------------------------------------------------------------------- #
+def _fitting_definition(state: SearchState, excluded=()) -> np.ndarray:
+    inst = state.instance
+    fits = (state.x == 0) & np.all(inst.weights <= state.slack[:, None] + FIT_EPS, axis=0)
+    fits[list(excluded)] = False
+    return np.flatnonzero(fits)
+
+
 class TestFittingEquivalence:
     def test_fitting_items_identical_across_paths(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             inst = random_integer_instance(rng)
             x = greedy_solution(inst).x
-            bit = SearchState(inst, x.copy())
-            gen = SearchState(inst, x.copy())
-            assert bit.use_bitset
-            gen.use_bitset = False
-            assert np.array_equal(bit.fitting_items(), gen.fitting_items())
-            # ... and with exclusions layered on top.
             excl = set(map(int, rng.integers(0, inst.n_items, size=3)))
-            bit.set_exclusions(excl)
-            gen.set_exclusions(excl)
-            assert np.array_equal(bit.fitting_items(), gen.fitting_items())
+            for path in PATHS:
+                state = _state_on_path(inst, x, path)
+                assert np.array_equal(state.fitting_items(), _fitting_definition(state))
+                # ... and with exclusions layered on top.
+                state.set_exclusions(excl)
+                assert np.array_equal(
+                    state.fitting_items(), _fitting_definition(state, excl)
+                )
 
     def test_float_instance_falls_back_to_generic(self):
         inst = MKPInstance(
@@ -242,15 +253,16 @@ class TestFittingEquivalence:
             profits=np.array([1.0, 2.0, 3.0]),
         )
         state = SearchState.empty(inst)
-        assert not state.use_bitset
+        assert inst.hot.integer is None and state.free_words is None
+        assert state.native() is None
         assert np.array_equal(state.fitting_items(), [0, 1, 2])
 
     def test_trajectory_identical_across_paths(self):
         # The strongest equivalence statement: same seeds, same instance,
         # whole compound-move trajectories coincide move for move on the
-        # native, numpy-bitset and generic paths — including the shared
-        # evaluation ledger the farm model charges and every kernel buffer.
-        # Add breadths 1 and 2 run in C; 3 keeps the numpy path throughout.
+        # native and generic paths — including the shared evaluation ledger
+        # the farm model charges and every kernel buffer.  Add breadths 1
+        # and 2 run in C; 3 keeps the Python path on both.
         rng = np.random.default_rng(12)
         for _ in range(5):
             inst = random_integer_instance(rng)
@@ -262,7 +274,7 @@ class TestFittingEquivalence:
                     )
                     for path in PATHS
                 ]
-                assert runs[0] == runs[1] == runs[2], add_candidates
+                assert runs[0] == runs[1], add_candidates
 
     @pytest.mark.parametrize("order_kind", ["density", "random"])
     def test_greedy_fill_identical_across_paths(self, order_kind):
@@ -280,13 +292,13 @@ class TestFittingEquivalence:
                 state = _state_on_path(inst, x0, path)
                 fill_greedily(state, order)
                 out.append(_kernel_fingerprint(state))
-            assert out[0] == out[1] == out[2]
+            assert out[0] == out[1]
 
     @pytest.mark.skipif(not native.available, reason="native kernel unavailable")
     def test_tied_add_selections_are_handed_back(self):
         # Equal profits and a 1..3 weight range make ratio ties the rule, so
         # add_candidates == 2 meets argpartition's unspecified tie order and
-        # the C kernel must hand those picks back to numpy.
+        # the C kernel must hand those picks back to Python.
         rng = np.random.default_rng(14)
         weights = rng.integers(1, 4, size=(3, 60)).astype(float)
         inst = MKPInstance(weights, weights.sum(axis=1) // 2, np.full(60, 7.0))
@@ -294,24 +306,7 @@ class TestFittingEquivalence:
         native_rng = _CountingRng(5)
         native_run = _move_trajectory(inst, x0, "native", 2, native_rng)
         assert native_rng.calls > 0  # every native-side draw happens in C
-        assert native_run == _move_trajectory(inst, x0, "bitset", 2, _CountingRng(5))
-
-
-class TestSwapIntensificationEquivalence:
-    def test_word_path_matches_generic(self):
-        rng = np.random.default_rng(7)
-        for _ in range(15):
-            inst = random_integer_instance(rng)
-            sol = greedy_solution(inst)
-            out = []
-            for path in PATHS:
-                state = _state_on_path(inst, sol.x, path)
-                result = swap_intensification(state)
-                out.append(
-                    (result.x.tobytes(), result.value,
-                     state.counters.intensify_evaluations, _kernel_fingerprint(state))
-                )
-            assert out[0] == out[1] == out[2]
+        assert native_run == _move_trajectory(inst, x0, "generic", 2, _CountingRng(5))
 
 
 @st.composite
@@ -337,7 +332,7 @@ def _bits(inst: MKPInstance, seed: int, p: float) -> np.ndarray:
 
 class TestIntensificationParity:
     """The native swap scan, repair, oscillation and state reload against
-    both numpy paths on tie-heavy integer instances (Hypothesis)."""
+    the generic Python path on tie-heavy integer instances (Hypothesis)."""
 
     @given(tie_heavy_instances(), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -351,7 +346,7 @@ class TestIntensificationParity:
                 (result.x.tobytes(), result.value,
                  state.counters.intensify_evaluations, _kernel_fingerprint(state))
             )
-        assert out[0] == out[1] == out[2]
+        assert out[0] == out[1]
 
     @given(tie_heavy_instances(), st.integers(0, 2**32 - 1), st.floats(0.3, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -361,7 +356,7 @@ class TestIntensificationParity:
         for path in PATHS:
             state = _state_on_path(inst, x0, path)
             out.append((repair(state), state.is_feasible, _kernel_fingerprint(state)))
-        assert out[0] == out[1] == out[2]
+        assert out[0] == out[1]
         assert out[0][1]
 
     @given(tie_heavy_instances(), st.integers(0, 2**32 - 1), st.integers(0, 8))
@@ -379,7 +374,7 @@ class TestIntensificationParity:
                  state.counters.intensify_evaluations, _kernel_fingerprint(state),
                  rng.bit_generator.state)
             )
-        assert out[0] == out[1] == out[2]
+        assert out[0] == out[1]
 
     @given(tie_heavy_instances(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -392,7 +387,7 @@ class TestIntensificationParity:
             state = _state_on_path(inst, _bits(inst, seed + 1, 0.5), path)
             state.reset(x)
             out.append(_kernel_fingerprint(state))
-        assert out[0] == out[1] == out[2]
+        assert out[0] == out[1]
 
     @pytest.mark.skipif(not native.available, reason="native kernel unavailable")
     def test_tied_forced_adds_are_handed_back(self):
@@ -419,7 +414,6 @@ class TestExclusionShortCircuit:
         rng = np.random.default_rng(21)
         inst = random_integer_instance(rng)
         state = SearchState.empty(inst)
-        state.use_bitset = False
         state.set_exclusions({1, 3})
         state.fitting_items()
         assert state._pool is not None
@@ -437,7 +431,7 @@ class TestExclusionShortCircuit:
         state.set_exclusions({2})
         assert state._pool is None
 
-    def test_unchanged_mask_still_correct_on_bitset_path(self):
+    def test_unchanged_mask_keeps_the_same_fitting_set(self):
         rng = np.random.default_rng(22)
         inst = random_integer_instance(rng)
         state = SearchState.empty(inst)

@@ -13,7 +13,7 @@ Matrix covered across the module, per ISSUE-7's acceptance line:
   batch ∈ {1, 4};
 * one seeded chaos plan (drops/duplicates/delays/straggles, crash-free)
   replayed on both transports within each batch width;
-* the native C kernel against the numpy reference path, over every golden
+* the native C kernel against the Python reference path, over every golden
   run of ``tests/test_golden_trajectory.py``;
 * the native local-search loop against the per-move loop (the native
   compound move under a no-op ``on_move``), over the same golden runs.

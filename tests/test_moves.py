@@ -78,17 +78,18 @@ class TestAddRule:
         assert fitting.size > 0
         tabu.make_tabu(fitting)
         # best so high that no aspiration possible
-        assert engine.select_add(best_value=1e12) is None
+        assert engine.add_step(best_value=1e12) == []
 
     def test_aspiration_admits_tabu_item(self, small_instance, rng):
         engine, state, tabu = make_engine(small_instance, rng)
         engine.drop_step(1)
         fitting = state.fitting_items()
         tabu.make_tabu(fitting)
-        # incumbent low enough that any add beats it
-        j = engine.select_add(best_value=state.value)
-        assert j is not None
-        assert tabu.is_tabu(j)
+        # incumbent low enough that any add beats it; every later fitting
+        # item was fitting before, so tabu too
+        added = engine.add_step(best_value=state.value)
+        assert added
+        assert all(tabu.is_tabu(j) for j in added)
 
 
 class TestCompoundMove:

@@ -1,6 +1,6 @@
 """The native local-search loop (``ts_local_search``, Figure 1 steps 4–10).
 
-On bitset-mode kernels one C call runs a whole local-search loop: the
+On integer-instance states one C call runs a whole local-search loop: the
 moves, the X*/X_local updates, the elite offers, ``History`` and the tabu
 list.  ``TabuSearch._local_search_loop`` stays the reference; a no-op
 ``on_move`` pins a thread to it (the per-move path, whose compound move is
@@ -218,12 +218,6 @@ class TestFallbackRules:
         inst = MKPInstance(weights, weights.sum(axis=1) / 2, rng.uniform(1.0, 9.0, 40))
         assert inst.hot.integer is None
         _thread(inst).run()
-        assert not c_loops
-
-    def test_generic_scan_keeps_the_reference_loop(self, c_loops):
-        ts = _thread()
-        ts.state.use_bitset = False
-        ts.run()
         assert not c_loops
 
     def test_add_breadth_above_two_keeps_the_reference_loop(self, c_loops):

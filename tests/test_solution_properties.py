@@ -57,8 +57,8 @@ def instance_and_ops(draw, integer: bool):
     """An instance and a random sequence of state operations.
 
     Float instances use quarter-unit weights and profits, and capacities an
-    eighth off the quarter grid: the capacities keep them off the integer
-    bitset path, and every load, slack and value stays a small dyadic
+    eighth off the quarter grid: the capacities keep them off the native
+    kernel, and every load, slack and value stays a small dyadic
     rational, so incremental and from-scratch arithmetic agree exactly.
     """
     inst = draw(instances())
@@ -139,7 +139,7 @@ class TestIncrementalEvaluation:
         inst, ops = data.draw(instance_and_ops(integer))
         with numpy_reference() if reference else contextlib.nullcontext():
             state = SearchState.empty(inst)
-        assert state.use_bitset == integer
+        assert (inst.hot.integer is not None) == integer
         assert (state.native() is not None) == (
             integer and not reference and native.available
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import anytime_curve, value_at
 from repro.master import MasterConfig
 from repro.variants import (
     budget_for_virtual_seconds,
@@ -134,8 +135,9 @@ class TestResultMethods:
         result = solve_cts2(
             small_instance, n_slaves=3, n_rounds=3, rng_seed=0, max_evaluations=EVALS
         )
-        early = result.best_value_at(result.virtual_seconds / 3)
-        late = result.best_value_at(result.virtual_seconds * 2)
+        curve = anytime_curve(result)
+        early = value_at(curve, result.virtual_seconds / 3)
+        late = value_at(curve, result.virtual_seconds * 2)
         assert early <= late
         assert late == max(r.best_value for r in result.rounds)
 
