@@ -139,18 +139,19 @@ def test_native_kernel_moves_per_s():
     assert ratio >= 4.5, f"native kernel only x{ratio:.2f} the Python path's moves/s"
 
 
-def _gk24_thread_run_s(per_move: bool):
-    """A GK24 ``TabuSearch.run`` timer on the C loop or the per-move loop.
+def _gk24_thread_run_s(per_move: bool, intensification=IntensificationKind.NONE):
+    """A GK24 ``TabuSearch.run`` timer on the C thread or the per-move loop.
 
-    Intensification is off, so the run is the local-search loops the two
-    paths differ in; a no-op ``on_move`` holds the per-move loop.
+    A no-op ``on_move`` holds the per-move loop.  With intensification off
+    the run is the local-search loops the two paths differ in; with BOTH
+    it is the whole of Figure 1 steps 3–11, step 11 included.
     """
     if not native.available:
         pytest.skip("native kernel unavailable on this host")
     thread = TabuSearch(
         gk_instance(24),
         Strategy(8, 2, 10),
-        TabuSearchConfig(intensification=IntensificationKind.NONE),
+        TabuSearchConfig(intensification=intensification),
         on_move=(lambda t: None) if per_move else None,
     )
 
@@ -160,25 +161,45 @@ def _gk24_thread_run_s(per_move: bool):
         thread.run(budget=Budget(max_evaluations=3_000_000))
         return time.perf_counter() - t0
 
-    run_s(0)  # bind the loop, warm caches
+    run_s(0)  # bind the thread, warm caches
     return run_s
 
 
-def test_native_loop_beats_per_move_loop():
-    """GK24 ``TabuSearch.run``: the C loop >= 1.2x the per-move loop's speed.
+def _c_thread_speedup(intensification) -> tuple[float, list[float]]:
+    """Median per-pair time ratio per-move / C thread over ten GK24 pairs.
 
-    Ten pairs of runs, same seed within a pair and alternating which path
-    goes first; the estimate is the median of the per-pair time ratios.
+    Same seed within a pair, alternating which path goes first.
     """
-    c_loop, per_move = _gk24_thread_run_s(False), _gk24_thread_run_s(True)
+    c_thread = _gk24_thread_run_s(False, intensification)
+    per_move = _gk24_thread_run_s(True, intensification)
     ratios = []
     for seed in range(10):
-        arms = (c_loop, per_move) if seed % 2 == 0 else (per_move, c_loop)
+        arms = (c_thread, per_move) if seed % 2 == 0 else (per_move, c_thread)
         times = {arm: arm(seed) for arm in arms}
-        ratios.append(times[per_move] / times[c_loop])
-    ratio = float(np.median(ratios))
-    print(f"C loop x{ratio:.2f} the per-move loop (pair ratios {ratios})")
-    assert ratio >= 1.2, f"C loop only x{ratio:.2f} the per-move loop"
+        ratios.append(times[per_move] / times[c_thread])
+    return float(np.median(ratios)), ratios
+
+
+def test_native_loop_beats_per_move_loop():
+    """GK24 ``TabuSearch.run`` without step 11: the C thread >= 1.2x the
+    per-move loop's speed."""
+    ratio, ratios = _c_thread_speedup(IntensificationKind.NONE)
+    print(f"C thread x{ratio:.2f} the per-move loop (pair ratios {ratios})")
+    assert ratio >= 1.2, f"C thread only x{ratio:.2f} the per-move loop"
+
+
+def test_native_thread_beats_per_move_loop_with_intensification():
+    """GK24 ``TabuSearch.run`` with intensification BOTH: the C thread
+    >= 1.5x the per-move loop's speed.
+
+    Step 11's Python around the native swap scan and oscillation (restores,
+    snapshots, elite offers) is folded into the call.  On the 2-core
+    reference host this ratio read x1.27 and x1.31 when only steps 4–10
+    ran as one C call per loop, and x1.68 and x1.69 with ``ts_thread``.
+    """
+    ratio, ratios = _c_thread_speedup(IntensificationKind.BOTH)
+    print(f"C thread x{ratio:.2f} the per-move loop with step 11 (pair ratios {ratios})")
+    assert ratio >= 1.5, f"C thread only x{ratio:.2f} the per-move loop with step 11"
 
 
 def _gk24_intensify_s(path: str):

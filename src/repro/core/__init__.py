@@ -14,7 +14,7 @@ from .construction import fill_greedily, greedy_solution, random_solution, repai
 from .diversification import DiversificationConfig, diversify
 from .instance import MKPInstance
 from .kernels import KernelCounters, drop_ratios
-from .intensification import strategic_oscillation, swap_intensification
+from .intensification import strategic_oscillation
 from .memory import EliteArray, History
 from .moves import MoveEngine, MoveRecord
 from .solution import (
@@ -54,7 +54,6 @@ __all__ = [
     "StrategyBounds",
     "DiversificationConfig",
     "diversify",
-    "swap_intensification",
     "strategic_oscillation",
     "IntensificationKind",
     "TabuSearch",

@@ -1,9 +1,11 @@
-/* Native hot loop of the tabu search, for the search states
- * (repro.core.solution.SearchState) of integer instances: the Figure-1
- * local-search loop (steps 4-10) around the Drop/Add compound move, step
- * 11's §3.2 intensification (the swap scan, then the strategic oscillation
- * with its forced adds, repair and greedy top-up), the greedy fill, and
- * the state reload.
+/* Native hot path of the tabu search, for the search states
+ * (repro.core.solution.SearchState) of integer instances: Figure 1 steps
+ * 3-11 of one diversification round as one call (ts_thread: Nb_int rounds
+ * of the local-search loop around the Drop/Add compound move, each followed
+ * by step 11's §3.2 intensification), and the pieces the Python paths call
+ * one at a time: the compound move, the swap scan, the strategic
+ * oscillation with its forced adds, repair and greedy top-up, the greedy
+ * fill, the BestSol insertion and the state reload.
  *
  * Every routine works in place on the search state's own numpy buffers (x,
  * the free mask and free words, q_base, load, slack) and reads the
@@ -23,23 +25,28 @@
  *   - the same loads: ts_reload sums the packed items' weight rows where
  *     numpy computes A @ x, which is exact because this kernel requires
  *     integral weights and capacities (every partial sum is an integer
- *     below 2**53, so the order of the sum cannot change a bit).
+ *     below 2**53, so the order of the sum cannot change a bit).  Profits
+ *     need not be integral, so a reload never computes the value: step
+ *     11 restores X_local with the value recorded for it, as the Python
+ *     thread does.
  *
  * Two choices are handed back to Python instead of being made here, where
  * the Python path resolves equal keys in an implementation-defined order:
  *   - an Add selection with add_candidates == 2 whose two smallest ratios
  *     tie, or whose second smallest ties the third (argpartition):
- *     ts_move/ts_add_continue return TS_HANDBACK (ts_local_search returns
- *     LS_HANDBACK mid-move) with the admissible set in
+ *     ts_move/ts_add_continue return TS_HANDBACK (ts_thread returns
+ *     TH_ADD_HANDBACK mid-move) with the admissible set in
  *     k->allowed/k->ratios, and Python picks and resumes;
  *   - the forced adds of the oscillation when two of the keys it adds, or
  *     the last of them and the next, tie exactly (np.argsort's default
- *     kind is not stable): ts_oscillate returns TS_HANDBACK with the free
- *     items and their keys, and Python sorts and resumes.
+ *     kind is not stable): ts_oscillate returns TS_HANDBACK (ts_thread
+ *     TH_OSC_HANDBACK) with the free items and their keys, and Python
+ *     sorts and resumes.
  *
- * ts_local_search also keeps the thread's memories as the Python loop
- * does: the tabu list, History, the BestSol block (ts_elite_offer is
+ * ts_thread also keeps the thread's memories as the Python thread does:
+ * the tabu list, History, the BestSol block (ts_elite_offer is
  * memory.EliteArray.offer), X*, X_local and the per-move incumbent trace.
+ * Step 12 (diversification) stays in Python, between two calls.
  */
 
 #include <math.h>
@@ -93,13 +100,15 @@ typedef struct {
     int64_t empty_row;             /* row that last emptied a fitting AND */
 } ts_kernel;
 
-/* The thread's memories and budget for one local-search loop
- * (TabuSearch._local_search_loop): the arrays alias TabuList._expiry,
- * History.counts and EliteArray's block; the scalars are copied in and
- * back out by repro/core/native.py around every call. */
+/* One thread's Figure 1 state across the ts_thread calls of a run
+ * (TabuSearch.run): the arrays alias TabuList._expiry, History.counts and
+ * EliteArray's block and are bound once per thread; repro/core/native.py
+ * sets the strategy and budget once per run and copies the scalars in and
+ * back out around each call. */
 typedef struct {
-    /* strategy and budget (read only) */
-    int64_t nb_drop, nb_local, add_candidates, tenure;
+    /* structure, strategy and budget (read only) */
+    int64_t nb_int, nb_local, nb_drop, add_candidates, tenure;
+    int64_t swap, oscillate, depth;       /* step 11's procedures */
     int64_t max_evaluations, max_moves;   /* INT64_MAX: no cap */
     double target_value;                  /* +inf: no target */
     void *bitgen;
@@ -112,20 +121,23 @@ typedef struct {
     int8_t *elite_x;                      /* (elite_capacity, n) */
     double *elite_values;                 /* (elite_capacity,) */
     int64_t elite_count, elite_capacity;
-    /* X* and X_local: a buffer is written only when the loop improves on
-     * the value handed in, and its flag is then set.  Once best_moved is
-     * set, X_local is X* (local_x is not written for it). */
+    /* X* (best_moved is set when best_x holds a newer X* than the one
+     * handed in) and X_local */
     int8_t *best_x;                       /* (n,) */
     int8_t *local_x;                      /* (n,) */
     double best_value, local_value;
-    int64_t best_moved, local_moved;
-    /* ledger: evaluations and moves are the running totals the budget
-     * reads; loop_moves and stall count from the loop's start */
-    int64_t evaluations, moves, loop_moves, stall;
-    /* per-move incumbent trace, flushed by Python when full */
+    int64_t best_moved;
+    /* ledger: KernelCounters' two evaluation counts (their sum is what the
+     * budget reads) and the run's moves, loops and intensifications */
+    int64_t move_evaluations, intensify_evaluations;
+    int64_t moves, loops, intensifications;
+    /* where the round stands: the intensification round, the phase
+     * (TH_PH_*) and the current loop's stall count */
+    int64_t int_round, phase, stall;
+    /* per-move incumbent trace of one call, emptied by Python after it */
     double *trace;                        /* (trace_cap,) */
     int64_t trace_len, trace_cap;
-} ts_loop;
+} ts_search;
 
 enum { TS_DONE = 0, TS_HANDBACK = 1 };
 
@@ -276,29 +288,38 @@ static int64_t popcount_words(const uint64_t *words, int64_t nw)
 /* ------------------------------------------------------------------ */
 
 /* The Drop rule: the packed, non-tabu item maximizing a_{i*,j} / c_j
- * (every packed item when all are tabu); -1 on an empty knapsack. */
+ * (every packed item when all are tabu); -1 on an empty knapsack.  The
+ * packed items are read off the free words (complemented, masked past n),
+ * so ties collect in ascending index order as over x. */
 static int64_t select_drop(ts_kernel *k, const int64_t *expiry, int64_t clock,
                            void *bitgen)
 {
     if (k->n_packed == 0)
         return -1;
-    const int64_t n = k->n;
+    const int64_t n = k->n, nw = k->nw;
+    const uint64_t tail = n & 63 ? ((uint64_t)1 << (n & 63)) - 1 : ~(uint64_t)0;
     const double *row = k->ratio + k_istar(k) * n;
     int64_t *ties = k->allowed;
     int64_t count = 0, n_ties = 0;
     double best = -INFINITY;
     for (int pass = 0; pass < 2 && count == 0; pass++) {
-        for (int64_t j = 0; j < n; j++) {
-            if (!k->x[j] || (pass == 0 && expiry[j] > clock))
-                continue;
-            count++;
-            double r = row[j];
-            if (r > best) {
-                best = r;
-                ties[0] = j;
-                n_ties = 1;
-            } else if (r == best) {
-                ties[n_ties++] = j;
+        for (int64_t w = 0; w < nw; w++) {
+            uint64_t bits = ~k->free_words[w];
+            if (w == nw - 1)
+                bits &= tail;
+            for (; bits; bits &= bits - 1) {
+                int64_t j = (w << 6) + __builtin_ctzll(bits);
+                if (pass == 0 && expiry[j] > clock)
+                    continue;
+                count++;
+                double r = row[j];
+                if (r > best) {
+                    best = r;
+                    ties[0] = j;
+                    n_ties = 1;
+                } else if (r == best) {
+                    ties[n_ties++] = j;
+                }
             }
         }
     }
@@ -476,90 +497,6 @@ int ts_elite_offer(int8_t *rows, double *values, int64_t *count,
     if (c < capacity)
         *count = c + 1;
     return 1;
-}
-
-/* ------------------------------------------------------------------ */
-/* The local-search loop (TabuSearch._local_search_loop, steps 4-10)    */
-/* ------------------------------------------------------------------ */
-enum { LS_STALLED = 0, LS_BUDGET = 1, LS_STUCK = 2, LS_HANDBACK = 3, LS_TRACE_FULL = 4 };
-
-/* Steps 6-9 after a compound move; returns 1 when the move changed nothing
- * (the loop then ends, as the Python loop's degenerate break does). */
-static int after_move(ts_kernel *k, ts_loop *ls)
-{
-    const int64_t n = k->n;
-    ls->evaluations += k->evaluations;
-    ls->moves++;
-    ls->loop_moves++;
-    if (k->n_dropped + k->n_added == 0)
-        return 1;
-    /* steps 6-7 */
-    const double value = k->value;
-    if (value > ls->best_value) {
-        memcpy(ls->best_x, k->x, (size_t)n);
-        ls->best_value = ls->local_value = value;
-        ls->best_moved = 1;
-        ls->stall = 0;
-    } else {
-        if (value > ls->local_value) {
-            memcpy(ls->local_x, k->x, (size_t)n);
-            ls->local_value = value;
-            ls->local_moved = 1;
-        }
-        ls->stall++;
-    }
-    if (ls->elite_count < ls->elite_capacity
-        || value > ls->elite_values[ls->elite_count - 1])
-        ts_elite_offer(ls->elite_x, ls->elite_values, &ls->elite_count,
-                       ls->elite_capacity, n, k->x, value);
-    /* step 8: History */
-    for (int64_t j = 0; j < n; j++)
-        ls->counts[j] += k->x[j];
-    ls->iterations++;
-    /* step 9: tick, then tabu the touched items until clock + tenure */
-    ls->clock++;
-    const int64_t until = ls->clock + ls->tenure;
-    for (int64_t t = 0; t < k->n_dropped; t++) {
-        int64_t j = k->dropped[t];
-        if (ls->expiry[j] < until)
-            ls->expiry[j] = until;
-    }
-    for (int64_t t = 0; t < k->n_added; t++) {
-        int64_t j = k->added[t];
-        if (ls->expiry[j] < until)
-            ls->expiry[j] = until;
-    }
-    ls->trace[ls->trace_len++] = ls->best_value;
-    return 0;
-}
-
-/* Run compound moves until X* stalls for nb_local moves, the budget is
- * spent or a move changes nothing.  resume >= 0 finishes a move whose Add
- * selection was handed back (LS_HANDBACK, k->allowed/k->ratios set) by
- * adding item `resume`; LS_TRACE_FULL asks for the trace to be emptied.
- * After either, call again to continue the same loop. */
-int ts_local_search(ts_kernel *k, ts_loop *ls, int64_t resume)
-{
-    if (resume >= 0) {
-        if (ts_add_continue(k, ls->expiry, ls->clock, ls->bitgen, ls->best_value,
-                            ls->add_candidates, resume) == TS_HANDBACK)
-            return LS_HANDBACK;
-        if (after_move(k, ls))
-            return LS_STUCK;
-    }
-    while (ls->stall < ls->nb_local) {
-        if (ls->evaluations >= ls->max_evaluations || ls->moves >= ls->max_moves
-            || ls->best_value >= ls->target_value)
-            return LS_BUDGET;
-        if (ls->trace_len == ls->trace_cap)
-            return LS_TRACE_FULL;
-        if (ts_move(k, ls->expiry, ls->clock, ls->bitgen, ls->nb_drop,
-                    ls->best_value, ls->add_candidates) == TS_HANDBACK)
-            return LS_HANDBACK;
-        if (after_move(k, ls))
-            return LS_STUCK;
-    }
-    return LS_STALLED;
 }
 
 /* ------------------------------------------------------------------ */
@@ -820,4 +757,194 @@ void ts_reload(ts_kernel *k)
         k->q_base[i] = k->q_offsets[i] + (int64_t)k->slack[i];
     }
     k->n_packed = n_packed;
+}
+
+/* ------------------------------------------------------------------ */
+/* Figure 1 steps 3-11 (TabuSearch.run between two diversifications)  */
+/* ------------------------------------------------------------------ */
+enum {
+    TH_INFEASIBLE = -1, TH_DONE = 0, TH_ADD_HANDBACK = 1, TH_OSC_HANDBACK = 2,
+    TH_TRACE_FULL = 3,
+};
+/* Where a round stands between calls: before step 3's next round, in the
+ * local-search loop, or before the oscillation's forced adds. */
+enum { TH_PH_ROUND = 0, TH_PH_LOCAL = 1, TH_PH_OSCILLATE = 2 };
+
+/* Budget.exhausted without a wall clock. */
+static int budget_spent(const ts_search *t)
+{
+    return t->move_evaluations + t->intensify_evaluations >= t->max_evaluations
+        || t->moves >= t->max_moves || t->best_value >= t->target_value;
+}
+
+/* Steps 6-9 after a compound move; returns 1 when the move changed nothing
+ * (the loop then ends, as the Python loop's degenerate break does). */
+static int after_move(ts_kernel *k, ts_search *t)
+{
+    const int64_t n = k->n;
+    t->move_evaluations += k->evaluations;
+    t->moves++;
+    if (k->n_dropped + k->n_added == 0)
+        return 1;
+    /* steps 6-7 */
+    const double value = k->value;
+    if (value > t->best_value) {
+        memcpy(t->best_x, k->x, (size_t)n);
+        memcpy(t->local_x, k->x, (size_t)n);
+        t->best_value = t->local_value = value;
+        t->best_moved = 1;
+        t->stall = 0;
+    } else {
+        if (value > t->local_value) {
+            memcpy(t->local_x, k->x, (size_t)n);
+            t->local_value = value;
+        }
+        t->stall++;
+    }
+    if (t->elite_count < t->elite_capacity
+        || value > t->elite_values[t->elite_count - 1])
+        ts_elite_offer(t->elite_x, t->elite_values, &t->elite_count,
+                       t->elite_capacity, n, k->x, value);
+    /* step 8: History */
+    for (int64_t j = 0; j < n; j++)
+        t->counts[j] += k->x[j];
+    t->iterations++;
+    /* step 9: tick, then tabu the touched items until clock + tenure */
+    t->clock++;
+    const int64_t until = t->clock + t->tenure;
+    for (int64_t s = 0; s < k->n_dropped; s++) {
+        int64_t j = k->dropped[s];
+        if (t->expiry[j] < until)
+            t->expiry[j] = until;
+    }
+    for (int64_t s = 0; s < k->n_added; s++) {
+        int64_t j = k->added[s];
+        if (t->expiry[j] < until)
+            t->expiry[j] = until;
+    }
+    t->trace[t->trace_len++] = t->best_value;
+    return 0;
+}
+
+/* Steps 5-10: compound moves until X* stalls for nb_local moves, the budget
+ * is spent or a move changes nothing (TH_DONE).  resume >= 0 finishes a
+ * move whose Add selection was handed back by adding item `resume`. */
+static int local_search(ts_kernel *k, ts_search *t, int64_t resume)
+{
+    if (resume >= 0) {
+        if (ts_add_continue(k, t->expiry, t->clock, t->bitgen, t->best_value,
+                            t->add_candidates, resume) == TS_HANDBACK)
+            return TH_ADD_HANDBACK;
+        if (after_move(k, t))
+            return TH_DONE;
+    }
+    while (t->stall < t->nb_local) {
+        if (budget_spent(t))
+            break;
+        if (t->trace_len == t->trace_cap)
+            return TH_TRACE_FULL;
+        if (ts_move(k, t->expiry, t->clock, t->bitgen, t->nb_drop, t->best_value,
+                    t->add_candidates) == TS_HANDBACK)
+            return TH_ADD_HANDBACK;
+        if (after_move(k, t))
+            break;
+    }
+    return TH_DONE;
+}
+
+/* Load X_local with the value recorded for it. */
+static void restore_local(ts_kernel *k, const ts_search *t)
+{
+    memcpy(k->x, t->local_x, (size_t)k->n);
+    ts_reload(k);
+    k->value = t->local_value;
+}
+
+/* TabuSearch._register_candidate: fold the state into X* and BestSol. */
+static void register_candidate(ts_kernel *k, ts_search *t)
+{
+    if (k->value > t->best_value) {
+        memcpy(t->best_x, k->x, (size_t)k->n);
+        t->best_value = k->value;
+        t->best_moved = 1;
+    }
+    ts_elite_offer(t->elite_x, t->elite_values, &t->elite_count,
+                   t->elite_capacity, k->n, k->x, k->value);
+}
+
+/* Step 11's swap half: swap from X_local and register the result.  Returns
+ * whether the state still holds X_local or the kept improvement on it (the
+ * swap count decides, not a compare of vectors). */
+static int swap_from_local(ts_kernel *k, ts_search *t)
+{
+    restore_local(k, t);
+    int64_t swaps = ts_swap(k);
+    t->intensify_evaluations += k->evaluations;
+    register_candidate(k, t);
+    return k->value > t->local_value || swaps == 0;
+}
+
+/* Step 11's oscillation half and its registration; n_order >= 0 resumes a
+ * hand-back with the forced items sorted into k->dropped. */
+static int oscillate_step(ts_kernel *k, ts_search *t, int64_t n_order)
+{
+    int status = ts_oscillate(k, t->bitgen, t->depth,
+                              n_order >= 0 ? k->dropped : NULL, n_order);
+    if (status == TS_HANDBACK)
+        return TH_OSC_HANDBACK;
+    if (status < 0)
+        return TH_INFEASIBLE;
+    t->intensify_evaluations += k->evaluations;
+    register_candidate(k, t);
+    return TH_DONE;
+}
+
+/* Run rounds int_round .. nb_int - 1 of step 3 (steps 4-10, then step 11)
+ * from the current state, with the budget checked where TabuSearch.run
+ * checks it.  TH_DONE: step 12 is next, or the budget was spent (Python
+ * reads the budget again).  After TH_ADD_HANDBACK call again with the
+ * picked item as `resume`; after TH_OSC_HANDBACK, with the forced items
+ * sorted into k->dropped and their count as `resume`; after TH_TRACE_FULL,
+ * with -1 once the trace is emptied.  TH_INFEASIBLE: repair found nothing
+ * left to drop. */
+int ts_thread(ts_kernel *k, ts_search *t, int64_t resume)
+{
+    t->trace_len = 0;
+    for (;;) {
+        int status;
+        if (t->phase == TH_PH_ROUND) {
+            if (t->int_round == t->nb_int || budget_spent(t))
+                return TH_DONE;
+            memcpy(t->local_x, k->x, (size_t)k->n);  /* step 4 */
+            t->local_value = k->value;
+            t->stall = 0;
+            t->phase = TH_PH_LOCAL;
+            resume = -1;
+        }
+        if (t->phase == TH_PH_LOCAL) {
+            status = local_search(k, t, resume);
+            if (status != TH_DONE)
+                return status;
+            t->loops++;
+            if (budget_spent(t)) {
+                t->phase = TH_PH_ROUND;
+                return TH_DONE;
+            }
+            int holds_local = t->swap ? swap_from_local(k, t) : 1;
+            if (t->oscillate) {
+                if (!holds_local)
+                    restore_local(k, t);
+                t->phase = TH_PH_OSCILLATE;
+                resume = -1;
+            }
+        }
+        if (t->phase == TH_PH_OSCILLATE) {
+            status = oscillate_step(k, t, resume);
+            if (status != TH_DONE)
+                return status;
+        }
+        t->phase = TH_PH_ROUND;
+        t->intensifications++;
+        t->int_round++;
+    }
 }

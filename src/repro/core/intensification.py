@@ -24,7 +24,7 @@ from .construction import fill_greedily, repair
 from .kernels import FIT_EPS
 from .solution import SearchState, Solution
 
-__all__ = ["apply_swaps", "swap_intensification", "strategic_oscillation"]
+__all__ = ["apply_swaps", "strategic_oscillation"]
 
 
 def apply_swaps(state: SearchState) -> int:
@@ -75,13 +75,6 @@ def apply_swaps(state: SearchState) -> int:
             improved = True
             break  # re-derive packed/free sets after a structural change
     return swaps
-
-
-def swap_intensification(state: SearchState) -> Solution:
-    """:func:`apply_swaps` on ``state``, which should hold ``X_local``;
-    returns the swapped solution as a snapshot."""
-    apply_swaps(state)
-    return state.snapshot()
 
 
 def strategic_oscillation(

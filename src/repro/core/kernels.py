@@ -8,7 +8,7 @@ shares with the rest of the code base:
     The unified evaluation ledger, one per :class:`SearchState`.  The
     farm's virtual-time cost model charges CPU seconds per candidate
     evaluation, so the counter flow must be exact: the move engine (and the
-    C local-search loop) counts into ``move_evaluations``, the §3.2
+    C thread) counts into ``move_evaluations``, the §3.2
     intensification procedures into ``intensify_evaluations``, and budget
     checks read :attr:`KernelCounters.total`.
 

@@ -74,7 +74,7 @@ class EliteArray:
 
     The members live in one array block: :attr:`rows` (``(B, n)`` ``int8``,
     the first :attr:`count` rows in use) and :attr:`values`.  The native
-    local-search loop inserts into the same block
+    thread inserts into the same block
     (``ts_elite_offer`` in ``core/_native.c``), so there is one copy of the
     array whichever path fills it; :class:`Solution` objects are built on
     the way out.

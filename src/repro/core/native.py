@@ -1,14 +1,15 @@
-"""The native tabu-search hot loop: build, cache and bind ``_native.c``.
+"""The native tabu-search hot path: build, cache and bind ``_native.c``.
 
-``_native.c`` holds the compound move, the Figure-1 local-search loop
-around it, step 11's §3.2 intensification (the swap scan, and the strategic
-oscillation with its repair), the greedy fill and the state reload (see its
-header comment for the exactness contract).  This module compiles it once
-with cffi's API mode and the system C compiler; each
-:class:`~repro.core.solution.SearchState` of an integer instance binds it to
-its own buffers at construction through :class:`NativeKernel`, and each
-:class:`~repro.core.tabu_search.TabuSearch` thread wraps that in a
-:class:`NativeLoop`.
+``_native.c`` holds the compound move, step 11's §3.2 intensification (the
+swap scan, and the strategic oscillation with its repair), the greedy fill,
+the state reload, and Figure 1 steps 3–11 of a diversification round
+around them (see its header comment for the exactness contract).  This
+module compiles it once with cffi's API mode and the system C compiler;
+each :class:`~repro.core.solution.SearchState` of an integer instance binds
+it to its own buffers at construction through :class:`NativeKernel`, and
+each :class:`~repro.core.tabu_search.TabuSearch` thread binds its memories
+once through a :class:`NativeThread`, which runs one ``ts_thread`` call
+per diversification round.
 
 Build cache
     The extension is keyed by the SHA-256 of the C source, the cffi
@@ -33,6 +34,7 @@ Fallback
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib.util
 import math
@@ -46,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "NativeKernel", "NativeLoop"]
+__all__ = ["available", "NativeKernel", "NativeThread"]
 
 _SOURCE = Path(__file__).with_name("_native.c")
 
@@ -90,7 +92,8 @@ typedef struct {
 } ts_kernel;
 
 typedef struct {
-    int64_t nb_drop, nb_local, add_candidates, tenure;
+    int64_t nb_int, nb_local, nb_drop, add_candidates, tenure;
+    int64_t swap, oscillate, depth;
     int64_t max_evaluations, max_moves;
     double target_value;
     void *bitgen;
@@ -104,11 +107,13 @@ typedef struct {
     int8_t *best_x;
     int8_t *local_x;
     double best_value, local_value;
-    int64_t best_moved, local_moved;
-    int64_t evaluations, moves, loop_moves, stall;
+    int64_t best_moved;
+    int64_t move_evaluations, intensify_evaluations;
+    int64_t moves, loops, intensifications;
+    int64_t int_round, phase, stall;
     double *trace;
     int64_t trace_len, trace_cap;
-} ts_loop;
+} ts_search;
 
 uint64_t ts_bounded(void *bitgen, uint64_t k);
 int ts_move(ts_kernel *k, const int64_t *expiry, int64_t clock, void *bitgen,
@@ -124,7 +129,7 @@ int ts_oscillate(ts_kernel *k, void *bitgen, int64_t depth,
 void ts_reload(ts_kernel *k);
 int ts_elite_offer(int8_t *rows, double *values, int64_t *count,
                    int64_t capacity, int64_t n, const int8_t *x, double value);
-int ts_local_search(ts_kernel *k, ts_loop *ls, int64_t resume);
+int ts_thread(ts_kernel *k, ts_search *t, int64_t resume);
 """
 
 
@@ -203,14 +208,18 @@ else:
     ffi, lib = _module.ffi, _module.lib
 
 
-def _bitgen(rng: np.random.Generator):
-    """``rng``'s numpy ``bitgen_t`` as a C pointer.
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 
-    Read through the ``ctypes`` interface: the ``cffi`` one parses its C
-    declarations with a fresh ``FFI`` for every generator (about 2 ms each),
-    and each slave task seeds new generators.
+
+def _bitgen(rng: np.random.Generator):
+    """``rng``'s numpy ``bitgen_t`` as a C pointer, read off its capsule.
+
+    Each slave task seeds new generators, and numpy's ``cffi`` and
+    ``ctypes`` interfaces cost about 2 ms and 13 µs per generator.
     """
-    return ffi.cast("void *", rng.bit_generator.ctypes.bit_generator.value)
+    return ffi.cast("void *", _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"))
 
 
 #: ``ts_move``/``ts_oscillate``'s hand-back status.
@@ -303,16 +312,30 @@ class NativeKernel:
     def _sync_in(self, state, tabu=None, rng=None) -> None:
         if tabu is not None and tabu is not self._tabu:
             self._tabu, self._expiry = tabu, ffi.from_buffer("int64_t[]", tabu._expiry)
-        if rng is not None and rng is not self._rng:
-            self._rng, self._bitgen = rng, _bitgen(rng)
+        if rng is not None:
+            self.bitgen(rng)
         s = self.ptr
         s.value = state.value
         s.n_packed = state.n_packed
+
+    def bitgen(self, rng):
+        """``rng``'s ``bitgen_t`` pointer, read once per generator."""
+        if rng is not self._rng:
+            self._rng, self._bitgen = rng, _bitgen(rng)
+        return self._bitgen
 
     def handback_pick(self, rng) -> int:
         """The Python path's pick from a handed-back Add selection."""
         top = self.ratios[: self.ptr.n_allowed].argpartition(1)[:2]
         return int(self.allowed[top[rng.integers(0, 2)]])
+
+    def handback_order(self, depth: int) -> int:
+        """The Python path's forced adds from a handed-back oscillation,
+        written into :attr:`dropped`; returns how many."""
+        n_free = self.ptr.n_allowed
+        order = self.allowed[:n_free][np.argsort(self.ratios[:n_free])][:depth]
+        self.dropped[: order.size] = order
+        return order.size
 
     def move(self, state, tabu, rng, nb_drop: int, best_value: float,
              add_candidates: int) -> tuple[list[int], list[int], int]:
@@ -378,11 +401,8 @@ class NativeKernel:
         s = self.ptr
         status = lib.ts_oscillate(s, self._bitgen, depth, ffi.NULL, 0)
         if status == _TS_HANDBACK:
-            keys = self.ratios[: s.n_allowed]
-            order = self.allowed[: s.n_allowed][np.argsort(keys)][:depth]
-            status = lib.ts_oscillate(
-                s, self._bitgen, depth, ffi.from_buffer("int64_t[]", order), order.size
-            )
+            n_order = self.handback_order(depth)
+            status = lib.ts_oscillate(s, self._bitgen, depth, s.dropped, n_order)
         self._sync_out(state)
         if status < 0:
             raise RuntimeError(INFEASIBLE_EMPTY)
@@ -395,106 +415,113 @@ class NativeKernel:
         state.n_packed = self.ptr.n_packed
 
 
-#: ``ts_local_search`` exits after which the same loop continues: an Add
-#: selection handed back mid-move, and a full trace chunk.
-_LS_HANDBACK, _LS_TRACE_FULL = 3, 4
+#: ``ts_thread``'s exits; every one but ``_TH_DONE`` resumes the same round.
+_TH_INFEASIBLE, _TH_DONE, _TH_ADD_HANDBACK, _TH_OSC_HANDBACK = -1, 0, 1, 2
 _NO_CAP = 2**63 - 1
-#: Per-move trace entries ``ts_local_search`` buffers before it returns to
-#: have them emptied into the thread's trace list.
+#: Per-move trace entries ``ts_thread`` buffers before it returns to have
+#: them emptied into the thread's trace list.
 _TRACE_CHUNK = 1024
 
 
-class NativeLoop:
-    """``ts_local_search``'s view of one :class:`~repro.core.tabu_search.TabuSearch`.
+class NativeThread:
+    """``ts_thread``'s view of one :class:`~repro.core.tabu_search.TabuSearch`.
 
-    Figure 1 steps 4-10 run as one C call per local-search loop.  The loop
-    works on the thread's own memories: ``TabuList._expiry``,
-    ``History.counts`` and the :class:`~repro.core.memory.EliteArray`
-    block are bound on every call; the tabu clock, History iterations,
-    elite count and the counters are copied in and back out.  This object
-    owns the rest: the ``ts_loop`` struct, the X* and X_local vectors the
-    loop writes when it improves on them, and a chunk of the per-move
-    incumbent trace, which Python empties into the thread's trace list.
+    Figure 1 steps 3–11 of a diversification round run as one C call on the
+    thread's own ``TabuList._expiry``, ``History.counts`` and elite block,
+    bound once here (``rebind`` resets them in place), and on this object's
+    ``ts_search`` struct, X*/X_local vectors and per-move trace chunk.
+    :meth:`start` sets what a run changes (bitgen, strategy, budget caps);
+    :meth:`round` copies in what step 12 changed and copies the rest out.
     """
 
-    __slots__ = ("ptr", "best_x", "local_x", "_native", "_trace", "_keep")
+    __slots__ = ("ptr", "best_x", "_native", "_trace", "_keep")
 
-    def __init__(self, native_kernel: NativeKernel, n: int) -> None:
-        self._native = native_kernel
+    def __init__(self, thread) -> None:
+        n = thread.instance.n_items
+        self._native = thread.state.native()
         self.best_x = np.empty(n, np.int8)
-        self.local_x = np.empty(n, np.int8)
         self._trace = np.empty(_TRACE_CHUNK, np.float64)
-        s = self.ptr = ffi.new("ts_loop *")
+        elite = thread.elite
+        s = self.ptr = ffi.new("ts_search *")
         self._keep = [
             ffi.from_buffer("int8_t[]", self.best_x),
-            ffi.from_buffer("int8_t[]", self.local_x),
+            ffi.from_buffer("int8_t[]", np.empty(n, np.int8)),  # X_local
             ffi.from_buffer("double[]", self._trace),
+            ffi.from_buffer("int64_t[]", thread.tabu._expiry),
+            ffi.from_buffer("int64_t[]", thread.history.counts),
+            ffi.from_buffer("int8_t[]", elite.rows),
+            ffi.from_buffer("double[]", elite.values),
         ]
-        s.best_x, s.local_x, s.trace = self._keep
+        (s.best_x, s.local_x, s.trace, s.expiry, s.counts, s.elite_x,
+         s.elite_values) = self._keep
+        s.elite_capacity = elite.capacity
         s.trace_cap = _TRACE_CHUNK
 
-    def run(self, thread, budget, moves_so_far: int, local_value: float,
-            trace: list[float]):
-        """Run one local-search loop of ``thread`` from its current state.
-
-        ``local_value`` is F(X_local) at step 4.  Appends one incumbent
-        value per move to ``trace`` and returns the ``ts_loop`` struct:
-        ``loop_moves``, and ``best_moved``/``local_moved`` with
-        ``best_value``/``local_value`` when :attr:`best_x`/:attr:`local_x`
-        hold a newer X*/X_local (X_local is X* whenever ``best_moved``).
-        """
-        state, tabu, history, elite = (
-            thread.state, thread.tabu, thread.history, thread.elite
-        )
-        counters, rng, strategy = state.counters, thread.engine.rng, thread.strategy
-        native = self._native
-        if state._n_excluded:
-            state.clear_exclusions()
-        native._sync_in(state, tabu, rng)
-        s = self.ptr
-        s.nb_drop = max(0, int(strategy.nb_drop))
+    def start(self, thread, budget, nb_int: int) -> None:
+        """Set up one run of ``thread`` under ``budget`` (no wall clock)."""
+        strategy, kind, s = thread.strategy, thread.config.intensification, self.ptr
+        s.nb_int = nb_int
         s.nb_local = strategy.nb_local
+        s.nb_drop = max(0, int(strategy.nb_drop))
         s.add_candidates = thread.engine.add_candidates
-        s.tenure = tabu.tenure
+        s.tenure = thread.tabu.tenure
+        s.swap, s.oscillate = kind.swaps, kind.oscillates
+        s.depth = thread.config.oscillation_depth
         s.max_evaluations = _cap(budget.max_evaluations)
         s.max_moves = _cap(budget.max_moves)
         s.target_value = (
             float("inf") if budget.target_value is None else float(budget.target_value)
         )
-        s.bitgen = native._bitgen
-        s.expiry = native._expiry
-        s.clock = tabu.clock
-        s.counts = ffi.from_buffer("int64_t[]", history.counts)
-        s.iterations = history.iterations
-        s.elite_x = ffi.from_buffer("int8_t[]", elite.rows)
-        s.elite_values = ffi.from_buffer("double[]", elite.values)
-        s.elite_count = elite.count
-        s.elite_capacity = elite.capacity
+        s.bitgen = self._native.bitgen(thread.engine.rng)
+        s.moves = s.loops = s.intensifications = 0
+
+    def round(self, thread, result) -> float | None:
+        """Figure 1 steps 3–11 of one diversification round of ``thread``.
+
+        Appends one incumbent value per move to ``result.value_trace`` and
+        sets its move, loop and intensification counts; the state, every
+        memory and the counters change as in the per-move run.  Returns
+        F(X*) when :attr:`best_x` holds a newer X* than ``thread.best``,
+        else ``None``.
+        """
+        state, counters, native, s = thread.state, thread.counters, self._native, self.ptr
+        if state._n_excluded:
+            state.clear_exclusions()
+        native._sync_in(state)
+        s.clock = thread.tabu.clock
+        s.iterations = thread.history.iterations
+        s.elite_count = thread.elite.count
         s.best_value = thread.best.value
-        s.local_value = local_value
-        s.best_moved = s.local_moved = 0
-        start = counters.total
-        s.evaluations = start
-        s.moves = moves_so_far
-        s.loop_moves = s.stall = 0
-        s.trace_len = 0
-        k = native.ptr
-        status = lib.ts_local_search(k, s, -1)
-        while status in (_LS_HANDBACK, _LS_TRACE_FULL):
-            if status == _LS_HANDBACK:
-                status = lib.ts_local_search(k, s, native.handback_pick(rng))
-            else:
-                trace.extend(self._trace.tolist())
-                s.trace_len = 0
-                status = lib.ts_local_search(k, s, -1)
-        trace.extend(self._trace[: s.trace_len].tolist())
+        s.best_moved = 0
+        s.move_evaluations = counters.move_evaluations
+        s.intensify_evaluations = counters.intensify_evaluations
+        s.int_round = s.phase = 0
+        moves, resume = s.moves, -1
+        while True:
+            status = lib.ts_thread(native.ptr, s, resume)
+            result.value_trace.extend(self._trace[: s.trace_len].tolist())
+            if status == _TH_DONE:
+                break
+            if status == _TH_ADD_HANDBACK:
+                resume = native.handback_pick(thread.engine.rng)
+            elif status == _TH_OSC_HANDBACK:
+                resume = native.handback_order(s.depth)
+            elif status == _TH_INFEASIBLE:
+                native._sync_out(state)
+                raise RuntimeError(INFEASIBLE_EMPTY)
+            else:  # a full trace chunk
+                resume = -1
         native._sync_out(state)
-        tabu.advance_to(s.clock)
-        history.iterations = s.iterations
-        elite.count = s.elite_count
-        counters.move_evaluations += s.evaluations - start
-        counters.moves += s.loop_moves
-        return s
+        thread.tabu.advance_to(s.clock)
+        thread.history.iterations = s.iterations
+        thread.elite.count = s.elite_count
+        counters.move_evaluations = s.move_evaluations
+        counters.intensify_evaluations = s.intensify_evaluations
+        counters.moves += s.moves - moves
+        result.moves = s.moves
+        result.local_search_loops = s.loops
+        result.intensifications = s.intensifications
+        return s.best_value if s.best_moved else None
 
 
 def _cap(limit: float | None) -> int:

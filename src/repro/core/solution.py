@@ -36,9 +36,9 @@ Two implementations run the moves.  When :mod:`repro.core.native` loaded
 and :class:`~repro.core.bitset.HotTables` found integral weights and
 capacities (every GK / FP / Chu–Beasley benchmark), the state binds the C
 kernel to its own buffers at construction (:meth:`SearchState.native`):
-the compound move, the tabu search's local-search loop around it, the
-swap intensification and the greedy fill then run as C over those
-buffers, scanning with the prefix-bitset tables.  Every other state — float
+the compound move, the §3.2 intensification, the greedy fill and the tabu
+search's Figure 1 steps 3–11 around them then run as C over those buffers,
+scanning with the prefix-bitset tables.  Every other state — float
 instances, or any state built while ``native.available`` is ``False`` —
 runs the generic elementwise scans in this module, which are also the
 reference the C kernel is tested against.  Integer states keep the free-item
@@ -347,7 +347,7 @@ class SearchState:
     # ------------------------------------------------------------------ #
     # State loading
     # ------------------------------------------------------------------ #
-    def reset(self, x: np.ndarray | None = None) -> None:
+    def reset(self, x: np.ndarray | None = None, value: float | None = None) -> None:
         """Load a 0/1 vector (all-zero when ``None``); recomputes from scratch.
 
         Any exclusion mask is cleared: a reset state must be
@@ -355,8 +355,9 @@ class SearchState:
         reuse contract), and every scan path already assumes an empty mask
         after a state reload.  The buffers are reused, not reallocated.
         With the native kernel the buffers are reloaded in C without the
-        ``A @ x`` matmul (exact on integral weights, see ``ts_reload``);
-        ``value`` is ``c @ x`` on both paths.
+        ``A @ x`` matmul (exact on integral weights, see ``ts_reload``).
+        ``value`` is ``c @ x`` on both paths unless the caller passes the
+        value it recorded for ``x``.
         """
         if self._n_excluded:
             self.set_exclusions(None)
@@ -365,7 +366,9 @@ class SearchState:
             self.value = 0.0
         else:
             self.x[:] = x
-            self.value = float(self.instance.profits @ self.x.astype(np.float64))
+            if value is None:
+                value = self.instance.profits @ self.x.astype(np.float64)
+            self.value = float(value)
         native = self.native()
         if native is not None:
             native.reload(self)

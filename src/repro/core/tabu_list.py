@@ -63,7 +63,7 @@ class TabuList:
 
     def advance_to(self, clock: int) -> None:
         """Set the clock to ``clock`` after the expiry array was written in
-        place (the native local-search loop ticks and marks in C), and drop
+        place (the native thread ticks and marks in C), and drop
         the mask caches."""
         self._clock = int(clock)
         self._mask_clock = -1

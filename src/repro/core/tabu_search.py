@@ -58,6 +58,14 @@ class IntensificationKind(str, Enum):
     OSCILLATION = "oscillation"
     BOTH = "both"
 
+    @property
+    def swaps(self) -> bool:
+        return self in (IntensificationKind.SWAP, IntensificationKind.BOTH)
+
+    @property
+    def oscillates(self) -> bool:
+        return self in (IntensificationKind.OSCILLATION, IntensificationKind.BOTH)
+
 
 @dataclass(frozen=True)
 class TabuSearchConfig:
@@ -100,11 +108,11 @@ class TSResult:
     best: Solution
     elite: list[Solution]
     initial_value: float
-    evaluations: int
-    moves: int
-    local_search_loops: int
-    intensifications: int
-    diversifications: int
+    evaluations: int = 0
+    moves: int = 0
+    local_search_loops: int = 0
+    intensifications: int = 0
+    diversifications: int = 0
     value_trace: list[float] = field(default_factory=list)
 
     @property
@@ -130,8 +138,11 @@ class TabuSearch:
         Optional hook called after every compound move with the running
         thread (conformance tests use it to trace control flow, and
         ``tests/differential.py::per_move_reference`` to pin the per-move
-        Python loop).  A thread with a hook runs every local-search loop in
-        Python, never as the one C call.
+        Python loop).  A thread with a hook runs Figure 1 move by move in
+        Python, never as the C thread.
+
+    With the native kernel, :meth:`run` makes one C call per
+    diversification round for steps 3–11 (see :meth:`_native_thread`).
     """
 
     def __init__(
@@ -161,8 +172,8 @@ class TabuSearch:
         #: state).
         self.counters = self.state.counters
         self._trace_control_flow: list[str] | None = None
-        #: the C local-search loop over this thread (built on first use)
-        self._c_loop: native.NativeLoop | None = None
+        #: the C thread over this thread's memories (built on first use)
+        self._c_thread: native.NativeThread | None = None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -227,46 +238,24 @@ class TabuSearch:
             raise ValueError("initial solution must be feasible")
         self.best = self.state.snapshot()
         self.elite.offer(self.best)
-        initial_value = x_init.value
-
+        # The run's tally: each round adds its moves, loops and
+        # intensifications, and the moves append to the incumbent trace.
+        result = TSResult(self.best, [], x_init.value, value_trace=[self.best.value])
         nb_int = self.config.bounds.nb_it(self.strategy)
-        moves = 0
-        loops = 0
-        n_intensifications = 0
-        n_diversifications = 0
-        trace: list[float] = [self.best.value]
-
-        def out_of_budget() -> bool:
-            return budget.exhausted(
-                evaluations=self.counters.total,
-                moves=moves,
-                best_value=self.best.value,
-            )
+        c_thread = self._native_thread(budget)
+        if c_thread is not None:
+            c_thread.start(self, budget, nb_int)
 
         # Step 2: diversification rounds
         for _div_round in range(self.config.nb_div):
-            # Step 3: intensification rounds ("Nb_int" = nb_it in §4.2)
-            for _int_round in range(nb_int):
-                if out_of_budget():
-                    break
-                self._note("local_search")
-                # Steps 4–10: one local-search loop
-                c_loop = self._native_loop(budget)
-                if c_loop is not None:
-                    x_local, loop_moves = self._c_local_search_loop(
-                        c_loop, budget, moves, trace
-                    )
-                else:
-                    x_local, loop_moves = self._local_search_loop(budget, moves, trace)
-                moves += loop_moves
-                loops += 1
-                if out_of_budget():
-                    break
-                # Step 11: intensification around X_local / X*
-                self._note("intensification")
-                self._intensify(x_local)
-                n_intensifications += 1
-            if out_of_budget():
+            # Steps 3–11: Nb_int rounds of local search, then intensification
+            if c_thread is None:
+                self._intensification_rounds(budget, nb_int, result)
+            else:
+                best_value = c_thread.round(self, result)
+                if best_value is not None:
+                    self.best = Solution.trusted(c_thread.best_x.copy(), best_value)
+            if self._out_of_budget(budget, result.moves):
                 break
             # Step 12: diversification from long-term memory
             self._note("diversification")
@@ -274,19 +263,36 @@ class TabuSearch:
                 self.state, self.history, self.tabu, self.config.diversification
             )
             self._register_candidate(new_start)
-            n_diversifications += 1
+            result.diversifications += 1
 
-        return TSResult(
-            best=self.best,
-            elite=self.elite.to_list(),
-            initial_value=initial_value,
-            evaluations=self.counters.total,
-            moves=moves,
-            local_search_loops=loops,
-            intensifications=n_intensifications,
-            diversifications=n_diversifications,
-            value_trace=trace,
+        result.best = self.best
+        result.elite = self.elite.to_list()
+        result.evaluations = self.counters.total
+        return result
+
+    def _out_of_budget(self, budget: Budget, moves: int) -> bool:
+        return budget.exhausted(
+            evaluations=self.counters.total, moves=moves, best_value=self.best.value
         )
+
+    def _intensification_rounds(self, budget: Budget, nb_int: int, result: TSResult) -> None:
+        """Figure 1 steps 3–11 move by move: the reference of ``ts_thread``."""
+        for _int_round in range(nb_int):
+            if self._out_of_budget(budget, result.moves):
+                break
+            self._note("local_search")
+            # Steps 4–10: one local-search loop
+            x_local, loop_moves = self._local_search_loop(
+                budget, result.moves, result.value_trace
+            )
+            result.moves += loop_moves
+            result.local_search_loops += 1
+            if self._out_of_budget(budget, result.moves):
+                break
+            # Step 11: intensification around X_local / X*
+            self._note("intensification")
+            self._intensify(x_local)
+            result.intensifications += 1
 
     # ------------------------------------------------------------------ #
     # Figure 1, steps 4–10
@@ -348,53 +354,39 @@ class TabuSearch:
                 self.on_move(self)
         return x_local, loop_moves
 
-    def _native_loop(self, budget: Budget) -> "native.NativeLoop | None":
-        """The C loop when it may run this loop, else ``None``.
+    def _native_thread(self, budget: Budget) -> "native.NativeThread | None":
+        """The C thread when it may run this run, else ``None``.
 
-        :meth:`_local_search_loop` is the reference and runs instead when
-        ``on_move`` is set (the hook sees every move), when the budget has
-        a wall-clock cap (read per move), and wherever the compound move
-        itself is not native: no native kernel (no cffi when the state was
-        built, or float instances) or an Add breadth above 2.
+        :meth:`_intensification_rounds` is the reference and runs instead
+        when ``on_move`` is set (the hook sees every move), when the
+        control-flow trace is on (it notes every phase), when the budget
+        has a wall-clock cap (read per move), and wherever the compound
+        move itself is not native: no native kernel (no cffi when the state
+        was built, or float instances) or an Add breadth above 2.
         """
-        if self.on_move is not None or budget.wall_seconds is not None:
+        if (
+            self.on_move is not None
+            or self._trace_control_flow is not None
+            or budget.wall_seconds is not None
+            or self.engine.add_candidates > 2
+            or self.state.native() is None
+        ):
             return None
-        state_native = self.state.native()
-        if state_native is None or self.engine.add_candidates > 2:
-            return None
-        if self._c_loop is None:
-            self._c_loop = native.NativeLoop(state_native, self.instance.n_items)
-        return self._c_loop
-
-    def _c_local_search_loop(
-        self, c_loop: "native.NativeLoop", budget: Budget, moves_so_far: int,
-        trace: list[float],
-    ) -> tuple[Solution, int]:
-        """Steps 4–10 in C, with :meth:`_local_search_loop`'s effects.
-
-        The moves, X*/X_local/elite updates, ``History``, the tabu list,
-        the counters and the trace all change exactly as in the Python
-        loop; ``Solution`` objects are built only here, at loop exit.
-        """
-        x_local = self.state.snapshot()  # step 4
-        out = c_loop.run(self, budget, moves_so_far, x_local.value, trace)
-        if out.best_moved:
-            self.best = x_local = Solution.trusted(c_loop.best_x.copy(), out.best_value)
-        elif out.local_moved:
-            x_local = Solution.trusted(c_loop.local_x.copy(), out.local_value)
-        return x_local, out.loop_moves
+        if self._c_thread is None:
+            self._c_thread = native.NativeThread(self)
+        return self._c_thread
 
     # ------------------------------------------------------------------ #
     # Figure 1, step 11
     # ------------------------------------------------------------------ #
     def _intensify(self, x_local: Solution) -> None:
         kind = self.config.intensification
-        if kind is IntensificationKind.NONE:
-            return
         state = self.state
-        holds_x_local = False
-        if kind in (IntensificationKind.SWAP, IntensificationKind.BOTH):
-            state.restore(x_local)
+        holds_x_local = True
+        # X_local is restored with the value recorded for it, so the C
+        # thread need not reproduce numpy's c @ x on non-integral profits.
+        if kind.swaps:
+            state.reset(x_local.x, x_local.value)
             swaps = apply_swaps(state)
             improved = state.snapshot()
             self._register_candidate(improved)
@@ -403,9 +395,9 @@ class TabuSearch:
                 x_local = improved
             # The state still holds X_local unless a swap landed and lost.
             holds_x_local = kept or swaps == 0
-        if kind in (IntensificationKind.OSCILLATION, IntensificationKind.BOTH):
+        if kind.oscillates:
             if not holds_x_local:
-                state.restore(x_local)
+                state.reset(x_local.x, x_local.value)
             projected = strategic_oscillation(
                 state, self.config.oscillation_depth, self.rng
             )
@@ -431,19 +423,3 @@ class TabuSearch:
         if self._trace_control_flow is not None:
             self._trace_control_flow.append(label)
 
-
-def expected_phase_sequence(nb_div: int, nb_int: int) -> list[str]:
-    """The Figure-1 phase order for given loop bounds (test helper).
-
-    ``nb_div`` rounds of (``nb_int`` × [local_search, intensification])
-    followed by one diversification.
-    """
-    if nb_div < 1 or nb_int < 1:
-        raise ValueError("loop bounds must be >= 1")
-    seq: list[str] = []
-    for _ in range(nb_div):
-        for _ in range(nb_int):
-            seq.append("local_search")
-            seq.append("intensification")
-        seq.append("diversification")
-    return seq

@@ -26,7 +26,7 @@ that contract so any test can assert it in one call:
 ``assert_c_loop_matches_per_move``
     The same, with the reference run holding every search thread on the
     per-move loop (:func:`per_move_reference`): the native compound move
-    without the native local-search loop.
+    without the native thread (``ts_thread``).
 
 Wall-measured fields canonicalized away (everything else — virtual
 seconds, byte ledgers, value histories, per-slave accounting — must
@@ -218,8 +218,8 @@ def per_move_reference() -> Iterator[None]:
     """Run every search thread built inside on the per-move loop.
 
     Threads get a no-op ``on_move`` hook, which keeps
-    ``TabuSearch._local_search_loop`` (one native compound move per Python
-    iteration) instead of the native local-search loop.  Like
+    ``TabuSearch._intensification_rounds`` (one native compound move per
+    Python iteration) instead of the native thread.  Like
     :func:`numpy_reference`, it reaches in-process threads only.
     """
     init = TabuSearch.__init__
@@ -256,7 +256,7 @@ def assert_native_matches_numpy(run: Callable[[], bytes]) -> None:
 
 def assert_c_loop_matches_per_move(run: Callable[[], bytes]) -> None:
     """Assert ``run()`` yields the same canonical bytes with the native
-    local-search loop as on the per-move loop (:func:`per_move_reference`)."""
+    thread as on the per-move loop (:func:`per_move_reference`)."""
     _assert_matches(
-        run, per_move_reference, "native local-search loop diverged from the per-move loop"
+        run, per_move_reference, "native thread diverged from the per-move loop"
     )

@@ -40,7 +40,7 @@ from repro.core.bitset import (
     words_to_bytes,
 )
 from repro.core.construction import random_solution, repair
-from repro.core.intensification import strategic_oscillation, swap_intensification
+from repro.core.intensification import apply_swaps, strategic_oscillation
 from repro.core.kernels import FIT_EPS
 from repro.core.strategy import Strategy
 from repro.core.tabu_search import TabuSearchConfig
@@ -341,7 +341,8 @@ class TestIntensificationParity:
         out = []
         for path in PATHS:
             state = _state_on_path(inst, x0, path)
-            result = swap_intensification(state)
+            apply_swaps(state)
+            result = state.snapshot()
             out.append(
                 (result.x.tobytes(), result.value,
                  state.counters.intensify_evaluations, _kernel_fingerprint(state))

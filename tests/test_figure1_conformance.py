@@ -8,9 +8,24 @@ matches the pseudocode's ordering.
 
 from __future__ import annotations
 
-
 from repro.core import Strategy, StrategyBounds, TabuSearch, TabuSearchConfig
-from repro.core.tabu_search import expected_phase_sequence
+
+
+def expected_phase_sequence(nb_div: int, nb_int: int) -> list[str]:
+    """The Figure-1 phase order for given loop bounds.
+
+    ``nb_div`` rounds of (``nb_int`` × [local_search, intensification])
+    followed by one diversification.
+    """
+    if nb_div < 1 or nb_int < 1:
+        raise ValueError("loop bounds must be >= 1")
+    seq: list[str] = []
+    for _ in range(nb_div):
+        for _ in range(nb_int):
+            seq.append("local_search")
+            seq.append("intensification")
+        seq.append("diversification")
+    return seq
 
 
 def make_ts(instance, nb_div=2, base_iterations=6, nb_drop=2, rng=0):

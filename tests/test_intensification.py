@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    SearchState,
-    greedy_solution,
-    strategic_oscillation,
-    swap_intensification,
-)
+from repro.core import SearchState, greedy_solution, strategic_oscillation
+from repro.core.intensification import apply_swaps
+
+
+def swapped(state: SearchState):
+    """:func:`apply_swaps` on ``state``; the swapped solution."""
+    apply_swaps(state)
+    return state.snapshot()
 
 
 class TestSwap:
@@ -19,14 +21,14 @@ class TestSwap:
             small_instance, greedy_solution(small_instance)
         )
         before = state.value
-        result = swap_intensification(state)
+        result = swapped(state)
         assert result.value >= before
 
     def test_preserves_feasibility(self, small_instance):
         state = SearchState.from_solution(
             small_instance, greedy_solution(small_instance)
         )
-        swap_intensification(state)
+        swapped(state)
         assert state.is_feasible
 
     def test_finds_tiny_improving_swap(self, tiny_instance):
@@ -34,7 +36,7 @@ class TestSwap:
         state = SearchState.from_solution(
             tiny_instance, greedy_solution(tiny_instance)
         )
-        result = swap_intensification(state)
+        result = swapped(state)
         assert result.value == 18.0
         assert set(result.items) == {0, 2}
 
@@ -42,7 +44,7 @@ class TestSwap:
         state = SearchState.from_solution(
             small_instance, greedy_solution(small_instance)
         )
-        swap_intensification(state)
+        swapped(state)
         assert state.counters.intensify_evaluations > 0
         assert state.counters.move_evaluations == 0
 
@@ -51,13 +53,13 @@ class TestSwap:
         state = SearchState.from_solution(
             small_instance, greedy_solution(small_instance)
         )
-        first = swap_intensification(state)
-        second = swap_intensification(state)
+        first = swapped(state)
+        second = swapped(state)
         assert first == second
 
     def test_empty_state_noop(self, small_instance):
         state = SearchState.empty(small_instance)
-        result = swap_intensification(state)
+        result = swapped(state)
         assert result.value == 0.0
 
 

@@ -1,12 +1,16 @@
-"""The native local-search loop (``ts_local_search``, Figure 1 steps 4–10).
+"""The native thread (``ts_thread``, Figure 1 steps 3–11 of one
+diversification round).
 
-On integer-instance states one C call runs a whole local-search loop: the
-moves, the X*/X_local updates, the elite offers, ``History`` and the tabu
-list.  ``TabuSearch._local_search_loop`` stays the reference; a no-op
-``on_move`` pins a thread to it (the per-move path, whose compound move is
-still native).  These cases check that the C elite insertion is
-``EliteArray.offer``, that a whole ``run()`` leaves every memory in the same
-state on both paths, and that every fallback rule keeps the reference loop.
+On integer-instance states one C call runs a whole diversification round:
+``Nb_int`` local-search loops (the moves, the X*/X_local updates, the elite
+offers, ``History`` and the tabu list), each followed by step 11's swap
+scan and oscillation; step 12 stays in Python between calls.
+``TabuSearch._intensification_rounds`` stays the reference; a no-op
+``on_move`` pins a thread to it (the per-move path, whose compound move,
+swap scan and oscillation are still native).  These cases check that the C
+elite insertion is ``EliteArray.offer``, that a whole ``run()`` leaves every
+memory in the same state on both paths, budgets and hand-backs included,
+and that every fallback rule keeps the reference.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core import (
     Budget,
     EliteArray,
+    IntensificationKind,
     MKPInstance,
     Solution,
     Strategy,
@@ -26,6 +31,7 @@ from repro.core import (
     TabuSearchConfig,
     greedy_solution,
     native,
+    tabu_search,
 )
 from repro.instances import cb_instance, gk_instance
 
@@ -69,22 +75,22 @@ def test_c_elite_offer_matches_elite_array(capacity, offers):
 
 
 # --------------------------------------------------------------------------- #
-# Whole-run state equivalence: C loop == per-move path
+# Whole-run state equivalence: C thread == per-move path
 # --------------------------------------------------------------------------- #
 def _no_op(thread: TabuSearch) -> None:
     pass
 
 
-def _run(instance, *, per_move: bool, budget=None, rng=3, **config):
-    ts = TabuSearch(instance, Strategy(9, 2, 12), TabuSearchConfig(**config), rng=rng)
-    if per_move:
-        ts.on_move = _no_op
-    result = ts.run(budget=budget)
-    return ts, result
+def _thread_pair(instance, strategy=Strategy(9, 2, 12), rng=3, **config):
+    """A default thread and a per-move reference thread, equally seeded."""
+    return [
+        TabuSearch(instance, strategy, TabuSearchConfig(**config), rng=rng, on_move=hook)
+        for hook in (None, _no_op)
+    ]
 
 
 def _memories(ts: TabuSearch, result) -> dict:
-    """Every memory the local-search loop writes, as comparable values."""
+    """Every memory the thread writes, as comparable values."""
     return {
         "clock": ts.tabu.clock,
         "expiry": ts.tabu._expiry.tobytes(),
@@ -94,9 +100,58 @@ def _memories(ts: TabuSearch, result) -> dict:
         "counters": ts.counters,
         "trace": result.value_trace,
         "best": (result.best.value, result.best.x.tobytes()),
-        "moves": result.moves,
-        "kernel": (ts.state.x.tobytes(), ts.state.value, ts.state.load.tobytes()),
+        "thread_best": (ts.best.value, ts.best.x.tobytes()),
+        "tally": (
+            result.moves, result.local_search_loops, result.intensifications,
+            result.diversifications, result.evaluations, result.initial_value,
+        ),
+        "kernel": (
+            ts.state.x.tobytes(), ts.state.value, ts.state.n_packed,
+            ts.state.load.tobytes(), ts.state.free_words.tobytes(),
+            ts.state._q_base.tobytes(),
+        ),
     }
+
+
+def _assert_paths_agree(instance, budget=None, x_init=None, **kw):
+    """Run both paths; return the C run's result after comparing memories."""
+    out = []
+    for ts in _thread_pair(instance, **kw):
+        result = ts.run(x_init=x_init, budget=budget)
+        out.append((ts, result))
+    (c_ts, c_result), (ref_ts, ref_result) = out
+    assert c_ts._c_thread is not None and ref_ts._c_thread is None
+    assert _memories(c_ts, c_result) == _memories(ref_ts, ref_result)
+    return c_result
+
+
+def _step11_events(instance, **kw) -> list[tuple[int, int, float, float]]:
+    """Per intensification of a per-move run: the evaluations before and
+    after its swap scan, and F(X*) before the scan and once its result is
+    registered."""
+    ts = _thread_pair(instance, **kw)[1]
+    events: list[list] = []
+    apply_swaps, register = tabu_search.apply_swaps, TabuSearch._register_candidate
+
+    def swaps(state):
+        before, best = ts.counters.total, ts.best.value
+        applied = apply_swaps(state)
+        events.append([before, ts.counters.total, best])
+        return applied
+
+    def register_and_note(self, candidate):
+        register(self, candidate)
+        if events and len(events[-1]) == 3:
+            events[-1].append(self.best.value)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tabu_search, "apply_swaps", swaps)
+        patch.setattr(TabuSearch, "_register_candidate", register_and_note)
+        ts.run()
+    return [tuple(e) for e in events]
+
+
+CB30 = lambda: cb_instance(30, 100, 0.25, 0)  # noqa: E731
 
 
 class TestStateEquivalence:
@@ -107,26 +162,60 @@ class TestStateEquivalence:
             pytest.param(lambda: gk_instance(24), Budget(max_evaluations=150_000),
                          id="gk24-evals"),
             pytest.param(lambda: gk_instance(24), Budget(max_moves=333), id="gk24-moves"),
-            pytest.param(lambda: cb_instance(30, 100, 0.25, 0), None, id="cb30"),
-            pytest.param(lambda: cb_instance(30, 100, 0.25, 0),
-                         Budget(target_value=21_700), id="cb30-target"),
+            pytest.param(CB30, None, id="cb30"),
+            pytest.param(CB30, Budget(target_value=21_700), id="cb30-target"),
+            pytest.param(CB30, Budget(max_moves=2_000), id="cb30-moves"),
         ],
     )
     def test_c_loop_matches_per_move_path(self, instance, budget):
+        # Intensification BOTH and Nb_div = 3: every unspent run returns to
+        # Python for step 12 twice and resumes the thread after it.
+        result = _assert_paths_agree(instance(), budget)
+        if budget is None:
+            assert result.diversifications == 3
+            assert result.intensifications == result.local_search_loops > 3
+
+    @pytest.mark.parametrize("instance", [lambda: gk_instance(24), CB30], ids=["gk24", "cb30"])
+    @pytest.mark.parametrize("stop", ["evaluations", "target"])
+    def test_budget_spent_between_swap_and_oscillation(self, instance, stop):
+        # A swap spends the budget (the third intensification's evaluations,
+        # or the first swap that lifts F(X*) to the target): the oscillation
+        # still runs, and the next round's check stops the run.
         inst = instance()
-        c_ts, c_result = _run(inst, per_move=False, budget=budget)
-        assert c_ts._c_loop is not None
-        ref_ts, ref_result = _run(inst, per_move=True, budget=budget)
-        assert _memories(c_ts, c_result) == _memories(ref_ts, ref_result)
+        events = _step11_events(inst)
+        if stop == "evaluations":
+            k = 2
+            before, after, _, _ = events[k]
+            assert before < after
+            budget = Budget(max_evaluations=after)
+        else:  # the first swap that raises F(X*)
+            k = next(k for k, (_, _, old, new) in enumerate(events) if new > old)
+            budget = Budget(target_value=events[k][3])
+        result = _assert_paths_agree(inst, budget)
+        assert result.intensifications == k + 1
+        assert result.local_search_loops == k + 1
 
     def test_add_breadth_one(self):
-        inst = cb_instance(5, 100, 0.5, 0)
-        c_ts, c_result = _run(inst, per_move=False, add_candidates=1)
-        ref_ts, ref_result = _run(inst, per_move=True, add_candidates=1)
-        assert _memories(c_ts, c_result) == _memories(ref_ts, ref_result)
+        _assert_paths_agree(cb_instance(5, 100, 0.5, 0), add_candidates=1)
+
+    def test_non_integral_profits(self):
+        # Integral weights keep the native kernel; X_local's restore keeps
+        # the value recorded for it on both paths.
+        base = gk_instance(10)
+        rng = np.random.default_rng(5)
+        inst = MKPInstance(
+            base.weights, base.capacities, base.profits + rng.uniform(0.0, 1.0, base.n_items)
+        )
+        assert not np.all(inst.profits == np.round(inst.profits))
+        result = _assert_paths_agree(inst)
+        assert result.diversifications == 3
+
+    @pytest.mark.parametrize("kind", list(IntensificationKind))
+    def test_each_intensification_kind(self, kind):
+        _assert_paths_agree(gk_instance(10), intensification=kind)
 
     def test_rebound_thread_matches_fresh_per_move_thread(self):
-        # The warm-runtime path: a reused thread binds the same memories.
+        # The warm-runtime path: a reused thread keeps its bound memories.
         inst = gk_instance(10)
         ts = TabuSearch(inst, Strategy(9, 2, 12), TabuSearchConfig(), rng=0)
         ts.run()
@@ -136,53 +225,51 @@ class TestStateEquivalence:
         assert _memories(ts, result) == _memories(ref, ref.run())
 
     def test_tie_hand_back_resumes_inside_the_loop(self, monkeypatch):
-        # Equal profits and weights in 1..3 make tied Add ratios common, so
-        # the C loop exits mid-move, Python picks, and the loop resumes.
+        # Profits in {1, 2} and weights in 30 000 x {1, 2, 3} make tied Add
+        # ratios common, and densities above 2**16 make the oscillation's
+        # keys tie: the C thread hands both choices back mid-round, Python
+        # picks or sorts, and the thread resumes.
         rng = np.random.default_rng(14)
-        weights = rng.integers(1, 4, size=(3, 60)).astype(float)
-        inst = MKPInstance(weights, weights.sum(axis=1) // 2, np.full(60, 7.0))
-        picks = []
-        pick = native.NativeKernel.handback_pick
-        monkeypatch.setattr(
-            native.NativeKernel, "handback_pick",
-            lambda self, r: picks.append(1) or pick(self, r),
-        )
+        weights = 30_000.0 * rng.integers(1, 4, size=(3, 60))
+        inst = MKPInstance(weights, weights.sum(axis=1) // 2, rng.integers(1, 3, 60) * 1.0)
+        calls = {"handback_pick": 0, "handback_order": 0}
+        for name in calls:
+            method = getattr(native.NativeKernel, name)
+
+            def counted(self, arg, name=name, method=method):
+                calls[name] += 1
+                return method(self, arg)
+
+            monkeypatch.setattr(native.NativeKernel, name, counted)
         x0 = greedy_solution(inst)
-        c_ts = TabuSearch(inst, Strategy(5, 2, 8), TabuSearchConfig(nb_div=1), rng=2)
+        c_ts, ref_ts = _thread_pair(inst, Strategy(5, 2, 8), rng=2, nb_div=2)
         c_result = c_ts.run(x_init=x0)
-        c_picks = len(picks)
-        assert c_picks > 0
-        ref_ts = TabuSearch(
-            inst, Strategy(5, 2, 8), TabuSearchConfig(nb_div=1), rng=2, on_move=_no_op
-        )
+        c_calls = dict(calls)
+        assert c_calls["handback_pick"] > 0 and c_calls["handback_order"] > 0
         ref_result = ref_ts.run(x_init=x0)
-        assert len(picks) == 2 * c_picks
+        assert calls == {name: 2 * count for name, count in c_calls.items()}
+        assert c_result.diversifications == 2
         assert _memories(c_ts, c_result) == _memories(ref_ts, ref_result)
 
     def test_long_loop_spills_the_trace_chunk(self):
-        # More moves in one loop than the trace chunk holds.
+        # More moves in one round than the trace chunk holds.
         inst = gk_instance(10)
-        c_ts = TabuSearch(inst, Strategy(9, 2, 3000), TabuSearchConfig(nb_div=1), rng=1)
-        c_result = c_ts.run(budget=Budget(max_moves=2500))
-        assert c_result.moves == 2500 > 2 * native._TRACE_CHUNK
-        ref_ts = TabuSearch(
-            inst, Strategy(9, 2, 3000), TabuSearchConfig(nb_div=1), rng=1, on_move=_no_op
+        result = _assert_paths_agree(
+            inst, Budget(max_moves=2500), strategy=Strategy(9, 2, 3000), rng=1, nb_div=1
         )
-        assert _memories(c_ts, c_result) == _memories(
-            ref_ts, ref_ts.run(budget=Budget(max_moves=2500))
-        )
+        assert result.moves == 2500 > 2 * native._TRACE_CHUNK
 
 
 # --------------------------------------------------------------------------- #
-# Fallback rules: each keeps the reference loop
+# Fallback rules: each keeps the reference
 # --------------------------------------------------------------------------- #
 @pytest.fixture
 def c_loops(monkeypatch) -> list:
-    """Counts the local-search loops that ran in C."""
+    """Counts the diversification rounds that ran in C (``ts_thread``)."""
     calls: list = []
-    run = TabuSearch._c_local_search_loop
+    run = native.NativeThread.round
     monkeypatch.setattr(
-        TabuSearch, "_c_local_search_loop",
+        native.NativeThread, "round",
         lambda self, *a: calls.append(1) or run(self, *a),
     )
     return calls
@@ -207,6 +294,12 @@ class TestFallbackRules:
         ts.on_move = seen.append
         result = ts.run()
         assert not c_loops and len(seen) == result.moves
+
+    def test_control_flow_trace_keeps_the_reference_loop(self, c_loops):
+        ts = _thread()
+        phases = ts.enable_control_flow_trace()
+        ts.run()
+        assert not c_loops and "local_search" in phases
 
     def test_wall_clock_budget_keeps_the_reference_loop(self, c_loops):
         _thread().run(budget=Budget(wall_seconds=30.0))
