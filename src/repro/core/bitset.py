@@ -122,18 +122,23 @@ def pairwise_hamming(packed: np.ndarray) -> np.ndarray:
     return np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
 
 
-def mean_pairwise_hamming(packed: np.ndarray) -> float:
-    """Mean ordered-pairwise Hamming distance of ``(p, W)`` packed rows.
+def mean_pairwise_hamming(packed) -> float:
+    """Mean ordered-pairwise Hamming distance of packed rows.
 
-    Exactly the SGP dispersion statistic: integer total over ordered pairs
-    divided by ``p * (p - 1)`` — bit-identical to the Gram-matrix formula it
-    replaces because both compute the same integer numerator.
+    ``packed`` is a ``(p, W)`` array of packed rows or a list of packed
+    byte frames (padding bits zero either way).  Exactly the SGP dispersion
+    statistic: integer total over ordered pairs divided by ``p * (p - 1)``
+    — bit-identical to the Gram-matrix formula it replaces because both
+    compute the same integer numerator.  Each pair is one XOR + popcount
+    on the rows as Python integers, which for a few short rows beats a
+    numpy broadcast.
     """
-    p = packed.shape[0]
+    rows = [int.from_bytes(row, "little") for row in packed]
+    p = len(rows)
     if p < 2:
         return 0.0
-    total_ordered = int(pairwise_hamming(packed).sum())
-    return total_ordered / (p * (p - 1))
+    total = sum((a ^ b).bit_count() for i, a in enumerate(rows) for b in rows[i + 1 :])
+    return 2 * total / (p * (p - 1))
 
 
 def words_to_bytes(words: np.ndarray, n_bits: int) -> bytes:

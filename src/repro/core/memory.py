@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .solution import Solution
+from .solution import Solution, SolutionBlock
 
 __all__ = ["History", "EliteArray"]
 
@@ -76,8 +76,8 @@ class EliteArray:
     the first :attr:`count` rows in use) and :attr:`values`.  The native
     thread inserts into the same block
     (``ts_elite_offer`` in ``core/_native.c``), so there is one copy of the
-    array whichever path fills it; :class:`Solution` objects are built on
-    the way out.
+    array whichever path fills it.  It leaves packed, as one
+    :class:`~repro.core.solution.SolutionBlock` (:meth:`packed`).
     """
 
     def __init__(self, capacity: int, n_items: int) -> None:
@@ -92,14 +92,10 @@ class EliteArray:
         return self.count
 
     def __iter__(self) -> Iterator[Solution]:
-        return iter(self.to_list())
+        return iter(self.packed())
 
     def __getitem__(self, idx: int) -> Solution:
-        if idx < 0:
-            idx += self.count
-        if not 0 <= idx < self.count:
-            raise IndexError("elite index out of range")
-        return Solution.trusted(self.rows[idx].copy(), self.values[idx])
+        return self.packed()[idx]
 
     @property
     def best(self) -> Solution | None:
@@ -144,12 +140,13 @@ class EliteArray:
         self.count = last + 1
         return True
 
+    def packed(self) -> SolutionBlock:
+        """The members, best first, packed by one ``packbits`` over the block
+        (what a slave ships back to the master)."""
+        return SolutionBlock.pack(self.rows[: self.count], self.values[: self.count])
+
     def to_list(self) -> list[Solution]:
-        """Snapshot as a plain list (what a slave ships back to the master)."""
-        return [
-            Solution.trusted(self.rows[i].copy(), value)
-            for i, value in enumerate(self.values[: self.count].tolist())
-        ]
+        return list(self.packed())
 
     def clear(self) -> None:
         self.count = 0

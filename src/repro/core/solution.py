@@ -1,11 +1,17 @@
 """Solution representations for the 0–1 MKP.
 
-Two classes share the work:
+Three classes share the work:
 
 :class:`Solution`
-    An immutable snapshot — a 0/1 vector plus its cached objective value.
-    These are what gets stored in elite (``BestSol``) arrays, shipped between
-    master and slaves, and compared by Hamming distance in the SGP.
+    An immutable snapshot — a 0/1 vector plus its cached objective value,
+    held as its packed bit frame; the ``int8`` vector is unpacked only when
+    read.  These are what gets shipped between master and slaves and handed
+    out by the ISP.
+
+:class:`SolutionBlock`
+    ``k`` solutions as one array of wire records.  A slave's elite
+    (``BestSol``) array leaves in that form, and the master merges it and
+    measures its Hamming dispersion without unpacking.
 
 :class:`SearchState`
     The *mutable* working state of one tabu-search thread, and the flat-array
@@ -53,7 +59,7 @@ and ``tests/test_golden_trajectory.py`` pin this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from typing import Iterable
 
 import numpy as np
@@ -64,15 +70,13 @@ from .bitset import (
     bytes_to_words,
     hamming_words,
     mean_pairwise_hamming,
-    pack_bits,
-    unpack_bits,
-    words_to_bytes,
 )
 from .instance import MKPInstance
 from .kernels import FIT_EPS, KernelCounters
 
 __all__ = [
     "Solution",
+    "SolutionBlock",
     "SearchState",
     "hamming_distance",
     "mean_pairwise_distance",
@@ -82,38 +86,41 @@ __all__ = [
 _BIT = (np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)).copy()
 
 
-def _solution_from_wire(payload: bytes, n_items: int, value: float) -> "Solution":
-    """Rebuild a :class:`Solution` from its packed wire frame (codec hook)."""
-    words = bytes_to_words(payload, n_items)
-    x = unpack_bits(words, n_items)
-    sol = Solution.trusted(x, value)
-    # Seed the packing memo: the receiver's first dedup key / Hamming query
-    # should not re-pack what just arrived packed.
-    words.setflags(write=False)
-    object.__setattr__(sol, "_packed_words", words)
-    return sol
+@functools.lru_cache(maxsize=None)
+def record_dtype(n_items: int) -> np.dtype:
+    """One solution's wire record: its ``<f8`` value, then its packed bits."""
+    return np.dtype([("value", "<f8"), ("bits", np.uint8, ((n_items + 7) // 8,))])
 
 
-@dataclass(frozen=True)
 class Solution:
     """An immutable 0/1 solution with its objective value.
+
+    A solution is held packed: :meth:`packed_bytes` is its ``ceil(n/8)``-byte
+    little-endian bit frame (padding bits zero), the one form the wire, the
+    elite blocks and every dedup key use.  The ``int8`` vector :attr:`x` is
+    unpacked only when something reads it, and then kept.
 
     ``value`` is trusted (it is produced by :class:`SearchState`, whose
     invariant is property-tested); :meth:`verified` recomputes it for audits.
     """
 
-    x: np.ndarray
-    value: float
+    __slots__ = ("_bits", "_n", "_value", "_x", "_words")
 
-    def __post_init__(self) -> None:
-        x = np.ascontiguousarray(self.x, dtype=np.int8)
+    def __init__(self, x: np.ndarray, value: float) -> None:
+        x = np.ascontiguousarray(x, dtype=np.int8)
         if x.ndim != 1:
             raise ValueError(f"solution vector must be 1-D; got shape {x.shape}")
         if not np.all((x == 0) | (x == 1)):
             raise ValueError("solution vector must be 0/1")
+        self._pack(x, value)
+
+    def _pack(self, x: np.ndarray, value: float) -> None:
         x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "value", float(self.value))
+        self._bits = np.packbits(x, bitorder="little").tobytes()
+        self._n = x.shape[0]
+        self._value = float(value)
+        self._x = x
+        self._words = None
 
     @classmethod
     def trusted(cls, x: np.ndarray, value: float) -> "Solution":
@@ -121,19 +128,43 @@ class Solution:
 
         ``x`` must already be a contiguous 1-D 0/1 ``int8`` array owned by
         the caller (e.g. a fresh ``SearchState`` snapshot copy); it is
-        frozen in place.  The per-move snapshot path uses this to skip the
-        ``__post_init__`` re-validation and re-copy, which dominates the
-        cost of cheap moves on large instances.
+        frozen in place and kept as :attr:`x`.  The per-move snapshot path
+        uses this to skip the constructor's re-validation and re-copy, which
+        dominates the cost of cheap moves on large instances.
         """
         self = object.__new__(cls)
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "value", float(value))
+        self._pack(x, value)
+        return self
+
+    @classmethod
+    def from_packed(cls, bits: bytes, n_items: int, value: float) -> "Solution":
+        """A solution from its packed frame (padding bits zero); ``x`` stays unread."""
+        if len(bits) != (n_items + 7) // 8:
+            raise ValueError(f"expected {(n_items + 7) // 8} packed bytes; got {len(bits)}")
+        self = object.__new__(cls)
+        self._bits = bits
+        self._n = n_items
+        self._value = float(value)
+        self._x = None
+        self._words = None
         return self
 
     @property
+    def x(self) -> np.ndarray:
+        """The read-only ``int8`` 0/1 vector, unpacked on first read."""
+        if self._x is None:
+            bits = np.frombuffer(self._bits, dtype=np.uint8)
+            self._x = np.unpackbits(bits, count=self._n, bitorder="little").view(np.int8)
+            self._x.setflags(write=False)
+        return self._x
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+    @property
     def n_items(self) -> int:
-        return self.x.shape[0]
+        return self._n
 
     @property
     def items(self) -> np.ndarray:
@@ -148,43 +179,94 @@ class Solution:
         return instance.is_feasible(self.x)
 
     def packed_words(self) -> np.ndarray:
-        """Packed little-endian ``uint64`` codec of ``x`` (memoized).
-
-        Solutions are immutable, so the packing is done at most once and
-        shared by every Hamming-distance query, dedup key, and wire frame
-        that touches this solution afterwards.
-        """
-        words = self.__dict__.get("_packed_words")
-        if words is None:
-            words = pack_bits(self.x)
-            words.setflags(write=False)
-            object.__setattr__(self, "_packed_words", words)
-        return words
+        """Packed little-endian ``uint64`` words of ``x`` (memoized)."""
+        if self._words is None:
+            self._words = bytes_to_words(self._bits, self._n)
+            self._words.setflags(write=False)
+        return self._words
 
     def packed_bytes(self) -> bytes:
         """Minimal ``ceil(n/8)``-byte frame of ``x`` (wire/dedup format)."""
-        return words_to_bytes(self.packed_words(), self.n_items)
+        return self._bits
 
     def distance(self, other: "Solution") -> int:
-        """Hamming distance to another solution (SGP dispersion metric).
-
-        Runs on the memoized packed words — XOR + popcount over ``n/64``
-        words instead of an elementwise compare over ``n`` bytes.
-        """
-        if self.x.shape != other.x.shape:
-            raise ValueError(f"shape mismatch: {self.x.shape} vs {other.x.shape}")
+        """Hamming distance to another solution (SGP dispersion metric)."""
+        if self._n != other._n:
+            raise ValueError(f"shape mismatch: ({self._n},) vs ({other._n},)")
         return hamming_words(self.packed_words(), other.packed_words())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Solution):
             return NotImplemented
-        return self.value == other.value and np.array_equal(self.x, other.x)
+        return (
+            self._value == other._value
+            and self._n == other._n
+            and self._bits == other._bits
+        )
 
     def __hash__(self) -> int:
-        return hash((self.value, self.x.tobytes()))
+        return hash((self._value, self._bits))
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Solution(value={self.value:g}, packed={int(self.x.sum())}/{self.n_items})"
+    def __reduce__(self):
+        return Solution.from_packed, (self._bits, self._n, self._value)
+
+    def __repr__(self) -> str:
+        return f"Solution(value={self._value!r}, n_items={self._n})"
+
+
+class SolutionBlock:
+    """``k`` solutions as one array of wire records (:func:`record_dtype`).
+
+    The bytes of :attr:`records` are the solution frames
+    :class:`~repro.parallel.wire.WireCodec` sends, so a block crosses the
+    wire in one copy each way.  Indexing and iterating yield packed
+    :class:`Solution` objects (``x`` still unread).
+    """
+
+    __slots__ = ("records", "n_items")
+
+    def __init__(self, records: np.ndarray, n_items: int) -> None:
+        self.records = records
+        self.n_items = n_items
+
+    @classmethod
+    def pack(cls, rows: np.ndarray, values: np.ndarray) -> "SolutionBlock":
+        """Pack a ``(k, n)`` 0/1 block and its values with one ``packbits``."""
+        records = np.empty(rows.shape[0], dtype=record_dtype(rows.shape[1]))
+        records["value"] = values
+        records["bits"] = np.packbits(rows, axis=1, bitorder="little")
+        return cls(records, rows.shape[1])
+
+    @classmethod
+    def of(cls, solutions: Iterable[Solution], n_items: int) -> "SolutionBlock":
+        """A block holding ``solutions`` (each of ``n_items`` items), in order."""
+        sols = list(solutions)
+        records = np.empty(len(sols), dtype=record_dtype(n_items))
+        records["value"] = [s.value for s in sols]
+        bits = b"".join(s.packed_bytes() for s in sols)
+        records["bits"] = np.frombuffer(bits, np.uint8).reshape(records["bits"].shape)
+        return cls(records, n_items)
+
+    def pairs(self) -> list[tuple[float, bytes]]:
+        """``(value, packed bits)`` of every member, in block order."""
+        size = self.records.itemsize
+        raw = self.records.tobytes()  # per record: 8 value bytes, then the bits
+        return [
+            (value, raw[i * size + 8 : i * size + size])
+            for i, value in enumerate(self.records["value"].tolist())
+        ]
+
+    def __len__(self) -> int:
+        return self.records.shape[0]
+
+    def __getitem__(self, idx: int) -> Solution:
+        record = self.records[idx]
+        return Solution.from_packed(record["bits"].tobytes(), self.n_items, record["value"])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SolutionBlock, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
@@ -209,15 +291,9 @@ def mean_pairwise_distance(solutions: Iterable[Solution]) -> float:
     intensifying and diversifying parameter updates.
     """
     sols = list(solutions)
-    if len(sols) < 2:
-        return 0.0
-    # Broadcast XOR + popcount over the memoized packed words — the integer
-    # ordered-pair total is the same number the historical Gram-matrix
-    # formula produced, so the dispersion statistic (and every SGP decision
-    # thresholded against it) is bit-identical.  This runs every SGP round
-    # over P×B elite vectors.
-    packed = np.stack([s.packed_words() for s in sols])
-    return mean_pairwise_hamming(packed)
+    if any(s.n_items != sols[0].n_items for s in sols):
+        raise ValueError("shape mismatch: solutions of different lengths")
+    return mean_pairwise_hamming([s.packed_bytes() for s in sols])
 
 
 class SearchState:

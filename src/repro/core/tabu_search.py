@@ -42,7 +42,7 @@ from .instance import MKPInstance
 from .intensification import apply_swaps, strategic_oscillation
 from .memory import EliteArray, History
 from .moves import MoveEngine
-from .solution import SearchState, Solution
+from .solution import SearchState, Solution, SolutionBlock
 from .strategy import Strategy, StrategyBounds
 from .tabu_list import TabuList
 from .termination import Budget
@@ -106,7 +106,7 @@ class TSResult:
     """
 
     best: Solution
-    elite: list[Solution]
+    elite: SolutionBlock
     initial_value: float
     evaluations: int = 0
     moves: int = 0
@@ -266,7 +266,7 @@ class TabuSearch:
             result.diversifications += 1
 
         result.best = self.best
-        result.elite = self.elite.to_list()
+        result.elite = self.elite.packed()
         result.evaluations = self.counters.total
         return result
 

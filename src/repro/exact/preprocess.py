@@ -56,16 +56,17 @@ class Reduction:
         return float(self.original.profits[self.fixed_one].sum())
 
     def lift(self, x_reduced: np.ndarray) -> np.ndarray:
-        """Map a reduced-space 0/1 vector to the original space."""
+        """Map a reduced-space 0/1 vector (or a block of row vectors) to the
+        original space."""
         x_reduced = np.asarray(x_reduced)
-        if x_reduced.shape != (self.kept_items.size,):
+        if x_reduced.ndim not in (1, 2) or x_reduced.shape[-1] != self.kept_items.size:
             raise ValueError(
                 f"expected reduced vector of length {self.kept_items.size}; "
                 f"got {x_reduced.shape}"
             )
-        x = np.zeros(self.original.n_items, dtype=np.int8)
-        x[self.kept_items] = x_reduced
-        x[self.fixed_one] = 1
+        x = np.zeros((*x_reduced.shape[:-1], self.original.n_items), dtype=np.int8)
+        x[..., self.kept_items] = x_reduced
+        x[..., self.fixed_one] = 1
         return x
 
     def lift_value(self, reduced_value: float) -> float:

@@ -17,26 +17,31 @@ __all__ = ["VirtualClock"]
 
 
 class VirtualClock:
-    """Per-processor virtual times with barrier synchronization."""
+    """Per-processor virtual times with barrier synchronization.
+
+    The times are Python floats: a round charges each processor a few
+    scalars, and IEEE-754 addition and ``max`` give the same results on
+    floats as on a float64 vector, without numpy's per-scalar boxing.
+    """
 
     def __init__(self, n_processors: int) -> None:
         if n_processors < 1:
             raise ValueError("n_processors must be >= 1")
         self.n_processors = int(n_processors)
-        self._t = np.zeros(n_processors, dtype=np.float64)
+        self._t = [0.0] * self.n_processors
 
     @property
     def times(self) -> np.ndarray:
         """Copy of the per-processor clock vector."""
-        return self._t.copy()
+        return np.array(self._t, dtype=np.float64)
 
     @property
     def now(self) -> float:
         """Global time = the furthest-ahead processor."""
-        return float(self._t.max())
+        return max(self._t)
 
     def time_of(self, proc: int) -> float:
-        return float(self._t[proc])
+        return self._t[proc]
 
     def advance(self, proc: int, seconds: float) -> float:
         """Charge ``seconds`` of work/communication to ``proc``.
@@ -45,8 +50,8 @@ class VirtualClock:
         """
         if seconds < 0:
             raise ValueError(f"cannot advance by negative time: {seconds}")
-        self._t[proc] += seconds
-        return float(self._t[proc])
+        self._t[proc] += float(seconds)
+        return self._t[proc]
 
     def barrier(self) -> np.ndarray:
         """Synchronize all processors to the maximum time.
@@ -54,9 +59,9 @@ class VirtualClock:
         Returns the per-processor *idle* time spent waiting at the barrier
         (zero for the straggler), which the load-balance experiment sums.
         """
-        top = self._t.max()
-        idle = top - self._t
-        self._t[:] = top
+        top = max(self._t)
+        idle = np.array([top - t for t in self._t], dtype=np.float64)
+        self._t = [top] * self.n_processors
         return idle
 
     def wait_until(self, proc: int, t: float) -> float:
@@ -65,6 +70,7 @@ class VirtualClock:
         Used by the asynchronous variant where a thread waits for a message
         that was *sent* at time ``t`` (no global barrier involved).
         """
+        t = float(t)
         idle = max(0.0, t - self._t[proc])
         self._t[proc] = max(self._t[proc], t)
         return idle

@@ -19,10 +19,10 @@ the random injections of rule 2 spreads them out (macro-diversification).
 global best keeps improving, decay it when the search stalls.
 
 The :class:`ISPDecision` solutions chosen here are exactly what the master
-serializes into each round's ``SlaveTask``; since ``rule 1`` hands the *same*
-global-best :class:`~repro.core.solution.Solution` object to many slaves,
-its packed wire frame and bitset words are memoized once and reused across
-every copy shipped that round (see :meth:`Solution.packed_words`).
+serializes into each round's ``SlaveTask``.  They are packed
+:class:`~repro.core.solution.Solution` objects: the task frame carries
+their packed bits as they are, and no ``x`` vector is unpacked on the
+master to hand one out.
 """
 
 from __future__ import annotations

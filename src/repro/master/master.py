@@ -677,7 +677,7 @@ class MasterProcess:
         w.n_reports += 1
         w.evaluations += report.evaluations
         self._evaluations += report.evaluations
-        if entry.absorb_elite([report.best, *report.elite], self.config.elite_capacity):
+        if entry.absorb_elite([report.best, report.elite], self.config.elite_capacity):
             entry.stagnant_rounds = 0
             w.improved += 1
         else:

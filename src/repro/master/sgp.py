@@ -17,9 +17,8 @@ intensification ... by reducing the values of lt_size and nb_drop and
 incrementing nb_it."
 
 The dispersion statistic is the mean pairwise Hamming distance over each
-entry's elite set, computed on the solutions' memoized packed-bitset words
-(XOR + popcount over ``n/64``-word rows; see
-:func:`repro.core.solution.mean_pairwise_distance`) — the number is
+entry's elite set, one XOR + popcount pass over the entry's packed rows
+(:meth:`repro.master.datastruct.SlaveEntry.dispersion`) — the number is
 bit-identical to the dense elementwise version, so every ``close``/``far``
 classification below is unaffected by the packed representation.
 """
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.solution import mean_pairwise_distance
 from ..core.strategy import Strategy, StrategyBounds
 from ..parallel.message import SlaveReport
 from .datastruct import INITIAL_SCORE, SlaveEntry
@@ -148,7 +146,7 @@ def update_strategies(
             )
             continue
         entry.score += 1 if report.improved else -1
-        dispersion = mean_pairwise_distance(entry.best_solutions)
+        dispersion = entry.dispersion()
         if entry.score > 0:
             decisions.append(
                 SGPDecision(entry.slave_id, "keep", entry.score, entry.strategy, dispersion)

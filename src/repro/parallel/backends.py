@@ -464,7 +464,7 @@ class SerialBackend(Backend):
         total = 0
         for k, t in self._drop_tasks(slave_id, task):
             if t is not None:
-                nbytes = len(self._codec.encode_task(t))
+                nbytes = self._codec.task_nbytes(t)
                 self.last_task_nbytes[k] = nbytes
                 total += nbytes
             self._queued.append((k, t))
@@ -491,7 +491,7 @@ class SerialBackend(Backend):
                 self.fault_counters["straggle"] += 1
                 self.last_slowdowns[slave] = factor
             self._arrived.extend(
-                (report, len(self._codec.encode_report(report))) for report in reports
+                (report, self._codec.report_nbytes(report)) for report in reports
             )
 
     def next_report(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.reduction import FixationPattern
-from ..core.solution import Solution
+from ..core.solution import Solution, SolutionBlock
 from ..core.strategy import Strategy
 from ..core.termination import Budget
 
@@ -73,12 +73,19 @@ class SlaveReport:
 
     slave_id: int
     best: Solution
-    elite: list[Solution] = field(default_factory=list)
+    #: the slave's ``B`` best, packed; a list of solutions is packed on entry
+    elite: SolutionBlock = field(default_factory=list)
     initial_value: float = 0.0
     evaluations: int = 0
     moves: int = 0
     round_index: int = 0
     seq_id: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.elite, SolutionBlock):
+            object.__setattr__(
+                self, "elite", SolutionBlock.of(self.elite, self.best.n_items)
+            )
 
     @property
     def improved(self) -> bool:

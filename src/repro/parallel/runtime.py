@@ -41,7 +41,7 @@ import numpy as np
 
 from ..core.instance import MKPInstance
 from ..core.reduction import FixationPattern
-from ..core.solution import Solution
+from ..core.solution import Solution, SolutionBlock
 from ..core.strategy import Strategy
 from ..core.tabu_search import TabuSearch, TabuSearchConfig
 from .message import SlaveReport, SlaveTask
@@ -200,13 +200,6 @@ class SlaveRuntime:
             excess = load - red.capacities
         return Solution.trusted(x, float(red.profits @ x))
 
-    @staticmethod
-    def _lift(reduction, sol: Solution) -> Solution:
-        """Lift a reduced-space solution back to full-space coordinates."""
-        return Solution.trusted(
-            reduction.lift(sol.x), reduction.lift_value(sol.value)
-        )
-
     def _execute_reduced(
         self, task: SlaveTask, pattern: FixationPattern, slave_id: int | None
     ) -> SlaveReport:
@@ -216,10 +209,16 @@ class SlaveRuntime:
         thread.rebind(task.strategy, task.seed)
         x_red = self._project(reduction, task.x_init)
         result = thread.run(x_init=x_red, budget=task.budget)
+        # best then elite, lifted to full space as one block, packed once
+        elite = thread.elite
+        lifted = SolutionBlock.pack(
+            reduction.lift(np.vstack((result.best.x, elite.rows[: elite.count]))),
+            reduction.lift_value(np.append(result.best.value, elite.values[: elite.count])),
+        )
         return SlaveReport(
             slave_id=self.slave_id if slave_id is None else int(slave_id),
-            best=self._lift(reduction, result.best),
-            elite=[self._lift(reduction, s) for s in result.elite],
+            best=lifted[0],
+            elite=SolutionBlock(lifted.records[1:], lifted.n_items),
             initial_value=reduction.lift_value(result.initial_value),
             evaluations=result.evaluations,
             moves=result.moves,

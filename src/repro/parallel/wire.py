@@ -6,8 +6,10 @@ Fixed binary frames (``struct``, no pickle), defined once for every carrier
 :class:`WireCodec`
     :class:`~repro.parallel.message.SlaveTask` /
     :class:`~repro.parallel.message.SlaveReport` frames and their batch
-    envelopes.  Solutions travel as packed-bit frames (``8 + ceil(n/8)``
-    bytes) that seed the decoded object's ``packed_words`` memo.
+    envelopes.  A solution travels as an ``8 + ceil(n/8)``-byte record,
+    its value then its packed bits; a report's best and elite records are
+    one :class:`~repro.core.solution.SolutionBlock`, written and read as
+    one block.
 :func:`encode_bind` / :func:`decode_bind`
     The REBIND frame: the problem and the structural config a worker serves.
 :func:`encode_hello` / :func:`decode_hello`
@@ -29,7 +31,7 @@ import numpy as np
 from ..core.diversification import DiversificationConfig
 from ..core.instance import MKPInstance
 from ..core.reduction import _pattern_from_wire
-from ..core.solution import Solution, _solution_from_wire
+from ..core.solution import Solution, SolutionBlock, record_dtype
 from ..core.strategy import Strategy, StrategyBounds
 from ..core.tabu_search import IntensificationKind, TabuSearchConfig
 from ..core.termination import Budget
@@ -127,33 +129,45 @@ class WireCodec:
 
     def __init__(self, n_items: int) -> None:
         self.n_items = int(n_items)
+        #: one solution frame: ``<d`` value, then ``ceil(n/8)`` bit bytes
+        self._record = record_dtype(self.n_items)
+        #: the padding bits of a frame's last bit byte (0 when none)
+        self._pad_mask = (0xFF << self.n_items % 8) & 0xFF if self.n_items % 8 else 0
 
     @property
     def solution_nbytes(self) -> int:
-        return _VALUE.size + (self.n_items + 7) // 8
+        return self._record.itemsize
 
     # -- solutions ------------------------------------------------------ #
-    def _put_solution(self, out: bytearray, sol: Solution) -> None:
-        out += _VALUE.pack(sol.value)
-        out += sol.packed_bytes()
-
     def _take_bits(self, buf: bytes, off: int) -> tuple[bytes, int]:
         """One packed ``n_items``-bit block; its padding bits must be zero."""
         nb = (self.n_items + 7) // 8
         block = bytes(buf[off : off + nb])
         if len(block) != nb:
             raise WireError(f"truncated bit block at byte {off}")
-        if self.n_items % 8 and block[-1] >> (self.n_items % 8):
+        if self._pad_mask and block[-1] & self._pad_mask:
             raise WireError(f"bit block at byte {off} sets padding bits")
         return block, off + nb
 
-    def _take_solution(self, buf: bytes, off: int) -> tuple[Solution, int]:
-        (value,) = _VALUE.unpack_from(buf, off)
-        block, off = self._take_bits(buf, off + _VALUE.size)
-        return _solution_from_wire(block, self.n_items, value), off
+    def _take_records(
+        self, frame: bytes, off: int, count: int
+    ) -> tuple[Solution, np.ndarray]:
+        """The ``count`` solution records that end ``frame`` from ``off``:
+        the first as a solution, and all of them as one record array.  No
+        padding bit of any of them may be set."""
+        size = self._record.itemsize
+        _expect_end(frame, off + count * size)
+        if self._pad_mask and any(b & self._pad_mask for b in frame[off + size - 1 :: size]):
+            raise WireError(f"a bit block after byte {off} sets padding bits")
+        (value,) = _VALUE.unpack_from(frame, off)
+        bits = bytes(frame[off + _VALUE.size : off + size])
+        first = Solution.from_packed(bits, self.n_items, value)
+        return first, np.frombuffer(frame, self._record, count, off)
 
     # -- tasks ----------------------------------------------------------- #
-    def encode_task(self, task: SlaveTask) -> bytes:
+    @staticmethod
+    def _task_flags(task: SlaveTask) -> int:
+        """The flags byte: which optional fields follow a task's head."""
         budget = task.budget
         flags = 0
         if budget.max_evaluations is not None:
@@ -168,6 +182,22 @@ class WireCodec:
             flags |= _HAS_CORE_RATIO
         if task.pattern is not None:
             flags |= _HAS_PATTERN
+        return flags
+
+    def task_nbytes(self, task: SlaveTask) -> int:
+        """``len(encode_task(task))``, from the flags alone."""
+        flags = self._task_flags(task)
+        n_fields = bin(flags & ~_HAS_PATTERN).count("1")
+        pattern = 2 * ((self.n_items + 7) // 8) if flags & _HAS_PATTERN else 0
+        return _TASK_HEAD.size + 8 * n_fields + pattern + self._record.itemsize
+
+    def report_nbytes(self, report: SlaveReport) -> int:
+        """``len(encode_report(report))``, from the elite count alone."""
+        return _REPORT_HEAD.size + (1 + len(report.elite)) * self._record.itemsize
+
+    def encode_task(self, task: SlaveTask) -> bytes:
+        budget = task.budget
+        flags = self._task_flags(task)
         lt, drop, local = task.strategy.as_tuple()
         out = bytearray(
             _TASK_HEAD.pack(
@@ -188,7 +218,8 @@ class WireCodec:
         if flags & _HAS_PATTERN:
             out += task.pattern.packed_mask_bytes()
             out += task.pattern.packed_values_bytes()
-        self._put_solution(out, task.x_init)
+        out += _VALUE.pack(task.x_init.value)
+        out += task.x_init.packed_bytes()
         return bytes(out)
 
     @_total
@@ -222,10 +253,8 @@ class WireCodec:
             mask, off = self._take_bits(frame, off)
             values, off = self._take_bits(frame, off)
             pattern = _pattern_from_wire(mask, values, self.n_items)
-        x_init, off = self._take_solution(frame, off)
-        _expect_end(frame, off)
         return SlaveTask(
-            x_init=x_init,
+            x_init=self._take_records(frame, off, 1)[0],
             strategy=Strategy(lt, drop, local, core_ratio),
             budget=Budget(max_evaluations, max_moves, wall_seconds, target_value),
             seed=seed,
@@ -236,17 +265,17 @@ class WireCodec:
 
     # -- reports --------------------------------------------------------- #
     def encode_report(self, report: SlaveReport) -> bytes:
-        out = bytearray(
+        best = report.best
+        return b"".join((
             _REPORT_HEAD.pack(
                 KIND_REPORT, report.slave_id, report.seq_id, report.round_index,
                 report.initial_value, report.evaluations, report.moves,
                 len(report.elite),
-            )
-        )
-        self._put_solution(out, report.best)
-        for sol in report.elite:
-            self._put_solution(out, sol)
-        return bytes(out)
+            ),
+            _VALUE.pack(best.value),
+            best.packed_bytes(),
+            report.elite.records.tobytes(),
+        ))
 
     @_total
     def decode_report(self, frame: bytes) -> SlaveReport:
@@ -255,17 +284,12 @@ class WireCodec:
         )
         if kind != KIND_REPORT:
             raise WireError(f"not a report frame (kind={kind})")
-        off = _REPORT_HEAD.size
-        best, off = self._take_solution(frame, off)
-        elite = []
-        for _ in range(n_elite):
-            sol, off = self._take_solution(frame, off)
-            elite.append(sol)
-        _expect_end(frame, off)
+        # best then elite: one block of 1 + n_elite records
+        best, records = self._take_records(frame, _REPORT_HEAD.size, 1 + n_elite)
         return SlaveReport(
             slave_id=slave_id,
             best=best,
-            elite=elite,
+            elite=SolutionBlock(records[1:], self.n_items),
             initial_value=initial_value,
             evaluations=evaluations,
             moves=moves,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from ..core.construction import random_solution
 from ..core.instance import MKPInstance
-from ..core.solution import Solution, mean_pairwise_distance
+from ..core.solution import Solution
 from ..core.strategy import StrategyBounds
 from ..core.tabu_search import TabuSearch, TabuSearchConfig
 from ..core.termination import Budget
@@ -208,7 +208,7 @@ def solve_cts_async(
 
         # --- fold segment results ---------------------------------------
         seg_best = result.best
-        improved = peer.absorb_elite([seg_best, *result.elite], ELITE_CAPACITY)
+        improved = peer.absorb_elite([seg_best, result.elite], ELITE_CAPACITY)
         peer.stagnant_rounds = 0 if improved else peer.stagnant_rounds + 1
 
         # --- publish to the blackboard (asynchronous send) --------------
@@ -236,7 +236,7 @@ def solve_cts_async(
             sgp_action, peer.strategy = regenerate_strategy(
                 peer.strategy,
                 len(peer.best_solutions),
-                mean_pairwise_distance(peer.best_solutions),
+                peer.dispersion(),
                 config.bounds,
                 config.sgp,
                 instance.n_items,

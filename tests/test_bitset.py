@@ -465,10 +465,12 @@ class TestWireCodec:
         sol = Solution(x, float(x.sum()))
         codec = WireCodec(n)
         clone = codec.decode_report(codec.encode_report(SlaveReport(0, sol))).best
+        # The decoded copy holds the packed frame that arrived; ``x`` is
+        # unpacked on its first read and kept.
+        assert clone.packed_bytes() == sol.packed_bytes()
         assert clone == sol
         assert clone.x.dtype == np.int8
-        # The decoded copy arrives with its packing memo pre-seeded.
-        assert "_packed_words" in clone.__dict__
+        assert clone.x is clone.x
         # One packed bit per item plus the value: 71 bytes for 500 items.
         assert codec.solution_nbytes == 8 + (n + 7) // 8
 

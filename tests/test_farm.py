@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+
+from repro.core import Budget
 
 from repro.farm import (
     ALPHA_FARM,
@@ -16,6 +20,9 @@ from repro.farm import (
     VirtualClock,
 )
 from repro.farm.machine import EVAL_BASE_OPS, EVAL_OPS_PER_CONSTRAINT
+from repro.instances import correlated_instance
+from repro.master import MasterConfig, MasterProcess
+from repro.parallel import FaultEvent, FaultKind, FaultPlan, SerialBackend
 
 
 class TestProcessorModel:
@@ -122,6 +129,39 @@ class TestVirtualClock:
             now = clock.times
             assert np.all(now >= prev - 1e-12)
             prev = now
+
+    def test_farm_run_charges_are_pinned(self):
+        """A fixed CTS2 farm run (5 rounds, 4 serial slaves, one straggler)
+        charges exactly the virtual times recorded when the clock held a
+        float64 vector: the makespan, every round's seconds and every trace
+        event (hashed over their exact float bits)."""
+        instance = correlated_instance(5, 30, rng=42, name="small-5x30")
+        plan = FaultPlan(events=(FaultEvent(1, 2, FaultKind.STRAGGLE, factor=3.0),))
+        master = MasterProcess(
+            instance,
+            MasterConfig(n_slaves=4, n_rounds=5, variant="CTS2"),
+            SerialBackend(4, fault_plan=plan),
+            rng_seed=7,
+            farm=ALPHA_FARM,
+        )
+        result = master.run(budget_per_slave=Budget(max_evaluations=6_000))
+        assert result.virtual_seconds.hex() == "0x1.30e09d8f1c933p-7"
+        assert [s.round_virtual_seconds.hex() for s in result.rounds] == [
+            "0x1.82ee068351d99p-10",
+            "0x1.cdf7f0111f8d0p-9",
+            "0x1.7f27a8658f514p-10",
+            "0x1.7512a6a0be264p-10",
+            "0x1.73ecb6cd062e8p-10",
+        ]
+        digest = hashlib.sha256()
+        for e in result.trace.events:
+            digest.update(
+                f"{e.proc}|{e.kind.name}|{e.t_start.hex()}|{e.t_end.hex()}|{e.label}\n".encode()
+            )
+        assert len(result.trace.events) == 80
+        assert digest.hexdigest() == (
+            "f492ced9f0b4ab812e7d7dbfb6005d95e4018d94aab9c3b812310f3632f3d9a9"
+        )
 
 
 class TestTrace:

@@ -25,7 +25,7 @@ def entry(instance, slave_id: int, items: list[int], stagnant=0) -> SlaveEntry:
     e = SlaveEntry(
         slave_id=slave_id, strategy=Strategy(10, 2, 20), init_solution=s
     )
-    e.best_solutions = [s]
+    e.absorb_elite([s], capacity=8)
     e.stagnant_rounds = stagnant
     return e
 

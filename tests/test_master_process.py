@@ -142,3 +142,54 @@ class TestEliteCapacity:
         ]
         entry.absorb_elite(sols, capacity=config.elite_capacity)
         assert len(entry.best_solutions) <= 3
+
+
+class TestPackedMasterPath:
+    def test_x_is_unpacked_only_for_what_isp_hands_out(self, monkeypatch):
+        """A 10-round GK10 CTS2 run folds, scores and hands out solutions in
+        their packed form: an ``x`` vector is unpacked only for a solution
+        ISP handed out (the slave reads it to start its search)."""
+        from repro.core.solution import Solution, SolutionBlock
+        from repro.instances import gk_instance
+        from repro.master import SlaveEntry
+        from repro.master import master as master_module
+
+        handed: set[bytes] = set()
+        absorbed: set[bytes] = set()
+        unpacked: list[bytes] = []
+
+        isp = master_module.generate_initial_solutions
+
+        def recording_isp(*args, **kwargs):
+            decisions = isp(*args, **kwargs)
+            handed.update(d.solution.packed_bytes() for d in decisions)
+            return decisions
+
+        absorb = SlaveEntry.absorb_elite
+
+        def recording_absorb(self, elite, capacity):
+            for part in elite:
+                members = part if isinstance(part, SolutionBlock) else [part]
+                absorbed.update(s.packed_bytes() for s in members)
+            return absorb(self, elite, capacity)
+
+        x = Solution.x
+
+        def counting_x(self):
+            if self._x is None:
+                unpacked.append(self.packed_bytes())
+            return x.fget(self)
+
+        monkeypatch.setattr(master_module, "generate_initial_solutions", recording_isp)
+        monkeypatch.setattr(SlaveEntry, "absorb_elite", recording_absorb)
+        monkeypatch.setattr(Solution, "x", property(counting_x))
+        result = run(
+            gk_instance(10),
+            MasterConfig(n_slaves=4, n_rounds=10, variant="CTS2"),
+            budget=Budget(max_evaluations=40_000),
+            seed=3,
+            farm=None,
+        )
+        assert result.n_rounds == 10
+        assert len(absorbed - handed) > 0  # members ISP never handed out exist
+        assert set(unpacked) <= handed

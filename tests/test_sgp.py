@@ -21,7 +21,7 @@ def make_entry(slave_id=0, score=4, elite=None) -> SlaveEntry:
         init_solution=sol([1, 0, 0, 0, 0, 0, 0, 0, 0, 0], 1.0),
         score=score,
     )
-    e.best_solutions = elite or []
+    e.absorb_elite(elite or [], capacity=8)
     return e
 
 

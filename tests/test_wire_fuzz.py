@@ -241,6 +241,88 @@ class TestEveryDecoderIsTotal:
 
 
 # ---------------------------------------------------------------------- #
+# The report's best-plus-elite block
+# ---------------------------------------------------------------------- #
+
+
+def _report_with_elite(rnd: random.Random, n: int, n_elite: int) -> SlaveReport:
+    return dataclasses.replace(
+        _report(rnd, n), elite=[_solution(rnd, n) for _ in range(n_elite)]
+    )
+
+
+def _reference_encode_report(report: SlaveReport) -> bytes:
+    """The report frame written one member at a time: head, then each of
+    best and elite as its ``<d`` value and its little-endian packed bits."""
+    out = bytearray(
+        struct.pack(
+            "<BiqidqqH", 2, report.slave_id, report.seq_id, report.round_index,
+            report.initial_value, report.evaluations, report.moves, len(report.elite),
+        )
+    )
+    for sol in [report.best, *report.elite]:
+        out += struct.pack("<d", sol.value)
+        out += np.packbits(sol.x, bitorder="little").tobytes()
+    return bytes(out)
+
+
+#: ``(content seed, item count, elite count)``
+BLOCKS = st.tuples(st.integers(0, 2**32), st.integers(1, 130), st.integers(0, 8))
+
+
+class TestReportBlock:
+    @given(BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_frames_equal_the_per_member_encoding(self, case):
+        seed, n, n_elite = case
+        report = _report_with_elite(random.Random(seed), n, n_elite)
+        codec = WireCodec(n)
+        frame = codec.encode_report(report)
+        assert frame == _reference_encode_report(report)
+        assert codec.report_nbytes(report) == len(frame)
+        assert codec.decode_report(frame) == report
+
+    @given(st.integers(0, 2**32), st.integers(1, 130))
+    @settings(max_examples=100, deadline=None)
+    def test_task_nbytes_is_the_frame_length(self, seed, n):
+        task = _task(random.Random(seed), n)
+        codec = WireCodec(n)
+        assert codec.task_nbytes(task) == len(codec.encode_task(task))
+
+    @given(BLOCKS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_padding_bits_in_the_last_elite_row_raise(self, case, data):
+        seed, n, n_elite = case
+        if n % 8 == 0:
+            n += data.draw(st.integers(1, 7))
+        frame = bytearray(
+            WireCodec(n).encode_report(_report_with_elite(random.Random(seed), n, n_elite + 1))
+        )
+        frame[-1] |= 1 << data.draw(st.integers(n % 8, 7))
+        _raises_wire_error(WireCodec(n).decode_report, bytes(frame))
+
+    @given(BLOCKS, st.integers(1, 2**16 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_elite_count_past_the_bytes_present_raises(self, case, extra):
+        seed, n, n_elite = case
+        frame = bytearray(
+            WireCodec(n).encode_report(_report_with_elite(random.Random(seed), n, n_elite))
+        )
+        struct.pack_into("<H", frame, 41, min(n_elite + extra, 2**16 - 1))
+        _raises_wire_error(WireCodec(n).decode_report, bytes(frame))
+
+    @given(BLOCKS, st.binary(min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_after_the_block_raise(self, case, junk):
+        seed, n, n_elite = case
+        codec = WireCodec(n)
+        frame = codec.encode_report(_report_with_elite(random.Random(seed), n, n_elite))
+        _raises_wire_error(codec.decode_report, frame + junk)
+        # a whole extra record past the count is trailing bytes too
+        _raises_wire_error(codec.decode_report, frame + frame[-codec.solution_nbytes :])
+
+
+# ---------------------------------------------------------------------- #
 # Round trips of the control frames
 # ---------------------------------------------------------------------- #
 
