@@ -145,8 +145,5 @@ class EliteArray:
         (what a slave ships back to the master)."""
         return SolutionBlock.pack(self.rows[: self.count], self.values[: self.count])
 
-    def to_list(self) -> list[Solution]:
-        return list(self.packed())
-
     def clear(self) -> None:
         self.count = 0

@@ -153,11 +153,6 @@ class TabuList:
         """Iterations until ``item``'s tabu status expires (0 if free)."""
         return max(0, int(self._expiry[item] - self._clock))
 
-    @staticmethod
-    def aspiration_met(candidate_value: float, best_value: float) -> bool:
-        """The paper's aspiration criterion: strictly beat the incumbent."""
-        return candidate_value > best_value
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TabuList(n_items={self.n_items}, tenure={self.tenure}, "

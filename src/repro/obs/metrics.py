@@ -58,9 +58,6 @@ class MetricsRegistry:
     def counter_value(self, name: str, **labels: str) -> float:
         return self._counters.get((name, _labelset(labels)), 0.0)
 
-    def gauge_value(self, name: str, **labels: str) -> float:
-        return self._gauges.get((name, _labelset(labels)), 0.0)
-
     def render_prometheus(self) -> str:
         """Render every series in the Prometheus text exposition format."""
         lines: list[str] = []

@@ -2,11 +2,12 @@
 
 from .backend_socket import SocketBackend, run_worker
 from .backends import Backend, MultiprocessingBackend, SerialBackend
-from .comm import CommClosedError, CommTimeout, PipeComm
 from .faults import FaultEvent, FaultKind, FaultPlan
 from .message import RESULT_TAG, SlaveReport, SlaveTask
 from .runtime import SlaveRuntime
 from .shm import (
+    CommClosedError,
+    CommTimeout,
     RingEmpty,
     RingFull,
     ShmComm,
@@ -33,7 +34,6 @@ __all__ = [
     "MultiprocessingBackend",
     "SocketBackend",
     "run_worker",
-    "PipeComm",
     "CommTimeout",
     "CommClosedError",
     "FaultEvent",

@@ -13,7 +13,7 @@ reaches, and makes the fleet *elastic*:
   late attach never perturbs a pinned trajectory — it only changes which
   process executes which slave id.
 * **vanish mid-run** — a closed connection, an expired heartbeat window
-  (normalised through :class:`~repro.parallel.comm.CommTimeout`) or a report
+  (normalised through :class:`~repro.parallel.shm.CommTimeout`) or a report
   frame that fails to decode buries the member; its slave ids surface
   through :meth:`SocketBackend.drain_dead_slaves` and the missing reports
   take the master's existing dead-rank path (degraded-mode ISP/SGP,
@@ -59,9 +59,9 @@ from typing import Any, Callable, Sequence
 from ..core.instance import MKPInstance
 from ..core.tabu_search import TabuSearchConfig
 from .backends import Backend, Entries, worker_loop
-from .comm import CommTimeout
 from .faults import FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
+from .shm import CommTimeout
 from .wire import (
     HELLO_MAX_NBYTES,
     WireError,
@@ -240,7 +240,7 @@ class SocketBackend(Backend):
         the connection before the peer joins.  After that, any read error —
         EOF, reset, a malformed frame, or a heartbeat window expiring (the
         ``asyncio`` timeout is normalised through
-        :class:`~repro.parallel.comm.CommTimeout`, the same type the pipe
+        :class:`~repro.parallel.shm.CommTimeout`, the same type the pipe
         transport raises on a silent peer) — ends in exactly one ``leave``
         event, which is what buries the member's shard.
         """

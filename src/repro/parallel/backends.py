@@ -105,11 +105,17 @@ from typing import Callable, Sequence
 from ..core.instance import MKPInstance
 from ..core.tabu_search import TabuSearchConfig
 from ..obs.telemetry import RoundTelemetry
-from .comm import CommClosedError, PipeComm
 from .faults import FaultPlan
 from .message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveReport, SlaveTask
 from .runtime import SlaveRuntime
-from .shm import DEFAULT_RING_NBYTES, ShmComm, ShmRing, TornFrameError, resolve_transport
+from .shm import (
+    DEFAULT_RING_NBYTES,
+    CommClosedError,
+    ShmComm,
+    ShmRing,
+    TornFrameError,
+    resolve_transport,
+)
 from .wire import WireCodec, WireError, decode_bind, encode_bind
 
 __all__ = [
@@ -647,7 +653,7 @@ def _worker_main(
             if recv_ring is not None:
                 recv_ring.close()
             send_ring = recv_ring = None
-    comm = ShmComm(PipeComm(conn), send_ring=send_ring, recv_ring=recv_ring)
+    comm = ShmComm(conn, send_ring=send_ring, recv_ring=recv_ring)
     try:
         worker_loop(
             comm.recv_message,
@@ -721,11 +727,13 @@ class MultiprocessingBackend(Backend):
         self._ctx = mp.get_context(mp_context)
         self._procs: list[mp.Process | None] = []
         self._comms: list[ShmComm | None] = []
-        self._rings: list[tuple[ShmRing, ShmRing] | None] = []
-        #: per-worker carrier actually in use after spawn ("shm" or "pipe")
-        self.worker_transports: list[str] = []
         #: respawn count per worker (the chaos suite asserts recovery)
         self.respawns: Counter[int] = Counter()
+
+    @property
+    def worker_transports(self) -> list[str | None]:
+        """Per-worker carrier in use ("shm" or "pipe"; ``None`` while buried)."""
+        return [None if comm is None else comm.transport for comm in self._comms]
 
     # ------------------------------------------------------------------ #
     def _group_slaves(self, w: int) -> range:
@@ -737,12 +745,10 @@ class MultiprocessingBackend(Backend):
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         task_ring: ShmRing | None = None
         report_ring: ShmRing | None = None
-        shm_spec: tuple[str, str] | None = None
         if self.transport == "shm":
             try:
                 task_ring = ShmRing.create(DEFAULT_RING_NBYTES)
                 report_ring = ShmRing.create(DEFAULT_RING_NBYTES)
-                shm_spec = (task_ring.name, report_ring.name)
             except Exception:
                 # Segment creation failed (exhausted /dev/shm, hardened
                 # host, ...): this worker degrades to the in-band pipe
@@ -752,7 +758,6 @@ class MultiprocessingBackend(Backend):
                     task_ring.close()
                     task_ring.unlink()
                 task_ring = report_ring = None
-                shm_spec = None
                 self.fault_counters["shm_fallback"] += 1
         proc = self._ctx.Process(
             target=_worker_main,
@@ -762,7 +767,7 @@ class MultiprocessingBackend(Backend):
                 config,
                 tuple(self._group_slaves(w)),
                 self.fault_plan,
-                shm_spec,
+                None if report_ring is None else (task_ring.name, report_ring.name),
             ),
             daemon=True,
             name=f"repro-slave-{w}",
@@ -770,16 +775,10 @@ class MultiprocessingBackend(Backend):
         proc.start()
         child_conn.close()
         self._procs[w] = proc
-        self._comms[w] = ShmComm(
-            PipeComm(parent_conn), send_ring=task_ring, recv_ring=report_ring
-        )
-        self._rings[w] = (
-            (task_ring, report_ring) if task_ring is not None else None
-        )
-        self.worker_transports[w] = "shm" if shm_spec is not None else "pipe"
+        self._comms[w] = ShmComm(parent_conn, send_ring=task_ring, recv_ring=report_ring)
 
     def _bury(self, w: int) -> None:
-        """Terminate worker ``w``, close its wire, unlink its rings."""
+        """Terminate worker ``w`` and close its carrier (which unlinks its rings)."""
         proc = self._procs[w]
         if proc is not None:
             if proc.is_alive():  # pragma: no branch
@@ -790,12 +789,6 @@ class MultiprocessingBackend(Backend):
         if comm is not None:
             comm.close()
             self._comms[w] = None
-        rings = self._rings[w]
-        if rings is not None:
-            for ring in rings:
-                ring.close()
-                ring.unlink()
-            self._rings[w] = None
         self._in_flight.pop(w, None)
 
     #: deadline rule: a worker still silent when the round closes is hung
@@ -844,8 +837,6 @@ class MultiprocessingBackend(Backend):
             return
         self._procs = [None] * self.n_workers
         self._comms = [None] * self.n_workers
-        self._rings = [None] * self.n_workers
-        self.worker_transports = ["pipe"] * self.n_workers
         for w in range(self.n_workers):
             self._spawn(w, instance, config)
 
@@ -964,12 +955,5 @@ class MultiprocessingBackend(Backend):
         for comm in self._comms:
             if comm is not None:
                 comm.close()
-        for rings in self._rings:
-            if rings is not None:
-                for ring in rings:
-                    ring.close()
-                    ring.unlink()
         self._procs = []
         self._comms = []
-        self._rings = []
-        self.worker_transports = []

@@ -22,17 +22,17 @@ other).
     ``tests/test_shm.py`` forges both corruptions).
 
 :class:`ShmComm`
-    A :class:`~repro.parallel.comm.PipeComm`-compatible byte carrier: same
-    ``send``/``recv``/``poll``/``close`` surface and the same
-    ``.connection`` handle for the multiplexed gather — but ``send`` writes
-    a task or report frame into the ring and pushes only the doorbell
-    through the pipe.  When a ring is absent (non-POSIX host, exhausted
-    shm, attach failure) or momentarily full, the *same frame bytes* ride
-    in-band through the pipe instead — the receive side keys off the
-    doorbell's empty body, so no negotiation is needed and the frames, and
-    so the byte ledgers, are identical either way.  That equality is what
-    keeps serialized run records byte-identical across
-    ``transport ∈ {pipe, shm}`` (the differential suite's contract).
+    The one byte carrier of a pipe or shm worker: a private duplex pipe
+    whose messages are a tag byte plus a frame, with an optional send ring
+    and receive ring.  ``send`` writes a task or report frame into the ring
+    and pushes only the doorbell through the pipe.  When a ring is absent
+    (non-POSIX host, exhausted shm, attach failure) or momentarily full,
+    the *same frame bytes* ride in-band through the pipe instead — the
+    receive side keys off the doorbell's empty body, so no negotiation is
+    needed and the frames, and so the byte ledgers, are identical either
+    way.  That equality is what keeps serialized run records byte-identical
+    across ``transport ∈ {pipe, shm}`` (the differential suite's contract).
+    Closing the carrier unlinks the rings its side created.
 
 Transport selection: :func:`resolve_transport` prefers an explicit
 argument, then ``REPRO_TRANSPORT`` (``shm`` | ``pipe``), then picks
@@ -50,11 +50,12 @@ import struct
 import time
 from typing import Any
 
-from .comm import PipeComm
 from .message import RESULT_TAG, TASK_TAG
 from .wire import WireCodec, WireError
 
 __all__ = [
+    "CommClosedError",
+    "CommTimeout",
     "DEFAULT_RING_NBYTES",
     "FrameTooLarge",
     "RingEmpty",
@@ -132,6 +133,7 @@ class ShmRing:
     def __init__(self, shm: Any, *, owner: bool, spin: int = 10_000) -> None:
         self._shm = shm
         self._buf = shm.buf
+        #: this side created the segment; :meth:`ShmComm.close` unlinks it
         self.owner = bool(owner)
         self._spin = int(spin)
         self._closed = False
@@ -270,13 +272,6 @@ class ShmRing:
         self._set(_OFF_WSEQ, wseq + 2)  # even: frame fully published
         return fseq
 
-    def try_write(self, payload: bytes) -> int | None:
-        """Like :meth:`write` but returns ``None`` instead of RingFull."""
-        try:
-            return self.write(payload)
-        except RingFull:
-            return None
-
     def read(self) -> bytes:
         """Consume and return the next frame's payload.
 
@@ -377,74 +372,101 @@ def resolve_transport(explicit: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# Comm facade
+# Carrier
 # ---------------------------------------------------------------------- #
 
 
-class ShmComm:
-    """Pipe-compatible byte carrier that moves payloads through shm rings.
+class CommTimeout(TimeoutError):
+    """A bounded ``recv`` expired before any message arrived."""
 
-    Wraps one :class:`~repro.parallel.comm.PipeComm` (the doorbell) plus an
-    optional send ring and receive ring.  It moves frames and knows nothing
-    of their content: the backend (master side) and the worker loop own the
-    :class:`~repro.parallel.wire.WireCodec` and its byte ledger.  Task and
-    report frames take the ring; control frames (STOP, REBIND) — an empty
-    one, or a bind frame — ride the pipe as they are.
+
+class CommClosedError(RuntimeError):
+    """Send/recv attempted on an endpoint that was already closed."""
+
+
+class ShmComm:
+    """One worker's byte carrier: a duplex pipe plus optional shm rings.
+
+    Each master↔worker pair owns a private pipe.  Every pipe message is one
+    tag byte followed by a frame; nothing is ever unpickled.  The carrier
+    knows nothing of the frames' content: the backend (master side) and the
+    worker loop own the :class:`~repro.parallel.wire.WireCodec` and its byte
+    ledger.  Task and report frames take the send ring; control frames
+    (STOP, REBIND) — an empty one, or a bind frame — ride the pipe as they
+    are.
 
     Per-frame carrier selection, visible in the doorbell itself:
 
     * ring write succeeded → an empty pipe message under the tag;
     * no ring / ring full  → the frame bytes ride the pipe in-band.
 
-    ``pipe_payload_bytes`` counts only the in-band bytes — the "bytes
-    through pipes" gate in ``tests/test_shm.py`` asserts it stays ≈ 0 on
-    the shm path.
+    ``bytes_sent``/``bytes_received`` count only the in-band frame bytes
+    (``pipe_payload_bytes`` is their sum) — the "bytes through pipes" gate
+    in ``tests/test_shm.py`` asserts it stays ≈ 0 on the shm path.
+
+    Hardened surface (chaos-test requirements): ``recv`` takes an optional
+    ``timeout`` in seconds and raises :class:`CommTimeout` instead of
+    blocking forever on a dead peer; a peer dying mid-frame raises
+    :class:`CommClosedError`, as does any operation on a closed endpoint.
+    :meth:`close` is idempotent and also unlinks the rings this side
+    created (:attr:`ShmRing.owner`), so the master's carrier owns its
+    worker's segments.  A forked worker inherits the master's carriers but
+    never closes them, so it cannot unlink another worker's rings.
     """
 
     def __init__(
         self,
-        pipe: PipeComm,
+        connection: Any,
         *,
         send_ring: ShmRing | None = None,
         recv_ring: ShmRing | None = None,
     ) -> None:
-        self._pipe = pipe
+        #: the raw pipe end (for ``multiprocessing.connection.wait``)
+        self.connection = connection
         self.send_ring = send_ring
         self.recv_ring = recv_ring
+        self.closed = False
+        self.bytes_sent = 0
+        self.bytes_received = 0
         #: frames whose payload fell back to the in-band pipe carrier
         self.ring_overflows = 0
 
-    # -- surface parity -------------------------------------------------- #
     @property
     def transport(self) -> str:
         return "shm" if (self.send_ring or self.recv_ring) else "pipe"
 
     @property
-    def connection(self) -> Any:
-        return self._pipe.connection
-
-    @property
-    def closed(self) -> bool:
-        return self._pipe.closed
-
-    @property
     def pipe_payload_bytes(self) -> int:
         """Frame bytes that crossed the pipe in either direction (in-band)."""
-        return self._pipe.bytes_sent + self._pipe.bytes_received
+        return self.bytes_sent + self.bytes_received
+
+    def _check_open(self) -> None:
+        if self.closed:
+            raise CommClosedError("operation on closed ShmComm endpoint")
 
     def poll(self, timeout: float = 0.0) -> bool:
-        return self._pipe.poll(timeout)
+        """Non-blocking (or bounded) check for a waiting message."""
+        return not self.closed and bool(self.connection.poll(timeout))
 
     def close(self) -> None:
-        """Close doorbell and ring mappings; never unlinks (owner's job)."""
-        self._pipe.close()
+        """Close the pipe end and ring mappings, unlinking owned rings."""
+        if self.closed:
+            return
+        self.closed = True
+        try:
+            self.connection.close()
+        except OSError:  # pragma: no cover - already torn down by the OS
+            pass
         for ring in (self.send_ring, self.recv_ring):
             if ring is not None:
                 ring.close()
+                if ring.owner:
+                    ring.unlink()
 
     # -- frames ----------------------------------------------------------- #
-    def send(self, frame: bytes, tag: int) -> None:
+    def send(self, frame: bytes, tag: int = 0) -> None:
         """Send one frame: task/report frames ring-first, control in-band."""
+        self._check_open()
         if tag in (TASK_TAG, RESULT_TAG) and self.send_ring is not None:
             try:
                 self.send_ring.write(frame)
@@ -453,18 +475,53 @@ class ShmComm:
                 # Momentarily full or permanently too small: either way the
                 # same frame bytes ride the pipe in-band instead.
                 self.ring_overflows += 1
-        self._pipe.send(frame, tag=tag)
+        message = bytes((tag,)) + frame
+        self.bytes_sent += len(frame)
+        try:
+            self.connection.send_bytes(message)
+        except (BrokenPipeError, OSError) as exc:
+            raise CommClosedError(f"peer gone while sending tag {tag}: {exc}") from exc
 
-    #: one frame under ``tag``, over :meth:`recv_message` (as for pipes)
-    recv = PipeComm.recv
+    def recv(self, tag: int = 0, timeout: float | None = None) -> bytes:
+        """Receive one frame under ``tag``; see :meth:`recv_message`."""
+        got_tag, frame = self.recv_message(timeout)
+        if got_tag != tag:
+            raise RuntimeError(
+                f"protocol error: expected message tag {tag}, received {got_tag}"
+            )
+        return frame
 
     def recv_message(self, timeout: float | None = None) -> tuple[int, bytes]:
         """Receive the next ``(tag, frame)`` of any tag.
 
+        A finite ``timeout`` turns a hung or crashed peer into
+        :class:`CommTimeout`.  A peer dying mid-frame (bare ``EOFError`` /
+        ``OSError``) becomes :class:`CommClosedError`, so the gather loops
+        take the dead-rank path.  ``CommTimeout`` is raised *outside* that
+        handler: ``TimeoutError`` is an ``OSError`` subclass, and a naive
+        ``except OSError`` would re-label the timeout as a closed peer.
+
         An empty task or report message is a doorbell: its frame is the
         next one in the receive ring.
         """
-        tag, frame = self._pipe.recv_message(timeout)
+        self._check_open()
+        if timeout is not None:
+            try:
+                has_message = self.connection.poll(timeout)
+            except OSError as exc:
+                raise CommClosedError(f"peer gone while polling: {exc}") from exc
+            if not has_message:
+                raise CommTimeout(
+                    f"no message within {timeout:.3f}s; peer crashed or hung?"
+                )
+        try:
+            message = self.connection.recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise CommClosedError(f"peer closed mid-frame: {exc}") from exc
+        if not message:
+            raise RuntimeError("protocol error: pipe message without a tag byte")
+        tag, frame = message[0], message[1:]
+        self.bytes_received += len(frame)
         if frame or tag not in (TASK_TAG, RESULT_TAG):
             return tag, frame
         if self.recv_ring is None:

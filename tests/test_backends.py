@@ -16,8 +16,8 @@ from repro.parallel import (
     FaultKind,
     FaultPlan,
     MultiprocessingBackend,
-    PipeComm,
     SerialBackend,
+    ShmComm,
     SlaveRuntime,
     SlaveTask,
     SocketBackend,
@@ -371,7 +371,7 @@ class TestArmedPlanAudit:
         config = TabuSearchConfig(nb_div=100)
         task = _corrupt(make_tasks(small_instance, 1, evals=100)[0])
         master_end, worker_end = mp.Pipe()
-        master = PipeComm(master_end)
+        master = ShmComm(master_end)
         master.send(
             WireCodec(small_instance.n_items).encode_task_batch([(0, task)])[0],
             tag=TASK_TAG,

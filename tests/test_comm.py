@@ -13,7 +13,7 @@ from repro.core import Budget, Solution, Strategy
 from repro.parallel import (
     CommClosedError,
     CommTimeout,
-    PipeComm,
+    ShmComm,
     SlaveReport,
     SlaveTask,
     WireCodec,
@@ -45,7 +45,7 @@ class TestMessages:
 class TestPipeCommLifecycle:
     def test_double_close_is_noop(self):
         here, there = mp.Pipe()
-        comm = PipeComm(here)
+        comm = ShmComm(here)
         comm.close()
         comm.close()  # second close must not raise
         assert comm.closed
@@ -53,7 +53,7 @@ class TestPipeCommLifecycle:
 
     def test_closed_endpoint_rejects_operations(self):
         here, there = mp.Pipe()
-        comm = PipeComm(here)
+        comm = ShmComm(here)
         comm.close()
         with pytest.raises(CommClosedError):
             comm.send("x")
@@ -83,7 +83,7 @@ class TestPipeCommCrashWindow:
 
     def test_recv_normalizes_peer_closed_before_frame(self):
         here, there = mp.Pipe()
-        comm = PipeComm(here)
+        comm = ShmComm(here)
         there.close()  # peer gone; poll() reports readable (EOF) instantly
         with pytest.raises(CommClosedError):
             comm.recv(timeout=1.0)
@@ -95,7 +95,7 @@ class TestPipeCommCrashWindow:
         proc = ctx.Process(target=_die_after_partial_frame, args=(there,))
         proc.start()
         there.close()  # only the child holds the peer end now
-        comm = PipeComm(here)
+        comm = ShmComm(here)
         proc.join(timeout=10)
         # poll(timeout) returns True — bytes ARE waiting — yet the frame is
         # torn: recv must report a closed peer, not a raw OS exception.
@@ -105,7 +105,7 @@ class TestPipeCommCrashWindow:
 
     def test_send_normalizes_broken_pipe(self):
         here, there = mp.Pipe()
-        comm = PipeComm(here)
+        comm = ShmComm(here)
         there.close()
         with pytest.raises(CommClosedError):
             for _ in range(64):  # first sends may land in the OS buffer
@@ -117,7 +117,7 @@ class TestPipeCommCrashWindow:
         # (but live) peer must still raise CommTimeout, never be swallowed
         # by the closed-peer normalization.
         here, there = mp.Pipe()
-        comm = PipeComm(here)
+        comm = ShmComm(here)
         with pytest.raises(CommTimeout):
             comm.recv(timeout=0.01)
         assert issubclass(CommTimeout, OSError)  # the trap being guarded

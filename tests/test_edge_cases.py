@@ -129,10 +129,10 @@ class TestPipeCommProtocol:
     def test_tag_mismatch_detected(self):
         import multiprocessing as mp
 
-        from repro.parallel import PipeComm
+        from repro.parallel import ShmComm
 
         a, b = mp.get_context("fork").Pipe(duplex=True)
-        left, right = PipeComm(a), PipeComm(b)
+        left, right = ShmComm(a), ShmComm(b)
         left.send(b"hello", tag=5)
         with pytest.raises(RuntimeError, match="protocol error"):
             right.recv(tag=6)
@@ -142,10 +142,10 @@ class TestPipeCommProtocol:
     def test_byte_counters(self):
         import multiprocessing as mp
 
-        from repro.parallel import PipeComm
+        from repro.parallel import ShmComm
 
         a, b = mp.get_context("fork").Pipe(duplex=True)
-        left, right = PipeComm(a), PipeComm(b)
+        left, right = ShmComm(a), ShmComm(b)
         left.send(b"\x01\x02\x03", tag=1)
         got = right.recv(tag=1)
         assert got == b"\x01\x02\x03"

@@ -29,8 +29,8 @@ from repro.parallel import (
     FaultKind,
     FaultPlan,
     MultiprocessingBackend,
-    PipeComm,
     SerialBackend,
+    ShmComm,
     SlaveTask,
 )
 from repro.variants import solve_cts_async
@@ -214,15 +214,15 @@ class TestSerialBackendChaos:
 class TestPipeCommHardening:
     def test_recv_timeout_raises(self):
         here, there = mp.Pipe(duplex=True)
-        comm = PipeComm(here)
+        comm = ShmComm(here)
         with pytest.raises(CommTimeout, match="no message within"):
             comm.recv(timeout=0.05)
         comm.close()
-        PipeComm(there).close()
+        ShmComm(there).close()
 
     def test_close_is_idempotent(self):
         here, there = mp.Pipe(duplex=True)
-        comm = PipeComm(here)
+        comm = ShmComm(here)
         comm.close()
         comm.close()  # second close is a no-op
         assert comm.closed
@@ -231,7 +231,7 @@ class TestPipeCommHardening:
         with pytest.raises(CommClosedError):
             comm.recv()
         assert comm.poll(0) is False
-        PipeComm(there).close()
+        ShmComm(there).close()
 
 
 @pytest.mark.slow
@@ -522,7 +522,8 @@ class TestShmTransportChaos:
             backend.start(small_instance, TabuSearchConfig(nb_div=100))
             if backend.transport != "shm":
                 pytest.skip("POSIX shared memory unavailable")
-            old_ring_names = {r.name for r in backend._rings[0]}
+            carrier = backend._comms[0]
+            old_ring_names = {carrier.send_ring.name, carrier.recv_ring.name}
             first = backend.run_round(make_tasks(small_instance, 2, evals=500))
             assert [r.slave_id for r in first] == [1]
             second = backend.run_round(
@@ -532,7 +533,8 @@ class TestShmTransportChaos:
             assert backend.respawns[0] == 1
             # The respawned worker speaks shm again, over *new* segments.
             assert backend.worker_transports[0] == "shm"
-            assert {r.name for r in backend._rings[0]}.isdisjoint(old_ring_names)
+            carrier = backend._comms[0]
+            assert {carrier.send_ring.name, carrier.recv_ring.name}.isdisjoint(old_ring_names)
 
     def test_crashed_worker_recores_over_fresh_rings(self, small_instance):
         """ISSUE-8 x ISSUE-7: the re-core-from-task guarantee holds when the

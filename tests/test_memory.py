@@ -103,7 +103,7 @@ class TestEliteArray:
     def test_to_list_is_copy(self):
         elite = EliteArray(2, 2)
         elite.offer(sol([1, 0], 5))
-        listed = elite.to_list()
+        listed = list(elite)
         listed.clear()
         assert len(elite) == 1
 
@@ -148,6 +148,6 @@ def test_array_block_keeps_list_offer_semantics(capacity, offers):
     for code, value in offers:
         s = sol([(code >> b) & 1 for b in range(3)], value)
         assert elite.offer(s) == _list_elite_offer(members, capacity, s)
-        assert elite.to_list() == members
+        assert list(elite) == members
         assert elite.worst_value == (members[-1].value if len(members) == capacity
                                      else float("-inf"))

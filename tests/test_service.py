@@ -455,15 +455,15 @@ class TestJobManagerMultiprocessing:
         statuses, results = run(scenario())
         assert all(s.state is JobState.DONE for s in statuses.values())
         for seed in seeds:
-            backend = MultiprocessingBackend(2, mp_context=mp_context)
-            direct = solve_cts2(
-                small_instance,
-                n_slaves=2,
-                n_rounds=2,
-                rng_seed=seed,
-                max_evaluations=3000,
-                backend=backend,
-            )
+            with MultiprocessingBackend(2, mp_context=mp_context) as backend:
+                direct = solve_cts2(
+                    small_instance,
+                    n_slaves=2,
+                    n_rounds=2,
+                    rng_seed=seed,
+                    max_evaluations=3000,
+                    backend=backend,
+                )
             assert_same_run(results[seed], direct)
 
     def test_warm_pool_serves_every_job_warm(self, small_instance, mp_context):

@@ -36,7 +36,6 @@ from repro.core.termination import Budget
 from repro.instances import gk_instance
 from repro.parallel import MultiprocessingBackend
 from repro.parallel import shm as shm_mod
-from repro.parallel.comm import PipeComm
 from repro.parallel.faults import FaultPlan
 from repro.core.tabu_search import TabuSearchConfig
 from repro.parallel.message import (
@@ -140,7 +139,6 @@ class TestRingCapacity:
             ring.write(b"a" * 40)
             with pytest.raises(RingFull):
                 ring.write(b"b" * 20)
-            assert ring.try_write(b"b" * 20) is None
             assert ring.read() == b"a" * 40
             ring.write(b"b" * 20)  # freed space is reusable
             assert ring.read() == b"b" * 20
@@ -352,8 +350,8 @@ def comm_pair(ring_capacity: int = 1 << 13):
     parent_conn, child_conn = multiprocessing.Pipe()
     task_ring = ShmRing.create(ring_capacity)
     report_ring = ShmRing.create(ring_capacity)
-    master = ShmComm(PipeComm(parent_conn), send_ring=task_ring, recv_ring=report_ring)
-    worker = ShmComm(PipeComm(child_conn), send_ring=report_ring, recv_ring=task_ring)
+    master = ShmComm(parent_conn, send_ring=task_ring, recv_ring=report_ring)
+    worker = ShmComm(child_conn, send_ring=report_ring, recv_ring=task_ring)
     try:
         yield master, worker
     finally:
@@ -418,8 +416,8 @@ class TestShmComm:
 
     def test_ringless_endpoint_is_plain_pipe_transport(self):
         parent_conn, child_conn = multiprocessing.Pipe()
-        a = ShmComm(PipeComm(parent_conn))
-        b = ShmComm(PipeComm(child_conn))
+        a = ShmComm(parent_conn)
+        b = ShmComm(child_conn)
         try:
             assert a.transport == "pipe"
             frame = WireCodec(10).encode_task(_random_task(random.Random(3), 10))
@@ -429,6 +427,50 @@ class TestShmComm:
         finally:
             a.close()
             b.close()
+
+    def test_backend_unlinks_a_dead_workers_rings_and_all_at_shutdown(
+        self, small_instance, mp_context
+    ):
+        def attaches(name: str) -> bool:
+            try:
+                ShmRing.attach(name).close()
+            except FileNotFoundError:
+                return False
+            return True
+
+        tasks = [
+            SlaveTask(
+                x_init=random_solution(small_instance, rng=k),
+                strategy=Strategy(8, 2, 10),
+                budget=Budget(max_evaluations=200),
+                seed=k,
+                round_index=0,
+                seq_id=k,
+            )
+            for k in range(2)
+        ]
+        backend = MultiprocessingBackend(
+            2, mp_context=mp_context, transport="shm", round_timeout_s=30.0
+        )
+        try:
+            backend.start(small_instance, TabuSearchConfig(nb_div=100))
+            names = [
+                {comm.send_ring.name, comm.recv_ring.name} for comm in backend._comms
+            ]
+            assert all(attaches(name) for group in names for name in group)
+            backend._procs[0].kill()
+            backend._procs[0].join(timeout=10)
+            reports = backend.run_round(tasks)  # dispatch respawns worker 0
+            assert [r.slave_id for r in reports] == [0, 1]
+            assert backend.respawns[0] == 1
+            assert not any(attaches(name) for name in names[0])
+            assert all(attaches(name) for name in names[1])
+            respawned = backend._comms[0]
+            names.append({respawned.send_ring.name, respawned.recv_ring.name})
+            assert all(attaches(name) for name in names[2])
+        finally:
+            backend.shutdown()
+        assert not any(attaches(name) for group in names for name in group)
 
     def test_control_frames_ride_the_pipe_as_bytes(self, small_instance):
         with comm_pair() as (master, worker):
@@ -474,8 +516,12 @@ def _stress_writer(ring_name: str, n_frames: int, plan_seed: int) -> None:
                 time.sleep(0.002)  # jitter the seqlock window
             if plan.straggle_factor(round_index, slave_id) > 1.0:
                 time.sleep(0.001)
-            while ring.try_write(payload) is None:
-                time.sleep(0.0005)  # reader backpressure
+            while True:
+                try:
+                    ring.write(payload)
+                    break
+                except RingFull:
+                    time.sleep(0.0005)  # reader backpressure
     finally:
         ring.close()
 

@@ -114,9 +114,3 @@ class TestDynamicTenure:
         with pytest.raises(ValueError):
             TabuList(0, tenure=1)
 
-
-class TestAspiration:
-    def test_strictly_better_required(self):
-        assert TabuList.aspiration_met(10.5, 10.0)
-        assert not TabuList.aspiration_met(10.0, 10.0)
-        assert not TabuList.aspiration_met(9.0, 10.0)

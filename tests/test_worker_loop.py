@@ -25,7 +25,7 @@ from repro.core.strategy import Strategy
 from repro.core.tabu_search import TabuSearchConfig
 from repro.core.termination import Budget
 from repro.instances import gk_instance
-from repro.parallel import FaultEvent, FaultKind, FaultPlan, PipeComm, SlaveRuntime
+from repro.parallel import FaultEvent, FaultKind, FaultPlan, SlaveRuntime
 from repro.parallel.backend_socket import HELLO_TAG, _WIRE_HEADER, _recv_frame, run_worker
 from repro.parallel.backends import _worker_main, worker_loop
 from repro.parallel.message import REBIND_TAG, RESULT_TAG, STOP_TAG, TASK_TAG, SlaveTask
@@ -73,8 +73,8 @@ class _ShmPair:
         parent, child = multiprocessing.Pipe()
         self._rings = (ShmRing.create(1 << 14), ShmRing.create(1 << 14))
         task_ring, report_ring = self._rings
-        self.master = ShmComm(PipeComm(parent), send_ring=task_ring, recv_ring=report_ring)
-        self.worker = ShmComm(PipeComm(child), send_ring=report_ring, recv_ring=task_ring)
+        self.master = ShmComm(parent, send_ring=task_ring, recv_ring=report_ring)
+        self.worker = ShmComm(child, send_ring=report_ring, recv_ring=task_ring)
 
     def send(self, tag: int, frame: bytes = b"") -> None:
         self.master.send(frame, tag=tag)
@@ -214,7 +214,7 @@ class TestWorkerProcesses:
         ctx = multiprocessing.get_context(mp_context)
         parent, child = ctx.Pipe()
         task_ring, report_ring = ShmRing.create(1 << 14), ShmRing.create(1 << 14)
-        master = ShmComm(PipeComm(parent), send_ring=task_ring, recv_ring=report_ring)
+        master = ShmComm(parent, send_ring=task_ring, recv_ring=report_ring)
         proc = ctx.Process(
             target=_worker_main,
             args=(child, small_instance, CONFIG, (0,), FaultPlan.none(),
