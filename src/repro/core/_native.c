@@ -5,7 +5,9 @@
  * by step 11's §3.2 intensification), and the pieces the Python paths call
  * one at a time: the compound move, the swap scan, the strategic
  * oscillation with its forced adds, repair and greedy top-up, the greedy
- * fill, the BestSol insertion and the state reload.
+ * fill, the BestSol insertion and the state reload; and numpy's seeding
+ * chain (SeedSequence -> PCG64, and the task seed's bounded draw) for
+ * repro.rng.
  *
  * Every routine works in place on the search state's own numpy buffers (x,
  * the free mask and free words, q_base, load, slack) and reads the
@@ -163,6 +165,116 @@ uint64_t ts_bounded(void *bitgen, uint64_t k)
         }
     }
     return m >> 32;
+}
+
+/* ------------------------------------------------------------------ */
+/* numpy's seeding: SeedSequence(entropy) -> PCG64, and the task seed  */
+/* ------------------------------------------------------------------ */
+/* repro.rng.reseed and repro.rng.task_seed: numpy 2.x's own steps, so a
+ * stream built here is the stream default_rng / derive_rng would build.
+ * The entropy is SeedSequence's uint32 coercion of the seed ints (Python
+ * does it: little-endian words, at least one per int). */
+typedef unsigned __int128 ts_u128;
+
+enum { SS_POOL = 4 };
+static const uint32_t SS_INIT_A = 0x43b0d7e5u, SS_MULT_A = 0x931e8875u;
+static const uint32_t SS_INIT_B = 0x8b51f9ddu, SS_MULT_B = 0x58f38dedu;
+static const uint32_t SS_MIX_L = 0xca01f9ddu, SS_MIX_R = 0x4973f715u;
+#define PCG64_MULT \
+    (((ts_u128)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    const uint32_t r = SS_MIX_L * x - SS_MIX_R * y;
+    return r ^ (r >> 16);
+}
+
+/* SeedSequence.mix_entropy into the pool, then generate_state(4, uint64)
+ * as PCG64's (state, inc) pair: seed[0..1] and seed[2..3] are each the
+ * (high, low) words of a 128-bit value. */
+static void ss_generate(const uint32_t *entropy, int64_t n, uint64_t seed[4])
+{
+    uint32_t pool[SS_POOL], hash_const = SS_INIT_A;
+    for (int i = 0; i < SS_POOL; i++)
+        pool[i] = ss_hashmix(i < n ? entropy[i] : 0, &hash_const);
+    for (int src = 0; src < SS_POOL; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hash_const));
+    for (int64_t src = SS_POOL; src < n; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            pool[dst] = ss_mix(pool[dst], ss_hashmix(entropy[src], &hash_const));
+    hash_const = SS_INIT_B;
+    for (int i = 0; i < 2 * SS_POOL; i++) {
+        uint32_t v = pool[i % SS_POOL] ^ hash_const;
+        hash_const *= SS_MULT_B;
+        v *= hash_const;
+        v ^= v >> 16;
+        if (i % 2 == 0)
+            seed[i / 2] = v;
+        else
+            seed[i / 2] |= (uint64_t)v << 32;
+    }
+}
+
+/* pcg64_set_seed: inc = initseq << 1 | 1; step; state += initstate; step. */
+static void pcg64_seed(const uint64_t seed[4], ts_u128 *state, ts_u128 *inc)
+{
+    *inc = (((ts_u128)seed[2] << 64 | seed[3]) << 1) | 1u;
+    *state = *inc + ((ts_u128)seed[0] << 64 | seed[1]);
+    *state = *state * PCG64_MULT + *inc;
+}
+
+/* PCG64's next_uint64: step, then the XSL-RR output of the new state. */
+static uint64_t pcg64_next(ts_u128 *state, ts_u128 inc)
+{
+    *state = *state * PCG64_MULT + inc;
+    const uint64_t v = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    const unsigned rot = (unsigned)(*state >> 122);
+    return (v >> rot) | (v << ((-rot) & 63u));
+}
+
+/* PCG64(SeedSequence(entropy)).state as out = {state high, state low,
+ * inc high, inc low}. */
+void ts_seed_pcg64(const uint32_t *entropy, int64_t n, uint64_t *out)
+{
+    uint64_t seed[4];
+    ts_u128 state, inc;
+    ss_generate(entropy, n, seed);
+    pcg64_seed(seed, &state, &inc);
+    out[0] = (uint64_t)(state >> 64);
+    out[1] = (uint64_t)state;
+    out[2] = (uint64_t)(inc >> 64);
+    out[3] = (uint64_t)inc;
+}
+
+/* default_rng(SeedSequence(entropy)).integers(0, 2**63 - 1): numpy's
+ * bounded_lemire_uint64 over next_uint64 with rng = 2**63 - 2. */
+int64_t ts_task_seed(const uint32_t *entropy, int64_t n)
+{
+    uint64_t seed[4];
+    ts_u128 state, inc, m;
+    ss_generate(entropy, n, seed);
+    pcg64_seed(seed, &state, &inc);
+    const uint64_t rng = (UINT64_C(1) << 63) - 2, rng_excl = rng + 1;
+    m = (ts_u128)pcg64_next(&state, inc) * rng_excl;
+    uint64_t leftover = (uint64_t)m;
+    if (leftover < rng_excl) {
+        const uint64_t threshold = (UINT64_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (ts_u128)pcg64_next(&state, inc) * rng_excl;
+            leftover = (uint64_t)m;
+        }
+    }
+    return (int64_t)(m >> 64);
 }
 
 /* ------------------------------------------------------------------ */

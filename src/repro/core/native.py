@@ -3,9 +3,11 @@
 ``_native.c`` holds the compound move, step 11's §3.2 intensification (the
 swap scan, and the strategic oscillation with its repair), the greedy fill,
 the state reload, and Figure 1 steps 3–11 of a diversification round
-around them (see its header comment for the exactness contract).  This
-module compiles it once with cffi's API mode and the system C compiler;
-each :class:`~repro.core.solution.SearchState` of an integer instance binds
+around them (see its header comment for the exactness contract), plus
+numpy's seeding chain that :func:`repro.rng.task_seed` and
+:func:`repro.rng.reseed` call.  This module compiles it once with cffi's
+API mode and the system C compiler; each
+:class:`~repro.core.solution.SearchState` of an integer instance binds
 it to its own buffers at construction through :class:`NativeKernel`, and
 each :class:`~repro.core.tabu_search.TabuSearch` thread binds its memories
 once through a :class:`NativeThread`, which runs one ``ts_thread`` call
@@ -130,6 +132,8 @@ void ts_reload(ts_kernel *k);
 int ts_elite_offer(int8_t *rows, double *values, int64_t *count,
                    int64_t capacity, int64_t n, const int8_t *x, double value);
 int ts_thread(ts_kernel *k, ts_search *t, int64_t resume);
+void ts_seed_pcg64(const uint32_t *entropy, int64_t n, uint64_t *out);
+int64_t ts_task_seed(const uint32_t *entropy, int64_t n);
 """
 
 
@@ -216,8 +220,10 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 def _bitgen(rng: np.random.Generator):
     """``rng``'s numpy ``bitgen_t`` as a C pointer, read off its capsule.
 
-    Each slave task seeds new generators, and numpy's ``cffi`` and
-    ``ctypes`` interfaces cost about 2 ms and 13 µs per generator.
+    numpy's ``cffi`` and ``ctypes`` interfaces cost about 2 ms and 13 µs
+    per generator.  A warm thread re-seeds one resident generator per task
+    (:func:`repro.rng.reseed`), so this runs once per thread there, but
+    every caller-supplied generator still needs it.
     """
     return ffi.cast("void *", _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"))
 

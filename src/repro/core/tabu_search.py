@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..rng import make_rng
+from ..rng import make_rng, reseed
 from . import native
 from .construction import random_solution
 from .diversification import DiversificationConfig, diversify
@@ -156,7 +156,10 @@ class TabuSearch:
         self.instance = instance
         self.strategy = strategy
         self.config = config or TabuSearchConfig()
-        self.rng = make_rng(rng)
+        #: the generator this thread built from an int seed; rebind
+        #: re-seeds it in place (never a caller's generator)
+        self._own_rng: np.random.Generator | None = None
+        self._seed_rng(rng)
         self.on_move = on_move
 
         self.state: SearchState = SearchState.empty(instance)
@@ -190,13 +193,17 @@ class TabuSearch:
         rng=seed)`` — same RNG stream, same zeroed short/long-term memories,
         same counter ledger — while reusing the preallocated arenas (state
         buffers, tabu expiry arrays, history counts) instead of reallocating
-        them.  This is the warm-runtime reuse path of the parallel round
-        loop (:mod:`repro.parallel.runtime`); the reset contract is pinned
-        by ``tests/test_runtime.py`` and documented in DESIGN.md §5.4.
+        them.  An int seed re-seeds the thread's own generator in place
+        (:func:`~repro.rng.reseed`), so ``self.rng`` stays the same object
+        and the C kernel keeps its ``bitgen_t`` pointer; a generator or
+        ``None`` replaces ``self.rng``.  This is the warm-runtime reuse path
+        of the parallel round loop (:mod:`repro.parallel.runtime`); the
+        reset contract is pinned by ``tests/test_runtime.py`` and documented
+        in DESIGN.md §5.4.
         """
         if strategy is not None:
             self.strategy = strategy
-        self.rng = make_rng(rng)
+        self._seed_rng(rng)
         self.engine.rng = self.rng
         self.counters.reset()
         self.state.reset()
@@ -206,6 +213,17 @@ class TabuSearch:
         self.best = self.state.snapshot()
         self._trace_control_flow = None
         return self
+
+    def _seed_rng(self, rng: int | None | np.random.Generator) -> None:
+        """Point ``self.rng`` at ``rng``'s stream: an int seed re-seeds the
+        thread's own generator (the first one builds it), and a generator
+        (used as is) or ``None`` replaces ``self.rng``."""
+        if not isinstance(rng, (int, np.integer)):
+            self.rng = make_rng(rng)
+        elif self._own_rng is None:
+            self.rng = self._own_rng = make_rng(rng)
+        else:
+            self.rng = reseed(self._own_rng, rng)
 
     def run(
         self,
@@ -227,8 +245,6 @@ class TabuSearch:
             raise ValueError(
                 f"solution vector must have shape ({self.instance.n_items},); got {x.shape}"
             )
-        if not np.all((x == 0) | (x == 1)):
-            raise ValueError("solution vector must be 0/1")
 
         # Step 1: X = X_init; Lt = {}.  The restore recomputes the load once;
         # it gives the feasibility check (same formula and tolerance as

@@ -67,7 +67,7 @@ from ..obs.recorder import RunRecorder
 from ..obs.telemetry import BurstTelemetry, RoundTelemetry
 from ..parallel.backends import Backend
 from ..parallel.message import SlaveReport, SlaveTask
-from ..rng import derive_rng, make_rng, random_seed_from
+from ..rng import derive_rng, make_rng, task_seed
 from .datastruct import SlaveEntry
 from .isp import AlphaController, ISPConfig, generate_initial_solutions
 from .result import ParallelRunResult, RoundStats
@@ -665,7 +665,7 @@ class MasterProcess:
             x_init=entry.init_solution,
             strategy=entry.strategy,
             budget=budget,
-            seed=random_seed_from(derive_rng(self.rng_seed, 1 + b, k)),
+            seed=task_seed(self.rng_seed, 1 + b, k),
             round_index=b,
             seq_id=b * self.config.n_slaves + k,
             pattern=self._fixation_pattern(entry.strategy, k),

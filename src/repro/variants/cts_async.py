@@ -45,7 +45,7 @@ from ..master.datastruct import SlaveEntry
 from ..master.sgp import SGPConfig, regenerate_strategy
 from ..parallel.faults import FaultPlan
 from ..parallel.wire import WireCodec
-from ..rng import derive_rng, random_seed_from
+from ..rng import derive_rng, task_seed
 from .runner import _resolve_budget
 
 __all__ = ["AsyncConfig", "solve_cts_async"]
@@ -193,7 +193,7 @@ def solve_cts_async(
         seg_budget = Budget(
             max_evaluations=min(config.segment_evaluations, remaining)
         )
-        seed = random_seed_from(derive_rng(rng_seed, 1 + peer.segments, pid))
+        seed = task_seed(rng_seed, 1 + peer.segments, pid)
         thread = TabuSearch(instance, peer.strategy, config=ts_config, rng=seed)
         result = thread.run(x_init=peer.init_solution, budget=seg_budget)
         dt = farm.compute_seconds_on(pid, result.evaluations, instance.n_constraints)

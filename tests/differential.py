@@ -198,8 +198,9 @@ def numpy_reference() -> Iterator[None]:
     A :class:`~repro.core.solution.SearchState` binds the native C kernel at
     construction when ``repro.core.native.available``; holding the flag down
     for the block keeps every search thread, restart and fill of an
-    in-process run on the generic numpy scans.  Worker processes are not
-    reached, so use in-process backends.
+    in-process run on the generic numpy scans, and ``repro.rng.task_seed`` /
+    ``reseed`` on the numpy expressions they reproduce.  Worker processes
+    are not reached, so use in-process backends.
     """
     saved = native.available
     native.available = False
