@@ -301,6 +301,52 @@ def test_native_task_seed_beats_numpy_expression():
 
 
 # --------------------------------------------------------------------- #
+# Serial slaves on helper threads
+# --------------------------------------------------------------------- #
+#: Alternating same-seed pairs of the serial helper-thread gate.
+SERIAL_HELPER_PAIRS = 10
+
+
+def test_serial_helpers_beat_one_thread():
+    """GK24 CTS2 on ``SerialBackend(4)``: auto width >= 1.2x ``threads=1``.
+
+    The gk24-serial fixed solve (8 rounds, 10**6 evaluations per slave) on
+    two warm backends that stay up for the whole test.  Ten pairs solve
+    the same seed on both arms, alternating which arm goes first; the
+    bound applies to the median of the per-pair time ratios, and every
+    pair must reach the same best value.
+    """
+    if not native.available:
+        pytest.skip("native kernel unavailable on this host")
+    arms = {"threads": SerialBackend(4), "inline": SerialBackend(4, threads=1)}
+    if arms["threads"].threads < 2:
+        pytest.skip("fewer than 2 usable CPUs")
+    instance = gk_instance(24)
+
+    def solve(backend, seed: int):
+        t0 = time.perf_counter()
+        result = solve_cts2(instance, n_slaves=4, n_rounds=8, rng_seed=seed,
+                            max_evaluations=1_000_000, backend=backend)
+        return time.perf_counter() - t0, result.best.value
+
+    ratios = []
+    try:
+        for backend in arms.values():
+            solve(backend, 0)  # warm-up
+        for pair in range(SERIAL_HELPER_PAIRS):
+            order = list(arms) if pair % 2 == 0 else list(reversed(arms))
+            runs = {label: solve(arms[label], 1 + pair) for label in order}
+            assert runs["threads"][1] == runs["inline"][1], f"seed {1 + pair} diverged"
+            ratios.append(runs["inline"][0] / runs["threads"][0])
+    finally:
+        for backend in arms.values():
+            backend.shutdown()
+    ratio = float(np.median(ratios))
+    print(f"serial helpers x{ratio:.2f} one thread (pair ratios {ratios})")
+    assert ratio >= 1.2, f"serial helpers only x{ratio:.2f} one thread ({ratios})"
+
+
+# --------------------------------------------------------------------- #
 # Round loop: GK10, P = 8, 150-evaluation tasks
 # --------------------------------------------------------------------- #
 N_SLAVES = 8
@@ -365,7 +411,8 @@ class TestRoundLoop:
         """GK24 at full size: one ``batch_k=8`` shm worker vs eight pipe workers.
 
         Rounds/s must improve (>= 1.05x), and the transport-owned share of
-        the round (wall above the serial compute floor) must shrink >= 1.3x.
+        the round (wall above the serial compute floor, one thread's
+        inline execution: ``threads=1``) must shrink >= 1.3x.
         The three backends stay up for the whole test.  Each pair times one
         window of rounds per arm back to back, reversing the arm order from
         pair to pair; each bound applies to the median of its per-pair
@@ -379,7 +426,7 @@ class TestRoundLoop:
             _tasks(instance, N_SLAVES, r, budget) for r in range(n_warmup + n_rounds)
         ]
         arms = {
-            "serial": SerialBackend(N_SLAVES),
+            "serial": SerialBackend(N_SLAVES, threads=1),
             "pipe": MultiprocessingBackend(N_SLAVES, transport="pipe", batch_k=1),
             "shm": MultiprocessingBackend(N_SLAVES, transport="shm", batch_k=8),
         }

@@ -154,8 +154,9 @@ class Solution:
         """The read-only ``int8`` 0/1 vector, unpacked on first read."""
         if self._x is None:
             bits = np.frombuffer(self._bits, dtype=np.uint8)
-            self._x = np.unpackbits(bits, count=self._n, bitorder="little").view(np.int8)
-            self._x.setflags(write=False)
+            x = np.unpackbits(bits, count=self._n, bitorder="little").view(np.int8)
+            x.setflags(write=False)
+            self._x = x  # published read-only: another thread may read it at once
         return self._x
 
     @property

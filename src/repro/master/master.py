@@ -450,8 +450,9 @@ class MasterProcess:
         arrives in.  A report for burst ``b`` proves the slave's older
         in-flight bursts lost (per-slave arrival is burst-monotone); with no
         arrival for ``burst_timeout_s`` the oldest outstanding burst is
-        failed.  :class:`SerialBackend` replay is deterministic: inline
-        execution makes arrival order equal dispatch order.
+        failed.  :class:`SerialBackend` replay is deterministic: it folds
+        its slaves' results in dispatch order, so arrival order equals
+        dispatch order.
         """
         cfg = self.config
         rec = self.recorder

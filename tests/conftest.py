@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import threading
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -54,3 +57,19 @@ def mp_context() -> str:
     inheriting memory.
     """
     return os.environ.get("REPRO_MP_CONTEXT", "fork")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_serial_helper_left() -> Iterator[None]:
+    """At session end, no ``SerialBackend`` helper thread is alive.
+
+    A backend joins its helpers on ``shutdown()``; one a test dropped
+    without shutting it down stops them when it is collected.
+    """
+    yield
+    gc.collect()
+    helpers = [t for t in threading.enumerate() if t.name.startswith("repro-serial-")]
+    for thread in helpers:
+        thread.join(timeout=5.0)
+    alive = [t.name for t in helpers if t.is_alive()]
+    assert not alive, f"helper threads still running after the session: {alive}"
