@@ -142,7 +142,7 @@ class TabuSearch:
         Python, never as the C thread.
 
     With the native kernel, :meth:`run` makes one C call per
-    diversification round for steps 3–11 (see :meth:`_native_thread`).
+    diversification round for steps 3–11 (see :meth:`runs_native`).
     """
 
     def __init__(
@@ -370,23 +370,28 @@ class TabuSearch:
                 self.on_move(self)
         return x_local, loop_moves
 
-    def _native_thread(self, budget: Budget) -> "native.NativeThread | None":
-        """The C thread when it may run this run, else ``None``.
+    def runs_native(self, budget: Budget) -> bool:
+        """Whether :meth:`run` under ``budget`` runs on the C thread.
 
         :meth:`_intensification_rounds` is the reference and runs instead
         when ``on_move`` is set (the hook sees every move), when the
         control-flow trace is on (it notes every phase), when the budget
         has a wall-clock cap (read per move), and wherever the compound
         move itself is not native: no native kernel (no cffi when the state
-        was built, or float instances) or an Add breadth above 2.
+        was built, or float instances) or an Add breadth above 2.  Only the
+        C thread releases the GIL for the whole search.
         """
-        if (
+        return not (
             self.on_move is not None
             or self._trace_control_flow is not None
             or budget.wall_seconds is not None
             or self.engine.add_candidates > 2
             or self.state.native() is None
-        ):
+        )
+
+    def _native_thread(self, budget: Budget) -> "native.NativeThread | None":
+        """The C thread when it may run this run (:meth:`runs_native`), else ``None``."""
+        if not self.runs_native(budget):
             return None
         if self._c_thread is None:
             self._c_thread = native.NativeThread(self)

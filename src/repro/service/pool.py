@@ -28,7 +28,7 @@ from typing import Sequence
 
 from ..core.instance import MKPInstance
 from ..core.tabu_search import TabuSearchConfig
-from ..parallel.backends import Backend, MultiprocessingBackend, SerialBackend
+from ..parallel.backends import Backend, MultiprocessingBackend, SerialBackend, usable_cpus
 
 __all__ = ["BackendLease", "LeaseCancelled", "PoolSlot", "SolverPool"]
 
@@ -90,8 +90,15 @@ class SolverPool:
         n_slaves: int,
         **backend_kwargs: object,
     ) -> "SolverPool":
-        """Pool of :class:`~repro.parallel.backends.SerialBackend` slots."""
-        return cls([SerialBackend(n_slaves, **backend_kwargs) for _ in range(size)])
+        """Pool of :class:`~repro.parallel.backends.SerialBackend` slots.
+
+        The slots serve side by side, so each gets an equal share of the
+        usable CPUs for its helper threads (at least one: inline).
+        """
+        threads = max(1, usable_cpus() // size)
+        return cls(
+            [SerialBackend(n_slaves, threads=threads, **backend_kwargs) for _ in range(size)]
+        )
 
     @classmethod
     def multiprocessing(

@@ -96,6 +96,16 @@ class TestSolverPool:
         with pytest.raises(ValueError, match="agree on n_slaves"):
             SolverPool([SerialBackend(2), SerialBackend(3)])
 
+    def test_serial_slots_share_the_cpus(self, monkeypatch):
+        # Slots serve side by side: each gets its share of the CPUs for
+        # helper threads, and a slot whose share is under one runs inline.
+        from repro.service import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "usable_cpus", lambda: 4)
+        for size, width in ((1, 4), (2, 2), (3, 1), (8, 1)):
+            pool = SolverPool.serial(size, 4)
+            assert [slot.backend.threads for slot in pool.slots()] == [width] * size
+
     def test_affinity_prefers_matching_slot(self, small_instance, tiny_instance):
         async def scenario():
             pool = SolverPool.serial(2, 2)
