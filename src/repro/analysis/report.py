@@ -91,10 +91,10 @@ def summarize_result(result: ParallelRunResult) -> dict:
     """Aggregate one run record: phase totals, idle ratios, fault tallies.
 
     Wall-clock phase totals come from the per-round measured splits
-    (``RoundStats.phase_wall_seconds``); the trace's ``wall_phase_totals``
-    adds the master's blocked-wait seconds when a trace was kept.  The
-    virtual-time barrier idle ratio (the A8 metric) is reported when the
-    run carried a simulated-farm trace.
+    (``RoundStats.phase_wall_seconds``), plus the master's blocked-wait
+    seconds (``RoundStats.master_wait_s``) of the rounds that have one.
+    The virtual-time barrier idle ratio (the A8 metric) is reported when
+    the run carried a simulated-farm trace.
     """
     phase_totals: dict[str, float] = defaultdict(float)
     gather_idle: dict[int, float] = defaultdict(float)
@@ -103,10 +103,9 @@ def summarize_result(result: ParallelRunResult) -> dict:
             phase_totals[phase] += seconds
         for slave, seconds in stats.gather_idle_s.items():
             gather_idle[slave] += seconds
-    if result.trace is not None:
-        master_wait = result.trace.wall_phase_totals().get("master_wait", 0.0)
-        if master_wait:
-            phase_totals["master_wait"] += master_wait
+    master_wait = sum(s.master_wait_s for s in result.rounds if s.phase_wall_seconds)
+    if master_wait:
+        phase_totals["master_wait"] += master_wait
     gather_total = phase_totals.get("gather", 0.0)
     idle_ratio = 0.0
     if gather_total > 0.0 and gather_idle:

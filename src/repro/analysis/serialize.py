@@ -19,7 +19,8 @@ Format history
   the measured ``wall_phases``.
 
 v1 records still load (legacy list-form traces and arrival-ordered slave
-seconds are adapted); writing always emits v2.
+seconds are adapted); writing always emits v2.  ``RoundStats.master_wait_s``
+is stored in the trace's ``wall_phases`` only and restored from there.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _slave_seconds_from(data: object) -> dict[int, float]:
     return {i: float(v) for i, v in enumerate(data)}  # type: ignore[arg-type]
 
 
-def _round_from_dict(s: dict) -> RoundStats:
+def _round_from_dict(s: dict, master_wait_s: float) -> RoundStats:
     return RoundStats(
         round_index=int(s["round_index"]),
         best_value=float(s["best_value"]),
@@ -136,6 +137,7 @@ def _round_from_dict(s: dict) -> RoundStats:
             k: float(v) for k, v in s.get("phase_wall_seconds", {}).items()
         },
         gather_idle_s={int(k): float(v) for k, v in s.get("gather_idle_s", {}).items()},
+        master_wait_s=master_wait_s,
     )
 
 
@@ -176,10 +178,11 @@ def result_from_dict(data: dict) -> ParallelRunResult:
     trace = None
     if data.get("trace") is not None:
         trace = _trace_from_dict(data["trace"])
+    waits = {r["round_index"]: r["master_wait_s"] for r in getattr(trace, "wall_phases", ())}
     return ParallelRunResult(
         variant=str(data["variant"]),
         best=_solution_from_dict(data["best"]),
-        rounds=[_round_from_dict(s) for s in data["rounds"]],
+        rounds=[_round_from_dict(s, waits.get(int(s["round_index"]), 0.0)) for s in data["rounds"]],
         total_evaluations=int(data["total_evaluations"]),
         virtual_seconds=float(data["virtual_seconds"]),
         wall_seconds=float(data["wall_seconds"]),

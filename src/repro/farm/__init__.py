@@ -2,15 +2,15 @@
 
 Converts algorithmic work (candidate evaluations) and message traffic into
 virtual seconds, so that "for a fixed execution time" experiments replay
-bit-for-bit on any host.
+bit-for-bit on any host.  A sync master run keeps only the facts the farm
+charges; :func:`project` turns them into virtual times when they are read.
 """
 
-from .clock import VirtualClock
 from .machine import ALPHA_FARM, CrossbarModel, FarmModel, ProcessorModel
+from .projection import project
 from .trace import EventKind, FarmEvent, FarmTrace
 
 __all__ = [
-    "VirtualClock",
     "FarmModel",
     "ProcessorModel",
     "CrossbarModel",
@@ -18,4 +18,5 @@ __all__ = [
     "FarmTrace",
     "FarmEvent",
     "EventKind",
+    "project",
 ]

@@ -55,7 +55,7 @@ class FarmTrace:
 
     def __init__(self) -> None:
         self.events: list[FarmEvent] = []
-        #: per-round measured wall phases, appended by the master:
+        #: per-round measured wall phases (a master run's are projected):
         #: ``{"round_index", "phase_seconds", "gather_idle_s", "master_wait_s"}``
         self.wall_phases: list[dict] = []
 

@@ -1,4 +1,4 @@
-"""The master process (Figure 2) with farm-time accounting.
+"""The master process (Figure 2).
 
 ::
 
@@ -41,10 +41,10 @@ report, ``_fail`` starts a backoff, ``_adapt`` runs SGP then ISP, and
   entry in slave order; async runs it per resolved burst on that burst's
   one entry, so the next dispatch already sees the report.
 
-When a :class:`~repro.farm.FarmModel` is attached, the master charges every
-scatter, compute burst, gather and barrier wait to a
-:class:`~repro.farm.VirtualClock` and logs a :class:`~repro.farm.FarmTrace`;
-"execution time" then means deterministic virtual seconds.
+The master keeps no clock: each sync round's :class:`RoundStats` holds what
+the farm charges, and a result with a :class:`~repro.farm.FarmModel`
+attached derives its deterministic virtual seconds from them when they are
+first read (:func:`repro.farm.project`).
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ from ..core.solution import SearchState
 from ..core.strategy import StrategyBounds
 from ..core.tabu_search import TabuSearchConfig
 from ..core.termination import Budget, CancelToken
-from ..farm.clock import VirtualClock
 from ..farm.machine import FarmModel
-from ..farm.trace import EventKind, FarmTrace
 from ..obs.recorder import RunRecorder
 from ..obs.telemetry import BurstTelemetry, RoundTelemetry
 from ..parallel.backends import Backend
@@ -326,12 +324,10 @@ class MasterProcess:
             else budget_per_slave.scaled(1.0 / cfg.n_rounds)
         )
         target = None if budget_per_slave is None else budget_per_slave.target_value
-        clock = VirtualClock(cfg.n_slaves + 1) if self.farm else None
-        trace = FarmTrace() if self.farm else None
         if pipelined:
             pipeline_stats = self._run_async(budget, target)
         else:
-            self._run_sync(budget, target, clock, trace)
+            self._run_sync(budget, target)
             pipeline_stats = {}
 
         result = ParallelRunResult(
@@ -339,37 +335,32 @@ class MasterProcess:
             best=self._best,
             rounds=self._rounds,
             total_evaluations=self._evaluations,
-            virtual_seconds=clock.now if clock else 0.0,
             wall_seconds=time.perf_counter() - t_wall0,
             n_slaves=cfg.n_slaves,
-            trace=trace,
             bytes_sent=self._bytes_sent,
             value_history=self._history,
             fault_summary={k: v for k, v in self._faults.items() if v},
             pipeline=cfg.pipeline,
             pipeline_stats=pipeline_stats,
+            farm=self.farm,
+            n_constraints=self.instance.n_constraints,
         )
-        rec.run_end(
-            best_value=result.best.value,
-            total_evaluations=result.total_evaluations,
-            n_rounds=result.n_rounds,
-            wall_seconds=result.wall_seconds,
-            virtual_seconds=result.virtual_seconds,
-            bytes_sent=result.bytes_sent,
-            fault_summary=result.fault_summary,
-        )
+        if rec.enabled:  # reading virtual_seconds projects the farm
+            rec.run_end(
+                best_value=result.best.value,
+                total_evaluations=result.total_evaluations,
+                n_rounds=result.n_rounds,
+                wall_seconds=result.wall_seconds,
+                virtual_seconds=result.virtual_seconds,
+                bytes_sent=result.bytes_sent,
+                fault_summary=result.fault_summary,
+            )
         return result
 
     # ------------------------------------------------------------------ #
     # Arrival: one barrier round per window ...
     # ------------------------------------------------------------------ #
-    def _run_sync(
-        self,
-        budget: Budget,
-        target: float | None,
-        clock: VirtualClock | None,
-        trace: FarmTrace | None,
-    ) -> None:
+    def _run_sync(self, budget: Budget, target: float | None) -> None:
         """The Fig. 2 barrier loop: SGP/ISP, send, receive — per round."""
         cfg = self.config
         entries = self._entries
@@ -402,17 +393,6 @@ class MasterProcess:
                     accepted[report.slave_id] = report
             reports = [accepted[k] for k in sorted(accepted)]
 
-            # --- measured wall telemetry + farm time accounting ---------
-            telemetry = self.backend.last_telemetry
-            charges = self._charge_round(clock, trace, reports, telemetry)
-            if trace is not None and telemetry.phase_seconds:
-                trace.record_wall_phases(
-                    b,
-                    dict(telemetry.phase_seconds),
-                    dict(telemetry.gather_idle_s),
-                    telemetry.master_wait_s,
-                )
-
             # --- fold results, then one SGP/ISP pass in slave order -----
             improved = False
             for entry, task in zip(entries, tasks):
@@ -424,7 +404,8 @@ class MasterProcess:
                     # or lost message.
                     self._fail(w, entry, b)
             self._adapt(w, entries, reports, improved)
-            self._close(w, telemetry, *charges)
+            evaluations = {r.slave_id: r.evaluations for r in reports}
+            self._close(w, self.backend.last_telemetry, report_evaluations=evaluations)
 
             # Early exit once the target objective is reached (time-to-
             # target experiments) — launching further rounds would only
@@ -524,7 +505,9 @@ class MasterProcess:
                     task_nbytes=dict(w.task_nbytes),
                     report_nbytes=dict(w.report_nbytes),
                 )
-                self._close(w, telemetry, 0.0, 0.0, dict.fromkeys(w.latency, 0.0))
+                zero = dict.fromkeys(w.latency, 0.0)
+                self._close(w, telemetry, round_virtual_seconds=0.0,
+                            communication_seconds=0.0, slave_virtual_seconds=zero)
 
         def fail_head(k: int) -> None:
             nonlocal burst_failures
@@ -742,15 +725,12 @@ class MasterProcess:
         )
         w.isp.update(d.rule for d in decisions)
 
-    def _close(
-        self,
-        w: _Window,
-        telemetry: RoundTelemetry,
-        round_seconds: float,
-        comm_seconds: float,
-        slave_seconds: dict[int, float],
-    ) -> None:
-        """Emit the window's event group and enter it in the run's books."""
+    def _close(self, w: _Window, telemetry: RoundTelemetry, **fields: object) -> None:
+        """Emit the window's event group and enter it in the run's books.
+
+        ``fields`` completes its :class:`RoundStats` (a sync round leaves
+        the virtual times to the farm projection).
+        """
         cfg = self.config
         rec = self.recorder
         rec.round_telemetry(telemetry)
@@ -776,9 +756,6 @@ class MasterProcess:
             RoundStats(
                 round_index=w.index,
                 best_value=self._best.value,
-                round_virtual_seconds=round_seconds,
-                slave_virtual_seconds=slave_seconds,
-                communication_seconds=comm_seconds,
                 evaluations=w.evaluations,
                 improved_slaves=w.improved,
                 isp_rules=dict(w.isp),
@@ -787,8 +764,14 @@ class MasterProcess:
                 backoff_slaves=w.backoff,
                 duplicate_reports=w.duplicates,
                 stale_reports=w.stale,
-                phase_wall_seconds=dict(telemetry.phase_seconds),
-                gather_idle_s=dict(telemetry.gather_idle_s),
+                # the backend builds fresh telemetry dicts every round
+                phase_wall_seconds=telemetry.phase_seconds,
+                gather_idle_s=telemetry.gather_idle_s,
+                master_wait_s=telemetry.master_wait_s,
+                task_nbytes=telemetry.task_nbytes,
+                report_nbytes=telemetry.report_nbytes,
+                slowdowns=telemetry.slowdowns,
+                **fields,
             )
         )
         rec.round_end(
@@ -798,84 +781,6 @@ class MasterProcess:
             improved_slaves=w.improved,
             n_reports=w.n_reports,
         )
-
-    # ------------------------------------------------------------------ #
-    def _charge_round(
-        self,
-        clock: VirtualClock | None,
-        trace: FarmTrace | None,
-        reports: list[SlaveReport],
-        telemetry: RoundTelemetry,
-    ) -> tuple[float, float, dict[int, float]]:
-        """Charge one round to the virtual clock; returns time aggregates.
-
-        Sequence per the synchronous scheme: the master serially scatters
-        the task messages, every *surviving* slave computes, serially
-        reports back, and all slaves then wait at the barrier for the next
-        round.  Degraded rounds stay consistent by construction: a crashed
-        slave is charged only the traffic that actually crossed the links,
-        and the barrier still synchronizes every rank, so the clock vector
-        never runs backwards.  Straggler faults multiply the afflicted
-        slave's compute time by the backend-reported slowdown factor.
-
-        The byte ledgers and slowdown factors come from the round's
-        :class:`~repro.obs.telemetry.RoundTelemetry`; the returned per-slave
-        compute charges are keyed by slave id (missing id = missing report).
-        """
-        m = self.instance.n_constraints
-        if self.farm is None or clock is None or trace is None:
-            return 0.0, 0.0, {r.slave_id: 0.0 for r in reports}
-
-        master_rank = self.config.n_slaves
-        t_round_start = clock.now
-        task_nbytes = telemetry.task_nbytes
-        report_nbytes = telemetry.report_nbytes
-        slowdowns = telemetry.slowdowns
-
-        # Scatter: the master's outgoing link serializes the sends.
-        for k in sorted(task_nbytes):
-            dt = self.farm.transfer_seconds(task_nbytes[k])
-            t0 = clock.time_of(master_rank)
-            clock.advance(master_rank, dt)
-            trace.record(master_rank, EventKind.SEND, t0, t0 + dt, f"task->{k}")
-            # Slave k cannot start before its task arrives.
-            clock.wait_until(k, clock.time_of(master_rank))
-
-        # Compute: each surviving slave burns its evaluation count (at its
-        # own speed when the farm is heterogeneous; slower under straggle).
-        slave_seconds: dict[int, float] = {}
-        for report in reports:
-            k = report.slave_id
-            dt = self.farm.compute_seconds_on(k, report.evaluations, m)
-            dt *= float(slowdowns.get(k, 1.0))
-            t0 = clock.time_of(k)
-            clock.advance(k, dt)
-            trace.record(k, EventKind.COMPUTE, t0, t0 + dt, "round-search")
-            slave_seconds[k] = dt
-
-        # Gather: the master's incoming link serializes; it can only start
-        # receiving from slave k once k has finished.
-        comm_seconds = sum(
-            self.farm.transfer_seconds(b) for b in task_nbytes.values()
-        )
-        for k in sorted(report_nbytes):
-            dt = self.farm.transfer_seconds(report_nbytes[k])
-            start = max(clock.time_of(master_rank), clock.time_of(k))
-            clock.wait_until(master_rank, start)
-            t0 = clock.time_of(master_rank)
-            clock.advance(master_rank, dt)
-            trace.record(k, EventKind.SEND, t0, t0 + dt, f"report<-{k}")
-            comm_seconds += dt
-
-        # Barrier: every slave waits for the master to finish the round.
-        barrier_time = clock.time_of(master_rank)
-        for k in range(self.config.n_slaves):
-            idle = clock.wait_until(k, barrier_time)
-            if idle > 0:
-                trace.record(
-                    k, EventKind.BARRIER_WAIT, barrier_time - idle, barrier_time, "barrier"
-                )
-        return clock.now - t_round_start, comm_seconds, slave_seconds
 
     # ------------------------------------------------------------------ #
     # Conformance tracing (Figure 2)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from repro.core import Budget
@@ -17,7 +16,6 @@ from repro.farm import (
     FarmModel,
     FarmTrace,
     ProcessorModel,
-    VirtualClock,
 )
 from repro.farm.machine import EVAL_BASE_OPS, EVAL_OPS_PER_CONSTRAINT
 from repro.instances import correlated_instance
@@ -84,52 +82,6 @@ class TestFarmModel:
 
 
 class TestVirtualClock:
-    def test_advance_and_now(self):
-        clock = VirtualClock(3)
-        clock.advance(0, 1.0)
-        clock.advance(1, 2.5)
-        assert clock.now == 2.5
-        assert clock.time_of(0) == 1.0
-
-    def test_barrier_returns_idle(self):
-        clock = VirtualClock(3)
-        clock.advance(0, 1.0)
-        clock.advance(1, 3.0)
-        idle = clock.barrier()
-        np.testing.assert_allclose(idle, [2.0, 0.0, 3.0])
-        np.testing.assert_allclose(clock.times, [3.0, 3.0, 3.0])
-
-    def test_wait_until(self):
-        clock = VirtualClock(2)
-        clock.advance(0, 5.0)
-        idle = clock.wait_until(1, 5.0)
-        assert idle == 5.0
-        # waiting for the past costs nothing
-        assert clock.wait_until(0, 1.0) == 0.0
-        assert clock.time_of(0) == 5.0
-
-    def test_negative_rejected(self):
-        clock = VirtualClock(2)
-        with pytest.raises(ValueError):
-            clock.advance(0, -1.0)
-
-    def test_monotonicity_property(self):
-        """Clocks never go backwards under any operation mix."""
-        rng = np.random.default_rng(0)
-        clock = VirtualClock(4)
-        prev = clock.times
-        for _ in range(200):
-            op = rng.integers(0, 3)
-            if op == 0:
-                clock.advance(int(rng.integers(0, 4)), float(rng.random()))
-            elif op == 1:
-                clock.barrier()
-            else:
-                clock.wait_until(int(rng.integers(0, 4)), float(rng.random() * 5))
-            now = clock.times
-            assert np.all(now >= prev - 1e-12)
-            prev = now
-
     def test_farm_run_charges_are_pinned(self):
         """A fixed CTS2 farm run (5 rounds, 4 serial slaves, one straggler)
         charges exactly the virtual times recorded when the clock held a
